@@ -25,6 +25,8 @@ CxlDevice::CxlDevice(Simulator& sim, const CxlDeviceParams& params,
 
 void CxlDevice::read(std::uint64_t addr, std::uint32_t bytes, ReadyFn ready) {
   (void)addr;
+  // Zero bytes split into no flits, so no kPop would ever fire `ready`.
+  if (bytes == 0) throw std::invalid_argument("CxlDevice: zero-byte read");
   ++stats_.requests;
   stats_.bytes += bytes;
 
@@ -158,6 +160,7 @@ void CxlDevice::write(std::uint64_t addr, std::uint32_t bytes,
   // round (snoop/ownership) before the data can commit. The bridge delays
   // write completions like read data: the prototype's adjustable latency
   // sits between the CXL interface and the DRAM in both directions.
+  if (bytes == 0) throw std::invalid_argument("CxlDevice: zero-byte write");
   const std::uint32_t slot =
       pending_writes_.acquire(PendingWrite{addr, bytes, ready});
   sim_.schedule_after(params_.write_coherency_overhead, listener_,

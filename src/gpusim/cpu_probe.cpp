@@ -1,6 +1,6 @@
 #include "gpusim/cpu_probe.hpp"
 
-#include <memory>
+#include <functional>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -37,52 +37,51 @@ CpuProbeResult cpu_random_read_probe(
     util::Xoshiro256 rng{0xdecafbad};
     bool stopped = false;
   };
-  auto state = std::make_shared<ProbeState>();
+  ProbeState state;
 
   // Phase 2: flood with up to cpu_max_outstanding requests for `duration`.
+  // Every closure below runs inside the sim.run() of this scope, so they
+  // capture `state` and `issue_more` by reference; owning copies would make
+  // issue_more a reference cycle that never frees.
   const sim::SimTime flood_start = sim.now();
   const sim::SimTime flood_end = flood_start + probe_params.duration;
-  auto issue_more = std::make_shared<std::function<void()>>();
-  *issue_more = [&, state, issue_more, flood_end]() {
-    if (state->stopped) return;
+  std::function<void()> issue_more;
+  issue_more = [&]() {
+    if (state.stopped) return;
     if (sim.now() >= flood_end) {
-      state->stopped = true;
+      state.stopped = true;
       return;
     }
-    while (state->outstanding < probe_params.cpu_max_outstanding) {
-      ++state->outstanding;
+    while (state.outstanding < probe_params.cpu_max_outstanding) {
+      ++state.outstanding;
       const std::uint64_t addr =
-          state->rng.next_below(probe_params.span_bytes /
-                                probe_params.read_bytes) *
+          state.rng.next_below(probe_params.span_bytes /
+                               probe_params.read_bytes) *
           probe_params.read_bytes;
       const sim::SimTime issued = sim.now();
       // CPU -> device hop, the device model, then the return hop.
-      sim.schedule_after(probe_params.cpu_overhead, [&, state, issue_more,
-                                                     addr, issued]() {
+      sim.schedule_after(probe_params.cpu_overhead, [&, addr, issued]() {
         dev.read(addr, probe_params.read_bytes,
-                 sim.make_callback([&, state, issue_more, issued]() {
-                   sim.schedule_after(
-                       probe_params.cpu_overhead,
-                       [&, state, issue_more, issued]() {
-                         --state->outstanding;
-                         ++state->completed;
-                         state->bytes += probe_params.read_bytes;
-                         state->latency_us.add(
-                             util::us_from_ps(sim.now() - issued));
-                         (*issue_more)();
-                       });
+                 sim.make_callback([&, issued]() {
+                   sim.schedule_after(probe_params.cpu_overhead, [&, issued]() {
+                     --state.outstanding;
+                     ++state.completed;
+                     state.bytes += probe_params.read_bytes;
+                     state.latency_us.add(util::us_from_ps(sim.now() - issued));
+                     issue_more();
+                   });
                  }));
       });
-      if (state->stopped) break;
+      if (state.stopped) break;
     }
   };
-  (*issue_more)();
+  issue_more();
   sim.run();
 
   CpuProbeResult result;
   const sim::SimTime elapsed = sim.now() - flood_start;
-  result.completed_reads = state->completed;
-  result.throughput_mbps = util::mbps_from(state->bytes, elapsed);
+  result.completed_reads = state.completed;
+  result.throughput_mbps = util::mbps_from(state.bytes, elapsed);
   result.observed_latency_us = util::us_from_ps(isolated_latency);
   // N = T * L / d, with T in B/s and L in seconds (paper Eq. 3). L is the
   // *device-internal* latency — the CPU hops sit outside the device's

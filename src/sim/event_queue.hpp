@@ -13,19 +13,27 @@
 /// the per-transaction processing gap — each later than the one before).
 /// The queue therefore keeps one FIFO *lane* per (listener, opcode) class,
 /// appends in O(1) while a stream stays monotone, and falls back to a flat
-/// 4-ary min-heap for the rare out-of-order push. pop() takes the
-/// lexicographic (time, seq) minimum over the lane heads and the heap
-/// front, so the drain order is *exactly* the (time, seq) order a single
-/// heap would produce — lanes are a speed trick, not a semantic: equal
-/// timestamps still execute in push order (the monotonically increasing
-/// sequence number breaks ties), keeping every simulation bit-for-bit
-/// deterministic, and a stream that stops being monotone only loses the
-/// fast path, never its ordering.
+/// 4-ary *overflow heap* for the rare out-of-order push.
+///
+/// The next event is picked from a binary min-heap of *source heads*: one
+/// entry per non-empty source (each lane, and the overflow heap), caching
+/// that source's earliest (time, seq). Appending to a non-empty lane leaves
+/// its head, and so the head heap, untouched; a push onto an empty lane is
+/// one insert; an out-of-order push that becomes the overflow heap's new
+/// front is one decrease-key; a pop is one sift. Neither push nor pop scans
+/// the lanes, so a stack may register any number of (listener, opcode)
+/// classes.
+///
+/// pop() returns the unique lexicographic (time, seq) minimum, so the drain
+/// order is *exactly* the order a single heap would produce — lanes are a
+/// speed trick, not a semantic: equal timestamps still execute in push
+/// order (the monotonically increasing sequence number breaks ties),
+/// keeping every simulation bit-for-bit deterministic, and a stream that
+/// stops being monotone only loses the fast path, never its ordering.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "util/units.hpp"
@@ -52,152 +60,110 @@ class EventQueue {
   void push(SimTime time, std::uint16_t listener, std::uint16_t opcode,
             std::uint32_t a = 0, std::uint32_t b = 0) {
     const Event e{time, next_seq_++, a, b, listener, opcode};
-    ++count_;
-    Lane& lane = lanes_[lane_for(listener, opcode)];
-    if (lane.events.empty() || time >= lane.events.back().time) {
-      lane.events.push_back(e);  // seq grows monotonically: stays sorted
+    const std::uint32_t id = lane_for(listener, opcode);
+    std::vector<Event>& events = lanes_[id].events;
+    if (events.empty()) {
+      events.push_back(e);
+      sift_up(sources_++, Head{e.time, e.seq, id});
+    } else if (time >= events.back().time) {
+      events.push_back(e);  // seq grows monotonically: stays sorted
     } else {
-      heap_push(e);
+      overflow_push(e);
     }
-    min_valid_ = false;  // rescan on next pop/peek
   }
 
-  bool empty() const noexcept { return count_ == 0; }
-  std::size_t size() const noexcept { return count_; }
+  bool empty() const noexcept { return sources_ == 0; }
 
-  SimTime next_time() const noexcept {
-    return const_cast<EventQueue*>(this)->find_min().time;
+  /// Pending events. Sums over every lane: for diagnostics, not the
+  /// dispatch loop.
+  std::size_t size() const noexcept {
+    std::size_t n = heap_.size();
+    for (const Lane& lane : lanes_) n += lane.events.size() - lane.head;
+    return n;
   }
+
+  /// Time of the earliest event. Undefined when empty().
+  SimTime next_time() const noexcept { return heads_.front().time; }
 
   /// Removes and returns the earliest event. Undefined when empty().
   Event pop() {
-    const Event e = find_min();
-    if (min_lane_ == kHeapLane) {
-      heap_pop();
+    const std::uint32_t source = heads_.front().source;
+    if (source == kOverflow) return pop_overflow();
+    Lane& lane = lanes_[source];
+    Event e = lane.events[lane.head];
+    if (++lane.head == lane.events.size()) {
+      lane.events.clear();
+      lane.head = 0;
+      pop_head();
     } else {
-      Lane& lane = lanes_[min_lane_];
-      ++lane.head;
-      if (lane.head == lane.events.size()) {
-        lane.events.clear();
-        lane.head = 0;
-      } else if (lane.head >= 1024 && lane.head * 2 >= lane.events.size()) {
-        // Steady-state lanes never fully drain; compact the served prefix
-        // occasionally (amortized O(1)) so memory stays bounded.
-        lane.events.erase(lane.events.begin(),
-                          lane.events.begin() +
-                              static_cast<std::ptrdiff_t>(lane.head));
-        lane.head = 0;
+      // Steady-state lanes never fully drain; compact the served prefix
+      // occasionally (amortized O(1)) so memory stays bounded.
+      if (lane.head >= 1024 && lane.head * 2 >= lane.events.size()) {
+        compact(lane);
       }
+      const Event& next = lane.events[lane.head];
+      sift_down(0, Head{next.time, next.seq, source});
     }
-    --count_;
-    min_valid_ = false;
     return e;
   }
 
  private:
   static constexpr std::size_t kArity = 4;
-  static constexpr std::uint32_t kHeapLane = 0xffffffffu;
-  /// Beyond this many distinct (listener, opcode) classes, the rest share
-  /// the heap — ordering is unaffected, only the fast path.
-  static constexpr std::size_t kMaxLanes = 48;
+  /// Lanes per listener. Components use a handful of opcodes; higher ones
+  /// share lanes modulo this, which costs only the fast path, never order.
+  static constexpr std::size_t kOpcodeLanes = 16;
+  /// Head-heap source id of the overflow heap; lanes are 0, 1, 2, ...
+  static constexpr std::uint32_t kOverflow = 0xffffffffu;
+  static constexpr std::uint32_t kNoLane = 0xffffffffu;
 
+  /// One (listener, opcode) class's pending events, sorted; the served
+  /// prefix [0, head) is dropped when the lane drains or compacts.
   struct Lane {
-    std::uint32_t key = 0;
-    std::size_t head = 0;
     std::vector<Event> events;
+    std::size_t head = 0;
   };
 
-  static bool before(const Event& x, const Event& y) noexcept {
+  /// A non-empty source and a copy of its earliest event's key.
+  struct Head {
+    SimTime time;
+    std::uint64_t seq;
+    std::uint32_t source;
+  };
+
+  /// (time, seq) order, for Events in the overflow heap and Heads alike.
+  template <class T>
+  static bool before(const T& x, const T& y) noexcept {
     if (x.time != y.time) return x.time < y.time;
     return x.seq < y.seq;
   }
 
-  /// Maps (listener, opcode) to a lane via a small open-addressed table.
-  std::size_t lane_for(std::uint16_t listener, std::uint16_t opcode) {
-    const std::uint32_t key =
-        (static_cast<std::uint32_t>(listener) << 16) | opcode;
-    std::size_t slot = (key * 0x9e3779b1u) & (kTableSize - 1);
-    for (;;) {
-      const std::int32_t entry = table_[slot];
-      if (entry >= 0 && lanes_[static_cast<std::size_t>(entry)].key == key) {
-        return static_cast<std::size_t>(entry);
-      }
-      if (entry < 0) {
-        if (lanes_.size() >= kMaxLanes) return overflow_lane();
-        lanes_.push_back(Lane{key, 0, {}});
-        table_[slot] = static_cast<std::int32_t>(lanes_.size() - 1);
-        return lanes_.size() - 1;
-      }
-      slot = (slot + 1) & (kTableSize - 1);
+  /// Lane id of (listener, opcode). Listener indices are small and dense,
+  /// so a flat table with kOpcodeLanes slots per listener indexes them.
+  std::uint32_t lane_for(std::uint16_t listener, std::uint16_t opcode) {
+    const std::size_t slot =
+        std::size_t{listener} * kOpcodeLanes + opcode % kOpcodeLanes;
+    if (slot < lane_ids_.size() && lane_ids_[slot] != kNoLane) {
+      return lane_ids_[slot];
     }
+    return add_lane(slot);
   }
 
-  /// Shared lane of last resort once the table is full; it is almost never
-  /// monotone, so its pushes effectively land in the heap.
-  std::size_t overflow_lane() {
-    if (lanes_.empty() || lanes_[0].key != 0xffffffffu) {
-      lanes_.insert(lanes_.begin(), Lane{0xffffffffu, 0, {}});
-      // Table entries shift by one; rebuild.
-      rebuild_table();
-    }
-    return 0;
-  }
+  // Cold paths live in event_queue.cpp, out of the inlined hot path.
+  std::uint32_t add_lane(std::size_t slot);
+  void compact(Lane& lane);
+  void overflow_push(const Event& e);
 
-  void rebuild_table() {
-    table_.assign(kTableSize, -1);
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      if (lanes_[i].key == 0xffffffffu) continue;
-      std::size_t slot = (lanes_[i].key * 0x9e3779b1u) & (kTableSize - 1);
-      while (table_[slot] >= 0) slot = (slot + 1) & (kTableSize - 1);
-      table_[slot] = static_cast<std::int32_t>(i);
-    }
-  }
-
-  const Event& cached_min() const {
-    return min_lane_ == kHeapLane ? heap_.front()
-                                  : lanes_[min_lane_]
-                                        .events[lanes_[min_lane_].head];
-  }
-
-  /// Scans lane heads + heap front for the (time, seq) minimum.
-  const Event& find_min() {
-    if (min_valid_) return cached_min();
-    const Event* best = nullptr;
-    std::uint32_t best_lane = kHeapLane;
-    if (!heap_.empty()) best = &heap_.front();
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      const Lane& lane = lanes_[i];
-      if (lane.head == lane.events.size()) continue;
-      const Event& head = lane.events[lane.head];
-      if (best == nullptr || before(head, *best)) {
-        best = &head;
-        best_lane = static_cast<std::uint32_t>(i);
-      }
-    }
-    min_lane_ = best_lane;
-    min_valid_ = true;
-    return *best;
-  }
-
-  // Both sift directions move a hole instead of swapping — one 32-byte
-  // copy per level rather than three.
-  void heap_push(const Event& e) {
-    std::size_t i = heap_.size();
-    heap_.push_back(e);  // placeholder; overwritten below
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!before(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
-  }
-
-  void heap_pop() {
+  /// Pops the 4-ary overflow heap's front. Inline, unlike the cold paths:
+  /// as a call it slowed the dispatch loop, which inlines pop().
+  Event pop_overflow() {
+    const Event e = heap_.front();
     const Event back = heap_.back();
     heap_.pop_back();
     const std::size_t n = heap_.size();
-    if (n == 0) return;
+    if (n == 0) {
+      pop_head();
+      return e;
+    }
     std::size_t i = 0;
     for (;;) {
       const std::size_t first_child = i * kArity + 1;
@@ -212,17 +178,50 @@ class EventQueue {
       i = best;
     }
     heap_[i] = back;
+    sift_down(0, Head{heap_.front().time, heap_.front().seq, kOverflow});
+    return e;
   }
 
-  static constexpr std::size_t kTableSize = 128;
+  // --- head heap: binary, over non-empty sources ---------------------
+  // Both sifts move a hole instead of swapping. No entry tracks its slot:
+  // a lane's head only changes when it is popped, i.e. while it is the
+  // root, and the overflow heap's rare decrease-key finds its entry.
 
-  std::vector<Event> heap_;  // implicit 4-ary min-heap on (time, seq)
+  void sift_up(std::size_t i, Head h) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!before(h, heads_[parent])) break;
+      heads_[i] = heads_[parent];
+      i = parent;
+    }
+    heads_[i] = h;
+  }
+
+  void sift_down(std::size_t i, Head h) {
+    const std::size_t n = sources_;
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && before(heads_[child + 1], heads_[child])) ++child;
+      if (!before(heads_[child], h)) break;
+      heads_[i] = heads_[child];
+      i = child;
+    }
+    heads_[i] = h;
+  }
+
+  /// Drops the root (its source just drained) by sifting the last entry
+  /// down from the top.
+  void pop_head() {
+    if (--sources_ > 0) sift_down(0, heads_[sources_]);
+  }
+
+  std::vector<Head> heads_;  // binary min-heap on (time, seq)
+  std::size_t sources_ = 0;  // live entries of heads_
   std::vector<Lane> lanes_;
-  std::vector<std::int32_t> table_ = std::vector<std::int32_t>(kTableSize, -1);
-  std::size_t count_ = 0;
+  std::vector<std::uint32_t> lane_ids_;  // see lane_for()
+  std::vector<Event> heap_;  // implicit 4-ary min-heap on (time, seq)
   std::uint64_t next_seq_ = 0;
-  std::uint32_t min_lane_ = kHeapLane;
-  bool min_valid_ = false;
 };
 
 }  // namespace cxlgraph::sim

@@ -337,6 +337,21 @@ TEST(Cxl, ThroughputDropsWithAddedLatency) {
   EXPECT_NEAR(at5, 128.0 * 64.0 / 5e-6 / 1e6, 300.0);
 }
 
+TEST(Cxl, RejectsZeroByteRequests) {
+  // Zero bytes split into no flits: no pop would ever complete the request,
+  // leaking its parent slot (and, behind a link, the link's tag).
+  Simulator sim;
+  CxlDevice dev(sim, CxlDeviceParams{}, "dev");
+  EXPECT_THROW(dev.read(0, 0, sim.make_callback([] {})), std::invalid_argument);
+  EXPECT_THROW(dev.write(0, 0, sim.make_callback([] {})),
+               std::invalid_argument);
+  EXPECT_EQ(dev.stats().requests, 0u);
+  // Through the GPU link the device sees the request one hop later.
+  PcieLink link(sim, pcie_x16(PcieGen::kGen4));
+  link.memory_read(dev, 0, 0, sim.make_callback([] {}));
+  EXPECT_THROW(sim.run(), std::invalid_argument);
+}
+
 TEST(CxlPool, InterleavesAcrossDevices) {
   Simulator sim;
   CxlMemoryPool pool(sim, CxlDeviceParams{}, 4, 4096);

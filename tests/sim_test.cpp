@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -110,9 +111,17 @@ TEST(EventQueue, PushLaterTimeDuringRunGoesToHeap) {
 }
 
 TEST(EventQueue, InterleavedPushPopStaysSorted) {
-  // Stress the 4-ary heap with an adversarial interleaving: pushes at
-  // pseudo-random times mixed with pops; the output must be globally
-  // sorted by (time, seq).
+  // An adversarial interleaving over 100 (listener, opcode) classes, more
+  // than any stack registers; opcode 17 shares opcode 1's lane. Most
+  // pushes extend their class's monotone stream (lane appends; lanes drain
+  // and refill as pops catch up); the rest land behind their class's
+  // latest time (the overflow heap, whose front they often undercut). Pops
+  // are mixed in throughout. next_time() must name each popped event's
+  // time, and the output must be globally sorted by (time, seq) with every
+  // event popped exactly once, carrying its own listener and opcode.
+  constexpr std::uint64_t kListeners = 20;
+  constexpr std::uint16_t kOpcodes[] = {0, 1, 2, 3, 17};
+  constexpr std::uint64_t kClasses = kListeners * 5;
   EventQueue q;
   std::uint64_t x = 0x9e3779b97f4a7c15ULL;
   auto next = [&x]() {
@@ -121,20 +130,44 @@ TEST(EventQueue, InterleavedPushPopStaysSorted) {
     x ^= x << 17;
     return x;
   };
+  std::vector<SimTime> latest(kClasses, 0);
+  std::vector<std::uint64_t> class_of;  // by payload
   std::vector<Event> popped;
+  std::uint32_t pushed = 0;
+  std::size_t next_time_misses = 0;
   SimTime floor = 0;  // discrete-event rule: never push before "now"
-  for (int round = 0; round < 2000; ++round) {
-    const int pushes = 1 + static_cast<int>(next() % 4);
-    for (int p = 0; p < pushes; ++p) {
-      q.push(floor + next() % 1000, 0, 0, popped.size());
+  auto pop = [&]() {
+    const SimTime expected = q.next_time();
+    popped.push_back(q.pop());
+    if (popped.back().time != expected) ++next_time_misses;
+    floor = popped.back().time;
+  };
+  for (int round = 0; round < 5000; ++round) {
+    const std::uint64_t pushes = 1 + next() % 4;
+    for (std::uint64_t p = 0; p < pushes; ++p) {
+      const std::uint64_t c = next() % kClasses;
+      const SimTime t = next() % 4 == 0
+                            ? floor + next() % 1000
+                            : std::max(latest[c], floor) + next() % 50;
+      latest[c] = std::max(latest[c], t);
+      q.push(t, static_cast<std::uint16_t>(c % kListeners),
+             kOpcodes[c / kListeners], pushed++);
+      class_of.push_back(c);
     }
-    if (next() % 2 == 0 && !q.empty()) {
-      popped.push_back(q.pop());
-      floor = popped.back().time;
-    }
+    const std::uint64_t pops = next() % 6;
+    for (std::uint64_t p = 0; p < pops && !q.empty(); ++p) pop();
   }
-  while (!q.empty()) popped.push_back(q.pop());
-  for (std::size_t i = 1; i < popped.size(); ++i) {
+  while (!q.empty()) pop();
+  EXPECT_EQ(next_time_misses, 0u);
+  ASSERT_EQ(popped.size(), pushed);
+  std::vector<bool> seen(pushed, false);
+  for (std::size_t i = 0; i < popped.size(); ++i) {
+    ASSERT_FALSE(seen[popped[i].a]) << "event popped twice at pop " << i;
+    seen[popped[i].a] = true;
+    const std::uint64_t c = class_of[popped[i].a];
+    ASSERT_EQ(popped[i].listener, c % kListeners);
+    ASSERT_EQ(popped[i].opcode, kOpcodes[c / kListeners]);
+    if (i == 0) continue;
     const bool ordered =
         popped[i - 1].time < popped[i].time ||
         (popped[i - 1].time == popped[i].time &&
