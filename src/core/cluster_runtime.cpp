@@ -446,6 +446,24 @@ ClusterRuntime::ClusterRuntime(SystemConfig config, unsigned jobs)
 
 ClusterReport ClusterRuntime::run(const graph::CsrGraph& graph,
                                   const ClusterRequest& request) {
+  return run(graph,
+             partition::make_partition(graph, request.strategy,
+                                       request.num_shards,
+                                       request.partition_seed,
+                                       request.reorder),
+             request);
+}
+
+ClusterReport ClusterRuntime::run(const graph::CsrGraph& graph,
+                                  const partition::Partition& part,
+                                  const ClusterRequest& request) {
+  if (part.num_shards != request.num_shards ||
+      part.strategy != request.strategy ||
+      part.owner.size() != graph.num_vertices()) {
+    throw std::invalid_argument(
+        "ClusterRuntime: partition does not match the request's shard "
+        "count and strategy or the graph's vertex count");
+  }
   if (!request.shard_configs.empty() &&
       request.shard_configs.size() != request.num_shards) {
     throw std::invalid_argument(
@@ -461,9 +479,6 @@ ClusterReport ClusterRuntime::run(const graph::CsrGraph& graph,
   const VertexId source = request.run.source.value_or(
       algo::pick_source(graph, request.run.source_seed));
   const std::uint32_t P = request.num_shards;
-
-  partition::Partition part = partition::make_partition(
-      graph, request.strategy, P, request.partition_seed, request.reorder);
 
   // -------------------------------------------------------------------
   // Build one trace per shard, superstep-aligned: every shard has a step

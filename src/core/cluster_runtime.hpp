@@ -50,6 +50,11 @@
 ///   req.num_shards = 8;
 ///   req.strategy = partition::Strategy::kDegreeBalanced;
 ///   core::ClusterReport report = cluster.run(graph, req);
+///
+///   // Many runs over one shard layout can share a prebuilt partition:
+///   const partition::Partition part = partition::make_partition(
+///       graph, req.strategy, req.num_shards);
+///   core::ClusterReport same = cluster.run(graph, part, req);
 
 #include <string>
 #include <vector>
@@ -159,6 +164,18 @@ class ClusterRuntime {
   /// Supports every algorithm cluster_supports() accepts; throws
   /// std::invalid_argument otherwise. Deterministic in (graph, request).
   ClusterReport run(const graph::CsrGraph& graph,
+                    const ClusterRequest& request);
+
+  /// The same run over a partition the caller built once and reuses
+  /// (the two-argument run() builds one and delegates here). `part` must
+  /// come from partition::make_partition(graph, request.strategy,
+  /// request.num_shards, request.partition_seed, request.reorder); the
+  /// result is then field-for-field identical. A partition whose shard
+  /// count, strategy or vertex count disagrees with the request and graph
+  /// throws std::invalid_argument (the seed and reorder are not recorded
+  /// in a Partition, so matching them is the caller's contract).
+  ClusterReport run(const graph::CsrGraph& graph,
+                    const partition::Partition& part,
                     const ClusterRequest& request);
 
   const SystemConfig& config() const noexcept { return runner_.config(); }

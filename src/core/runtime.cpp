@@ -261,6 +261,21 @@ void record_run_telemetry(obs::Telemetry& telemetry,
 
 }  // namespace
 
+bool uses_source(Algorithm algorithm) noexcept {
+  switch (algorithm) {
+    case Algorithm::kCc:
+    case Algorithm::kPagerankScan:
+      return false;
+    case Algorithm::kBfs:
+    case Algorithm::kSssp:
+    case Algorithm::kBfsDirOpt:
+    case Algorithm::kSsspDelta:
+    case Algorithm::kBfsWriteback:
+      return true;
+  }
+  return true;
+}
+
 ExternalGraphRuntime::ExternalGraphRuntime(SystemConfig config)
     : config_(std::move(config)) {}
 

@@ -93,6 +93,13 @@ struct TraceRunResult {
   std::vector<std::uint64_t> step_fetched_bytes;
 };
 
+/// False for the algorithms whose traversal never reads the source:
+/// kCc and kPagerankScan sweep the whole graph, so make_trace — and a
+/// ClusterRuntime decomposition — yields the same trace for every source.
+/// Runs of such an algorithm differ only in the reported source field,
+/// which is what lets the serving layer replay one per source-free class.
+bool uses_source(Algorithm algorithm) noexcept;
+
 class ExternalGraphRuntime {
  public:
   explicit ExternalGraphRuntime(SystemConfig config);

@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -155,6 +156,9 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
   // profile set — and everything downstream — is independent of
   // scheduling. Profiles are cached across serve() calls (offered-load
   // sweeps and policy comparisons reuse them) until the graph changes.
+  // A source-free class (core::uses_source) replays the same trace from
+  // every source, so its cache key drops the source: one replay serves
+  // all of that class's slots, each rebound to its own source below.
   // -------------------------------------------------------------------
   const std::uint64_t fingerprint = graph_fingerprint(graph);
   if (cached_graph_fingerprint_ != fingerprint) {
@@ -173,43 +177,50 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
   };
 
   std::map<ProfileKey, std::size_t> slot_of;
-  struct PendingKey {
-    ProfileKey key;
+  struct Slot {
+    ProfileKey cache_key;
     std::uint32_t class_index;
     graph::VertexId source;
   };
-  std::vector<PendingKey> keys;
+  std::vector<Slot> slots;
   out.query_profile.resize(out.queries.size());
   for (std::size_t i = 0; i < out.queries.size(); ++i) {
+    const std::uint32_t c = out.queries[i].class_index;
     const graph::VertexId source = base.source.value_or(
         algo::pick_source(graph, out.queries[i].source_seed));
-    const ProfileKey key = key_for(out.queries[i].class_index, source);
-    const auto [it, inserted] = slot_of.try_emplace(key, keys.size());
+    const auto [it, inserted] =
+        slot_of.try_emplace(key_for(c, source), slots.size());
     if (inserted) {
-      keys.push_back(PendingKey{key, out.queries[i].class_index, source});
+      const bool keyed = core::uses_source(mix[c].algorithm);
+      slots.push_back(Slot{key_for(c, keyed ? source : 0), c, source});
     }
     out.query_profile[i] = it->second;
   }
 
-  // Single-stack profiles not yet cached fan out across the runner's
-  // workers (insertion-ordered, bit-identical to serial).
-  std::vector<std::function<QueryProfile()>> tasks;
-  std::vector<std::size_t> task_slot;
-  for (std::size_t k = 0; k < keys.size(); ++k) {
-    const QueryClass& cls = mix[keys[k].class_index];
-    if (cls.shards != 1 || cache_has(keys[k].key)) {
+  // Each cache key not yet cached is computed once, by its first slot.
+  std::set<ProfileKey> scheduled;
+  std::vector<std::size_t> single_todo;
+  std::vector<std::size_t> cluster_todo;
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    if (cache_has(slots[k].cache_key) ||
+        !scheduled.insert(slots[k].cache_key).second) {
       continue;
     }
-    task_slot.push_back(k);
-    tasks.push_back([this, &graph, &base, &cls, pending = keys[k]]() {
+    (mix[slots[k].class_index].shards == 1 ? single_todo : cluster_todo)
+        .push_back(k);
+  }
+
+  // Single-stack profiles fan out across the runner's workers
+  // (insertion-ordered, bit-identical to serial).
+  std::vector<std::function<QueryProfile()>> tasks;
+  for (const std::size_t k : single_todo) {
+    tasks.push_back([this, &graph, &base, &mix, slot = slots[k]]() {
       core::ExternalGraphRuntime runtime(config_);
       core::RunRequest req = base;
-      req.algorithm = cls.algorithm;
-      req.source = pending.source;
+      req.algorithm = mix[slot.class_index].algorithm;
+      req.source = slot.source;
       core::TraceRunResult run = runtime.run_profiled(graph, req);
       QueryProfile p;
-      p.class_index = pending.class_index;
-      p.source = pending.source;
       p.report = std::move(run.report);
       p.step_ps = std::move(run.step_durations);
       p.step_bytes = std::move(run.step_fetched_bytes);
@@ -218,33 +229,38 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
   }
   std::vector<QueryProfile> fanned = runner_.map_tasks(tasks);
   for (std::size_t t = 0; t < fanned.size(); ++t) {
-    cache_put(keys[task_slot[t]].key, std::move(fanned[t]));
+    cache_put(slots[single_todo[t]].cache_key, std::move(fanned[t]));
   }
 
   // Shard-spanning profiles route through ClusterRuntime (which fans its
-  // own per-shard replays); exchange phases fold into their supersteps.
+  // own per-shard replays) over one partition per shard layout; exchange
+  // phases fold into their supersteps.
   core::ClusterRuntime cluster(config_, jobs_);
-  for (std::size_t k = 0; k < keys.size(); ++k) {
-    const QueryClass& cls = mix[keys[k].class_index];
-    if (cls.shards == 1 || cache_has(keys[k].key)) {
-      continue;
-    }
+  std::map<std::pair<std::uint32_t, partition::Strategy>,
+           partition::Partition>
+      partitions;
+  for (const std::size_t k : cluster_todo) {
+    const QueryClass& cls = mix[slots[k].class_index];
     core::ClusterRequest creq;
     creq.run = base;
     creq.run.algorithm = cls.algorithm;
-    creq.run.source = keys[k].source;
+    creq.run.source = slots[k].source;
     creq.num_shards = cls.shards;
     creq.strategy = cls.strategy;
-    const core::ClusterReport cr = cluster.run(graph, creq);
+    const auto [part, fresh] =
+        partitions.try_emplace({cls.shards, cls.strategy});
+    if (fresh) {
+      part->second = partition::make_partition(
+          graph, creq.strategy, creq.num_shards, creq.partition_seed,
+          creq.reorder);
+    }
+    const core::ClusterReport cr = cluster.run(graph, part->second, creq);
 
     QueryProfile p;
-    p.class_index = keys[k].class_index;
-    p.source = keys[k].source;
     p.shards = cls.shards;
     p.report.algorithm = cr.algorithm;
     p.report.backend = cr.backend;
     p.report.access_method = cr.access_method;
-    p.report.source = cr.source;
     p.report.runtime_sec = cr.runtime_sec;
     p.report.fetched_bytes = cr.fetched_bytes;
     p.report.used_bytes = cr.used_bytes;
@@ -259,15 +275,18 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
       p.step_ps[j] += cr.exchange_phase_ps[j];
     }
     p.step_bytes = cr.superstep_fetched_bytes;
-    cache_put(keys[k].key, std::move(p));
+    cache_put(slots[k].cache_key, std::move(p));
   }
 
-  out.profiles.reserve(keys.size());
-  for (const PendingKey& pending : keys) {
-    out.profiles.push_back(cache_at(pending.key));
-    // The cached copy carries the class index of whichever serve created
-    // it; rebind to this workload's mix (the key ignores slo/weight).
-    out.profiles.back().class_index = pending.class_index;
+  out.profiles.reserve(slots.size());
+  for (const Slot& slot : slots) {
+    QueryProfile& p = out.profiles.emplace_back(cache_at(slot.cache_key));
+    // A cached profile is shared by every slot with its key: by serves
+    // with other mixes (the key ignores slo/weight) and, for source-free
+    // classes, by every source. Bind it to this slot.
+    p.class_index = slot.class_index;
+    p.source = slot.source;
+    p.report.source = slot.source;
   }
   // This serve holds copies of everything it needs; trim the cache for
   // the next one.

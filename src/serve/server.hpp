@@ -9,12 +9,15 @@
 /// multiplexes analytics queries — kernels (supersteps) are the natural
 /// preemption points:
 ///
-///  1. Every distinct (query class, source) is profiled once on an idle
-///     stack through the core contention seam
+///  1. Every distinct (query class, source) gets a profile from an
+///     idle-stack run through the core contention seam
 ///     (ExternalGraphRuntime::run_profiled, or core::ClusterRuntime for
 ///     shard-spanning queries), yielding its per-superstep durations and
 ///     fetched bytes. Latency tolerance *within* a query — the paper's
-///     outstanding-request argument — is captured there.
+///     outstanding-request argument — is captured there. Each distinct
+///     computation runs once: a source-free class (core::uses_source is
+///     false: CC, PageRank scan) replays once for all of its sources, and
+///     the shard-spanning classes of one shard layout share one partition.
 ///  2. A discrete-event queueing simulation (sim::Simulator) then
 ///     interleaves the admitted queries' supersteps onto the shared stack
 ///     under a scheduling policy: FIFO run-to-completion, round-robin
@@ -262,9 +265,10 @@ class QueryServer {
                     const ServeRequest& request);
 
   /// The profiling front half of serve(), exposed so FleetServer can
-  /// reuse the cache and fan-out: expands the workload and profiles every
-  /// distinct (class shape, source) once on an idle stack. Deterministic
-  /// in (graph, base, workload); empty stream yields empty vectors.
+  /// reuse the cache and fan-out: expands the workload and returns one
+  /// idle-stack profile per distinct (class shape, source), computing each
+  /// distinct cache key once. Deterministic in (graph, base, workload);
+  /// empty stream yields empty vectors.
   ProfiledWorkload profile_workload(const graph::CsrGraph& graph,
                                     const core::RunRequest& base,
                                     const WorkloadSpec& workload);
@@ -291,16 +295,20 @@ class QueryServer {
   std::size_t profile_cache_size() const noexcept {
     return profile_cache_.size();
   }
-  /// Idle-stack profile runs performed over this server's lifetime; a
-  /// capacity-bounded cache re-profiles evicted shapes, an unbounded one
-  /// profiles each distinct shape once per graph.
+  /// Idle-stack profile runs performed over this server's lifetime: one
+  /// per distinct cache key, so a source-free class costs one run however
+  /// many sources its queries draw. A capacity-bounded cache re-profiles
+  /// evicted keys; an unbounded one computes each key once per graph.
   std::uint64_t profiles_computed() const noexcept {
     return profiles_computed_;
   }
 
  private:
   /// Everything that determines a profile besides the graph: the stack
-  /// knobs of the base request plus the class shape and the source.
+  /// knobs of the base request plus the class shape and the source. The
+  /// cache keys a source-free class (core::uses_source false) with source
+  /// 0, so all of its sources share one entry; the per-serve slot map
+  /// keys the real source, so every (class, source) still gets its slot.
   using ProfileKey =
       std::tuple<int /*backend*/, std::uint64_t /*cxl_added_latency*/,
                  std::uint32_t /*alignment*/, std::uint64_t /*cache_bytes*/,

@@ -2,8 +2,24 @@
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 namespace cxlgraph::util {
+
+SimTime checked_ps_from_us(double us, std::string_view what) {
+  // 2^64 ps, exactly representable: the first value SimTime cannot hold.
+  constexpr double kSimTimeLimit = 18446744073709551616.0;
+  const double ps = us * static_cast<double>(kPsPerUs) + 0.5;
+  if (!(us >= 0.0) || !(ps < kSimTimeLimit)) {
+    char got[48];
+    std::snprintf(got, sizeof(got), "%g", us);
+    throw std::invalid_argument(
+        std::string(what) +
+        " must be a finite, non-negative duration in microseconds that "
+        "fits in 64-bit picoseconds (got " + got + ")");
+  }
+  return ps_from_us(us);
+}
 
 std::string format_bytes(double bytes) {
   static constexpr const char* kSuffix[] = {"B", "kB", "MB", "GB", "TB"};

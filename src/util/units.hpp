@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace cxlgraph::util {
 
@@ -25,6 +26,13 @@ constexpr SimTime ps_from_ns(double ns) noexcept {
 constexpr SimTime ps_from_us(double us) noexcept {
   return static_cast<SimTime>(us * static_cast<double>(kPsPerUs) + 0.5);
 }
+/// ps_from_us for a value that crosses a trust boundary (a CLI flag, a
+/// config field): identical result for every representable duration, but
+/// throws std::invalid_argument naming `what` when `us` is negative, NaN,
+/// infinite, or too long for SimTime — the casts ps_from_us leaves
+/// undefined.
+SimTime checked_ps_from_us(double us, std::string_view what);
+
 constexpr double ns_from_ps(SimTime ps) noexcept {
   return static_cast<double>(ps) / static_cast<double>(kPsPerNs);
 }

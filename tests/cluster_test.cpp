@@ -7,11 +7,14 @@
 /// bench reports.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/cluster_runtime.hpp"
 #include "core/runtime.hpp"
 #include "graph/generate.hpp"
+#include "report_expect.hpp"
 
 namespace cxlgraph {
 namespace {
@@ -22,27 +25,6 @@ graph::CsrGraph test_graph() {
   graph::GeneratorOptions opts;
   opts.seed = kSeed;
   return graph::generate_uniform(1 << 10, 8.0, opts);
-}
-
-void expect_reports_identical(const core::RunReport& a,
-                              const core::RunReport& b) {
-  EXPECT_EQ(a.algorithm, b.algorithm);
-  EXPECT_EQ(a.backend, b.backend);
-  EXPECT_EQ(a.access_method, b.access_method);
-  EXPECT_EQ(a.source, b.source);
-  // Bit-stable: exact double equality, not a tolerance.
-  EXPECT_EQ(a.runtime_sec, b.runtime_sec);
-  EXPECT_EQ(a.throughput_mbps, b.throughput_mbps);
-  EXPECT_EQ(a.raf, b.raf);
-  EXPECT_EQ(a.avg_transfer_bytes, b.avg_transfer_bytes);
-  EXPECT_EQ(a.used_bytes, b.used_bytes);
-  EXPECT_EQ(a.fetched_bytes, b.fetched_bytes);
-  EXPECT_EQ(a.transactions, b.transactions);
-  EXPECT_EQ(a.steps, b.steps);
-  EXPECT_EQ(a.observed_read_latency_us, b.observed_read_latency_us);
-  EXPECT_EQ(a.avg_outstanding_reads, b.avg_outstanding_reads);
-  EXPECT_EQ(a.frontier_vertices, b.frontier_vertices);
-  EXPECT_EQ(a.graph_edges, b.graph_edges);
 }
 
 TEST(ClusterRuntime, SingleShardMatchesSingleRuntimeOnAllBackends) {
@@ -122,19 +104,8 @@ TEST(ClusterRuntime, ParallelShardReplayMatchesSerial) {
 
   core::ClusterRuntime serial(core::table3_system(), /*jobs=*/1);
   core::ClusterRuntime parallel(core::table3_system(), /*jobs=*/4);
-  const core::ClusterReport a = serial.run(g, creq);
-  const core::ClusterReport b = parallel.run(g, creq);
-
-  EXPECT_EQ(a.runtime_sec, b.runtime_sec);
-  EXPECT_EQ(a.compute_sec, b.compute_sec);
-  EXPECT_EQ(a.exchange_sec, b.exchange_sec);
-  EXPECT_EQ(a.exchange_bytes, b.exchange_bytes);
-  EXPECT_EQ(a.exchange_messages, b.exchange_messages);
-  EXPECT_EQ(a.fetched_bytes, b.fetched_bytes);
-  ASSERT_EQ(a.shard_reports.size(), b.shard_reports.size());
-  for (std::size_t s = 0; s < a.shard_reports.size(); ++s) {
-    expect_reports_identical(a.shard_reports[s], b.shard_reports[s]);
-  }
+  expect_cluster_reports_identical(serial.run(g, creq),
+                                   parallel.run(g, creq));
 }
 
 TEST(ClusterRuntime, FrontierAlgorithmsShardToo) {
@@ -175,23 +146,8 @@ TEST(ClusterRuntime, MultiShardTimelineIsDeterministic) {
     const core::ClusterReport a = serial.run(g, creq);
     const core::ClusterReport b = serial.run(g, creq);
     const core::ClusterReport c = parallel.run(g, creq);
-    for (const core::ClusterReport* r : {&b, &c}) {
-      EXPECT_EQ(a.runtime_sec, r->runtime_sec);
-      EXPECT_EQ(a.compute_sec, r->compute_sec);
-      EXPECT_EQ(a.exchange_sec, r->exchange_sec);
-      EXPECT_EQ(a.exchange_bytes, r->exchange_bytes);
-      EXPECT_EQ(a.exchange_messages, r->exchange_messages);
-      EXPECT_EQ(a.pair_exchange_bytes, r->pair_exchange_bytes);
-      EXPECT_EQ(a.exchange_ingress_skew, r->exchange_ingress_skew);
-      EXPECT_EQ(a.supersteps, r->supersteps);
-      EXPECT_EQ(a.superstep_bottom_up, r->superstep_bottom_up);
-      EXPECT_EQ(a.superstep_bucket, r->superstep_bucket);
-      EXPECT_EQ(a.bucket_epochs, r->bucket_epochs);
-      ASSERT_EQ(a.shard_reports.size(), r->shard_reports.size());
-      for (std::size_t s = 0; s < a.shard_reports.size(); ++s) {
-        expect_reports_identical(a.shard_reports[s], r->shard_reports[s]);
-      }
-    }
+    expect_cluster_reports_identical(a, b);
+    expect_cluster_reports_identical(a, c);
   }
 }
 
@@ -249,6 +205,63 @@ TEST(ClusterRuntime, RejectsMismatchedShardConfigs) {
   creq.num_shards = 3;
   creq.shard_configs.resize(2, core::table3_system());
   EXPECT_THROW(cluster.run(g, creq), std::invalid_argument);
+}
+
+// A caller-built partition (the serving layer builds one per shard layout
+// and reuses it across profiles) must give exactly the report the
+// partition-building overload does.
+TEST(ClusterRuntime, PrebuiltPartitionMatchesBuiltInPartition) {
+  const graph::CsrGraph g = test_graph();
+  core::ClusterRuntime cluster(core::table3_system());
+  for (const core::Algorithm algorithm : kAllAlgorithms) {
+    if (!core::cluster_supports(algorithm)) continue;
+    for (const partition::Strategy strategy : partition::all_strategies()) {
+      for (const std::uint32_t shards : {2u, 4u}) {
+        SCOPED_TRACE(core::to_string(algorithm) + " " +
+                     partition::to_string(strategy) + " x" +
+                     std::to_string(shards));
+        core::ClusterRequest creq;
+        creq.run.algorithm = algorithm;
+        creq.run.backend = core::BackendKind::kHostDram;
+        creq.run.source_seed = kSeed;
+        creq.num_shards = shards;
+        creq.strategy = strategy;
+        const partition::Partition part =
+            partition::make_partition(g, strategy, shards);
+        expect_cluster_reports_identical(cluster.run(g, part, creq),
+                                         cluster.run(g, creq));
+      }
+    }
+  }
+}
+
+TEST(ClusterRuntime, PrebuiltPartitionMustMatchRequestAndGraph) {
+  const graph::CsrGraph g = test_graph();
+  core::ClusterRuntime cluster(core::table3_system());
+  core::ClusterRequest creq;
+  creq.num_shards = 2;
+  creq.strategy = partition::Strategy::kDegreeBalanced;
+  EXPECT_NO_THROW(cluster.run(
+      g, partition::make_partition(g, creq.strategy, 2), creq));
+
+  // Wrong shard count.
+  EXPECT_THROW(
+      cluster.run(g, partition::make_partition(g, creq.strategy, 4), creq),
+      std::invalid_argument);
+  // Wrong strategy.
+  EXPECT_THROW(cluster.run(g,
+                           partition::make_partition(
+                               g, partition::Strategy::kVertexRange, 2),
+                           creq),
+               std::invalid_argument);
+  // Built over a graph with a different vertex count.
+  graph::GeneratorOptions opts;
+  opts.seed = kSeed;
+  const graph::CsrGraph other = graph::generate_uniform(1 << 9, 8.0, opts);
+  EXPECT_THROW(
+      cluster.run(g, partition::make_partition(other, creq.strategy, 2),
+                  creq),
+      std::invalid_argument);
 }
 
 TEST(ClusterRuntime, PerShardConfigOverridesApply) {

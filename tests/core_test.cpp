@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "algo/bfs.hpp"
+#include "core/cluster_runtime.hpp"
 #include "core/experiment.hpp"
 #include "core/experiment_runner.hpp"
 #include "core/runtime.hpp"
 #include "core/system_config.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generate.hpp"
+#include "report_expect.hpp"
 
 namespace cxlgraph::core {
 namespace {
@@ -156,6 +159,42 @@ TEST(Runtime, MakeTraceMatchesAlgorithms) {
   const graph::CsrGraph g = test_graph();
   const auto t = rt.make_trace(g, Algorithm::kPagerankScan, 0);
   EXPECT_EQ(t.total_sublist_bytes, g.edge_list_bytes());
+}
+
+// CC and the PageRank scan sweep the whole graph, so every source yields
+// the same trace, single-stack or sharded, and a caller may replay them
+// once and rebind the source. Checked against the traversals themselves;
+// every other algorithm's trace must start from its source.
+TEST(Runtime, SourceFreeAlgorithmsIgnoreTheSource) {
+  ExternalGraphRuntime rt(table3_system());
+  ClusterRuntime cluster(table3_system());
+  const graph::CsrGraph g = test_graph();
+  const graph::VertexId s1 = algo::pick_source(g, 1);
+  const graph::VertexId s2 = algo::pick_source(g, 2);
+  ASSERT_NE(s1, s2);
+  for (const Algorithm algorithm : kAllAlgorithms) {
+    SCOPED_TRACE(to_string(algorithm));
+    const bool same_trace = rt.make_trace(g, algorithm, s1) ==
+                            rt.make_trace(g, algorithm, s2);
+    EXPECT_EQ(same_trace, !uses_source(algorithm));
+    if (uses_source(algorithm) || !cluster_supports(algorithm)) continue;
+
+    ClusterRequest creq;
+    creq.run.algorithm = algorithm;
+    creq.run.backend = BackendKind::kCxl;
+    creq.num_shards = 2;
+    creq.strategy = partition::Strategy::kDegreeBalanced;
+    creq.run.source = s1;
+    const ClusterReport a = cluster.run(g, creq);
+    creq.run.source = s2;
+    ClusterReport b = cluster.run(g, creq);
+    EXPECT_EQ(a.source, s1);
+    EXPECT_EQ(b.source, s2);
+    // Identical except the source: rebind it, then compare every field.
+    b.source = s1;
+    for (RunReport& shard : b.shard_reports) shard.source = s1;
+    expect_cluster_reports_identical(a, b);
+  }
 }
 
 // --------------------------------------------------- experiment runner ----

@@ -15,11 +15,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "algo/bfs.hpp"
+#include "core/cluster_runtime.hpp"
 #include "core/runtime.hpp"
 #include "graph/generate.hpp"
 #include "serve/fleet.hpp"
@@ -478,8 +480,103 @@ TEST(QueryServer, ProfileCacheEvictionBoundsMemoryNotResults) {
   const serve::ServeReport a2 = unbounded.serve(g, req);
   const serve::ServeReport b2 = bounded.serve(g, req);
   expect_records_identical(a2, b2);
-  EXPECT_EQ(unbounded.profiles_computed(), a.profiles.size());
+  // The unbounded cache computes each distinct computation once: one
+  // replay per BFS source, one PageRank scan for all of its sources (the
+  // scan never reads the source). That is fewer runs than slots.
+  std::set<graph::VertexId> bfs_sources;
+  for (const serve::QueryProfile& p : a.profiles) {
+    if (req.workload.mix[p.class_index].algorithm == core::Algorithm::kBfs) {
+      bfs_sources.insert(p.source);
+    }
+  }
+  EXPECT_EQ(unbounded.profiles_computed(), bfs_sources.size() + 1);
+  EXPECT_LT(unbounded.profiles_computed(), a.profiles.size());
   EXPECT_GT(bounded.profiles_computed(), before);
+}
+
+// Source-free classes (CC, PageRank scan) share one replay across their
+// sources, shard-spanning classes share one partition per layout. Every
+// slot must still equal an independent run at that slot's own source.
+TEST(QueryServer, SharedProfilesMatchIndependentRunsAtTheirOwnSource) {
+  const graph::CsrGraph g = test_graph();
+  serve::ServeRequest req;
+  req.base.backend = core::BackendKind::kCxl;
+  req.workload.seed = kSeed;
+  req.workload.num_queries = 24;
+  req.workload.offered_qps = 1000.0;
+  req.workload.source_pool = 0;  // every query draws its own source
+  serve::QueryClass cc;
+  cc.algorithm = core::Algorithm::kCc;
+  cc.shards = 2;
+  cc.strategy = partition::Strategy::kDegreeBalanced;
+  serve::QueryClass scan;
+  scan.algorithm = core::Algorithm::kPagerankScan;
+  serve::QueryClass bfs;
+  bfs.algorithm = core::Algorithm::kBfs;
+  bfs.shards = 2;
+  bfs.strategy = partition::Strategy::kDegreeBalanced;
+  req.workload.mix = {cc, scan, bfs};
+
+  const core::SystemConfig cfg = core::table3_system();
+  serve::QueryServer server(cfg, /*jobs=*/2);
+  const serve::ServeReport r = server.serve(g, req);
+  EXPECT_TRUE(r.conservation_ok());
+
+  core::ExternalGraphRuntime single(cfg);
+  core::ClusterRuntime cluster(cfg, /*jobs=*/1);
+  std::vector<std::set<graph::VertexId>> sources(req.workload.mix.size());
+  for (const serve::QueryProfile& p : r.profiles) {
+    const serve::QueryClass& cls = req.workload.mix[p.class_index];
+    SCOPED_TRACE(core::to_string(cls.algorithm) + " from " +
+                 std::to_string(p.source));
+    sources[p.class_index].insert(p.source);
+    EXPECT_EQ(p.shards, cls.shards);
+    EXPECT_EQ(p.report.source, p.source);
+    util::SimTime service_ps = 0;
+    for (const util::SimTime d : p.step_ps) service_ps += d;
+    EXPECT_EQ(p.service_ps, service_ps);
+
+    if (cls.shards == 1) {
+      core::RunRequest run = req.base;
+      run.algorithm = cls.algorithm;
+      run.source = p.source;
+      const core::TraceRunResult expected = single.run_profiled(g, run);
+      EXPECT_EQ(p.report.source, expected.report.source);
+      EXPECT_EQ(p.report.runtime_sec, expected.report.runtime_sec);
+      EXPECT_EQ(p.report.fetched_bytes, expected.report.fetched_bytes);
+      EXPECT_EQ(p.report.transactions, expected.report.transactions);
+      EXPECT_EQ(p.report.steps, expected.report.steps);
+      EXPECT_EQ(p.step_ps, expected.step_durations);
+      EXPECT_EQ(p.step_bytes, expected.step_fetched_bytes);
+    } else {
+      core::ClusterRequest creq;
+      creq.run = req.base;
+      creq.run.algorithm = cls.algorithm;
+      creq.run.source = p.source;
+      creq.num_shards = cls.shards;
+      creq.strategy = cls.strategy;
+      const core::ClusterReport expected = cluster.run(g, creq);
+      EXPECT_EQ(p.report.source, expected.source);
+      EXPECT_EQ(p.report.runtime_sec, expected.runtime_sec);
+      EXPECT_EQ(p.cluster_runtime_sec, expected.runtime_sec);
+      EXPECT_EQ(p.exchange_bytes, expected.exchange_bytes);
+      EXPECT_EQ(p.report.fetched_bytes, expected.fetched_bytes);
+      EXPECT_EQ(p.report.transactions, expected.transactions);
+      EXPECT_EQ(p.report.steps, expected.supersteps);
+      // Each exchange phase folds into the superstep it follows.
+      std::vector<util::SimTime> steps = expected.superstep_compute_ps;
+      for (std::size_t j = 0;
+           j < expected.exchange_phase_ps.size() && j < steps.size(); ++j) {
+        steps[j] += expected.exchange_phase_ps[j];
+      }
+      EXPECT_EQ(p.step_ps, steps);
+      EXPECT_EQ(p.step_bytes, expected.superstep_fetched_bytes);
+    }
+  }
+  // Every class drew several sources, so sharing was actually exercised,
+  // and only the BFS class paid one replay per source.
+  for (const std::set<graph::VertexId>& s : sources) EXPECT_GE(s.size(), 2u);
+  EXPECT_EQ(server.profiles_computed(), sources[2].size() + 2);
 }
 
 // ------------------------------------------------------- thermal soak ----

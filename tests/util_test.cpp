@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -246,6 +248,17 @@ TEST(Units, TimeConversionsRoundTrip) {
   EXPECT_EQ(ps_from_us(1.0), kPsPerUs);
   EXPECT_DOUBLE_EQ(us_from_ps(ps_from_us(3.25)), 3.25);
   EXPECT_DOUBLE_EQ(ns_from_ps(ps_from_ns(17.5)), 17.5);
+}
+
+TEST(Units, CheckedConversionMatchesOrRejects) {
+  for (const double us : {0.0, -0.0, 1e-9, 0.5, 3.25, 1'000.0, 1.8e13}) {
+    EXPECT_EQ(checked_ps_from_us(us, "t"), ps_from_us(us)) << us;
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double us :
+       {-1.0, -1e-12, std::nan(""), kInf, -kInf, 1.9e13, 1e300}) {
+    EXPECT_THROW(checked_ps_from_us(us, "t"), std::invalid_argument) << us;
+  }
 }
 
 TEST(Units, PsPerByteMatchesBandwidth) {

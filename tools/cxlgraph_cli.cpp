@@ -33,6 +33,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -233,9 +234,9 @@ int cmd_run(int argc, char** argv) {
   req.algorithm = core::algorithm_from_name(cli.get("algo"));
   req.backend = core::backend_from_name(cli.get("backend"));
   req.source_seed = seed;
-  if (cli.get_double("added-us") > 0) {
-    req.cxl_added_latency = util::ps_from_us(cli.get_double("added-us"));
-  }
+  const double added_us = cli.get_double("added-us");
+  const util::SimTime added = util::checked_ps_from_us(added_us, "--added-us");
+  if (added_us > 0) req.cxl_added_latency = added;
   if (cli.get_int("alignment") > 0) {
     req.alignment = static_cast<std::uint32_t>(cli.get_int("alignment"));
   }
@@ -466,7 +467,7 @@ int cmd_serve(int argc, char** argv) {
     req.workload.num_clients =
         static_cast<std::uint32_t>(cli.get_int("clients"));
     req.workload.mean_think_time =
-        util::ps_from_us(cli.get_double("think-us"));
+        util::checked_ps_from_us(cli.get_double("think-us"), "--think-us");
   } else {
     req.workload.offered_qps = cli.get_double("qps");
   }
@@ -476,11 +477,13 @@ int cmd_serve(int argc, char** argv) {
     throw std::invalid_argument(
         "serve: --mix must name at least one algorithm");
   }
+  const util::SimTime slo =
+      util::checked_ps_from_us(cli.get_double("slo-us"), "--slo-us");
   bool first_class = true;
   for (const std::string& name : util::split_csv(cli.get("mix"))) {
     serve::QueryClass cls;
     cls.algorithm = core::algorithm_from_name(name);
-    cls.slo = util::ps_from_us(cli.get_double("slo-us"));
+    cls.slo = slo;
     if (first_class && span_shards >= 2) {
       cls.shards = span_shards;
       cls.strategy = partition::Strategy::kDegreeBalanced;
@@ -491,8 +494,11 @@ int cmd_serve(int argc, char** argv) {
   req.config.policy = serve::policy_from_name(cli.get("policy"));
   req.config.max_waiting =
       static_cast<std::uint32_t>(cli.get_int("queue-cap"));
-  req.config.quantum_supersteps =
-      static_cast<std::uint32_t>(cli.get_int("quantum"));
+  const std::int64_t quantum = cli.get_int("quantum");
+  if (quantum < 1 || quantum > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("--quantum must be in [1, 4294967295]");
+  }
+  req.config.quantum_supersteps = static_cast<std::uint32_t>(quantum);
 
   // Any fleet option routes the request through serve::FleetServer.
   const auto replicas = static_cast<std::uint32_t>(cli.get_int("replicas"));
