@@ -27,11 +27,6 @@ std::uint64_t hash3(std::uint64_t seed, std::uint64_t tag,
   return mixer.next();
 }
 
-util::SimTime ps_from_sec(double sec) noexcept {
-  return static_cast<util::SimTime>(sec * static_cast<double>(util::kPsPerSec) +
-                                    0.5);
-}
-
 [[noreturn]] void fail(const std::string& what) {
   throw std::invalid_argument("fault spec: " + what);
 }
@@ -74,26 +69,37 @@ const char* to_string(FaultKind kind) noexcept {
 
 void validate(const FaultSpec& spec) {
   if (!spec.enabled()) return;
+  // Every duration becomes picoseconds; a negative, NaN or infinite one
+  // would make that cast undefined, so each is checked before its range.
+  const auto sec = [](double value, const char* what) {
+    util::checked_ps_from_sec(value, std::string("fault spec: ") + what);
+  };
+  const auto us = [](double value, const char* what) {
+    util::checked_ps_from_us(value, std::string("fault spec: ") + what);
+  };
+  sec(spec.horizon_sec, "horizon");
   if (spec.horizon_sec <= 0.0) {
     fail("horizon must be > 0 when any fault count is set");
   }
-  if (spec.restart_sec < 0.0) fail("restart delay must be >= 0");
-  if (spec.provision_sec < 0.0) fail("provision delay must be >= 0");
+  sec(spec.restart_sec, "restart delay");
+  sec(spec.provision_sec, "provision delay");
   if (spec.io_bursts > 0) {
+    sec(spec.io_burst_sec, "io burst window");
     if (spec.io_burst_sec <= 0.0) fail("io burst window must be > 0");
-    if (spec.io_error_rate < 0.0 || spec.io_error_rate > 1.0) {
+    if (!(spec.io_error_rate >= 0.0 && spec.io_error_rate <= 1.0)) {
       fail("io error rate must be in [0, 1]");
     }
-    if (spec.io_retry_us < 0.0) fail("io retry backoff must be >= 0");
+    us(spec.io_retry_us, "io retry backoff");
     if (spec.io_max_retries == 0) fail("io retry budget must be >= 1");
   }
   if (spec.link_flaps > 0) {
+    sec(spec.flap_sec, "link flap window");
     if (spec.flap_sec <= 0.0) fail("link flap window must be > 0");
-    if (spec.flap_derate < 0.0 || spec.flap_derate > 1.0) {
+    if (!(spec.flap_derate >= 0.0 && spec.flap_derate <= 1.0)) {
       fail("link derate factor must be in [0, 1]");
     }
   }
-  if (spec.retry_backoff_us < 0.0) fail("query retry backoff must be >= 0");
+  us(spec.retry_backoff_us, "query retry backoff");
 }
 
 FaultSpec parse_fault_spec(const std::string& spec) {
@@ -162,7 +168,7 @@ FaultPlan::FaultPlan(const FaultSpec& spec, std::uint32_t replicas)
     e.kind = FaultKind::kReplicaCrash;
     e.at = at_of(1, i);
     e.target = static_cast<std::uint32_t>(hash3(spec.seed, 2, i) % replicas);
-    e.duration = ps_from_sec(spec.restart_sec);
+    e.duration = util::ps_from_sec(spec.restart_sec);
     events_.push_back(e);
   }
   for (std::uint32_t i = 0; i < spec.io_bursts; ++i) {
@@ -170,7 +176,7 @@ FaultPlan::FaultPlan(const FaultSpec& spec, std::uint32_t replicas)
     e.kind = FaultKind::kIoErrorBurst;
     e.at = at_of(3, i);
     e.target = static_cast<std::uint32_t>(hash3(spec.seed, 4, i) % replicas);
-    e.duration = ps_from_sec(spec.io_burst_sec);
+    e.duration = util::ps_from_sec(spec.io_burst_sec);
     e.magnitude = spec.io_error_rate;
     events_.push_back(e);
   }
@@ -178,7 +184,7 @@ FaultPlan::FaultPlan(const FaultSpec& spec, std::uint32_t replicas)
     FaultEvent e;
     e.kind = FaultKind::kLinkDegrade;
     e.at = at_of(5, i);
-    e.duration = ps_from_sec(spec.flap_sec);
+    e.duration = util::ps_from_sec(spec.flap_sec);
     e.magnitude = spec.flap_derate;
     events_.push_back(e);
   }

@@ -176,8 +176,10 @@ void HealthMonitor::observe_completion(util::SimTime now, bool slo_violated) {
   if (slo_ring_[slo_pos_]) --slo_violations_;
   slo_ring_[slo_pos_] = slo_violated;
   if (slo_violated) ++slo_violations_;
-  slo_pos_ = (slo_pos_ + 1) % config_.slo_window;
-  if (slo_pos_ == 0) slo_window_full_ = true;
+  if (++slo_pos_ == config_.slo_window) {
+    slo_pos_ = 0;
+    slo_window_full_ = true;
+  }
   if (!slo_window_full_) return;
 
   const double rate = static_cast<double>(slo_violations_) /

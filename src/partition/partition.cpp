@@ -166,8 +166,10 @@ ShardReorder reorder_from_name(const std::string& name) {
 Partition make_partition(const graph::CsrGraph& g, Strategy strategy,
                          std::uint32_t num_shards, std::uint64_t seed,
                          ShardReorder reorder) {
-  if (num_shards == 0) {
-    throw std::invalid_argument("make_partition: num_shards must be >= 1");
+  if (num_shards == 0 || num_shards > kMaxShards) {
+    throw std::invalid_argument("make_partition: num_shards must be in [1, " +
+                                std::to_string(kMaxShards) + "] (got " +
+                                std::to_string(num_shards) + ")");
   }
   const std::uint64_t n = g.num_vertices();
   const std::uint64_t m = g.num_edges();

@@ -140,11 +140,15 @@ struct Partition {
   CutStats stats;
 };
 
+/// The most shards make_partition accepts.
+inline constexpr std::uint32_t kMaxShards = 4096;
+
 /// Partitions `graph` into `num_shards` shards. Every edge lands on exactly
 /// one shard and shard unions reconstruct the graph. `seed` perturbs the
 /// kHashEdge hash only; `reorder` relabels each shard's local subgraph
 /// after the cut is fixed (ownership and cut stats are reorder-invariant).
-/// Throws std::invalid_argument for num_shards == 0.
+/// Throws std::invalid_argument unless num_shards is in [1, kMaxShards];
+/// more shards than vertices is allowed (the extra shards are empty).
 /// Deterministic in (graph, strategy, num_shards, seed, reorder).
 Partition make_partition(const graph::CsrGraph& graph, Strategy strategy,
                          std::uint32_t num_shards, std::uint64_t seed = 0,

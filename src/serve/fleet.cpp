@@ -2,31 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "device/pcie.hpp"
-#include "device/state_model.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "serve/replica.hpp"
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace cxlgraph::serve {
 
 namespace {
-
-util::SimTime ps_from_sec(double sec) {
-  return static_cast<util::SimTime>(
-      sec * static_cast<double>(util::kPsPerSec) + 0.5);
-}
 
 /// Detector thresholds mirror the elastic config so the monitor's depth
 /// verdict is the exact comparison the controller used to make inline.
@@ -39,963 +29,1081 @@ obs::HealthConfig health_config(const ElasticConfig& elastic) {
   return h;
 }
 
-/// The fleet-wide frontend of one queueing simulation: routing, quotas,
-/// SLO shedding, migrations, and the elastic controller, over a set of
-/// ReplicaSims on the shared clock. Lives on the stack for one serve().
-struct FleetSim {
-  const FleetConfig& fleet;
-  SimShared& shared;
-  /// deque: ReplicaSim holds a SimShared& and scheduled closures capture
-  /// replica addresses, so growth must not relocate existing elements.
-  std::deque<ReplicaSim> replicas;
-
-  struct ReplicaMeta {
-    util::SimTime joined = 0;
-    bool draining = false;
-    bool retired = false;
-    util::SimTime retired_at = 0;
-    std::uint32_t crashes = 0;
-    util::SimTime down_since = 0;
-    util::SimTime downtime = 0;
+/// Report aggregation over the finished simulation: exact + P²
+/// percentiles, queue/service/ride time split, query-byte conservation
+/// side, goodput and SLO accounting. `busy_ps` is the summed stack busy
+/// time and `capacity_sec` the utilization denominator (summed replica
+/// lifetime: the makespan for one replica that served to the end).
+/// Expects report.makespan_sec and the counters already set.
+void summarize_serve(ServeReport& report, const FleetSim& sim,
+                     util::SimTime busy_ps, double capacity_sec) {
+  std::vector<double> latency_us, queue_us, service_us;
+  latency_us.reserve(report.completed);
+  std::uint32_t met_slo = 0;
+  util::SimTime queue_total = 0, service_total = 0, ride_total = 0;
+  util::SimTime lost_total = 0;
+  for (const QueryRecord& r : sim.records) {
+    // The crash-recovery ledger sums over every record: failed (and any
+    // unresolved) queries' discarded bytes must still balance the link.
+    report.query_retries += r.retries;
+    report.lost_bytes += r.lost_bytes;
+    lost_total += r.lost_ps;
+    if (r.shed || r.failed) continue;
+    latency_us.push_back(util::us_from_ps(r.completion - r.arrival));
+    queue_us.push_back(util::us_from_ps(r.queue_ps));
+    service_us.push_back(util::us_from_ps(r.service_ps));
+    queue_total += r.queue_ps;
+    service_total += r.service_ps;
+    ride_total += r.ride_ps;
+    if (!r.slo_violated) ++met_slo;
+    // A batch follower's bytes were fetched once, by its leader's replay.
+    if (!r.batch_follower) {
+      report.query_bytes +=
+          sim.profiles[r.profile_index].report.fetched_bytes;
+    }
+  }
+  report.lost_work_sec = util::sec_from_ps(lost_total);
+  report.latency_us = util::summarize_percentiles(std::move(latency_us));
+  report.queue_us = util::summarize_percentiles(std::move(queue_us));
+  report.service_us = util::summarize_percentiles(std::move(service_us));
+  util::StreamingQuantile p50(0.50), p95(0.95), p99(0.99);
+  for (const double x : sim.completion_order_latency_us) {
+    p50.add(x);
+    p95.add(x);
+    p99.add(x);
+  }
+  report.streaming_p50_us = p50.estimate();
+  report.streaming_p95_us = p95.estimate();
+  report.streaming_p99_us = p99.estimate();
+  const auto rel_error = [](double exact, double estimate) {
+    return exact > 0.0 ? std::fabs(estimate - exact) / exact : 0.0;
   };
-  std::vector<ReplicaMeta> meta;
-
-  /// Seeded fault schedule (empty when the spec is disabled) and the
-  /// fault-window state it drives. All of this is dead weight on the
-  /// default path: dead_count stays 0 and the seams are never installed.
-  fault::FaultPlan plan;
-  std::uint32_t dead_count = 0;
-  std::uint32_t crashes_total = 0;
-  std::uint32_t restarts_total = 0;
-  std::uint32_t replacements_total = 0;
-  std::uint64_t io_retries_total = 0;
-  std::uint32_t link_windows_total = 0;
-  /// Per-replica I/O error-burst windows and the shared draw counter
-  /// (single-threaded queueing sim: the consumption order is the event
-  /// order, deterministic by construction).
-  std::vector<util::SimTime> io_until;
-  std::vector<double> io_rate;
-  std::uint64_t io_draws = 0;
-  /// Fleet-wide link degradation window.
-  util::SimTime link_until = 0;
-  double link_factor = 1.0;
-  /// Revivals / replacements still scheduled: while > 0, queries that
-  /// find no live replica park in `orphans` instead of failing outright.
-  std::uint32_t pending_recoveries = 0;
-  std::vector<std::size_t> orphans;
-
-  util::Xoshiro256 router_rng;
-  /// Per-tenant admission state (indexed by class; 0 limit = unbounded).
-  std::vector<std::uint32_t> quota_limit;
-  std::vector<std::uint32_t> in_flight;
-  /// Migration pins: tenant class -> replica all later arrivals route to.
-  std::unordered_map<std::uint32_t, std::uint32_t> route_override;
-
-  std::uint32_t shed_queue = 0;
-  std::uint32_t shed_quota = 0;
-  std::uint32_t shed_deadline = 0;
-
-  struct MigrationState {
-    MigrationRecord record;
-    /// Queries drained at the source, parked until the state copy lands.
-    std::vector<std::size_t> in_transit;
-    bool delivered = false;
-  };
-  std::vector<MigrationState> migrations;
-  std::uint64_t migration_bytes = 0;
-  util::SimTime migration_ps = 0;
-  /// Interconnect rate the migration state copy is charged at.
-  double copy_mbps = 24'000.0;
-
-  /// Elastic controller state: its own depth series (not the telemetry
-  /// sampler — the controller must work untapped), fed on every arrival,
-  /// completion, and tick.
-  obs::TimeSeriesSampler depth_series;
-  std::uint32_t ch_waiting = 0;
-  std::size_t depth_cursor = 0;
-  std::uint32_t cooldown = 0;
-  util::SimTime interval_ps = 0;
-  std::vector<ScalingEvent> scaling_events;
-  std::uint32_t peak_replicas = 0;
-
-  /// Streaming health detectors over the depth / throttle / completion
-  /// feeds; pure bookkeeping, active whether or not a sink is attached
-  /// (the incident log is part of the report).
-  obs::HealthMonitor monitor;
-
-  bool fleet_telemetry = false;
-  bool fleet_tracing = false;
-  std::uint16_t track_control = 0;  ///< ("fleet","control"): timeline
-  std::uint32_t n_migrate = 0, n_copy_landed = 0;
-  std::uint32_t n_scale_up = 0, n_scale_down = 0;
-  std::uint32_t n_crash = 0, n_restart = 0, n_replace = 0;
-  std::uint32_t k_class = 0, k_replica = 0;
-
-  FleetSim(const FleetConfig& fleet_in, SimShared& shared_in,
-           std::size_t num_classes)
-      : fleet(fleet_in),
-        shared(shared_in),
-        plan(fleet_in.faults, fleet_in.replicas),
-        router_rng(fleet_in.router_seed),
-        quota_limit(num_classes, 0),
-        in_flight(num_classes, 0),
-        depth_series(std::max<util::SimTime>(
-            1, ps_from_sec(fleet_in.elastic.check_interval_sec) / 8)),
-        interval_ps(ps_from_sec(fleet_in.elastic.check_interval_sec)),
-        monitor(health_config(fleet_in.elastic)) {
-    for (const TenantQuota& q : fleet.quotas) {
-      quota_limit[q.class_index] = q.max_in_flight;
-    }
-    for (std::uint32_t k = 0; k < fleet.replicas; ++k) add_replica();
-    peak_replicas = fleet.replicas;
-    if (fleet.elastic.enabled) {
-      ch_waiting = depth_series.channel("fleet/waiting",
-                                        obs::TimeSeriesSampler::Reduce::kLast);
-    }
-    shared.on_throttle = [this](std::uint32_t k, bool throttled) {
-      monitor.observe_throttle(shared.sim.now(), k, throttled);
-    };
-    if (plan.active()) {
-      shared.fault_stretch = [this](std::uint32_t k, util::SimTime d) {
-        return fault_extra(k, d);
-      };
-    }
+  report.p2_max_rel_error = std::max(
+      {rel_error(report.latency_us.p50, report.streaming_p50_us),
+       rel_error(report.latency_us.p95, report.streaming_p95_us),
+       rel_error(report.latency_us.p99, report.streaming_p99_us)});
+  report.time_in_queue_sec = util::sec_from_ps(queue_total);
+  report.time_in_service_sec = util::sec_from_ps(service_total);
+  report.time_riding_sec = util::sec_from_ps(ride_total);
+  if (report.makespan_sec > 0.0) {
+    report.completed_qps =
+        static_cast<double>(report.completed) / report.makespan_sec;
+    report.goodput_qps = static_cast<double>(met_slo) / report.makespan_sec;
   }
-
-  ReplicaSim& add_replica() {
-    const std::uint32_t k = static_cast<std::uint32_t>(replicas.size());
-    ReplicaSim& r = replicas.emplace_back(shared, k);
-    meta.push_back(ReplicaMeta{shared.sim.now(), false, false, 0});
-    io_until.push_back(0);
-    io_rate.push_back(0.0);
-    if (fleet_telemetry) attach_replica_telemetry(r);
-    return r;
+  if (capacity_sec > 0.0) {
+    report.utilization = util::sec_from_ps(busy_ps) / capacity_sec;
   }
-
-  void attach_replica_telemetry(ReplicaSim& r) {
-    const std::string k = std::to_string(r.index);
-    r.attach_telemetry("replica" + k, "serve/replica" + k + "/quantum_bytes",
-                       "replica" + k + "-heat", "serve/replica" + k + "/depth");
+  if (report.completed > 0) {
+    report.slo_violation_rate =
+        static_cast<double>(report.completed - met_slo) /
+        static_cast<double>(report.completed);
   }
-
-  void attach_telemetry(obs::Telemetry* sink) {
-    shared.attach_telemetry(sink);
-    if (shared.telemetry == nullptr) return;
-    fleet_telemetry = true;
-    for (ReplicaSim& r : replicas) attach_replica_telemetry(r);
-    if (shared.telemetry->tracing()) {
-      fleet_tracing = true;
-      obs::SpanTracer& tr = shared.telemetry->tracer();
-      track_control = tr.track("fleet", "control");
-      n_migrate = tr.intern("migrate");
-      n_copy_landed = tr.intern("copy-landed");
-      n_scale_up = tr.intern("scale-up");
-      n_scale_down = tr.intern("scale-down");
-      n_crash = tr.intern("crash");
-      n_restart = tr.intern("restart");
-      n_replace = tr.intern("replace");
-      k_class = tr.intern("class");
-      k_replica = tr.intern("replica");
-    }
-  }
-
-  bool routable(std::uint32_t k) const {
-    return !meta[k].draining && !meta[k].retired && !replicas[k].dead;
-  }
-  std::vector<std::uint32_t> routable_set() const {
-    std::vector<std::uint32_t> out;
-    for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-      if (routable(k)) out.push_back(k);
-    }
-    if (out.empty()) {
-      // Every replica draining or retired (transiently possible if a
-      // migration target was later drained): fall back to the live set.
-      for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-        if (!meta[k].retired && !replicas[k].dead) out.push_back(k);
-      }
-    }
-    if (out.empty()) out.push_back(0);
-    return out;
-  }
-  /// Any replica a query could legally land on right now? (The {0}
-  /// fallback above exists for the no-fault invariant that someone is
-  /// always alive; with crashes in play, callers must check first.)
-  bool has_live() const {
-    for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-      if (!meta[k].retired && !replicas[k].dead) return true;
-    }
-    return false;
-  }
-
-  double total_depth() const {
-    double d = 0.0;
-    for (const ReplicaSim& r : replicas) d += r.depth();
-    return d;
-  }
-  std::uint64_t total_waiting() const {
-    std::uint64_t w = 0;
-    for (const ReplicaSim& r : replicas) w += r.waiting();
-    return w;
-  }
-
-  void record_depth() {
-    if (!fleet.elastic.enabled) return;
-    depth_series.record(ch_waiting, shared.sim.now(),
-                        static_cast<double>(total_waiting()));
-  }
-
-  std::uint32_t route(std::size_t i) {
-    const QueryRecord& r = shared.records[i];
-    const auto pinned = route_override.find(r.class_index);
-    if (pinned != route_override.end() && !meta[pinned->second].retired &&
-        !replicas[pinned->second].dead) {
-      return pinned->second;
-    }
-    const std::vector<std::uint32_t> set = routable_set();
-    switch (fleet.router) {
-      case RouterKind::kRandom:
-        return set[router_rng.next_below(set.size())];
-      case RouterKind::kJoinShortestQueue: {
-        std::uint32_t best = set.front();
-        for (const std::uint32_t k : set) {
-          if (replicas[k].depth() < replicas[best].depth()) best = k;
-        }
-        return best;
-      }
-      case RouterKind::kClassAffinity:
-        return set[r.class_index % set.size()];
-    }
-    return set.front();
-  }
-
-  /// The fleet's arrival path: admission gates in fixed order (quota,
-  /// deadline feasibility, routed queue capacity), then admit. With one
-  /// replica and no gates this reduces exactly to the solo deliver.
-  void arrive(std::size_t i) {
-    QueryRecord& r = shared.records[i];
-    r.arrival = shared.sim.now();
-    const std::uint32_t cls = r.class_index;
-    if (quota_limit[cls] > 0 && in_flight[cls] >= quota_limit[cls]) {
-      ++shed_quota;
-      shared.shed_query(i);
-      record_depth();
-      return;
-    }
-    if (dead_count > 0 && !has_live()) {
-      // Total outage: nowhere to place the query. It still counts as
-      // admitted (symmetric bookkeeping — failure releases the quota
-      // slot through on_failed); if a restart or replacement is coming
-      // it parks until then, otherwise it can only fail.
-      ++shared.admitted;
-      if (shared.telemetry != nullptr) shared.note_admission(i, false);
-      ++in_flight[cls];
-      if (pending_recoveries > 0) {
-        orphans.push_back(i);
-      } else {
-        shared.fail_query(i);
-      }
-      record_depth();
-      return;
-    }
-    if (fleet.slo_shedding) {
-      // Feasibility on the emptiest routable replica: if even its backlog
-      // plus this query's full demand busts the deadline, serving it only
-      // wastes stack time on a guaranteed violation.
-      util::SimTime least = std::numeric_limits<util::SimTime>::max();
-      for (const std::uint32_t k : routable_set()) {
-        least = std::min(least, replicas[k].backlog_ps);
-      }
-      if (least + shared.remaining_ps(i) > r.slo) {
-        ++shed_deadline;
-        shared.shed_query(i);
-        record_depth();
-        return;
-      }
-    }
-    ReplicaSim& rep = replicas[route(i)];
-    if (fleet.serve.max_waiting > 0 &&
-        rep.waiting() >= fleet.serve.max_waiting) {
-      ++shed_queue;
-      shared.shed_query(i);
-      record_depth();
-      return;
-    }
-    ++in_flight[cls];
-    rep.admit(i);
-    record_depth();
-  }
-
-  void on_failed(std::size_t i) {
-    // Quota release and depth sampling only — failure is deliberately
-    // not a completion for the SLO-rate window.
-    const QueryRecord& r = shared.records[i];
-    if (in_flight[r.class_index] > 0) --in_flight[r.class_index];
-    record_depth();
-  }
-
-  void on_complete(std::size_t i) {
-    const QueryRecord& r = shared.records[i];
-    monitor.observe_completion(shared.sim.now(), r.slo_violated);
-    if (in_flight[r.class_index] > 0) --in_flight[r.class_index];
-    // A draining replica retires the moment it runs dry.
-    const std::uint32_t k = r.replica;
-    if (k < replicas.size() && meta[k].draining && !meta[k].retired &&
-        replicas[k].idle()) {
-      meta[k].retired = true;
-      meta[k].retired_at = shared.sim.now();
-    }
-    record_depth();
-  }
-
-  // -- Live migration ------------------------------------------------------
-
-  void schedule_migrations() {
-    migrations.reserve(fleet.migrations.size());
-    for (std::size_t m = 0; m < fleet.migrations.size(); ++m) {
-      migrations.emplace_back();
-      const MigrationPlan& plan = fleet.migrations[m];
-      shared.sim.schedule_at(ps_from_sec(plan.at_sec),
-                             [this, m]() { migrate(m); });
-    }
-  }
-
-  void migrate(std::size_t m) {
-    const MigrationPlan& plan = fleet.migrations[m];
-    MigrationState& state = migrations[m];
-    MigrationRecord& rec = state.record;
-    rec.class_index = plan.class_index;
-    rec.from = plan.from;
-    rec.to = plan.to;
-    rec.start_sec = util::sec_from_ps(shared.sim.now());
-    route_override[plan.class_index] = plan.to;
-    if (fleet_tracing) {
-      shared.telemetry->tracer().instant(track_control, n_migrate,
-                                         shared.sim.now(), k_class,
-                                         plan.class_index);
-    }
-
-    ReplicaSim& src = replicas[plan.from];
-    state.in_transit = src.extract_waiting(plan.class_index);
-    rec.moved_waiting = static_cast<std::uint32_t>(state.in_transit.size());
-
-    // The tenant's resident state: used bytes of every distinct profile
-    // that moves (waiting queries now, plus the in-flight one if it will
-    // hand off). Charged to the interconnect as one copy.
-    std::set<std::size_t> moved_profiles;
-    for (const std::size_t i : state.in_transit) {
-      moved_profiles.insert(shared.records[i].profile_index);
-    }
-    const std::size_t marked = src.mark_redirect(
-        plan.class_index, [this, m](std::size_t i) { redirected(m, i); });
-    if (marked != kNoQuery) {
-      moved_profiles.insert(shared.records[marked].profile_index);
-    }
-    std::uint64_t bytes = 0;
-    for (const std::size_t p : moved_profiles) {
-      bytes += shared.profiles[p].report.used_bytes;
-    }
-    const util::SimTime copy_ps = static_cast<util::SimTime>(
-        std::ceil(static_cast<double>(bytes) * util::ps_per_byte(copy_mbps)));
-    rec.state_bytes = bytes;
-    rec.copy_sec = util::sec_from_ps(copy_ps);
-    migration_bytes += bytes;
-    migration_ps += copy_ps;
-    shared.sim.schedule_after(copy_ps, [this, m]() { copy_landed(m); });
-  }
-
-  void copy_landed(std::size_t m) {
-    MigrationState& state = migrations[m];
-    state.delivered = true;
-    const std::uint32_t to = state.record.to;
-    if (fleet_tracing) {
-      shared.telemetry->tracer().instant(track_control, n_copy_landed,
-                                         shared.sim.now(), k_class,
-                                         state.record.class_index);
-    }
-    for (const std::size_t i : state.in_transit) {
-      if (replicas[to].dead) {
-        // The migration target crashed while the copy was in flight:
-        // the moved queries fall back to the router.
-        reroute(i);
-      } else {
-        replicas[to].resume(i);
-      }
-    }
-    state.in_transit.clear();
-  }
-
-  /// The in-flight query yielded at its preemption point. If the state
-  /// copy already landed it resumes on the target now (mid-serve, replay
-  /// progress intact); otherwise it rides the copy with the waiting set.
-  void redirected(std::size_t m, std::size_t i) {
-    MigrationState& state = migrations[m];
-    state.record.moved_active = true;
-    if (state.delivered) {
-      if (replicas[state.record.to].dead) {
-        reroute(i);
-      } else {
-        replicas[state.record.to].resume(i);
-      }
-    } else {
-      state.in_transit.push_back(i);
-    }
-  }
-
-  // -- Fault injection & recovery ------------------------------------------
-
-  void schedule_faults() {
-    for (const fault::FaultEvent& e : plan.events()) {
-      shared.sim.schedule_at(e.at, [this, &e]() { deliver_fault(e); });
-    }
-  }
-
-  void deliver_fault(const fault::FaultEvent& e) {
-    if (shared.all_resolved()) return;  // workload drained: quiet tail
-    switch (e.kind) {
-      case fault::FaultKind::kReplicaCrash:
-        crash(e);
-        break;
-      case fault::FaultKind::kIoErrorBurst:
-        io_burst(e);
-        break;
-      case fault::FaultKind::kLinkDegrade:
-        link_flap(e);
-        break;
-    }
-  }
-
-  /// The fault seam behind SimShared::fault_stretch: extra wall time for
-  /// a quantum on replica k whose profiled duration is `duration`.
-  util::SimTime fault_extra(std::uint32_t k, util::SimTime duration) {
-    util::SimTime extra = 0;
-    const util::SimTime now = shared.sim.now();
-    const fault::FaultSpec& spec = plan.spec();
-    if (k < io_until.size() && now < io_until[k] && io_rate[k] > 0.0) {
-      // Transient I/O errors: each failed attempt backs off linearly
-      // and retries, up to the cap. The final attempt always delivers —
-      // bytes are delayed, never dropped.
-      std::uint32_t attempt = 0;
-      while (attempt < spec.io_max_retries &&
-             fault::FaultPlan::error_draw(spec.seed, k, io_draws++,
-                                          io_rate[k])) {
-        ++attempt;
-        extra += util::ps_from_us(spec.io_retry_us *
-                                  static_cast<double>(attempt));
-      }
-      if (attempt > 0) {
-        io_retries_total += attempt;
-        monitor.observe_io_errors(now, k, attempt);
-      }
-    }
-    if (now < link_until && link_factor < 1.0) {
-      if (link_factor <= 0.0) {
-        // Outage: the quantum stalls until the link comes back.
-        extra += link_until - now;
-      } else {
-        extra += static_cast<util::SimTime>(
-            static_cast<double>(duration) * (1.0 / link_factor - 1.0) + 0.5);
-      }
-    }
-    return extra;
-  }
-
-  /// The event's target replica if it is alive, else the next live one
-  /// in index order — a plan drawn against the initial fleet keeps
-  /// meaning something after crashes and scale-downs. replicas.size()
-  /// when nothing is left to kill.
-  std::uint32_t crash_victim(std::uint32_t want) const {
-    const auto n = static_cast<std::uint32_t>(replicas.size());
-    for (std::uint32_t d = 0; d < n; ++d) {
-      const std::uint32_t k = (want + d) % n;
-      if (!meta[k].retired && !replicas[k].dead) return k;
-    }
-    return n;
-  }
-
-  void crash(const fault::FaultEvent& e) {
-    const std::uint32_t k = crash_victim(
-        e.target % static_cast<std::uint32_t>(replicas.size()));
-    if (k >= replicas.size()) return;  // whole fleet already down
-    const util::SimTime now = shared.sim.now();
-    ++crashes_total;
-    ++meta[k].crashes;
-    meta[k].down_since = now;
-    ++dead_count;
-    ReplicaSim& rep = replicas[k];
-    rep.on_crash();
-    const std::int64_t incident = monitor.observe_crash(now, k, true);
-    if (fleet_tracing) {
-      shared.telemetry->tracer().instant(track_control, n_crash, now,
-                                         k_replica, k);
-    }
-
-    // Recovery is scheduled before the rerouting below so queries that
-    // find no live replica know whether anyone is coming back.
-    if (e.duration > 0) {
-      ++pending_recoveries;
-      shared.sim.schedule_after(e.duration, [this, k]() { revive(k); });
-    } else if (fleet.elastic.enabled &&
-               active_count() < fleet.elastic.max_replicas) {
-      // A permanent crash is a scale-up trigger: a replacement joins
-      // after the provisioning delay.
-      ++pending_recoveries;
-      const double delay = plan.spec().provision_sec > 0.0
-                               ? plan.spec().provision_sec
-                               : fleet.elastic.check_interval_sec;
-      shared.sim.schedule_after(ps_from_sec(delay), [this, incident]() {
-        join_replacement(incident);
-      });
-    }
-
-    // Waiting queries lose any partial progress and re-route through
-    // the router immediately; they were not in flight, so no retry is
-    // charged against their budget.
-    for (const std::size_t i : rep.take_all_waiting()) {
-      lose_progress(i);
-      reroute(i);
-    }
-    // The in-flight query's completed supersteps are lost; it re-enters
-    // the queue after a deterministic backoff until the retry budget
-    // runs out.
-    const std::size_t aborted = rep.abort_active();
-    if (aborted != kNoQuery) {
-      lose_progress(aborted);
-      QueryRecord& r = shared.records[aborted];
-      if (r.retries >= plan.spec().max_query_retries) {
-        shared.fail_query(aborted);
-      } else {
-        ++r.retries;
-        const util::SimTime backoff = util::ps_from_us(
-            plan.spec().retry_backoff_us * static_cast<double>(r.retries));
-        shared.sim.schedule_after(backoff,
-                                  [this, aborted]() { reroute(aborted); });
-      }
-    }
-    record_depth();
-  }
-
-  /// Discards query i's completed supersteps (crash recovery): any
-  /// followers riding its replay re-enter individually, its accumulated
-  /// stack time and bytes move to the lost-work ledger, and the replay
-  /// restarts from superstep 0.
-  void lose_progress(std::size_t i) {
-    if (shared.config.batch_identical && !shared.followers.empty()) {
-      for (const std::size_t f : shared.followers[i]) {
-        QueryRecord& fr = shared.records[f];
-        fr.batch_follower = false;
-        fr.lost_ps += fr.ride_ps;
-        fr.ride_ps = 0;
-        reroute(f);
-      }
-      shared.followers[i].clear();
-    }
-    QueryRecord& r = shared.records[i];
-    r.lost_ps += r.service_ps;
-    r.lost_bytes += r.service_bytes;
-    r.service_ps = 0;
-    r.service_bytes = 0;
-    shared.next_step[i] = 0;
-  }
-
-  /// Places an already-admitted query back onto the fleet (crash
-  /// recovery): routes like an arrival but bypasses the admission gates
-  /// — the query already holds its quota slot.
-  void reroute(std::size_t i) {
-    const QueryRecord& r = shared.records[i];
-    if (r.shed || r.failed) return;
-    if (dead_count > 0 && !has_live()) {
-      if (pending_recoveries > 0) {
-        orphans.push_back(i);
-      } else {
-        shared.fail_query(i);
-      }
-      return;
-    }
-    replicas[route(i)].resume(i);
-    record_depth();
-  }
-
-  void drain_orphans() {
-    if (orphans.empty()) return;
-    std::vector<std::size_t> parked;
-    parked.swap(orphans);
-    for (const std::size_t i : parked) reroute(i);
-  }
-
-  void revive(std::uint32_t k) {
-    --pending_recoveries;
-    const util::SimTime now = shared.sim.now();
-    meta[k].downtime += now - meta[k].down_since;
-    meta[k].down_since = 0;
-    replicas[k].dead = false;
-    if (dead_count > 0) --dead_count;
-    ++restarts_total;
-    peak_replicas = std::max(peak_replicas, active_count());
-    monitor.observe_crash(now, k, false);
-    if (fleet_tracing) {
-      shared.telemetry->tracer().instant(track_control, n_restart, now,
-                                         k_replica, k);
-    }
-    drain_orphans();
-    record_depth();
-    // Anything parked in the local queue while the swallow was pending
-    // (or just rerouted here) starts as soon as the stack is clear.
-    replicas[k].dispatch();
-  }
-
-  void join_replacement(std::int64_t incident) {
-    --pending_recoveries;
-    if (shared.all_resolved()) return;
-    if (active_count() >= fleet.elastic.max_replicas) {
-      drain_orphans();
-      return;
-    }
-    ReplicaSim& r = add_replica();
-    ++replacements_total;
-    // Peak tracks concurrently-routable replicas: dead slots stay in the
-    // vector (indices are stable), so size() would overstate the fleet
-    // once a crash has retired one.
-    peak_replicas = std::max(peak_replicas, active_count());
-    ScalingEvent ev;
-    ev.at_sec = util::sec_from_ps(shared.sim.now());
-    ev.added = true;
-    ev.replica = r.index;
-    ev.routable_after = active_count();
-    ev.depth_per_replica = static_cast<double>(total_waiting()) /
-                           static_cast<double>(std::max(1u, active_count()));
-    ev.incident = static_cast<std::int32_t>(incident);
-    scaling_events.push_back(ev);
-    if (fleet_tracing) {
-      shared.telemetry->tracer().instant(track_control, n_replace,
-                                         shared.sim.now(), k_replica, r.index);
-    }
-    drain_orphans();
-    record_depth();
-  }
-
-  void io_burst(const fault::FaultEvent& e) {
-    const auto k = static_cast<std::uint32_t>(
-        e.target % static_cast<std::uint32_t>(replicas.size()));
-    const util::SimTime now = shared.sim.now();
-    const util::SimTime until = now + e.duration;
-    io_until[k] = std::max(io_until[k], until);
-    io_rate[k] = e.magnitude;
-    monitor.observe_io_burst(now, k, true, e.magnitude);
-    shared.sim.schedule_at(until, [this, k]() {
-      // Overlapping bursts extend the window; only the last edge closes.
-      if (shared.sim.now() >= io_until[k]) {
-        monitor.observe_io_burst(shared.sim.now(), k, false, 0.0);
-      }
-    });
-  }
-
-  void link_flap(const fault::FaultEvent& e) {
-    const util::SimTime now = shared.sim.now();
-    const util::SimTime until = now + e.duration;
-    link_until = std::max(link_until, until);
-    link_factor = e.magnitude;
-    ++link_windows_total;
-    monitor.observe_link(now, true, e.magnitude);
-    shared.sim.schedule_at(until, [this]() {
-      if (shared.sim.now() >= link_until) {
-        link_factor = 1.0;
-        monitor.observe_link(shared.sim.now(), false, 1.0);
-      }
-    });
-  }
-
-  // -- Elastic controller --------------------------------------------------
-
-  std::uint32_t active_count() const {
-    std::uint32_t n = 0;
-    for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-      if (routable(k)) ++n;
-    }
-    return n;
-  }
-
-  void start_elastic() {
-    if (!fleet.elastic.enabled) return;
-    shared.sim.schedule_after(interval_ps, [this]() { elastic_tick(); });
-  }
-
-  void elastic_tick() {
-    record_depth();
-    if (shared.all_resolved()) return;  // workload drained: stop the chain
-    const ElasticConfig& e = fleet.elastic;
-
-    // Mean waiting depth observed since the last decision (every bucket
-    // the series gained), falling back to the instantaneous depth.
-    const std::vector<obs::TimeSeriesSampler::Bucket>& buckets =
-        depth_series.series(ch_waiting);
-    double sum = 0.0;
-    std::uint64_t count = 0;
-    for (std::size_t b = depth_cursor; b < buckets.size(); ++b) {
-      sum += buckets[b].sum;
-      count += buckets[b].count;
-    }
-    depth_cursor = buckets.size();
-    const double observed =
-        count > 0 ? sum / static_cast<double>(count)
-                  : static_cast<double>(total_waiting());
-
-    const std::uint32_t active = active_count();
-    const double per = observed / static_cast<double>(std::max(1u, active));
-    // The health monitor owns the threshold comparison: its verdict is
-    // the same strict >/< check against the same bounds this tick used
-    // to make inline, so decisions are bit-identical — and each one now
-    // links the incident that argued for it. The monitor sees every
-    // sample (incidents track load even while cooldown gags the
-    // controller); only the action is gated here.
-    const obs::HealthMonitor::DepthVerdict verdict =
-        monitor.observe_depth(shared.sim.now(), per);
-    if (cooldown > 0) {
-      --cooldown;
-    } else if (verdict == obs::HealthMonitor::DepthVerdict::kOverloaded &&
-               active < e.max_replicas) {
-      grow(per);
-    } else if (verdict == obs::HealthMonitor::DepthVerdict::kUnderloaded &&
-               active > e.min_replicas) {
-      shrink(per);
-    }
-    shared.sim.schedule_after(interval_ps, [this]() { elastic_tick(); });
-  }
-
-  void grow(double per) {
-    ReplicaSim& r = add_replica();
-    peak_replicas = std::max(peak_replicas, active_count());
-    cooldown = fleet.elastic.cooldown_intervals;
-    ScalingEvent ev;
-    ev.at_sec = util::sec_from_ps(shared.sim.now());
-    ev.added = true;
-    ev.replica = r.index;
-    ev.routable_after = active_count();
-    ev.depth_per_replica = per;
-    ev.incident = static_cast<std::int32_t>(
-        monitor.open_incident(obs::IncidentKind::kSaturation));
-    scaling_events.push_back(ev);
-    if (fleet_tracing) {
-      shared.telemetry->tracer().instant(track_control, n_scale_up,
-                                         shared.sim.now(), k_replica,
-                                         r.index);
-    }
-  }
-
-  void shrink(double per) {
-    // Drain the least-loaded routable replica; ties retire the youngest.
-    std::uint32_t victim = std::numeric_limits<std::uint32_t>::max();
-    for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-      if (!routable(k)) continue;
-      if (victim == std::numeric_limits<std::uint32_t>::max() ||
-          replicas[k].depth() < replicas[victim].depth() ||
-          (replicas[k].depth() == replicas[victim].depth() &&
-           k > victim)) {
-        victim = k;
-      }
-    }
-    meta[victim].draining = true;
-    if (replicas[victim].idle()) {
-      meta[victim].retired = true;
-      meta[victim].retired_at = shared.sim.now();
-    }
-    cooldown = fleet.elastic.cooldown_intervals;
-    ScalingEvent ev;
-    ev.at_sec = util::sec_from_ps(shared.sim.now());
-    ev.added = false;
-    ev.replica = victim;
-    ev.routable_after = active_count();
-    ev.depth_per_replica = per;
-    ev.incident = static_cast<std::int32_t>(
-        monitor.open_incident(obs::IncidentKind::kUnderload));
-    scaling_events.push_back(ev);
-    if (fleet_tracing) {
-      shared.telemetry->tracer().instant(track_control, n_scale_down,
-                                         shared.sim.now(), k_replica, victim);
-    }
-  }
-
-  // -- Aggregation ---------------------------------------------------------
-
-  void fill(FleetReport& report) {
-    ServeReport& serve = report.serve;
-    serve.admitted = shared.admitted;
-    serve.completed = shared.completed;
-    serve.shed = shared.shed;
-    serve.failed = shared.failed;
-    serve.batched = shared.batched;
-    serve.makespan_sec = util::sec_from_ps(shared.last_completion);
-
-    util::SimTime busy_ps = 0;
-    util::SimTime capacity_ps = 0;
-    double peak_heat = 0.0;
-    report.replica_stats.reserve(replicas.size());
-    for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-      const ReplicaSim& r = replicas[k];
-      busy_ps += r.busy_ps;
-      serve.link_bytes += r.link_bytes;
-      serve.throttled_quanta += r.throttled_quanta;
-      peak_heat = std::max(peak_heat, r.heat.peak_heat());
-      // Lifetime: join to retirement, or to the fleet makespan for
-      // replicas that served to the end. The summed lifetimes are the
-      // fleet's capacity — the utilization denominator.
-      const util::SimTime end =
-          meta[k].retired ? meta[k].retired_at : shared.last_completion;
-      const util::SimTime life = end > meta[k].joined ? end - meta[k].joined : 0;
-      // Downtime (a still-dead replica counts to the makespan) is not
-      // capacity; 0 without faults, so the denominator is unchanged.
-      util::SimTime down = meta[k].downtime;
-      if (r.dead && meta[k].down_since > 0 && end > meta[k].down_since) {
-        down += end - meta[k].down_since;
-      }
-      const util::SimTime alive = life > down ? life - down : 0;
-      capacity_ps += alive;
-
-      ReplicaStats stats;
-      stats.replica = k;
-      stats.served = r.served;
-      stats.quanta = r.quanta;
-      stats.busy_sec = util::sec_from_ps(r.busy_ps);
-      stats.link_bytes = r.link_bytes;
-      stats.throttled_quanta = r.throttled_quanta;
-      stats.peak_heat = r.heat.peak_heat();
-      stats.joined_sec = util::sec_from_ps(meta[k].joined);
-      stats.retired = meta[k].retired;
-      stats.retired_sec = util::sec_from_ps(meta[k].retired_at);
-      stats.crashes = meta[k].crashes;
-      stats.down_sec = util::sec_from_ps(down);
-      if (alive > 0) {
-        stats.utilization =
-            util::sec_from_ps(r.busy_ps) / util::sec_from_ps(alive);
-      }
-      report.replica_stats.push_back(stats);
-    }
-    serve.stack_peak_heat = peak_heat;
-    summarize_serve(serve, shared, busy_ps, util::sec_from_ps(capacity_ps));
-
-    report.peak_replicas = peak_replicas;
-    report.shed_queue = shed_queue;
-    report.shed_quota = shed_quota;
-    report.shed_deadline = shed_deadline;
-    report.migration_bytes = migration_bytes;
-    report.migration_sec = util::sec_from_ps(migration_ps);
-    report.migrations.reserve(migrations.size());
-    for (const MigrationState& state : migrations) {
-      report.migrations.push_back(state.record);
-    }
-    report.incidents = monitor.incidents();
-    report.crashes = crashes_total;
-    report.restarts = restarts_total;
-    report.replacements = replacements_total;
-    report.io_error_retries = io_retries_total;
-    report.link_degrade_windows = link_windows_total;
-    report.availability =
-        serve.completed + serve.failed > 0
-            ? static_cast<double>(serve.completed) /
-                  static_cast<double>(serve.completed + serve.failed)
-            : 1.0;
-
-    // Mirror the incident log onto a ("fleet","health") trace track —
-    // closed incidents as spans, still-open ones as instants — so the
-    // viewer shows outages against the replica timelines and the sink
-    // provably captured them.
-    if (fleet_tracing) {
-      obs::SpanTracer& tr = shared.telemetry->tracer();
-      const std::uint16_t track_health = tr.track("fleet", "health");
-      const std::uint32_t k_incident = tr.intern("incident");
-      for (const obs::Incident& inc : report.incidents) {
-        const std::uint32_t name = tr.intern(obs::to_string(inc.kind));
-        if (inc.open) {
-          tr.instant(track_health, name, inc.opened_ps, k_incident, inc.id);
-        } else {
-          tr.complete(track_health, name, inc.opened_ps,
-                      inc.closed_ps - inc.opened_ps, k_incident, inc.id);
-        }
-      }
-    }
-
-    // Scoped metrics: per-replica and per-tenant counters under labeled
-    // keys (unlabeled exports stay byte-identical without them).
-    if (shared.telemetry != nullptr && shared.telemetry->metering()) {
-      obs::MetricsRegistry& m = shared.telemetry->metrics();
-      std::vector<std::uint32_t> handoffs(replicas.size(), 0);
-      for (const MigrationState& state : migrations) {
-        const std::uint32_t moved = state.record.moved_waiting +
-                                    (state.record.moved_active ? 1 : 0);
-        handoffs[state.record.from] += moved;
-        handoffs[state.record.to] += moved;
-      }
-      for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-        const std::string label = "replica=" + std::to_string(k);
-        m.counter("fleet", "served", label).add(replicas[k].served);
-        m.counter("fleet", "handoffs", label).add(handoffs[k]);
-        m.gauge("fleet", "utilization", label)
-            .set(report.replica_stats[k].utilization);
-      }
-      const std::size_t num_classes = quota_limit.size();
-      std::vector<std::uint64_t> t_completed(num_classes, 0);
-      std::vector<std::uint64_t> t_goodput(num_classes, 0);
-      std::vector<std::uint64_t> t_shed(num_classes, 0);
-      std::vector<std::uint64_t> t_violations(num_classes, 0);
-      for (const QueryRecord& r : shared.records) {
-        if (r.class_index >= num_classes) continue;
-        if (r.shed) {
-          ++t_shed[r.class_index];
-        } else if (r.failed) {
-          // Failed queries are neither completed nor goodput; they show
-          // up in the serve counters and the availability figure.
-          continue;
-        } else {
-          ++t_completed[r.class_index];
-          if (r.slo_violated) {
-            ++t_violations[r.class_index];
-          } else {
-            ++t_goodput[r.class_index];
-          }
-        }
-      }
-      for (std::size_t c = 0; c < num_classes; ++c) {
-        const std::string label = "tenant=" + std::to_string(c);
-        m.counter("fleet", "completed", label).add(t_completed[c]);
-        m.counter("fleet", "goodput", label).add(t_goodput[c]);
-        m.counter("fleet", "shed", label).add(t_shed[c]);
-        m.counter("fleet", "slo_violations", label).add(t_violations[c]);
-      }
-      for (const obs::Incident& inc : report.incidents) {
-        m.counter("fleet", "incidents",
-                  std::string("kind=") + obs::to_string(inc.kind))
-            .add(1);
-      }
-    }
-
-    // p99 transients around each scaling event, from the completion
-    // record (post-hoc: the event windows are known only at the end).
-    const double window = fleet.elastic.transient_window_sec > 0.0
-                              ? fleet.elastic.transient_window_sec
-                              : 2.0 * fleet.elastic.check_interval_sec;
-    report.scaling_events = scaling_events;
-    for (ScalingEvent& ev : report.scaling_events) {
-      std::vector<double> before, after;
-      for (const QueryRecord& r : shared.records) {
-        if (r.shed || r.failed) continue;
-        const double done = util::sec_from_ps(r.completion);
-        if (done >= ev.at_sec - window && done < ev.at_sec) {
-          before.push_back(util::us_from_ps(r.completion - r.arrival));
-        } else if (done >= ev.at_sec && done <= ev.at_sec + window) {
-          after.push_back(util::us_from_ps(r.completion - r.arrival));
-        }
-      }
-      ev.completions_before = static_cast<std::uint32_t>(before.size());
-      ev.completions_after = static_cast<std::uint32_t>(after.size());
-      ev.p99_before_us = before.empty()
-                             ? 0.0
-                             : util::percentile(std::move(before), 99.0);
-      ev.p99_after_us =
-          after.empty() ? 0.0 : util::percentile(std::move(after), 99.0);
-    }
-  }
-};
+}
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// FleetSim: setup, run, and the query lifecycle
+// ---------------------------------------------------------------------------
+
+FleetSim::FleetSim(const FleetConfig& config_in, const WorkloadSpec& spec_in,
+                   const std::vector<Query>& queries_in,
+                   const std::vector<QueryProfile>& profiles_in,
+                   std::vector<QueryRecord>& records_in,
+                   const device::ThermalParams& thermal_in,
+                   std::size_t num_classes)
+    : config(config_in),
+      spec(spec_in),
+      queries(queries_in),
+      profiles(profiles_in),
+      records(records_in),
+      thermal(thermal_in),
+      next_step(queries_in.size(), 0),
+      followers(config_in.serve.batch_identical ? queries_in.size() : 0),
+      router_rng(config_in.router_seed),
+      quota_limit(num_classes, 0),
+      in_flight(num_classes, 0),
+      plan(config_in.faults, config_in.replicas),
+      interval_ps(config_in.elastic.enabled
+                      ? util::ps_from_sec(config_in.elastic.check_interval_sec)
+                      : 0),
+      depth_series(std::max<util::SimTime>(1, interval_ps / 8)),
+      monitor(health_config(config_in.elastic)) {
+  remaining_after.resize(profiles.size());
+  for (std::size_t p = 0; p < profiles.size(); ++p) {
+    const std::vector<util::SimTime>& steps = profiles[p].step_ps;
+    std::vector<util::SimTime>& suffix = remaining_after[p];
+    suffix.assign(steps.size() + 1, 0);
+    for (std::size_t k = steps.size(); k-- > 0;) {
+      suffix[k] = suffix[k + 1] + steps[k];
+    }
+  }
+  for (const TenantQuota& q : config.quotas) {
+    quota_limit[q.class_index] = q.max_in_flight;
+  }
+  for (std::uint32_t k = 0; k < config.replicas; ++k) add_replica();
+  peak_replicas = config.replicas;
+  if (config.elastic.enabled) {
+    ch_waiting = depth_series.channel("fleet/waiting",
+                                      obs::TimeSeriesSampler::Reduce::kLast);
+  }
+}
+
+void FleetSim::attach_telemetry(obs::Telemetry* sink) {
+  if (sink == nullptr || !sink->enabled()) return;
+  telemetry = sink;
+  if (sink->tracing()) {
+    tracing = true;
+    obs::SpanTracer& tr = sink->tracer();
+    track_lifecycle = tr.track("serve", "lifecycle");
+    n_admit = tr.intern("admit");
+    n_shed = tr.intern("shed");
+    n_complete = tr.intern("complete");
+    n_failed = tr.intern("failed");
+    n_queued = tr.intern("queued");
+    k_query = tr.intern("query");
+    n_flow = tr.intern("query");
+  }
+  if (sink->metering()) {
+    obs::MetricsRegistry& m = sink->metrics();
+    c_admitted = &m.counter("serve", "admitted");
+    c_shed = &m.counter("serve", "shed");
+    c_completed = &m.counter("serve", "completed");
+    c_failed = &m.counter("serve", "failed");
+    h_latency_ns = &m.histogram("serve", "latency_ns");
+  }
+  if (sink->sampling()) {
+    sampling = true;
+    ch_depth = sink->sampler().channel("serve/queue_depth",
+                                       obs::TimeSeriesSampler::Reduce::kMax);
+  }
+  for (ReplicaSim& r : replicas) r.attach_telemetry();
+  if (tracing) {
+    obs::SpanTracer& tr = sink->tracer();
+    track_control = tr.track("fleet", "control");
+    n_migrate = tr.intern("migrate");
+    n_copy_landed = tr.intern("copy-landed");
+    n_scale_up = tr.intern("scale-up");
+    n_scale_down = tr.intern("scale-down");
+    n_crash = tr.intern("crash");
+    n_restart = tr.intern("restart");
+    n_replace = tr.intern("replace");
+    k_class = tr.intern("class");
+    k_replica = tr.intern("replica");
+  }
+}
+
+void FleetSim::run() {
+  migrations.resize(config.migrations.size());
+  for (std::size_t m = 0; m < config.migrations.size(); ++m) {
+    sim.schedule_at(util::ps_from_sec(config.migrations[m].at_sec),
+                    [this, m]() { migrate(m); });
+  }
+  if (config.elastic.enabled) {
+    sim.schedule_after(interval_ps, [this]() { elastic_tick(); });
+  }
+  for (const fault::FaultEvent& e : plan.events()) {
+    sim.schedule_at(e.at, [this, &e]() { deliver_fault(e); });
+  }
+  if (spec.process == ArrivalProcess::kOpenLoopPoisson) {
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      sim.schedule_at(queries[i].arrival, [this, i]() { arrive(i); });
+    }
+  } else {
+    client_queries.resize(spec.num_clients);
+    client_cursor.assign(spec.num_clients, 0);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      client_queries[i % spec.num_clients].push_back(i);
+    }
+    for (std::uint32_t c = 0; c < spec.num_clients; ++c) issue_next(c);
+  }
+
+  std::unique_ptr<obs::SimRunObserver> observer;
+  if (telemetry != nullptr) {
+    observer = std::make_unique<obs::SimRunObserver>(*telemetry, "fleet_sim");
+    observer->add_probe(
+        "heat",
+        [this]() {
+          double h = 0.0;
+          for (const ReplicaSim& r : replicas) h = std::max(h, r.heat.heat());
+          return h;
+        },
+        obs::TimeSeriesSampler::Reduce::kMax);
+    sim.set_observer(observer.get());
+  }
+  sim.run();
+  if (observer != nullptr) {
+    observer->finish();
+    sim.set_observer(nullptr);
+  }
+}
+
+void FleetSim::arrive(std::size_t i) {
+  QueryRecord& r = records[i];
+  r.arrival = sim.now();
+  const std::uint32_t cls = r.class_index;
+  if (quota_limit[cls] > 0 && in_flight[cls] >= quota_limit[cls]) {
+    ++shed_quota;
+    shed_query(i);
+    record_depth();
+    return;
+  }
+  if (dead_count > 0 && !has_live()) {
+    // Total outage: nowhere to place the query. It still counts as
+    // admitted (symmetric bookkeeping — failure releases the quota
+    // slot); if a restart or replacement is coming it parks until then,
+    // otherwise it can only fail.
+    ++admitted;
+    if (telemetry != nullptr) note_admission(i, /*was_shed=*/false);
+    ++in_flight[cls];
+    if (pending_recoveries > 0) {
+      orphans.push_back(i);
+    } else {
+      fail_query(i);
+    }
+    record_depth();
+    return;
+  }
+  if (config.slo_shedding) {
+    // Feasibility on the emptiest routable replica: if even its backlog
+    // plus this query's full demand busts the deadline, serving it only
+    // wastes stack time on a guaranteed violation.
+    util::SimTime least = std::numeric_limits<util::SimTime>::max();
+    for (const std::uint32_t k : routable_set) {
+      least = std::min(least, replicas[k].backlog_ps);
+    }
+    if (least + remaining_ps(i) > r.slo) {
+      ++shed_deadline;
+      shed_query(i);
+      record_depth();
+      return;
+    }
+  }
+  ReplicaSim& rep = replicas[route(i)];
+  if (config.serve.max_waiting > 0 &&
+      rep.waiting() >= config.serve.max_waiting) {
+    ++shed_queue;
+    shed_query(i);
+    record_depth();
+    return;
+  }
+  ++in_flight[cls];
+  rep.admit(i);
+  record_depth();
+}
+
+void FleetSim::issue_next(std::uint32_t client) {
+  if (client_cursor[client] == client_queries[client].size()) return;
+  const std::size_t i = client_queries[client][client_cursor[client]++];
+  sim.schedule_after(queries[i].think_gap, [this, i]() { arrive(i); });
+}
+
+void FleetSim::shed_query(std::size_t i) {
+  records[i].shed = true;
+  ++shed;
+  if (telemetry != nullptr) note_admission(i, /*was_shed=*/true);
+  // A shed query does not stall its closed-loop client.
+  if (spec.process == ArrivalProcess::kClosedLoop) {
+    issue_next(static_cast<std::uint32_t>(i % spec.num_clients));
+  }
+}
+
+void FleetSim::fail_query(std::size_t i) {
+  QueryRecord& r = records[i];
+  r.failed = true;
+  ++failed;
+  if (telemetry != nullptr) note_failed(i);
+  // A failed query does not stall its closed-loop client either.
+  if (spec.process == ArrivalProcess::kClosedLoop) {
+    issue_next(static_cast<std::uint32_t>(i % spec.num_clients));
+  }
+  // Quota release and depth sampling only — failure is deliberately not
+  // a completion for the SLO-rate window.
+  if (in_flight[r.class_index] > 0) --in_flight[r.class_index];
+  record_depth();
+}
+
+void FleetSim::complete_query(std::size_t i) {
+  QueryRecord& r = records[i];
+  r.completion = sim.now();
+  // Sojourn splits exactly into queue + service + ride: a batch follower
+  // holds the stack for no time of its own, but the quanta it spent
+  // riding its leader's replay are ride, not queue. Stack time a crash
+  // discarded is its own component (lost_ps); retry backoff waits land
+  // in queue with the rest of the non-service time.
+  r.queue_ps = r.completion - r.arrival - r.service_ps - r.ride_ps - r.lost_ps;
+  r.slo_violated = r.completion - r.arrival > r.slo;
+  last_completion = std::max(last_completion, r.completion);
+  completion_order_latency_us.push_back(
+      util::us_from_ps(r.completion - r.arrival));
+  ++completed;
+  if (telemetry != nullptr) note_completion(i);
+  if (spec.process == ArrivalProcess::kClosedLoop) {
+    issue_next(static_cast<std::uint32_t>(i % spec.num_clients));
+  }
+  monitor.observe_completion(sim.now(), r.slo_violated);
+  if (in_flight[r.class_index] > 0) --in_flight[r.class_index];
+  // A draining replica retires the moment it runs dry.
+  const std::uint32_t k = r.replica;
+  if (k < replicas.size() && meta[k].draining && !meta[k].retired &&
+      replicas[k].idle()) {
+    meta[k].retired = true;
+    meta[k].retired_at = sim.now();
+    refresh_routable();
+  }
+  record_depth();
+}
+
+void FleetSim::note_admission(std::size_t i, bool was_shed) {
+  const QueryRecord& r = records[i];
+  if (tracing) {
+    telemetry->tracer().instant(track_lifecycle, was_shed ? n_shed : n_admit,
+                                sim.now(), k_query, r.id);
+    // Every admitted query opens a causal flow; its quanta and migration
+    // hops add steps and completion finishes it. Shed queries never
+    // start one, so every 's' in an export has a matching 'f'.
+    if (!was_shed) {
+      telemetry->tracer().flow_start(track_lifecycle, n_flow, sim.now(), r.id);
+    }
+  }
+  if (c_admitted != nullptr) (was_shed ? c_shed : c_admitted)->add(1);
+  if (sampling && !was_shed) sample_depth();
+}
+
+void FleetSim::note_completion(std::size_t i) {
+  const QueryRecord& r = records[i];
+  if (tracing) {
+    telemetry->tracer().instant(track_lifecycle, n_complete, sim.now(),
+                                k_query, r.id);
+    telemetry->tracer().flow_end(track_lifecycle, n_flow, sim.now(), r.id);
+  }
+  if (c_completed != nullptr) {
+    c_completed->add(1);
+    h_latency_ns->add((r.completion - r.arrival) / util::kPsPerNs);
+  }
+}
+
+void FleetSim::note_failed(std::size_t i) {
+  const QueryRecord& r = records[i];
+  if (tracing) {
+    telemetry->tracer().instant(track_lifecycle, n_failed, sim.now(),
+                                k_query, r.id);
+    // The admission opened a flow; failure terminates it so every 's'
+    // still has a matching 'f' in the export.
+    telemetry->tracer().flow_end(track_lifecycle, n_flow, sim.now(), r.id);
+  }
+  if (c_failed != nullptr) c_failed->add(1);
+}
+
+void FleetSim::note_queued(std::size_t i) {
+  if (!tracing) return;
+  const QueryRecord& r = records[i];
+  telemetry->tracer().complete(track_lifecycle, n_queued, r.arrival,
+                               r.first_service - r.arrival, k_query, r.id);
+}
+
+void FleetSim::sample_depth() {
+  if (sampling) {
+    telemetry->sampler().record(ch_depth, sim.now(), total_depth());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FleetSim: replicas and routing
+// ---------------------------------------------------------------------------
+
+ReplicaSim& FleetSim::add_replica() {
+  const std::uint32_t k = static_cast<std::uint32_t>(replicas.size());
+  ReplicaSim& r = replicas.emplace_back(*this, k);
+  meta.push_back(ReplicaMeta{sim.now(), false, false, 0});
+  io_until.push_back(0);
+  io_rate.push_back(0.0);
+  r.attach_telemetry();
+  refresh_routable();
+  return r;
+}
+
+void FleetSim::refresh_routable() {
+  routable_set.clear();
+  for (std::uint32_t k = 0; k < replicas.size(); ++k) {
+    if (routable(k)) routable_set.push_back(k);
+  }
+  if (routable_set.empty()) {
+    // Every replica draining or retired (transiently possible if a
+    // migration target was later drained): fall back to the live set.
+    for (std::uint32_t k = 0; k < replicas.size(); ++k) {
+      if (!meta[k].retired && !replicas[k].dead) routable_set.push_back(k);
+    }
+  }
+  if (routable_set.empty()) routable_set.push_back(0);
+}
+
+bool FleetSim::has_live() const {
+  for (std::uint32_t k = 0; k < replicas.size(); ++k) {
+    if (!meta[k].retired && !replicas[k].dead) return true;
+  }
+  return false;
+}
+
+std::uint32_t FleetSim::active_count() const {
+  std::uint32_t n = 0;
+  for (std::uint32_t k = 0; k < replicas.size(); ++k) {
+    if (routable(k)) ++n;
+  }
+  return n;
+}
+
+double FleetSim::total_depth() const {
+  double d = 0.0;
+  for (const ReplicaSim& r : replicas) d += r.depth();
+  return d;
+}
+
+std::uint64_t FleetSim::total_waiting() const {
+  std::uint64_t w = 0;
+  for (const ReplicaSim& r : replicas) w += r.waiting();
+  return w;
+}
+
+void FleetSim::record_depth() {
+  if (!config.elastic.enabled) return;
+  depth_series.record(ch_waiting, sim.now(),
+                      static_cast<double>(total_waiting()));
+}
+
+std::uint32_t FleetSim::route(std::size_t i) {
+  const QueryRecord& r = records[i];
+  const auto pinned = route_override.find(r.class_index);
+  if (pinned != route_override.end() && !meta[pinned->second].retired &&
+      !replicas[pinned->second].dead) {
+    return pinned->second;
+  }
+  const std::vector<std::uint32_t>& set = routable_set;
+  switch (config.router) {
+    case RouterKind::kRandom:
+      return set[router_rng.next_below(set.size())];
+    case RouterKind::kJoinShortestQueue: {
+      std::uint32_t best = set.front();
+      for (const std::uint32_t k : set) {
+        if (replicas[k].depth() < replicas[best].depth()) best = k;
+      }
+      return best;
+    }
+    case RouterKind::kClassAffinity:
+      return set[r.class_index % set.size()];
+  }
+  return set.front();
+}
+
+// ---------------------------------------------------------------------------
+// FleetSim: live migration
+// ---------------------------------------------------------------------------
+
+void FleetSim::migrate(std::size_t m) {
+  const MigrationPlan& mp = config.migrations[m];
+  MigrationState& state = migrations[m];
+  MigrationRecord& rec = state.record;
+  rec.class_index = mp.class_index;
+  rec.from = mp.from;
+  rec.to = mp.to;
+  rec.start_sec = util::sec_from_ps(sim.now());
+  route_override[mp.class_index] = mp.to;
+  if (tracing) {
+    telemetry->tracer().instant(track_control, n_migrate, sim.now(), k_class,
+                                mp.class_index);
+  }
+
+  ReplicaSim& src = replicas[mp.from];
+  state.in_transit = src.extract_waiting(mp.class_index);
+  rec.moved_waiting = static_cast<std::uint32_t>(state.in_transit.size());
+
+  // The tenant's resident state: used bytes of every distinct profile
+  // that moves (waiting queries now, plus the in-flight one if it will
+  // hand off). Charged to the interconnect as one copy.
+  std::set<std::size_t> moved_profiles;
+  for (const std::size_t i : state.in_transit) {
+    moved_profiles.insert(records[i].profile_index);
+  }
+  const std::size_t marked = src.mark_redirect(mp.class_index, m);
+  if (marked != kNoQuery) {
+    moved_profiles.insert(records[marked].profile_index);
+  }
+  std::uint64_t bytes = 0;
+  for (const std::size_t p : moved_profiles) {
+    bytes += profiles[p].report.used_bytes;
+  }
+  const util::SimTime copy_ps = static_cast<util::SimTime>(
+      std::ceil(static_cast<double>(bytes) * util::ps_per_byte(copy_mbps)));
+  rec.state_bytes = bytes;
+  rec.copy_sec = util::sec_from_ps(copy_ps);
+  migration_bytes += bytes;
+  migration_ps += copy_ps;
+  sim.schedule_after(copy_ps, [this, m]() { copy_landed(m); });
+}
+
+void FleetSim::copy_landed(std::size_t m) {
+  MigrationState& state = migrations[m];
+  state.delivered = true;
+  const std::uint32_t to = state.record.to;
+  if (tracing) {
+    telemetry->tracer().instant(track_control, n_copy_landed, sim.now(),
+                                k_class, state.record.class_index);
+  }
+  for (const std::size_t i : state.in_transit) {
+    if (replicas[to].dead) {
+      // The migration target crashed while the copy was in flight:
+      // the moved queries fall back to the router.
+      reroute(i);
+    } else {
+      replicas[to].resume(i);
+    }
+  }
+  state.in_transit.clear();
+}
+
+void FleetSim::redirected(std::size_t m, std::size_t i) {
+  MigrationState& state = migrations[m];
+  state.record.moved_active = true;
+  if (state.delivered) {
+    if (replicas[state.record.to].dead) {
+      reroute(i);
+    } else {
+      replicas[state.record.to].resume(i);
+    }
+  } else {
+    state.in_transit.push_back(i);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FleetSim: fault injection and recovery
+// ---------------------------------------------------------------------------
+
+void FleetSim::deliver_fault(const fault::FaultEvent& e) {
+  if (all_resolved()) return;  // workload drained: quiet tail
+  switch (e.kind) {
+    case fault::FaultKind::kReplicaCrash:
+      crash(e);
+      break;
+    case fault::FaultKind::kIoErrorBurst:
+      io_burst(e);
+      break;
+    case fault::FaultKind::kLinkDegrade:
+      link_flap(e);
+      break;
+  }
+}
+
+util::SimTime FleetSim::fault_extra(std::uint32_t k, util::SimTime duration) {
+  util::SimTime extra = 0;
+  const util::SimTime now = sim.now();
+  const fault::FaultSpec& faults = plan.spec();
+  if (k < io_until.size() && now < io_until[k] && io_rate[k] > 0.0) {
+    // Transient I/O errors: each failed attempt backs off linearly
+    // and retries, up to the cap. The final attempt always delivers —
+    // bytes are delayed, never dropped.
+    std::uint32_t attempt = 0;
+    while (attempt < faults.io_max_retries &&
+           fault::FaultPlan::error_draw(faults.seed, k, io_draws++,
+                                        io_rate[k])) {
+      ++attempt;
+      extra += util::ps_from_us(faults.io_retry_us *
+                                static_cast<double>(attempt));
+    }
+    if (attempt > 0) {
+      io_retries_total += attempt;
+      monitor.observe_io_errors(now, k, attempt);
+    }
+  }
+  if (now < link_until && link_factor < 1.0) {
+    if (link_factor <= 0.0) {
+      // Outage: the quantum stalls until the link comes back.
+      extra += link_until - now;
+    } else {
+      extra += static_cast<util::SimTime>(
+          static_cast<double>(duration) * (1.0 / link_factor - 1.0) + 0.5);
+    }
+  }
+  return extra;
+}
+
+std::uint32_t FleetSim::crash_victim(std::uint32_t want) const {
+  const auto n = static_cast<std::uint32_t>(replicas.size());
+  for (std::uint32_t d = 0; d < n; ++d) {
+    const std::uint32_t k = (want + d) % n;
+    if (!meta[k].retired && !replicas[k].dead) return k;
+  }
+  return n;
+}
+
+void FleetSim::crash(const fault::FaultEvent& e) {
+  const std::uint32_t k = crash_victim(
+      e.target % static_cast<std::uint32_t>(replicas.size()));
+  if (k >= replicas.size()) return;  // whole fleet already down
+  const util::SimTime now = sim.now();
+  ++crashes_total;
+  ++meta[k].crashes;
+  meta[k].down_since = now;
+  ++dead_count;
+  ReplicaSim& rep = replicas[k];
+  rep.on_crash();
+  refresh_routable();
+  const std::int64_t incident = monitor.observe_crash(now, k, true);
+  if (tracing) {
+    telemetry->tracer().instant(track_control, n_crash, now, k_replica, k);
+  }
+
+  // Recovery is scheduled before the rerouting below so queries that
+  // find no live replica know whether anyone is coming back.
+  if (e.duration > 0) {
+    ++pending_recoveries;
+    sim.schedule_after(e.duration, [this, k]() { revive(k); });
+  } else if (config.elastic.enabled &&
+             active_count() < config.elastic.max_replicas) {
+    // A permanent crash is a scale-up trigger: a replacement joins
+    // after the provisioning delay.
+    ++pending_recoveries;
+    const double delay = plan.spec().provision_sec > 0.0
+                             ? plan.spec().provision_sec
+                             : config.elastic.check_interval_sec;
+    sim.schedule_after(util::ps_from_sec(delay), [this, incident]() {
+      join_replacement(incident);
+    });
+  }
+
+  // Waiting queries lose any partial progress and re-route through
+  // the router immediately; they were not in flight, so no retry is
+  // charged against their budget.
+  for (const std::size_t i : rep.take_all_waiting()) {
+    lose_progress(i);
+    reroute(i);
+  }
+  // The in-flight query's completed supersteps are lost; it re-enters
+  // the queue after a deterministic backoff until the retry budget
+  // runs out.
+  const std::size_t aborted = rep.abort_active();
+  if (aborted != kNoQuery) {
+    lose_progress(aborted);
+    QueryRecord& r = records[aborted];
+    if (r.retries >= plan.spec().max_query_retries) {
+      fail_query(aborted);
+    } else {
+      ++r.retries;
+      const util::SimTime backoff = util::ps_from_us(
+          plan.spec().retry_backoff_us * static_cast<double>(r.retries));
+      sim.schedule_after(backoff, [this, aborted]() { reroute(aborted); });
+    }
+  }
+  record_depth();
+}
+
+void FleetSim::lose_progress(std::size_t i) {
+  if (config.serve.batch_identical && !followers.empty()) {
+    for (const std::size_t f : followers[i]) {
+      QueryRecord& fr = records[f];
+      fr.batch_follower = false;
+      fr.lost_ps += fr.ride_ps;
+      fr.ride_ps = 0;
+      reroute(f);
+    }
+    followers[i].clear();
+  }
+  QueryRecord& r = records[i];
+  r.lost_ps += r.service_ps;
+  r.lost_bytes += r.service_bytes;
+  r.service_ps = 0;
+  r.service_bytes = 0;
+  next_step[i] = 0;
+}
+
+void FleetSim::reroute(std::size_t i) {
+  const QueryRecord& r = records[i];
+  if (r.shed || r.failed) return;
+  if (dead_count > 0 && !has_live()) {
+    if (pending_recoveries > 0) {
+      orphans.push_back(i);
+    } else {
+      fail_query(i);
+    }
+    return;
+  }
+  replicas[route(i)].resume(i);
+  record_depth();
+}
+
+void FleetSim::drain_orphans() {
+  if (orphans.empty()) return;
+  std::vector<std::size_t> parked;
+  parked.swap(orphans);
+  for (const std::size_t i : parked) reroute(i);
+}
+
+void FleetSim::revive(std::uint32_t k) {
+  --pending_recoveries;
+  const util::SimTime now = sim.now();
+  meta[k].downtime += now - meta[k].down_since;
+  meta[k].down_since = 0;
+  replicas[k].dead = false;
+  refresh_routable();
+  if (dead_count > 0) --dead_count;
+  ++restarts_total;
+  peak_replicas = std::max(peak_replicas, active_count());
+  monitor.observe_crash(now, k, false);
+  if (tracing) {
+    telemetry->tracer().instant(track_control, n_restart, now, k_replica, k);
+  }
+  drain_orphans();
+  record_depth();
+  // Anything parked in the local queue while the swallow was pending
+  // (or just rerouted here) starts as soon as the stack is clear.
+  replicas[k].dispatch();
+}
+
+void FleetSim::join_replacement(std::int64_t incident) {
+  --pending_recoveries;
+  if (all_resolved()) return;
+  if (active_count() >= config.elastic.max_replicas) {
+    drain_orphans();
+    return;
+  }
+  ReplicaSim& r = add_replica();
+  ++replacements_total;
+  // Peak tracks concurrently-routable replicas: dead slots stay in the
+  // vector (indices are stable), so size() would overstate the fleet
+  // once a crash has retired one.
+  peak_replicas = std::max(peak_replicas, active_count());
+  ScalingEvent ev;
+  ev.at_sec = util::sec_from_ps(sim.now());
+  ev.added = true;
+  ev.replica = r.index;
+  ev.routable_after = active_count();
+  ev.depth_per_replica = static_cast<double>(total_waiting()) /
+                         static_cast<double>(std::max(1u, active_count()));
+  ev.incident = static_cast<std::int32_t>(incident);
+  scaling_events.push_back(ev);
+  if (tracing) {
+    telemetry->tracer().instant(track_control, n_replace, sim.now(),
+                                k_replica, r.index);
+  }
+  drain_orphans();
+  record_depth();
+}
+
+void FleetSim::io_burst(const fault::FaultEvent& e) {
+  const auto k = static_cast<std::uint32_t>(
+      e.target % static_cast<std::uint32_t>(replicas.size()));
+  const util::SimTime now = sim.now();
+  const util::SimTime until = now + e.duration;
+  io_until[k] = std::max(io_until[k], until);
+  io_rate[k] = e.magnitude;
+  monitor.observe_io_burst(now, k, true, e.magnitude);
+  sim.schedule_at(until, [this, k]() {
+    // Overlapping bursts extend the window; only the last edge closes.
+    if (sim.now() >= io_until[k]) {
+      monitor.observe_io_burst(sim.now(), k, false, 0.0);
+    }
+  });
+}
+
+void FleetSim::link_flap(const fault::FaultEvent& e) {
+  const util::SimTime now = sim.now();
+  const util::SimTime until = now + e.duration;
+  link_until = std::max(link_until, until);
+  link_factor = e.magnitude;
+  ++link_windows_total;
+  monitor.observe_link(now, true, e.magnitude);
+  sim.schedule_at(until, [this]() {
+    if (sim.now() >= link_until) {
+      link_factor = 1.0;
+      monitor.observe_link(sim.now(), false, 1.0);
+    }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// FleetSim: elastic controller
+// ---------------------------------------------------------------------------
+
+void FleetSim::elastic_tick() {
+  record_depth();
+  if (all_resolved()) return;  // workload drained: stop the chain
+  const ElasticConfig& e = config.elastic;
+
+  // Mean waiting depth observed since the last decision (every bucket
+  // the series gained), falling back to the instantaneous depth.
+  const std::vector<obs::TimeSeriesSampler::Bucket>& buckets =
+      depth_series.series(ch_waiting);
+  double sum = 0.0;
+  std::uint64_t count = 0;
+  for (std::size_t b = depth_cursor; b < buckets.size(); ++b) {
+    sum += buckets[b].sum;
+    count += buckets[b].count;
+  }
+  depth_cursor = buckets.size();
+  const double observed =
+      count > 0 ? sum / static_cast<double>(count)
+                : static_cast<double>(total_waiting());
+
+  const std::uint32_t active = active_count();
+  const double per = observed / static_cast<double>(std::max(1u, active));
+  // The health monitor owns the threshold comparison: its verdict is
+  // the same strict >/< check against the same bounds this tick used
+  // to make inline, so decisions are bit-identical — and each one now
+  // links the incident that argued for it. The monitor sees every
+  // sample (incidents track load even while cooldown gags the
+  // controller); only the action is gated here.
+  const obs::HealthMonitor::DepthVerdict verdict =
+      monitor.observe_depth(sim.now(), per);
+  if (cooldown > 0) {
+    --cooldown;
+  } else if (verdict == obs::HealthMonitor::DepthVerdict::kOverloaded &&
+             active < e.max_replicas) {
+    grow(per);
+  } else if (verdict == obs::HealthMonitor::DepthVerdict::kUnderloaded &&
+             active > e.min_replicas) {
+    shrink(per);
+  }
+  sim.schedule_after(interval_ps, [this]() { elastic_tick(); });
+}
+
+void FleetSim::grow(double per) {
+  ReplicaSim& r = add_replica();
+  peak_replicas = std::max(peak_replicas, active_count());
+  cooldown = config.elastic.cooldown_intervals;
+  ScalingEvent ev;
+  ev.at_sec = util::sec_from_ps(sim.now());
+  ev.added = true;
+  ev.replica = r.index;
+  ev.routable_after = active_count();
+  ev.depth_per_replica = per;
+  ev.incident = static_cast<std::int32_t>(
+      monitor.open_incident(obs::IncidentKind::kSaturation));
+  scaling_events.push_back(ev);
+  if (tracing) {
+    telemetry->tracer().instant(track_control, n_scale_up, sim.now(),
+                                k_replica, r.index);
+  }
+}
+
+void FleetSim::shrink(double per) {
+  // Drain the least-loaded routable replica; ties retire the youngest.
+  std::uint32_t victim = std::numeric_limits<std::uint32_t>::max();
+  for (std::uint32_t k = 0; k < replicas.size(); ++k) {
+    if (!routable(k)) continue;
+    if (victim == std::numeric_limits<std::uint32_t>::max() ||
+        replicas[k].depth() < replicas[victim].depth() ||
+        (replicas[k].depth() == replicas[victim].depth() &&
+         k > victim)) {
+      victim = k;
+    }
+  }
+  meta[victim].draining = true;
+  if (replicas[victim].idle()) {
+    meta[victim].retired = true;
+    meta[victim].retired_at = sim.now();
+  }
+  refresh_routable();
+  cooldown = config.elastic.cooldown_intervals;
+  ScalingEvent ev;
+  ev.at_sec = util::sec_from_ps(sim.now());
+  ev.added = false;
+  ev.replica = victim;
+  ev.routable_after = active_count();
+  ev.depth_per_replica = per;
+  ev.incident = static_cast<std::int32_t>(
+      monitor.open_incident(obs::IncidentKind::kUnderload));
+  scaling_events.push_back(ev);
+  if (tracing) {
+    telemetry->tracer().instant(track_control, n_scale_down, sim.now(),
+                                k_replica, victim);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FleetSim: aggregation
+// ---------------------------------------------------------------------------
+
+void FleetSim::fill(FleetReport& report) {
+  ServeReport& serve = report.serve;
+  serve.admitted = admitted;
+  serve.completed = completed;
+  serve.shed = shed;
+  serve.failed = failed;
+  serve.batched = batched;
+  serve.makespan_sec = util::sec_from_ps(last_completion);
+
+  util::SimTime busy_ps = 0;
+  util::SimTime capacity_ps = 0;
+  double peak_heat = 0.0;
+  report.replica_stats.reserve(replicas.size());
+  for (std::uint32_t k = 0; k < replicas.size(); ++k) {
+    const ReplicaSim& r = replicas[k];
+    busy_ps += r.busy_ps;
+    serve.link_bytes += r.link_bytes;
+    serve.throttled_quanta += r.throttled_quanta;
+    peak_heat = std::max(peak_heat, r.heat.peak_heat());
+    // Lifetime: join to retirement, or to the fleet makespan for
+    // replicas that served to the end. The summed lifetimes are the
+    // fleet's capacity — the utilization denominator.
+    const util::SimTime end =
+        meta[k].retired ? meta[k].retired_at : last_completion;
+    const util::SimTime life = end > meta[k].joined ? end - meta[k].joined : 0;
+    // Downtime (a still-dead replica counts to the makespan) is not
+    // capacity; 0 without faults, so the denominator is unchanged.
+    util::SimTime down = meta[k].downtime;
+    if (r.dead && meta[k].down_since > 0 && end > meta[k].down_since) {
+      down += end - meta[k].down_since;
+    }
+    const util::SimTime alive = life > down ? life - down : 0;
+    capacity_ps += alive;
+
+    ReplicaStats stats;
+    stats.replica = k;
+    stats.served = r.served;
+    stats.quanta = r.quanta;
+    stats.busy_sec = util::sec_from_ps(r.busy_ps);
+    stats.link_bytes = r.link_bytes;
+    stats.throttled_quanta = r.throttled_quanta;
+    stats.peak_heat = r.heat.peak_heat();
+    stats.joined_sec = util::sec_from_ps(meta[k].joined);
+    stats.retired = meta[k].retired;
+    stats.retired_sec = util::sec_from_ps(meta[k].retired_at);
+    stats.crashes = meta[k].crashes;
+    stats.down_sec = util::sec_from_ps(down);
+    if (alive > 0) {
+      stats.utilization =
+          util::sec_from_ps(r.busy_ps) / util::sec_from_ps(alive);
+    }
+    report.replica_stats.push_back(stats);
+  }
+  serve.stack_peak_heat = peak_heat;
+  summarize_serve(serve, *this, busy_ps, util::sec_from_ps(capacity_ps));
+
+  report.peak_replicas = peak_replicas;
+  report.shed_queue = shed_queue;
+  report.shed_quota = shed_quota;
+  report.shed_deadline = shed_deadline;
+  report.migration_bytes = migration_bytes;
+  report.migration_sec = util::sec_from_ps(migration_ps);
+  report.migrations.reserve(migrations.size());
+  for (const MigrationState& state : migrations) {
+    report.migrations.push_back(state.record);
+  }
+  report.incidents = monitor.incidents();
+  report.crashes = crashes_total;
+  report.restarts = restarts_total;
+  report.replacements = replacements_total;
+  report.io_error_retries = io_retries_total;
+  report.link_degrade_windows = link_windows_total;
+  report.availability =
+      serve.completed + serve.failed > 0
+          ? static_cast<double>(serve.completed) /
+                static_cast<double>(serve.completed + serve.failed)
+          : 1.0;
+
+  // Mirror the incident log onto a ("fleet","health") trace track —
+  // closed incidents as spans, still-open ones as instants — so the
+  // viewer shows outages against the replica timelines and the sink
+  // provably captured them.
+  if (tracing) {
+    obs::SpanTracer& tr = telemetry->tracer();
+    const std::uint16_t track_health = tr.track("fleet", "health");
+    const std::uint32_t k_incident = tr.intern("incident");
+    for (const obs::Incident& inc : report.incidents) {
+      const std::uint32_t name = tr.intern(obs::to_string(inc.kind));
+      if (inc.open) {
+        tr.instant(track_health, name, inc.opened_ps, k_incident, inc.id);
+      } else {
+        tr.complete(track_health, name, inc.opened_ps,
+                    inc.closed_ps - inc.opened_ps, k_incident, inc.id);
+      }
+    }
+  }
+
+  // Scoped metrics: per-replica and per-tenant counters under labeled
+  // keys (unlabeled exports stay byte-identical without them).
+  if (telemetry != nullptr && telemetry->metering()) {
+    obs::MetricsRegistry& m = telemetry->metrics();
+    std::vector<std::uint32_t> handoffs(replicas.size(), 0);
+    for (const MigrationState& state : migrations) {
+      const std::uint32_t moved = state.record.moved_waiting +
+                                  (state.record.moved_active ? 1 : 0);
+      handoffs[state.record.from] += moved;
+      handoffs[state.record.to] += moved;
+    }
+    for (std::uint32_t k = 0; k < replicas.size(); ++k) {
+      const std::string label = "replica=" + std::to_string(k);
+      m.counter("fleet", "served", label).add(replicas[k].served);
+      m.counter("fleet", "handoffs", label).add(handoffs[k]);
+      m.gauge("fleet", "utilization", label)
+          .set(report.replica_stats[k].utilization);
+    }
+    const std::size_t num_classes = quota_limit.size();
+    std::vector<std::uint64_t> t_completed(num_classes, 0);
+    std::vector<std::uint64_t> t_goodput(num_classes, 0);
+    std::vector<std::uint64_t> t_shed(num_classes, 0);
+    std::vector<std::uint64_t> t_violations(num_classes, 0);
+    for (const QueryRecord& r : records) {
+      if (r.class_index >= num_classes) continue;
+      if (r.shed) {
+        ++t_shed[r.class_index];
+      } else if (r.failed) {
+        // Failed queries are neither completed nor goodput; they show
+        // up in the serve counters and the availability figure.
+        continue;
+      } else {
+        ++t_completed[r.class_index];
+        if (r.slo_violated) {
+          ++t_violations[r.class_index];
+        } else {
+          ++t_goodput[r.class_index];
+        }
+      }
+    }
+    for (std::size_t c = 0; c < num_classes; ++c) {
+      const std::string label = "tenant=" + std::to_string(c);
+      m.counter("fleet", "completed", label).add(t_completed[c]);
+      m.counter("fleet", "goodput", label).add(t_goodput[c]);
+      m.counter("fleet", "shed", label).add(t_shed[c]);
+      m.counter("fleet", "slo_violations", label).add(t_violations[c]);
+    }
+    for (const obs::Incident& inc : report.incidents) {
+      m.counter("fleet", "incidents",
+                std::string("kind=") + obs::to_string(inc.kind))
+          .add(1);
+    }
+  }
+
+  // p99 transients around each scaling event, from the completion
+  // record (post-hoc: the event windows are known only at the end).
+  const double window = config.elastic.transient_window_sec > 0.0
+                            ? config.elastic.transient_window_sec
+                            : 2.0 * config.elastic.check_interval_sec;
+  report.scaling_events = scaling_events;
+  for (ScalingEvent& ev : report.scaling_events) {
+    std::vector<double> before, after;
+    for (const QueryRecord& r : records) {
+      if (r.shed || r.failed) continue;
+      const double done = util::sec_from_ps(r.completion);
+      if (done >= ev.at_sec - window && done < ev.at_sec) {
+        before.push_back(util::us_from_ps(r.completion - r.arrival));
+      } else if (done >= ev.at_sec && done <= ev.at_sec + window) {
+        after.push_back(util::us_from_ps(r.completion - r.arrival));
+      }
+    }
+    ev.completions_before = static_cast<std::uint32_t>(before.size());
+    ev.completions_after = static_cast<std::uint32_t>(after.size());
+    ev.p99_before_us = before.empty()
+                           ? 0.0
+                           : util::percentile(std::move(before), 99.0);
+    ev.p99_after_us =
+        after.empty() ? 0.0 : util::percentile(std::move(after), 99.0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FleetConfig, routers, and the serve driver
+// ---------------------------------------------------------------------------
 
 void FleetConfig::validate(std::size_t num_classes) const {
   if (replicas == 0) {
@@ -1026,9 +1134,7 @@ void FleetConfig::validate(std::size_t num_classes) const {
       throw std::invalid_argument("migration source == target (replica " +
                                   std::to_string(m.from) + ")");
     }
-    if (m.at_sec < 0.0) {
-      throw std::invalid_argument("migration time must be >= 0");
-    }
+    util::checked_ps_from_sec(m.at_sec, "migration time");
   }
   if (elastic.enabled) {
     const ElasticConfig& e = elastic;
@@ -1041,7 +1147,8 @@ void FleetConfig::validate(std::size_t num_classes) const {
           std::to_string(e.min_replicas) + " <= " + std::to_string(replicas) +
           " <= " + std::to_string(e.max_replicas) + ")");
     }
-    if (e.check_interval_sec <= 0.0) {
+    if (util::checked_ps_from_sec(e.check_interval_sec,
+                                  "elastic check interval") == 0) {
       throw std::invalid_argument("elastic check interval must be > 0");
     }
     if (e.scale_up_depth <= e.scale_down_depth) {
@@ -1084,11 +1191,7 @@ const std::vector<RouterKind>& all_routers() {
   return routers;
 }
 
-FleetServer::FleetServer(core::SystemConfig config, unsigned jobs,
-                         std::size_t profile_cache_capacity)
-    : profiler_(std::move(config), jobs, profile_cache_capacity) {}
-
-FleetReport FleetServer::serve(const graph::CsrGraph& graph,
+FleetReport QueryServer::serve(const graph::CsrGraph& graph,
                                const FleetRequest& request) {
   const WorkloadSpec& spec = request.workload;
   const std::size_t num_classes = resolve_mix(spec).size();
@@ -1102,8 +1205,7 @@ FleetReport FleetServer::serve(const graph::CsrGraph& graph,
   serve.policy = to_string(request.fleet.serve.policy);
   serve.process = to_string(spec.process);
 
-  ProfiledWorkload workload =
-      profiler_.profile_workload(graph, request.base, spec);
+  ProfiledWorkload workload = profile_workload(graph, request.base, spec);
   serve.offered = static_cast<std::uint32_t>(workload.queries.size());
   if (workload.queries.empty()) return report;
   serve.backend = workload.profiles.front().report.backend;
@@ -1118,40 +1220,14 @@ FleetReport FleetServer::serve(const graph::CsrGraph& graph,
     r.slo = workload.queries[i].slo;
   }
 
-  const device::ThermalParams& thermal =
-      profiler_.stack_thermal(request.base.backend);
+  const device::ThermalParams& thermal = stack_thermal(request.base.backend);
   device::validate(thermal);
 
-  SimShared shared(request.fleet.serve, spec, workload.queries,
-                   workload.profiles, serve.queries, thermal);
-  FleetSim sim(request.fleet, shared, num_classes);
-  sim.copy_mbps =
-      device::pcie_x16(profiler_.config().gpu_link_gen).bandwidth_mbps;
-  shared.total_depth = [&sim]() { return sim.total_depth(); };
-  shared.deliver = [&sim](std::size_t i) { sim.arrive(i); };
-  shared.on_complete = [&sim](std::size_t i) { sim.on_complete(i); };
-  shared.on_failed = [&sim](std::size_t i) { sim.on_failed(i); };
+  FleetSim sim(request.fleet, spec, workload.queries, workload.profiles,
+               serve.queries, thermal, num_classes);
+  sim.copy_mbps = device::pcie_x16(config_.gpu_link_gen).bandwidth_mbps;
   sim.attach_telemetry(telemetry_);
-  sim.schedule_migrations();
-  sim.start_elastic();
-  sim.schedule_faults();
-  std::unique_ptr<obs::SimRunObserver> observer;
-  if (shared.telemetry != nullptr) {
-    observer =
-        std::make_unique<obs::SimRunObserver>(*shared.telemetry, "fleet_sim");
-    observer->add_probe(
-        "heat",
-        [&sim]() {
-          double h = 0.0;
-          for (const ReplicaSim& r : sim.replicas) {
-            h = std::max(h, r.heat.heat());
-          }
-          return h;
-        },
-        obs::TimeSeriesSampler::Reduce::kMax);
-  }
-  shared.run(observer.get());
-
+  sim.run();
   sim.fill(report);
   serve.profiles = std::move(workload.profiles);
   return report;

@@ -4,11 +4,11 @@
 /// router, with per-tenant quotas, SLO-aware shedding, live migration,
 /// and an elastic replica controller.
 ///
-/// FleetServer is the cluster-scale front of the serving layer. It
-/// profiles the workload once (through QueryServer's cached profiling
-/// seam — a replica is a copy, so profiles are shared), then runs one
-/// discrete-event queueing simulation in which every replica is a
-/// serve::ReplicaSim on the common clock:
+/// QueryServer::serve(graph, FleetRequest) is the one serving engine. It
+/// profiles the workload once through the server's profile cache (a
+/// replica is a copy, so profiles are shared), then runs one
+/// discrete-event queueing simulation, a serve::FleetSim in which every
+/// replica is a serve::ReplicaSim on the common clock (replica.hpp):
 ///
 ///   * Router — random (seeded, stateless), join-shortest-queue
 ///     (waiting + in-service, ties to the lowest index), or
@@ -34,9 +34,9 @@
 ///     event links the incident that triggered it, and the run's full
 ///     incident log rides the report (exportable via write_incident_log).
 ///
-/// With replicas=1, the random router, and no quotas/shedding/migration,
-/// FleetServer is bit-identical to QueryServer::serve on the same
-/// request (tier-1 test + bench_fleet --smoke, CI-enforced).
+/// A single-stack serve (QueryServer::serve(graph, ServeRequest)) is this
+/// engine with replicas=1 and the random router, so the two agree by
+/// construction.
 
 #include <cstdint>
 #include <ostream>
@@ -119,8 +119,10 @@ struct FleetConfig {
   /// Validates the whole fleet configuration against the workload's
   /// tenant-class count; throws std::invalid_argument with a descriptive
   /// message for malformed migration plans (nonexistent source/target
-  /// replica, source == target, unknown tenant), out-of-range quota
-  /// classes, inconsistent elastic bounds, or an invalid fault spec.
+  /// replica, source == target, unknown tenant, a negative, NaN or
+  /// infinite time), out-of-range quota classes, inconsistent elastic
+  /// bounds or a check interval that is not a positive finite duration,
+  /// or an invalid fault spec.
   void validate(std::size_t num_classes) const;
 };
 
@@ -220,40 +222,9 @@ struct FleetReport {
   double availability = 1.0;
 };
 
-class FleetServer {
- public:
-  /// `jobs` and `profile_cache_capacity` follow QueryServer semantics
-  /// (they configure the embedded profiling server).
-  explicit FleetServer(core::SystemConfig config, unsigned jobs = 0,
-                       std::size_t profile_cache_capacity = 0);
-
-  /// Runs the workload over the fleet. Deterministic in (graph, request);
-  /// throws std::invalid_argument for malformed fleet configs (zero
-  /// replicas, out-of-range migration endpoints or tenant classes,
-  /// inconsistent elastic bounds).
-  FleetReport serve(const graph::CsrGraph& graph,
-                    const FleetRequest& request);
-
-  /// Telemetry sink shared by the fleet: the lifecycle track and
-  /// aggregate depth channel plus per-replica quantum/byte/heat tracks
-  /// ("replica<k>"). Passive — results stay bit-identical.
-  void set_telemetry(obs::Telemetry* telemetry) noexcept {
-    telemetry_ = telemetry;
-  }
-
-  const core::SystemConfig& config() const noexcept {
-    return profiler_.config();
-  }
-  std::size_t profile_cache_size() const noexcept {
-    return profiler_.profile_cache_size();
-  }
-
- private:
-  /// Profiling + cache live in a QueryServer: every replica replays the
-  /// same idle-stack profiles, so the fleet shares one cache.
-  QueryServer profiler_;
-  obs::Telemetry* telemetry_ = nullptr;
-};
+/// The fleet entry point is QueryServer's FleetRequest overload; the
+/// name stays for callers that hold a server only to serve fleets.
+using FleetServer = QueryServer;
 
 /// Serializes the fleet's health record as one JSON document:
 /// `{"incidents":[...],"scaling":[...],"migrations":[...]}` with

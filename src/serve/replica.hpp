@@ -1,174 +1,57 @@
 #pragma once
 /// \file replica.hpp
-/// The composable per-replica queueing simulation behind serving.
+/// The queueing simulation behind every serve.
 ///
-/// QueryServer's original queueing loop owned one stack, one ready queue,
-/// and one thermal accumulator. To serve from a fleet those pieces split
-/// in two, sharing a single discrete-event clock:
-///
-///   `SimShared` — per *workload* state: the simulator, the query stream
-///   and its profiles, per-query replay progress (`next_step` lives here
-///   so a live-migrated query resumes on the target mid-serve), batching
-///   follower lists, completion accounting, closed-loop client chains,
-///   and query-lifecycle telemetry (admit/shed/complete instants, the
-///   aggregate queue-depth channel).
+/// One serve() call runs one discrete-event simulation, split in two:
 ///
 ///   `ReplicaSim` — per *stack* state: the ready queue, the in-service
-///   query, busy/link/thermal accounting, and per-replica telemetry
-///   (quantum spans, byte channel, heat trace). It also carries the two
-///   live-migration primitives: `extract_waiting` (drain a tenant's
-///   queued queries) and `mark_redirect` (hand the in-flight query to a
-///   sink at its next preemption point instead of requeueing locally).
+///   query, busy/link/thermal accounting, and per-replica telemetry named
+///   after its index ("replica<k>": quantum spans, byte and depth
+///   channels, heat trace). It also carries the two live-migration
+///   primitives: `extract_waiting` (drain a tenant's queued queries) and
+///   `mark_redirect` (hand the in-flight query to a migration at its next
+///   preemption point instead of requeueing locally).
 ///
-/// QueryServer::serve drives exactly one ReplicaSim through the same
-/// event sequence as the pre-split loop — bit-identical, pinned by the
-/// bench_simcore goldens and serve_test — while serve::FleetServer
-/// drives N of them behind a router.
+///   `FleetSim` — per *serve* state: the simulator, the query stream and
+///   its profiles, per-query replay progress (`next_step` lives here so a
+///   live-migrated query resumes on the target mid-serve), batching
+///   follower lists, completion accounting, closed-loop client chains,
+///   query-lifecycle telemetry, and the fleet policies over the replicas —
+///   routing, admission, live migration, fault recovery and the elastic
+///   controller. Replicas call into it directly.
+///
+/// A single-stack serve is a FleetSim with one replica behind the random
+/// router: QueryServer::serve(ServeRequest) and a one-replica FleetRequest
+/// run the same code, so they agree by construction.
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
-#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "device/state_model.hpp"
+#include "fault/fault.hpp"
+#include "obs/health.hpp"
 #include "obs/telemetry.hpp"
+#include "serve/fleet.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace cxlgraph::serve {
 
 inline constexpr std::size_t kNoQuery = std::numeric_limits<std::size_t>::max();
 
-/// Workload-wide state of one queueing simulation, shared by every
-/// replica. Owned by the frontend (QueryServer's single-stack serve or
-/// FleetServer's fleet loop) for the duration of one serve() call.
-struct SimShared {
-  const ServeConfig& config;
-  const WorkloadSpec& spec;
-  const std::vector<Query>& queries;
-  const std::vector<QueryProfile>& profiles;
-  std::vector<QueryRecord>& records;
-  const device::ThermalParams& thermal;
-
-  sim::Simulator sim;
-  /// Per-query replay progress. Migration moves the query, not the
-  /// counter — a partially-served query resumes exactly where it left.
-  std::vector<std::size_t> next_step;
-  /// batch_identical: queries riding the active replay, per leader.
-  std::vector<std::vector<std::size_t>> followers;
-  /// Per-profile suffix sums: remaining_after[p][k] = sum of step_ps[k..].
-  /// O(1) remaining-demand estimates for routing / SLO shedding.
-  std::vector<std::vector<util::SimTime>> remaining_after;
-  /// Completed latencies in completion order (streaming-estimator feed).
-  std::vector<double> completion_order_latency_us;
-  util::SimTime last_completion = 0;
-  std::uint32_t admitted = 0;
-  std::uint32_t completed = 0;
-  std::uint32_t shed = 0;
-  std::uint32_t batched = 0;
-  /// Queries whose crash-retry budget ran out (active fault plan only).
-  std::uint32_t failed = 0;
-
-  /// Arrival entry point (admission + routing), set by the frontend; the
-  /// closed-loop reissue path and open-loop scheduling both call it.
-  std::function<void(std::size_t)> deliver;
-  /// Optional frontend hook fired after a record is finalized (the fleet
-  /// uses it for quota release, drain retirement, and depth sampling).
-  std::function<void(std::size_t)> on_complete;
-  /// Optional frontend hook fired when a replica's thermal-throttle
-  /// state flips (the fleet feeds its health monitor). Strictly passive:
-  /// observers must not schedule events or touch simulation state.
-  std::function<void(std::uint32_t, bool)> on_throttle;
-  /// Optional frontend hook fired after a query is marked failed (the
-  /// fleet uses it for quota release and depth sampling).
-  std::function<void(std::size_t)> on_failed;
-  /// Fault seam (null on the default path): extra wall time to add to a
-  /// quantum dispatched on replica `index` whose profiled duration is
-  /// the argument — transient I/O retries and link-degrade windows live
-  /// behind it. Bytes are unaffected; the backlog estimate stays
-  /// profiled, matching the thermal-stretch convention.
-  std::function<util::SimTime(std::uint32_t, util::SimTime)> fault_stretch;
-
-  /// Closed loop: per-client query chains and issue cursors.
-  std::vector<std::vector<std::size_t>> client_queries;
-  std::vector<std::size_t> client_cursor;
-
-  /// Telemetry (all null/false when detached — the default path). Every
-  /// hook below only appends to obs-owned buffers, so the schedule and
-  /// every record stay bit-identical to the untapped run.
-  obs::Telemetry* telemetry = nullptr;
-  bool tracing = false;
-  bool sampling = false;
-  std::uint16_t track_lifecycle = 0;  ///< ("serve","lifecycle"): instants
-  std::uint32_t n_admit = 0, n_shed = 0, n_complete = 0, k_query = 0;
-  std::uint32_t n_failed = 0;
-  std::uint32_t n_queued = 0;  ///< queue-wait span on the lifecycle track
-  /// Causal flow per admitted query ('s' at admit, 't' per quantum /
-  /// migration hop, 'f' at completion), named "query", id = query id.
-  std::uint32_t n_flow = 0;
-  obs::Counter* c_admitted = nullptr;
-  obs::Counter* c_shed = nullptr;
-  obs::Counter* c_completed = nullptr;
-  obs::Counter* c_failed = nullptr;
-  util::Log2Histogram* h_latency_ns = nullptr;
-  std::uint32_t ch_depth = 0;  ///< waiting + in service, sampled per event
-  /// Aggregate depth across every replica, for the ch_depth samples. Set
-  /// by the frontend (solo: the one replica's depth).
-  std::function<double()> total_depth;
-
-  SimShared(const ServeConfig& config_in, const WorkloadSpec& spec_in,
-            const std::vector<Query>& queries_in,
-            const std::vector<QueryProfile>& profiles_in,
-            std::vector<QueryRecord>& records_in,
-            const device::ThermalParams& thermal_in);
-
-  util::SimTime deadline(std::size_t i) const {
-    return records[i].arrival + records[i].slo;
-  }
-  /// Unserved profiled demand of query i (its remaining supersteps).
-  util::SimTime remaining_ps(std::size_t i) const {
-    return remaining_after[records[i].profile_index][next_step[i]];
-  }
-  bool all_resolved() const noexcept {
-    return completed + shed + failed >= queries.size();
-  }
-
-  void attach_telemetry(obs::Telemetry* sink);
-  void note_admission(std::size_t i, bool was_shed);
-  void note_completion(std::size_t i);
-  /// Queue-wait span [arrival, first_service] on the lifecycle track;
-  /// fired when query i first reaches a stack (leader or batch rider).
-  void note_queued(std::size_t i);
-  void sample_depth();
-
-  /// Marks query i shed: record flag, counter, telemetry, and the
-  /// closed-loop reissue (a shed query does not stall its client).
-  void shed_query(std::size_t i);
-  /// Marks query i failed (crash-retry budget exhausted): record flag,
-  /// telemetry flow end, closed-loop reissue, and the on_failed hook.
-  void fail_query(std::size_t i);
-  void note_failed(std::size_t i);
-  /// Finalizes query i's record (completion, queue/ride split, SLO),
-  /// feeds the streaming estimators, reissues the closed-loop client,
-  /// and fires on_complete.
-  void complete_query(std::size_t i);
-  void issue_next(std::uint32_t client);
-
-  /// Schedules the workload's arrivals through `deliver` (open-loop: one
-  /// event per query; closed-loop: per-client chains), then drains the
-  /// simulator, with `observer` attached for the duration when non-null.
-  void run(obs::SimRunObserver* observer);
-};
+struct FleetSim;
 
 /// One stack's slice of the queueing simulation. All scheduling-policy
 /// decisions (quantum size, SLO priority, batching absorption) happen
 /// here, against this replica's ready queue only.
 struct ReplicaSim {
-  SimShared& shared;
+  FleetSim& fleet;
   std::uint32_t index = 0;
 
   std::deque<std::size_t> ready;
@@ -187,8 +70,11 @@ struct ReplicaSim {
   /// remainder); the router's ETA signal. Thermal stretch not included.
   util::SimTime backlog_ps = 0;
 
-  ReplicaSim(SimShared& shared_in, std::uint32_t index_in)
-      : shared(shared_in), index(index_in) {}
+  ReplicaSim(FleetSim& fleet_in, std::uint32_t index_in)
+      : fleet(fleet_in), index(index_in) {}
+  // Scheduled closures hold this replica's address.
+  ReplicaSim(const ReplicaSim&) = delete;
+  ReplicaSim& operator=(const ReplicaSim&) = delete;
 
   std::size_t waiting() const noexcept { return ready.size(); }
   bool busy() const noexcept { return active != kNoQuery; }
@@ -197,27 +83,27 @@ struct ReplicaSim {
     return static_cast<double>(ready.size() + (busy() ? 1 : 0));
   }
 
-  /// Admission: counts the query, queues it, and dispatches. The solo
-  /// path and first-time fleet admissions go through here.
+  /// Admission: counts the query, queues it, and dispatches.
   void admit(std::size_t i);
   /// Re-queues an already-admitted query (migration resume on the
-  /// target): no admitted++ and no admit telemetry, just placement.
+  /// target, crash re-route): no admitted++ and no admit telemetry, just
+  /// placement.
   void resume(std::size_t i);
 
   /// Live migration, waiting half: removes every waiting query of
   /// `class_index` (queue order preserved) and returns them. Their
-  /// replay progress stays in SimShared.
+  /// replay progress stays in FleetSim.
   std::vector<std::size_t> extract_waiting(std::uint32_t class_index);
   /// Live migration, in-flight half: if the active query belongs to
-  /// `class_index`, hand it to `sink` at its next preemption point (or
-  /// never, if it completes first — FIFO runs to completion). Returns
-  /// the marked query index, or kNoQuery when nothing was in flight.
-  std::size_t mark_redirect(std::uint32_t class_index,
-                            std::function<void(std::size_t)> sink);
+  /// `class_index`, hand it to migration `migration` at its next
+  /// preemption point (or never, if it completes first — FIFO runs to
+  /// completion). Returns the marked query index, or kNoQuery when
+  /// nothing was in flight.
+  std::size_t mark_redirect(std::uint32_t class_index, std::size_t migration);
 
   /// Crash, step 1: marks the replica dead and disarms any pending
   /// migration redirect (the in-flight query goes through crash
-  /// recovery, not the migration sink).
+  /// recovery, not the migration).
   void on_crash();
   /// Crash, step 2: drains the whole ready queue (backlog adjusted) and
   /// returns it — the fleet re-routes these through the router. Their
@@ -228,13 +114,10 @@ struct ReplicaSim {
   /// Returns the aborted query, or kNoQuery.
   std::size_t abort_active();
 
-  /// Binds per-replica telemetry: the quantum span track, the byte and
-  /// queue-depth channels, and the heat trace. No-op when SimShared is
-  /// untapped.
-  void attach_telemetry(const std::string& track_name,
-                        const std::string& bytes_channel,
-                        const std::string& heat_trace_name,
-                        const std::string& depth_channel);
+  /// Binds per-replica telemetry: the ("serve", "replica<k>") quantum
+  /// span track, the serve/replica<k>/{quantum_bytes,depth} channels, and
+  /// the replica<k>-heat trace. No-op when the FleetSim is untapped.
+  void attach_telemetry();
 
   void dispatch();
   void quantum_done();
@@ -247,28 +130,293 @@ struct ReplicaSim {
 
   /// In-flight redirect (armed by mark_redirect, fires at most once).
   std::size_t redirect_query_ = kNoQuery;
-  std::function<void(std::size_t)> redirect_sink_;
+  std::size_t redirect_migration_ = 0;
   /// Set by abort_active: the next quantum_done belongs to a crashed
   /// attempt and must be swallowed, not completed.
   bool discard_pending_ = false;
 
-  std::uint16_t track_ = 0;       ///< ("serve", <track_name>): quanta
+  std::uint16_t track_ = 0;       ///< ("serve", "replica<k>"): quanta
   std::uint32_t n_quantum_ = 0;
   std::uint32_t ch_bytes_ = 0;    ///< link bytes charged per quantum
   std::uint32_t ch_depth_ = 0;    ///< this replica's ready + active depth
   bool replica_tracing_ = false;
   bool replica_sampling_ = false;
-  bool throttle_state_ = false;   ///< last state fed to on_throttle
+  bool throttle_state_ = false;   ///< last state fed to the health monitor
   obs::StateModelTrace heat_trace_;
 };
 
-/// Shared report aggregation over the finished simulation: exact + P²
-/// percentiles, queue/service/ride time split, query-byte conservation
-/// side, goodput and SLO accounting. `busy_ps` is the summed stack busy
-/// time and `capacity_sec` the utilization denominator (solo: makespan;
-/// fleet: summed replica lifetime). Expects report.makespan_sec and the
-/// counters (admitted/completed/shed/link_bytes) already set.
-void summarize_serve(ServeReport& report, const SimShared& shared,
-                     util::SimTime busy_ps, double capacity_sec);
+/// One serve() call's queueing simulation: the workload-wide state every
+/// replica shares, the replicas, and the fleet policies that place
+/// queries on them. Lives on the stack for one serve().
+struct FleetSim {
+  const FleetConfig& config;
+  const WorkloadSpec& spec;
+  const std::vector<Query>& queries;
+  const std::vector<QueryProfile>& profiles;
+  std::vector<QueryRecord>& records;
+  const device::ThermalParams& thermal;
+
+  sim::Simulator sim;
+  /// deque: scheduled closures capture replica addresses, so growth must
+  /// not relocate existing elements.
+  std::deque<ReplicaSim> replicas;
+
+  // -- Per-query state ----------------------------------------------------
+
+  /// Per-query replay progress. Migration moves the query, not the
+  /// counter — a partially-served query resumes exactly where it left.
+  std::vector<std::size_t> next_step;
+  /// batch_identical: queries riding the active replay, per leader.
+  std::vector<std::vector<std::size_t>> followers;
+  /// Per-profile suffix sums: remaining_after[p][k] = sum of step_ps[k..].
+  /// O(1) remaining-demand estimates for routing / SLO shedding.
+  std::vector<std::vector<util::SimTime>> remaining_after;
+  /// Completed latencies in completion order (streaming-estimator feed).
+  std::vector<double> completion_order_latency_us;
+  util::SimTime last_completion = 0;
+  std::uint32_t admitted = 0;
+  std::uint32_t completed = 0;
+  std::uint32_t shed = 0;
+  std::uint32_t batched = 0;
+  /// Queries whose crash-retry budget ran out (active fault plan only).
+  std::uint32_t failed = 0;
+  /// Closed loop: per-client query chains and issue cursors.
+  std::vector<std::vector<std::size_t>> client_queries;
+  std::vector<std::size_t> client_cursor;
+
+  // -- Replicas, routing, admission ---------------------------------------
+
+  struct ReplicaMeta {
+    util::SimTime joined = 0;
+    bool draining = false;
+    bool retired = false;
+    util::SimTime retired_at = 0;
+    std::uint32_t crashes = 0;
+    util::SimTime down_since = 0;
+    util::SimTime downtime = 0;
+  };
+  std::vector<ReplicaMeta> meta;
+
+  util::Xoshiro256 router_rng;
+  /// The replicas an arrival may route to, in index order. Never empty:
+  /// with every replica draining or retired it falls back to the live
+  /// set, then to {0}. refresh_routable() rebuilds it whenever a replica
+  /// joins, crashes, revives, drains or retires, so routing an arrival
+  /// reads it without rebuilding or allocating.
+  std::vector<std::uint32_t> routable_set;
+  /// Per-tenant admission state (indexed by class; 0 limit = unbounded).
+  std::vector<std::uint32_t> quota_limit;
+  std::vector<std::uint32_t> in_flight;
+  /// Migration pins: tenant class -> replica all later arrivals route to.
+  std::unordered_map<std::uint32_t, std::uint32_t> route_override;
+
+  std::uint32_t shed_queue = 0;
+  std::uint32_t shed_quota = 0;
+  std::uint32_t shed_deadline = 0;
+
+  // -- Live migration -----------------------------------------------------
+
+  struct MigrationState {
+    MigrationRecord record;
+    /// Queries drained at the source, parked until the state copy lands.
+    std::vector<std::size_t> in_transit;
+    bool delivered = false;
+  };
+  std::vector<MigrationState> migrations;
+  std::uint64_t migration_bytes = 0;
+  util::SimTime migration_ps = 0;
+  /// Interconnect rate the migration state copy is charged at.
+  double copy_mbps = 24'000.0;
+
+  // -- Fault injection ----------------------------------------------------
+
+  /// Seeded fault schedule (empty when the spec is disabled) and the
+  /// fault-window state it drives. All of this is dead weight on the
+  /// default path: dead_count stays 0 and fault_extra is never called.
+  fault::FaultPlan plan;
+  std::uint32_t dead_count = 0;
+  std::uint32_t crashes_total = 0;
+  std::uint32_t restarts_total = 0;
+  std::uint32_t replacements_total = 0;
+  std::uint64_t io_retries_total = 0;
+  std::uint32_t link_windows_total = 0;
+  /// Per-replica I/O error-burst windows and the shared draw counter
+  /// (single-threaded queueing sim: the consumption order is the event
+  /// order, deterministic by construction).
+  std::vector<util::SimTime> io_until;
+  std::vector<double> io_rate;
+  std::uint64_t io_draws = 0;
+  /// Fleet-wide link degradation window.
+  util::SimTime link_until = 0;
+  double link_factor = 1.0;
+  /// Revivals / replacements still scheduled: while > 0, queries that
+  /// find no live replica park in `orphans` instead of failing outright.
+  std::uint32_t pending_recoveries = 0;
+  std::vector<std::size_t> orphans;
+
+  // -- Elastic controller and health --------------------------------------
+
+  /// Controller period; 0 with the controller off.
+  util::SimTime interval_ps = 0;
+  /// The controller's own depth series (not the telemetry sampler — the
+  /// controller must work untapped), fed on every arrival, completion,
+  /// and tick.
+  obs::TimeSeriesSampler depth_series;
+  std::uint32_t ch_waiting = 0;
+  std::size_t depth_cursor = 0;
+  std::uint32_t cooldown = 0;
+  std::vector<ScalingEvent> scaling_events;
+  std::uint32_t peak_replicas = 0;
+  /// Streaming health detectors over the depth / throttle / completion
+  /// feeds; pure bookkeeping, active whether or not a sink is attached
+  /// (the incident log is part of the report).
+  obs::HealthMonitor monitor;
+
+  // -- Telemetry (null/false when detached — the default path) ------------
+  // Every hook only appends to obs-owned buffers, so the schedule and
+  // every record stay bit-identical to the untapped run.
+
+  obs::Telemetry* telemetry = nullptr;
+  bool tracing = false;
+  bool sampling = false;
+  std::uint16_t track_lifecycle = 0;  ///< ("serve","lifecycle"): instants
+  std::uint32_t n_admit = 0, n_shed = 0, n_complete = 0, k_query = 0;
+  std::uint32_t n_failed = 0;
+  std::uint32_t n_queued = 0;  ///< queue-wait span on the lifecycle track
+  /// Causal flow per admitted query ('s' at admit, 't' per quantum /
+  /// migration hop, 'f' at completion), named "query", id = query id.
+  std::uint32_t n_flow = 0;
+  std::uint16_t track_control = 0;  ///< ("fleet","control"): timeline
+  std::uint32_t n_migrate = 0, n_copy_landed = 0;
+  std::uint32_t n_scale_up = 0, n_scale_down = 0;
+  std::uint32_t n_crash = 0, n_restart = 0, n_replace = 0;
+  std::uint32_t k_class = 0, k_replica = 0;
+  obs::Counter* c_admitted = nullptr;
+  obs::Counter* c_shed = nullptr;
+  obs::Counter* c_completed = nullptr;
+  obs::Counter* c_failed = nullptr;
+  util::Log2Histogram* h_latency_ns = nullptr;
+  std::uint32_t ch_depth = 0;  ///< waiting + in service, fleet-wide
+
+  FleetSim(const FleetConfig& config_in, const WorkloadSpec& spec_in,
+           const std::vector<Query>& queries_in,
+           const std::vector<QueryProfile>& profiles_in,
+           std::vector<QueryRecord>& records_in,
+           const device::ThermalParams& thermal_in, std::size_t num_classes);
+  // Replicas and scheduled closures hold this object's address.
+  FleetSim(const FleetSim&) = delete;
+  FleetSim& operator=(const FleetSim&) = delete;
+
+  /// Binds the sink (nullptr or disabled: stays untapped): the lifecycle
+  /// track, counters and depth channel, every replica's telemetry, and
+  /// the ("fleet","control") timeline.
+  void attach_telemetry(obs::Telemetry* sink);
+  /// Schedules migrations, the elastic controller, the fault plan and
+  /// the workload's arrivals (open loop: one event per query; closed
+  /// loop: per-client chains), then drains the simulator.
+  void run();
+  /// Aggregates the finished simulation into `report`.
+  void fill(FleetReport& report);
+
+  util::SimTime deadline(std::size_t i) const {
+    return records[i].arrival + records[i].slo;
+  }
+  /// Unserved profiled demand of query i (its remaining supersteps).
+  util::SimTime remaining_ps(std::size_t i) const {
+    return remaining_after[records[i].profile_index][next_step[i]];
+  }
+  bool all_resolved() const noexcept {
+    return completed + shed + failed >= queries.size();
+  }
+
+  // -- Query lifecycle ----------------------------------------------------
+
+  /// The arrival path: admission gates in fixed order (quota, outage,
+  /// deadline feasibility, routed queue capacity), then admit.
+  void arrive(std::size_t i);
+  void issue_next(std::uint32_t client);
+  /// Marks query i shed: record flag, counter, telemetry, and the
+  /// closed-loop reissue (a shed query does not stall its client).
+  void shed_query(std::size_t i);
+  /// Marks query i failed (crash-retry budget exhausted): record flag,
+  /// telemetry flow end, closed-loop reissue, quota release.
+  void fail_query(std::size_t i);
+  /// Finalizes query i's record (completion, queue/ride split, SLO),
+  /// feeds the streaming estimators and the health monitor, reissues the
+  /// closed-loop client, releases the quota slot, and retires a drained
+  /// replica that just ran dry.
+  void complete_query(std::size_t i);
+
+  void note_admission(std::size_t i, bool was_shed);
+  void note_completion(std::size_t i);
+  void note_failed(std::size_t i);
+  /// Queue-wait span [arrival, first_service] on the lifecycle track;
+  /// fired when query i first reaches a stack (leader or batch rider).
+  void note_queued(std::size_t i);
+  /// Samples the fleet-wide depth channel (telemetry on).
+  void sample_depth();
+
+  // -- Replicas and routing -----------------------------------------------
+
+  ReplicaSim& add_replica();
+  bool routable(std::uint32_t k) const {
+    return !meta[k].draining && !meta[k].retired && !replicas[k].dead;
+  }
+  void refresh_routable();
+  /// Any replica a query could legally land on right now? (The {0}
+  /// fallback of routable_set exists for the no-fault invariant that
+  /// someone is always alive; with crashes in play, callers must check
+  /// first.)
+  bool has_live() const;
+  std::uint32_t active_count() const;
+  double total_depth() const;
+  std::uint64_t total_waiting() const;
+  void record_depth();
+  std::uint32_t route(std::size_t i);
+
+  // -- Live migration -----------------------------------------------------
+
+  void migrate(std::size_t m);
+  void copy_landed(std::size_t m);
+  /// The in-flight query yielded at its preemption point. If the state
+  /// copy already landed it resumes on the target now (mid-serve, replay
+  /// progress intact); otherwise it rides the copy with the waiting set.
+  void redirected(std::size_t m, std::size_t i);
+
+  // -- Fault injection and recovery ---------------------------------------
+
+  void deliver_fault(const fault::FaultEvent& e);
+  /// Extra wall time for a quantum on replica k whose profiled duration
+  /// is `duration`: transient I/O retries and link-degrade windows. Bytes
+  /// are unaffected; the backlog estimate stays profiled, matching the
+  /// thermal-stretch convention. Called only with an active plan.
+  util::SimTime fault_extra(std::uint32_t k, util::SimTime duration);
+  /// The event's target replica if it is alive, else the next live one
+  /// in index order — a plan drawn against the initial fleet keeps
+  /// meaning something after crashes and scale-downs. replicas.size()
+  /// when nothing is left to kill.
+  std::uint32_t crash_victim(std::uint32_t want) const;
+  void crash(const fault::FaultEvent& e);
+  /// Discards query i's completed supersteps (crash recovery): any
+  /// followers riding its replay re-enter individually, its accumulated
+  /// stack time and bytes move to the lost-work ledger, and the replay
+  /// restarts from superstep 0.
+  void lose_progress(std::size_t i);
+  /// Places an already-admitted query back onto the fleet (crash
+  /// recovery): routes like an arrival but bypasses the admission gates
+  /// — the query already holds its quota slot.
+  void reroute(std::size_t i);
+  void drain_orphans();
+  void revive(std::uint32_t k);
+  void join_replacement(std::int64_t incident);
+  void io_burst(const fault::FaultEvent& e);
+  void link_flap(const fault::FaultEvent& e);
+
+  // -- Elastic controller -------------------------------------------------
+
+  void elastic_tick();
+  void grow(double per);
+  void shrink(double per);
+};
 
 }  // namespace cxlgraph::serve

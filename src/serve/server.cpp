@@ -1,21 +1,15 @@
 #include "serve/server.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <functional>
-#include <limits>
+#include <iterator>
 #include <map>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <utility>
 
 #include "algo/bfs.hpp"
-#include "device/state_model.hpp"
-#include "obs/telemetry.hpp"
-#include "serve/replica.hpp"
-#include "sim/simulator.hpp"
-#include "util/rng.hpp"
+#include "obs/sampler.hpp"
+#include "serve/fleet.hpp"
 
 namespace cxlgraph::serve {
 
@@ -302,78 +296,11 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
 
 ServeReport QueryServer::serve(const graph::CsrGraph& graph,
                                const ServeRequest& request) {
-  const WorkloadSpec& spec = request.workload;
-
-  ServeReport report;
-  report.policy = to_string(request.config.policy);
-  report.process = to_string(spec.process);
-
-  ProfiledWorkload workload =
-      profile_workload(graph, request.base, spec);
-  report.offered = static_cast<std::uint32_t>(workload.queries.size());
-  if (workload.queries.empty()) return report;
-  report.backend = workload.profiles.front().report.backend;
-  report.access_method = workload.profiles.front().report.access_method;
-
-  // -------------------------------------------------------------------
-  // The queueing simulation over the one shared stack: a single
-  // ReplicaSim driven through exactly the pre-fleet event sequence.
-  // -------------------------------------------------------------------
-  report.queries.resize(workload.queries.size());
-  for (std::size_t i = 0; i < workload.queries.size(); ++i) {
-    QueryRecord& r = report.queries[i];
-    r.id = workload.queries[i].id;
-    r.class_index = workload.queries[i].class_index;
-    r.profile_index = workload.query_profile[i];
-    r.slo = workload.queries[i].slo;
-  }
-
-  const device::ThermalParams& thermal =
-      stack_thermal(request.base.backend);
-  device::validate(thermal);
-
-  SimShared shared(request.config, spec, workload.queries,
-                   workload.profiles, report.queries, thermal);
-  ReplicaSim replica(shared, /*index=*/0);
-  shared.total_depth = [&replica]() { return replica.depth(); };
-  shared.deliver = [&shared, &replica,
-                    &config = request.config](std::size_t i) {
-    QueryRecord& r = shared.records[i];
-    r.arrival = shared.sim.now();
-    if (config.max_waiting > 0 && replica.waiting() >= config.max_waiting) {
-      shared.shed_query(i);
-      return;
-    }
-    replica.admit(i);
-  };
-  shared.attach_telemetry(telemetry_);
-  replica.attach_telemetry("stack", "serve/quantum_bytes", "stack-heat",
-                           "serve/stack/depth");
-  std::unique_ptr<obs::SimRunObserver> observer;
-  if (shared.telemetry != nullptr) {
-    observer =
-        std::make_unique<obs::SimRunObserver>(*shared.telemetry, "serve_sim");
-    observer->add_probe(
-        "heat", [&replica]() { return replica.heat.heat(); },
-        obs::TimeSeriesSampler::Reduce::kMax);
-  }
-  shared.run(observer.get());
-
-  // -------------------------------------------------------------------
-  // Aggregate.
-  // -------------------------------------------------------------------
-  report.admitted = shared.admitted;
-  report.completed = shared.completed;
-  report.shed = shared.shed;
-  report.failed = shared.failed;  // always 0 solo: no fault plan here
-  report.batched = shared.batched;
-  report.link_bytes = replica.link_bytes;
-  report.makespan_sec = util::sec_from_ps(shared.last_completion);
-  report.throttled_quanta = replica.throttled_quanta;
-  report.stack_peak_heat = replica.heat.peak_heat();
-  summarize_serve(report, shared, replica.busy_ps, report.makespan_sec);
-  report.profiles = std::move(workload.profiles);
-  return report;
+  FleetRequest one_replica;
+  one_replica.base = request.base;
+  one_replica.workload = request.workload;
+  one_replica.fleet.serve = request.config;
+  return serve(graph, one_replica).serve;
 }
 
 }  // namespace cxlgraph::serve

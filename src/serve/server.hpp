@@ -1,13 +1,13 @@
 #pragma once
 /// \file server.hpp
-/// Multi-tenant query serving over one shared GPU + CXL stack.
+/// Multi-tenant query serving over shared GPU + CXL stacks.
 ///
 /// QueryServer admits a WorkloadSpec's query stream and executes it
-/// against a single modeled GPU + interconnect + device stack instead of
-/// replaying each query in isolation. The contention model is superstep-
-/// granular time-sharing, which is how one physical GPU actually
-/// multiplexes analytics queries — kernels (supersteps) are the natural
-/// preemption points:
+/// against modeled GPU + interconnect + device stacks instead of replaying
+/// each query in isolation. The contention model is superstep-granular
+/// time-sharing, which is how one physical GPU actually multiplexes
+/// analytics queries — kernels (supersteps) are the natural preemption
+/// points:
 ///
 ///  1. Every distinct (query class, source) gets a profile from an
 ///     idle-stack run through the core contention seam
@@ -18,15 +18,20 @@
 ///     computation runs once: a source-free class (core::uses_source is
 ///     false: CC, PageRank scan) replays once for all of its sources, and
 ///     the shard-spanning classes of one shard layout share one partition.
-///  2. A discrete-event queueing simulation (sim::Simulator) then
-///     interleaves the admitted queries' supersteps onto the shared stack
-///     under a scheduling policy: FIFO run-to-completion, round-robin
-///     batching (a quantum of supersteps per turn), or SLO-aware priority
-///     (earliest deadline first, preemptible between quanta). An
-///     admission controller sheds arrivals past the waiting-queue
-///     capacity.
+///  2. A discrete-event queueing simulation (replica.hpp) then
+///     interleaves the admitted queries' supersteps onto the stacks under
+///     a scheduling policy: FIFO run-to-completion, round-robin batching
+///     (a quantum of supersteps per turn), or SLO-aware priority (earliest
+///     deadline first, preemptible between quanta). An admission
+///     controller sheds arrivals past the waiting-queue capacity.
 ///
-/// Everything is deterministic in (graph, ServeRequest): per-query seeds
+/// There is one queueing engine. serve(graph, ServeRequest) runs the
+/// request on one shared stack by serving a one-replica FleetRequest
+/// behind the random router; serve(graph, FleetRequest) (fleet.hpp) adds
+/// replicas, routers, quotas, migration, elastic scaling and faults on
+/// the same code path.
+///
+/// Everything is deterministic in (graph, request): per-query seeds
 /// derive from the workload seed, profiling fan-out is insertion-ordered,
 /// and the queueing simulation is single-threaded. A single admitted
 /// query on an idle server reproduces the ExternalGraphRuntime report
@@ -125,9 +130,8 @@ struct QueryRecord {
   util::SimTime queue_ps = 0;  // completion - arrival - service_ps - ride_ps
   std::uint64_t service_bytes = 0;
   util::SimTime slo = 0;
-  /// Replica that served (or is serving) this query. 0 for the
-  /// single-stack QueryServer; a live-migrated query reports the replica
-  /// it completed on.
+  /// Replica that served (or is serving) this query. 0 for a single-stack
+  /// serve; a live-migrated query reports the replica it completed on.
   std::uint32_t replica = 0;
   bool shed = false;
   bool slo_violated = false;
@@ -242,14 +246,18 @@ std::vector<SoakWindow> soak_windows(const ServeReport& report,
 
 /// A workload expanded and profiled against one graph: the concrete query
 /// stream, the distinct (class shape, source) profiles, and the map from
-/// query to profile. The input every queueing simulation — single-stack
-/// or fleet — consumes.
+/// query to profile. The input of the queueing simulation.
 struct ProfiledWorkload {
   std::vector<Query> queries;
   std::vector<QueryProfile> profiles;
   std::vector<std::size_t> query_profile;
 };
 
+struct FleetRequest;
+struct FleetReport;
+
+/// Owns profiling, the cross-serve profile cache, and both serve()
+/// overloads. FleetServer (fleet.hpp) is another name for it.
 class QueryServer {
  public:
   /// `jobs` bounds the profiling fan-out (ExperimentRunner semantics:
@@ -260,14 +268,24 @@ class QueryServer {
   explicit QueryServer(core::SystemConfig config, unsigned jobs = 0,
                        std::size_t profile_cache_capacity = 0);
 
-  /// Runs the workload to completion. Deterministic in (graph, request).
+  /// Runs the workload to completion on one shared stack: the serve() of
+  /// a FleetRequest with one replica, the random router, and
+  /// `fleet.serve = request.config`, returning its ServeReport.
+  /// Deterministic in (graph, request).
   ServeReport serve(const graph::CsrGraph& graph,
                     const ServeRequest& request);
 
-  /// The profiling front half of serve(), exposed so FleetServer can
-  /// reuse the cache and fan-out: expands the workload and returns one
-  /// idle-stack profile per distinct (class shape, source), computing each
-  /// distinct cache key once. Deterministic in (graph, base, workload);
+  /// Runs the workload over a fleet of replicas (fleet.hpp).
+  /// Deterministic in (graph, request); throws std::invalid_argument for
+  /// malformed fleet configs (FleetConfig::validate).
+  FleetReport serve(const graph::CsrGraph& graph,
+                    const FleetRequest& request);
+
+  /// The profiling front half of serve(), public so callers can calibrate
+  /// a workload (offered load, SLOs) on its profiles: expands the workload
+  /// and returns one idle-stack profile per distinct (class shape,
+  /// source), computing each distinct cache key once and leaving it in
+  /// the cache serve() reads. Deterministic in (graph, base, workload);
   /// empty stream yields empty vectors.
   ProfiledWorkload profile_workload(const graph::CsrGraph& graph,
                                     const core::RunRequest& base,
@@ -283,10 +301,12 @@ class QueryServer {
 
   /// Attaches a telemetry sink (nullptr detaches). When enabled, the
   /// queueing simulation records the query lifecycle (admit / shed /
-  /// quanta / complete), queue-depth and heat channels, and stack
-  /// throttle transitions — passively, so every ServeReport field stays
-  /// bit-identical to the detached path. Idle-stack profiling runs are
-  /// deliberately untapped: they fan out across threads and describe
+  /// complete, causal flows) on ("serve","lifecycle"), each replica's
+  /// quanta on ("serve","replica<k>") with its byte, depth and heat
+  /// channels, the fleet timeline on ("fleet","control"), and labeled
+  /// per-replica / per-tenant metrics — passively, so every report field
+  /// stays bit-identical to the detached path. Idle-stack profiling runs
+  /// are deliberately untapped: they fan out across threads and describe
   /// cached profiles, not serving-time behavior.
   void set_telemetry(obs::Telemetry* telemetry) noexcept {
     telemetry_ = telemetry;

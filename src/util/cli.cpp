@@ -74,6 +74,27 @@ std::int64_t CliParser::get_int(const std::string& name) const {
   return std::stoll(require(name).value);
 }
 
+std::uint32_t CliParser::get_uint(const std::string& name, std::uint32_t min,
+                                  std::uint32_t max) const {
+  const std::string& value = require(name).value;
+  bool ok = false;
+  long long parsed = 0;
+  try {
+    std::size_t used = 0;
+    parsed = std::stoll(value, &used);
+    ok = used == value.size() && parsed >= min && parsed <= max;
+  } catch (const std::logic_error&) {
+    // Not a number, or out of long long range: reported below.
+  }
+  if (!ok) {
+    throw std::invalid_argument("--" + name + " must be an integer in [" +
+                                std::to_string(min) + ", " +
+                                std::to_string(max) + "] (got '" + value +
+                                "')");
+  }
+  return static_cast<std::uint32_t>(parsed);
+}
+
 double CliParser::get_double(const std::string& name) const {
   return std::stod(require(name).value);
 }

@@ -6,6 +6,7 @@
 /// Unknown options raise an error so typos in experiment sweeps are caught.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,6 +28,12 @@ class CliParser {
   bool has(const std::string& name) const;
   std::string get(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  /// An unsigned count: throws std::invalid_argument naming the option
+  /// unless its whole value is an integer in [min, max], so a negative
+  /// count is an error instead of wrapping to a huge unsigned one.
+  std::uint32_t get_uint(
+      const std::string& name, std::uint32_t min = 0,
+      std::uint32_t max = std::numeric_limits<std::uint32_t>::max()) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 

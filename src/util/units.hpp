@@ -26,12 +26,17 @@ constexpr SimTime ps_from_ns(double ns) noexcept {
 constexpr SimTime ps_from_us(double us) noexcept {
   return static_cast<SimTime>(us * static_cast<double>(kPsPerUs) + 0.5);
 }
+constexpr SimTime ps_from_sec(double sec) noexcept {
+  return static_cast<SimTime>(sec * static_cast<double>(kPsPerSec) + 0.5);
+}
 /// ps_from_us for a value that crosses a trust boundary (a CLI flag, a
 /// config field): identical result for every representable duration, but
 /// throws std::invalid_argument naming `what` when `us` is negative, NaN,
 /// infinite, or too long for SimTime — the casts ps_from_us leaves
 /// undefined.
 SimTime checked_ps_from_us(double us, std::string_view what);
+/// The same check for ps_from_sec.
+SimTime checked_ps_from_sec(double sec, std::string_view what);
 
 constexpr double ns_from_ps(SimTime ps) noexcept {
   return static_cast<double>(ps) / static_cast<double>(kPsPerNs);

@@ -19,7 +19,10 @@
 ///    bytes, on both the storage and CXL read paths.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "device/cxl_device.hpp"
@@ -220,6 +223,40 @@ TEST(FaultSpec, ParseRoundTripsAndRejectsGarbage) {
       std::invalid_argument);
 }
 
+// Every duration in a spec becomes picoseconds, and NaN, infinite or
+// negative values would make that cast undefined: the parser and
+// validate() reject them, and NaN rates cannot slip past [0, 1] either.
+TEST(FaultSpec, RejectsNonFiniteAndNegativeDurations) {
+  for (const std::string bad : {"nan", "inf", "-1"}) {
+    for (const std::string& spec :
+         {"crashes=1,horizon-ms=" + bad,
+          "horizon-ms=10,crashes=1,restart-ms=" + bad,
+          "horizon-ms=10,crashes=1,provision-ms=" + bad,
+          "horizon-ms=10,crashes=1,backoff-us=" + bad,
+          "horizon-ms=10,io-bursts=1,io-burst-ms=" + bad,
+          "horizon-ms=10,io-bursts=1,io-burst-ms=1,io-retry-us=" + bad,
+          "horizon-ms=10,link-flaps=1,flap-ms=" + bad}) {
+      EXPECT_THROW(fault::parse_fault_spec(spec), std::invalid_argument)
+          << spec;
+    }
+  }
+  EXPECT_THROW(fault::parse_fault_spec(
+                   "horizon-ms=10,io-bursts=1,io-burst-ms=1,io-rate=nan"),
+               std::invalid_argument);
+  EXPECT_THROW(fault::parse_fault_spec(
+                   "horizon-ms=10,link-flaps=1,flap-ms=1,flap-derate=nan"),
+               std::invalid_argument);
+
+  fault::FaultSpec spec;
+  spec.crashes = 1;
+  spec.horizon_sec = std::nan("");
+  EXPECT_THROW(fault::validate(spec), std::invalid_argument);
+  spec.horizon_sec = 0.01;
+  EXPECT_NO_THROW(fault::validate(spec));
+  spec.restart_sec = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(fault::validate(spec), std::invalid_argument);
+}
+
 // ----------------------------------------------------------- device ----
 
 TEST(IoFaultPenalty, DisabledIsFreeEnabledBacksOffLinearly) {
@@ -326,6 +363,45 @@ TEST(FleetFaults, ZeroRatePlanIsRecordIdenticalToNoPlan) {
   EXPECT_EQ(b.serve.lost_bytes, 0u);
   EXPECT_EQ(b.crashes, 0u);
   EXPECT_DOUBLE_EQ(b.availability, 1.0);
+}
+
+// Routing follows a crash-restart: under the random router, arrivals
+// during the outage never land on the dead replica, and arrivals after it
+// revives reach it again.
+TEST(FleetFaults, RevivedReplicaTakesArrivalsAgain) {
+  const graph::CsrGraph g = test_graph();
+  serve::FleetRequest req = fleet_request(4000.0, 96, 2);
+  req.fleet.router = serve::RouterKind::kRandom;
+  const double window_sec =
+      static_cast<double>(req.workload.num_queries) /
+      req.workload.offered_qps;
+  req.fleet.faults.seed = 77;
+  req.fleet.faults.horizon_sec = window_sec / 4.0;
+  req.fleet.faults.crashes = 1;
+  req.fleet.faults.restart_sec = window_sec / 8.0;
+
+  serve::FleetServer fleet(core::table3_system());
+  const serve::FleetReport r = fleet.serve(g, req);
+  ASSERT_EQ(r.crashes, 1u);
+  ASSERT_EQ(r.restarts, 1u);
+  std::uint32_t down = 0;
+  while (r.replica_stats[down].crashes == 0) ++down;
+  const obs::Incident* outage = nullptr;
+  for (const obs::Incident& inc : r.incidents) {
+    if (inc.kind == obs::IncidentKind::kReplicaDown) outage = &inc;
+  }
+  ASSERT_NE(outage, nullptr);
+  ASSERT_FALSE(outage->open);
+
+  std::uint32_t after_revival = 0;
+  for (const serve::QueryRecord& q : r.serve.queries) {
+    if (q.arrival >= outage->opened_ps && q.arrival < outage->closed_ps) {
+      EXPECT_NE(q.replica, down) << "query " << q.id;
+    } else if (q.arrival >= outage->closed_ps && q.replica == down) {
+      ++after_revival;
+    }
+  }
+  EXPECT_GT(after_revival, 0u);
 }
 
 TEST(FleetFaults, CrashRecoversWaitingAndInFlightWork) {

@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -304,6 +306,34 @@ TEST(FleetServer, ElasticControllerScalesUpUnderBacklog) {
   }
 }
 
+// A drained replica leaves the routing set at the drain decision: under
+// the random router no query arriving after a scale-down lands on it.
+TEST(FleetServer, ScaleDownStopsRoutingToTheDrainedReplica) {
+  const graph::CsrGraph g = test_graph();
+  serve::FleetRequest req = mixed_fleet_request(2000.0, 96);  // light load
+  req.fleet.replicas = 3;
+  req.fleet.router = serve::RouterKind::kRandom;
+  req.fleet.elastic.enabled = true;
+  req.fleet.elastic.min_replicas = 1;
+  req.fleet.elastic.max_replicas = 3;
+  req.fleet.elastic.check_interval_sec = 2e-3;
+
+  serve::FleetServer fleet(core::table3_system());
+  const serve::FleetReport r = fleet.serve(g, req);
+  std::uint32_t drains = 0;
+  for (const serve::ScalingEvent& ev : r.scaling_events) {
+    if (ev.added) continue;
+    ++drains;
+    for (const serve::QueryRecord& q : r.serve.queries) {
+      if (!q.shed && util::sec_from_ps(q.arrival) > ev.at_sec) {
+        EXPECT_NE(q.replica, ev.replica) << "query " << q.id;
+      }
+    }
+  }
+  EXPECT_GT(drains, 0u);
+  EXPECT_EQ(r.serve.completed, r.serve.offered);
+}
+
 TEST(FleetServer, ValidatesFleetConfiguration) {
   const graph::CsrGraph g = test_graph();
   serve::FleetServer fleet(core::table3_system());
@@ -331,6 +361,13 @@ TEST(FleetServer, ValidatesFleetConfiguration) {
   req.fleet.elastic.min_replicas = 1;
   req.fleet.elastic.check_interval_sec = 0.0;
   EXPECT_THROW(fleet.serve(g, req), std::invalid_argument);
+  req.fleet.elastic.check_interval_sec = std::nan("");
+  EXPECT_THROW(fleet.serve(g, req), std::invalid_argument);
+
+  // With the controller off its interval is never converted to
+  // picoseconds, so it is not validated either.
+  req.fleet.elastic.enabled = false;
+  EXPECT_NO_THROW(fleet.serve(g, req));
 }
 
 // FleetConfig::validate is callable on its own (serve() routes through
@@ -358,7 +395,22 @@ TEST(FleetConfig, ValidateRejectsMalformedMigrationsDescriptively) {
   EXPECT_NE(message_of().find("class"), std::string::npos);
   fleet.migrations = {serve::MigrationPlan{-1.0, 0, 0, 1}};
   EXPECT_FALSE(message_of().empty());
+  // NaN and infinity pass a `< 0` test; they must not reach the cast to
+  // picoseconds.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), kInf}) {
+    fleet.migrations = {serve::MigrationPlan{bad, 0, 0, 1}};
+    EXPECT_NE(message_of().find("migration time"), std::string::npos) << bad;
+  }
   fleet.migrations.clear();
+
+  fleet.elastic.enabled = true;
+  for (const double bad : {std::nan(""), kInf, -1.0}) {
+    fleet.elastic.check_interval_sec = bad;
+    EXPECT_NE(message_of().find("elastic check interval"), std::string::npos)
+        << bad;
+  }
+  fleet.elastic = serve::ElasticConfig{};
 
   // The fault spec is validated through the same member.
   fleet.faults.crashes = 1;  // enabled with horizon == 0

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -296,10 +297,18 @@ TEST(Partition, ClusterExchangeBytesEqualPairSums) {
   }
 }
 
+// Out-of-range shard counts throw before any shard is built: 0, one past
+// kMaxShards, and UINT32_MAX, whose num_shards + 1 wraps to 0 in the
+// range strategies' 32-bit bound arithmetic.
 TEST(Partition, ZeroShardsThrows) {
   const CsrGraph g = graph::make_path(4);
-  EXPECT_THROW(make_partition(g, Strategy::kVertexRange, 0),
-               std::invalid_argument);
+  for (const std::uint32_t shards :
+       {0u, kMaxShards + 1, std::numeric_limits<std::uint32_t>::max()}) {
+    for (const Strategy strategy : all_strategies()) {
+      EXPECT_THROW(make_partition(g, strategy, shards), std::invalid_argument)
+          << shards << " " << to_string(strategy);
+    }
+  }
 }
 
 TEST(Partition, StrategyNamesRoundTrip) {

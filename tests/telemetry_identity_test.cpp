@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/cluster_runtime.hpp"
@@ -161,6 +162,34 @@ TEST(TelemetryIdentity, ServeRunIsRecordIdenticalWithTelemetryOn) {
   // Lifecycle instants (admit/shed/complete) and quanta spans landed.
   EXPECT_FALSE(telemetry.tracer().empty());
   EXPECT_GT(telemetry.metrics().size(), 0u);
+
+  // One frontend: the same request as a one-replica FleetRequest, on its
+  // own sink, exports the same trace and metrics bytes as the
+  // ServeRequest path above. The solo stack is replica 0 like any other.
+  serve::FleetRequest fleet_req;
+  fleet_req.base = req.base;
+  fleet_req.workload = req.workload;
+  fleet_req.fleet.serve = req.config;
+  obs::Telemetry fleet_telemetry(obs::Telemetry::enabled_config());
+  serve::FleetServer fleet(core::table3_system());
+  fleet.set_telemetry(&fleet_telemetry);
+  fleet.serve(g, fleet_req);
+
+  std::ostringstream solo_trace, fleet_trace, solo_metrics, fleet_metrics;
+  telemetry.write_trace_json(solo_trace);
+  fleet_telemetry.write_trace_json(fleet_trace);
+  telemetry.write_metrics_json(solo_metrics);
+  fleet_telemetry.write_metrics_json(fleet_metrics);
+  EXPECT_EQ(solo_trace.str(), fleet_trace.str());
+  EXPECT_EQ(solo_metrics.str(), fleet_metrics.str());
+  EXPECT_NE(solo_trace.str().find("\"replica0\""), std::string::npos);
+
+  // Every admitted query's flow closes ('s' at admit, 'f' at completion).
+  const obs::TraceCheckResult check =
+      obs::check_trace(obs::parse_json(solo_trace.str()));
+  ASSERT_TRUE(check.ok) << check.error;
+  EXPECT_GT(check.flows, 0u);
+  EXPECT_GT(check.flow_events, check.flows);
 }
 
 TEST(TelemetryIdentity, FleetRunIsRecordIdenticalWithTelemetryOn) {

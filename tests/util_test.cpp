@@ -259,6 +259,12 @@ TEST(Units, CheckedConversionMatchesOrRejects) {
        {-1.0, -1e-12, std::nan(""), kInf, -kInf, 1.9e13, 1e300}) {
     EXPECT_THROW(checked_ps_from_us(us, "t"), std::invalid_argument) << us;
   }
+  for (const double sec : {0.0, 1e-12, 0.25, 3.0, 1.8e7}) {
+    EXPECT_EQ(checked_ps_from_sec(sec, "t"), ps_from_sec(sec)) << sec;
+  }
+  for (const double sec : {-1.0, std::nan(""), kInf, -kInf, 1.9e7}) {
+    EXPECT_THROW(checked_ps_from_sec(sec, "t"), std::invalid_argument) << sec;
+  }
 }
 
 TEST(Units, PsPerByteMatchesBandwidth) {
@@ -359,6 +365,32 @@ TEST(Cli, MissingValueThrows) {
   cli.add_option("x", "", "");
   const char* argv[] = {"prog", "--x"};
   EXPECT_THROW(cli.parse(2, argv), std::invalid_argument);
+}
+
+TEST(Cli, UnsignedGetterRangeChecksInsteadOfWrapping) {
+  CliParser cli;
+  cli.add_option("n", "count", "4");
+  const char* defaults[] = {"prog"};
+  ASSERT_TRUE(cli.parse(1, defaults));
+  EXPECT_EQ(cli.get_uint("n"), 4u);
+  EXPECT_EQ(cli.get_uint("n", 4, 4), 4u);
+  EXPECT_THROW(cli.get_uint("n", 5), std::invalid_argument);
+  EXPECT_THROW(cli.get_uint("n", 0, 3), std::invalid_argument);
+
+  for (const char* bad :
+       {"--n=-1", "--n=4294967296", "--n=3x", "--n=", "--n=x",
+        "--n=99999999999999999999"}) {
+    CliParser c;
+    c.add_option("n", "count", "4");
+    const char* argv[] = {"prog", bad};
+    ASSERT_TRUE(c.parse(2, argv));
+    EXPECT_THROW(c.get_uint("n"), std::invalid_argument) << bad;
+  }
+  CliParser top;
+  top.add_option("n", "count", "4");
+  const char* argv[] = {"prog", "--n=4294967295"};
+  ASSERT_TRUE(top.parse(2, argv));
+  EXPECT_EQ(top.get_uint("n"), 4294967295u);
 }
 
 TEST(Cli, PositionalArgumentsCollected) {

@@ -5,15 +5,15 @@
 ///   cxlgraph convert  --in=edges.txt --out=g.cxlg [--symmetrize]
 ///   cxlgraph info     g.cxlg
 ///   cxlgraph reorder  --in=g.cxlg --out=g2.cxlg --order=degree-sorted
-///   cxlgraph run      --graph=g.cxlg --algo=bfs --backend=cxl \
-///                     [--added-us=1.0] [--alignment=32] [--gen3] \
-///                     [--shards=4] [--partitioner=degree-balanced] \
+///   cxlgraph run      --graph=g.cxlg --algo=bfs --backend=cxl
+///                     [--added-us=1.0] [--alignment=32] [--gen3]
+///                     [--shards=4] [--partitioner=degree-balanced]
 ///                     [--reorder=shard-degree]
-///   cxlgraph serve    --dataset=urand --scale=14 --backend=cxl \
-///                     [--qps=500] [--queries=128] [--policy=fifo] \
-///                     [--slo-us=20000] [--queue-cap=64] [--closed-loop] \
-///                     [--replicas=4] [--router=join-shortest-queue] \
-///                     [--migrate=at_ms:class:from:to] [--elastic-max=4] \
+///   cxlgraph serve    --dataset=urand --scale=14 --backend=cxl
+///                     [--qps=500] [--queries=128] [--policy=fifo]
+///                     [--slo-us=20000] [--queue-cap=64] [--closed-loop]
+///                     [--replicas=4] [--router=join-shortest-queue]
+///                     [--migrate=at_ms:class:from:to] [--elastic-max=4]
 ///                     [--incidents-out=incidents.json]
 ///
 /// `run` without --graph generates the dataset on the fly
@@ -22,18 +22,20 @@
 /// partitioned, every shard gets its own GPU + backend stack, and the
 /// report adds the exchange/cut numbers.
 ///
-/// `serve` admits a seeded stream of mixed analytics queries against one
-/// shared stack (serve::QueryServer) and reports the latency tail,
-/// goodput, SLO violations, and shed rate under the chosen scheduling
-/// policy and admission cap. Any fleet option (--replicas >= 2, --router,
-/// --migrate, --quota, --elastic-max, --slo-shed, --incidents-out)
-/// switches the command to serve::FleetServer: N replicated stacks behind
-/// the chosen router, with optional live tenant migration, elastic
-/// scaling, and the health monitor's incident log (--incidents-out).
+/// `serve` admits a seeded stream of mixed analytics queries against
+/// --replicas copies of the stack (default 1: one shared stack) behind
+/// the --router (default random) through serve::QueryServer, and reports
+/// the latency tail, goodput, SLO violations, and shed rate under the
+/// chosen scheduling policy and admission cap, plus any live tenant
+/// migration, elastic scaling, fault injection, and the health monitor's
+/// incident log (--incidents-out). Every serve takes the same path and
+/// prints the same table.
+///
+/// Count options are range-checked (util::CliParser::get_uint): a
+/// negative or out-of-range count is an error, never a wrapped value.
 
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -53,6 +55,9 @@
 namespace {
 
 using namespace cxlgraph;
+
+/// --scale is log2 of a 64-bit vertex count.
+constexpr std::uint32_t kMaxScale = 63;
 
 int usage() {
   std::cerr << "usage: cxlgraph <generate|convert|info|reorder|run|serve> "
@@ -114,7 +119,7 @@ int cmd_generate(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
   const graph::CsrGraph g = graph::make_dataset(
       graph::dataset_from_name(cli.get("dataset")),
-      static_cast<unsigned>(cli.get_int("scale")), cli.get_bool("weighted"),
+      cli.get_uint("scale", 0, kMaxScale), cli.get_bool("weighted"),
       static_cast<std::uint64_t>(cli.get_int("seed")));
   graph::save_binary_file(g, cli.get("out"));
   std::cout << "wrote " << cli.get("out") << ": " << g.num_vertices()
@@ -219,10 +224,9 @@ int cmd_run(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   graph::CsrGraph g =
       cli.get("graph").empty()
-          ? graph::make_dataset(
-                graph::dataset_from_name(cli.get("dataset")),
-                static_cast<unsigned>(cli.get_int("scale")),
-                /*weighted=*/true, seed)
+          ? graph::make_dataset(graph::dataset_from_name(cli.get("dataset")),
+                                cli.get_uint("scale", 0, kMaxScale),
+                                /*weighted=*/true, seed)
           : graph::load_binary_file(cli.get("graph"));
 
   core::SystemConfig cfg =
@@ -237,19 +241,16 @@ int cmd_run(int argc, char** argv) {
   const double added_us = cli.get_double("added-us");
   const util::SimTime added = util::checked_ps_from_us(added_us, "--added-us");
   if (added_us > 0) req.cxl_added_latency = added;
-  if (cli.get_int("alignment") > 0) {
-    req.alignment = static_cast<std::uint32_t>(cli.get_int("alignment"));
+  if (const std::uint32_t alignment = cli.get_uint("alignment");
+      alignment > 0) {
+    req.alignment = alignment;
   }
 
-  const std::int64_t shards_arg = cli.get_int("shards");
-  const std::int64_t jobs_arg = cli.get_int("jobs");
-  if (shards_arg < 1 || shards_arg > 4096) {
-    throw std::invalid_argument("--shards must be in [1, 4096]");
-  }
-  if (jobs_arg < 0) throw std::invalid_argument("--jobs must be >= 0");
-  const auto shards = static_cast<std::uint32_t>(shards_arg);
+  // partition::make_partition bounds the shard count.
+  const std::uint32_t shards = cli.get_uint("shards", 1);
+  const std::uint32_t jobs = cli.get_uint("jobs");
   if (shards >= 2) {
-    core::ClusterRuntime cluster(cfg, static_cast<unsigned>(jobs_arg));
+    core::ClusterRuntime cluster(cfg, jobs);
     cluster.set_telemetry(telemetry.get());
     core::ClusterRequest creq;
     creq.run = req;
@@ -402,11 +403,9 @@ int cmd_serve(int argc, char** argv) {
   cli.add_option("source-pool",
                  "distinct traversal sources (0 = one per query)", "8");
   cli.add_option("jobs", "worker threads for profiling", "0");
-  cli.add_option("replicas", "fleet size (>= 2 replicates the stack)", "1");
-  cli.add_option("router",
-                 "random | join-shortest-queue | class-affinity "
-                 "(engages the fleet path)",
-                 "");
+  cli.add_option("replicas", "stack replicas behind the router", "1");
+  cli.add_option("router", "random | join-shortest-queue | class-affinity",
+                 "random");
   cli.add_option("migrate",
                  "live migrations, comma-separated at_ms:class:from:to",
                  "");
@@ -426,12 +425,10 @@ int cmd_serve(int argc, char** argv) {
                  "crashes, restart-ms, provision-ms, io-bursts, "
                  "io-burst-ms, io-rate, io-retry-us, io-max-retries, "
                  "link-flaps, flap-ms, flap-derate, query-retries, "
-                 "backoff-us); engages the fleet path",
+                 "backoff-us)",
                  "");
   cli.add_option("incidents-out",
-                 "write the health monitor's incident log JSON here "
-                 "(engages the fleet path)",
-                 "");
+                 "write the health monitor's incident log JSON here", "");
   cli.add_flag("closed-loop",
                "closed-loop clients instead of open-loop Poisson");
   cli.add_flag("gen3", "use the Gen3 (Table-4) system preset");
@@ -442,37 +439,30 @@ int cmd_serve(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const graph::CsrGraph g =
       cli.get("graph").empty()
-          ? graph::make_dataset(
-                graph::dataset_from_name(cli.get("dataset")),
-                static_cast<unsigned>(cli.get_int("scale")),
-                /*weighted=*/true, seed)
+          ? graph::make_dataset(graph::dataset_from_name(cli.get("dataset")),
+                                cli.get_uint("scale", 0, kMaxScale),
+                                /*weighted=*/true, seed)
           : graph::load_binary_file(cli.get("graph"));
 
-  const auto jobs = cli.get_int("jobs");
-  if (jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
   serve::QueryServer server(
       cli.get_bool("gen3") ? core::table4_system() : core::table3_system(),
-      static_cast<unsigned>(jobs));
+      cli.get_uint("jobs"));
   server.set_telemetry(telemetry.get());
 
-  serve::ServeRequest req;
+  serve::FleetRequest req;
   req.base.backend = core::backend_from_name(cli.get("backend"));
   req.workload.seed = seed;
-  req.workload.num_queries =
-      static_cast<std::uint32_t>(cli.get_int("queries"));
-  req.workload.source_pool =
-      static_cast<std::uint32_t>(cli.get_int("source-pool"));
+  req.workload.num_queries = cli.get_uint("queries");
+  req.workload.source_pool = cli.get_uint("source-pool");
   if (cli.get_bool("closed-loop")) {
     req.workload.process = serve::ArrivalProcess::kClosedLoop;
-    req.workload.num_clients =
-        static_cast<std::uint32_t>(cli.get_int("clients"));
+    req.workload.num_clients = cli.get_uint("clients");
     req.workload.mean_think_time =
         util::checked_ps_from_us(cli.get_double("think-us"), "--think-us");
   } else {
     req.workload.offered_qps = cli.get_double("qps");
   }
-  const auto span_shards =
-      static_cast<std::uint32_t>(cli.get_int("span-shards"));
+  const std::uint32_t span_shards = cli.get_uint("span-shards");
   if (cli.get("mix").empty()) {
     throw std::invalid_argument(
         "serve: --mix must name at least one algorithm");
@@ -491,183 +481,121 @@ int cmd_serve(int argc, char** argv) {
     first_class = false;
     req.workload.mix.push_back(cls);
   }
-  req.config.policy = serve::policy_from_name(cli.get("policy"));
-  req.config.max_waiting =
-      static_cast<std::uint32_t>(cli.get_int("queue-cap"));
-  const std::int64_t quantum = cli.get_int("quantum");
-  if (quantum < 1 || quantum > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument("--quantum must be in [1, 4294967295]");
+  serve::FleetConfig& fleet = req.fleet;
+  fleet.serve.policy = serve::policy_from_name(cli.get("policy"));
+  fleet.serve.max_waiting = cli.get_uint("queue-cap");
+  fleet.serve.quantum_supersteps = cli.get_uint("quantum", 1);
+  fleet.replicas = cli.get_uint("replicas", 1);
+  fleet.router = serve::router_from_name(cli.get("router"));
+  fleet.migrations = parse_migrations(cli.get("migrate"));
+  fleet.quotas = parse_quotas(cli.get("quota"));
+  fleet.slo_shedding = cli.get_bool("slo-shed");
+  if (const std::uint32_t elastic_max = cli.get_uint("elastic-max");
+      elastic_max > 0) {
+    fleet.elastic.enabled = true;
+    fleet.elastic.max_replicas = elastic_max;
+    fleet.elastic.check_interval_sec =
+        cli.get_double("elastic-interval-us") * 1e-6;
   }
-  req.config.quantum_supersteps = static_cast<std::uint32_t>(quantum);
-
-  // Any fleet option routes the request through serve::FleetServer.
-  const auto replicas = static_cast<std::uint32_t>(cli.get_int("replicas"));
-  const auto elastic_max =
-      static_cast<std::uint32_t>(cli.get_int("elastic-max"));
-  const bool fleet_path = replicas >= 2 || !cli.get("router").empty() ||
-                          !cli.get("migrate").empty() ||
-                          !cli.get("quota").empty() || elastic_max > 0 ||
-                          cli.get_bool("slo-shed") ||
-                          !cli.get("faults").empty() ||
-                          !cli.get("incidents-out").empty();
-  if (fleet_path) {
-    if (replicas == 0) {
-      throw std::invalid_argument("--replicas must be >= 1");
-    }
-    serve::FleetRequest freq;
-    freq.base = req.base;
-    freq.workload = req.workload;
-    freq.fleet.serve = req.config;
-    freq.fleet.replicas = replicas;
-    if (!cli.get("router").empty()) {
-      freq.fleet.router = serve::router_from_name(cli.get("router"));
-    }
-    freq.fleet.migrations = parse_migrations(cli.get("migrate"));
-    freq.fleet.quotas = parse_quotas(cli.get("quota"));
-    freq.fleet.slo_shedding = cli.get_bool("slo-shed");
-    if (elastic_max > 0) {
-      freq.fleet.elastic.enabled = true;
-      freq.fleet.elastic.max_replicas = elastic_max;
-      freq.fleet.elastic.check_interval_sec =
-          cli.get_double("elastic-interval-us") * 1e-6;
-    }
-    if (!cli.get("faults").empty()) {
-      freq.fleet.faults = fault::parse_fault_spec(cli.get("faults"));
-    }
-    serve::FleetServer fleet_server(cli.get_bool("gen3")
-                                        ? core::table4_system()
-                                        : core::table3_system(),
-                                    static_cast<unsigned>(jobs));
-    fleet_server.set_telemetry(telemetry.get());
-    const serve::FleetReport fr = fleet_server.serve(g, freq);
-    const serve::ServeReport& s = fr.serve;
-    if (!s.conservation_ok()) {
-      std::cerr << "error: serve byte-conservation check failed: link "
-                << s.link_bytes << " != queries " << s.query_bytes
-                << " + lost " << s.lost_bytes << "\n";
-      return 1;
-    }
-    util::TablePrinter table({"Metric", "Value"});
-    table.add_row({"backend", s.backend + " (" + s.access_method + ")"});
-    table.add_row({"fleet", std::to_string(fr.replicas) + " replicas (" +
-                                fr.router + " router), peak " +
-                                std::to_string(fr.peak_replicas)});
-    table.add_row({"policy", s.policy + " / " + s.process});
-    table.add_row({"queries",
-                   util::fmt_count(s.offered) + " offered, " +
-                       util::fmt_count(s.completed) + " completed, " +
-                       util::fmt_count(s.shed) + " shed"});
-    table.add_row({"shed (queue/quota/slo)",
-                   std::to_string(fr.shed_queue) + " / " +
-                       std::to_string(fr.shed_quota) + " / " +
-                       std::to_string(fr.shed_deadline)});
-    table.add_row({"makespan",
-                   util::fmt(s.makespan_sec * 1e3, 3) + " ms"});
-    table.add_row({"completed throughput",
-                   util::fmt(s.completed_qps, 1) + " qps"});
-    table.add_row({"goodput (within SLO)",
-                   util::fmt(s.goodput_qps, 1) + " qps"});
-    table.add_row({"latency p50 / p95 / p99",
-                   util::fmt(s.latency_us.p50 / 1e3, 3) + " / " +
-                       util::fmt(s.latency_us.p95 / 1e3, 3) + " / " +
-                       util::fmt(s.latency_us.p99 / 1e3, 3) + " ms"});
-    table.add_row({"fleet utilization", util::fmt(s.utilization, 3)});
-    table.add_row({"shared-link bytes", util::format_bytes(s.link_bytes)});
-    if (!fr.migrations.empty()) {
-      table.add_row({"migrations",
-                     util::fmt_count(fr.migrations.size()) + " (" +
-                         util::format_bytes(fr.migration_bytes) +
-                         " state copied, " +
-                         util::fmt(fr.migration_sec * 1e6, 1) + " us)"});
-    }
-    if (freq.fleet.faults.enabled()) {
-      table.add_row({"queries failed", util::fmt_count(s.failed)});
-      table.add_row({"availability", util::fmt(fr.availability, 4)});
-      table.add_row({"crashes / restarts / replacements",
-                     std::to_string(fr.crashes) + " / " +
-                         std::to_string(fr.restarts) + " / " +
-                         std::to_string(fr.replacements)});
-      table.add_row({"query retries", util::fmt_count(s.query_retries)});
-      table.add_row({"lost work",
-                     util::fmt(s.lost_work_sec * 1e3, 3) + " ms, " +
-                         util::format_bytes(s.lost_bytes)});
-      table.add_row({"io retries / link windows",
-                     std::to_string(fr.io_error_retries) + " / " +
-                         std::to_string(fr.link_degrade_windows)});
-    }
-    if (!fr.incidents.empty()) {
-      std::uint32_t open = 0;
-      for (const obs::Incident& inc : fr.incidents) {
-        if (inc.open) ++open;
-      }
-      table.add_row({"health incidents",
-                     util::fmt_count(fr.incidents.size()) + " (" +
-                         std::to_string(open) + " still open)"});
-    }
-    table.print(std::cout);
-    for (const serve::ReplicaStats& rs : fr.replica_stats) {
-      std::cout << "  replica " << rs.replica << ": "
-                << util::fmt_count(rs.served) << " served, util "
-                << util::fmt(rs.utilization, 3)
-                << (rs.retired ? " (retired)" : "") << "\n";
-    }
-    for (const serve::ScalingEvent& ev : fr.scaling_events) {
-      std::cout << "  " << (ev.added ? "scale-up" : "scale-down") << " t="
-                << util::fmt(ev.at_sec * 1e3, 3) << " ms: p99 "
-                << util::fmt(ev.p99_before_us / 1e3, 3) << " -> "
-                << util::fmt(ev.p99_after_us / 1e3, 3) << " ms";
-      if (ev.incident >= 0) std::cout << " (incident #" << ev.incident << ")";
-      std::cout << "\n";
-    }
-    if (!cli.get("incidents-out").empty()) {
-      if (!serve::save_incident_log(cli.get("incidents-out"), fr)) {
-        std::cerr << "error: cannot write " << cli.get("incidents-out")
-                  << "\n";
-        return 1;
-      }
-      std::cout << "incident log written to " << cli.get("incidents-out")
-                << "\n";
-    }
-    return save_telemetry(cli, telemetry.get());
+  if (!cli.get("faults").empty()) {
+    fleet.faults = fault::parse_fault_spec(cli.get("faults"));
   }
 
-  const serve::ServeReport r = server.serve(g, req);
-  if (!r.conservation_ok()) {
+  const serve::FleetReport fr = server.serve(g, req);
+  const serve::ServeReport& s = fr.serve;
+  if (!s.conservation_ok()) {
     std::cerr << "error: serve byte-conservation check failed: link "
-              << r.link_bytes << " != queries " << r.query_bytes
-              << " + lost " << r.lost_bytes << "\n";
+              << s.link_bytes << " != queries " << s.query_bytes
+              << " + lost " << s.lost_bytes << "\n";
     return 1;
   }
-
   util::TablePrinter table({"Metric", "Value"});
-  table.add_row({"backend", r.backend + " (" + r.access_method + ")"});
-  table.add_row({"policy", r.policy + " / " + r.process});
+  table.add_row({"backend", s.backend + " (" + s.access_method + ")"});
+  table.add_row({"fleet", std::to_string(fr.replicas) + " replicas (" +
+                              fr.router + " router), peak " +
+                              std::to_string(fr.peak_replicas)});
+  table.add_row({"policy", s.policy + " / " + s.process});
   table.add_row({"queries",
-                 util::fmt_count(r.offered) + " offered, " +
-                     util::fmt_count(r.completed) + " completed, " +
-                     util::fmt_count(r.shed) + " shed"});
-  table.add_row({"makespan", util::fmt(r.makespan_sec * 1e3, 3) + " ms"});
+                 util::fmt_count(s.offered) + " offered, " +
+                     util::fmt_count(s.completed) + " completed, " +
+                     util::fmt_count(s.shed) + " shed"});
+  table.add_row({"shed (queue/quota/slo)",
+                 std::to_string(fr.shed_queue) + " / " +
+                     std::to_string(fr.shed_quota) + " / " +
+                     std::to_string(fr.shed_deadline)});
+  table.add_row({"makespan", util::fmt(s.makespan_sec * 1e3, 3) + " ms"});
   table.add_row({"completed throughput",
-                 util::fmt(r.completed_qps, 1) + " qps"});
+                 util::fmt(s.completed_qps, 1) + " qps"});
   table.add_row({"goodput (within SLO)",
-                 util::fmt(r.goodput_qps, 1) + " qps"});
-  table.add_row({"SLO violation rate",
-                 util::fmt(r.slo_violation_rate, 3)});
+                 util::fmt(s.goodput_qps, 1) + " qps"});
+  table.add_row({"SLO violation rate", util::fmt(s.slo_violation_rate, 3)});
   table.add_row({"latency p50 / p95 / p99",
-                 util::fmt(r.latency_us.p50 / 1e3, 3) + " / " +
-                     util::fmt(r.latency_us.p95 / 1e3, 3) + " / " +
-                     util::fmt(r.latency_us.p99 / 1e3, 3) + " ms"});
+                 util::fmt(s.latency_us.p50 / 1e3, 3) + " / " +
+                     util::fmt(s.latency_us.p95 / 1e3, 3) + " / " +
+                     util::fmt(s.latency_us.p99 / 1e3, 3) + " ms"});
   table.add_row({"streaming p99 (P2)",
-                 util::fmt(r.streaming_p99_us / 1e3, 3) + " ms"});
-  table.add_row({"P2 max rel error", util::fmt(r.p2_max_rel_error, 4)});
+                 util::fmt(s.streaming_p99_us / 1e3, 3) + " ms"});
+  table.add_row({"P2 max rel error", util::fmt(s.p2_max_rel_error, 4)});
   table.add_row({"time in queue / in service",
-                 util::fmt(r.time_in_queue_sec * 1e3, 3) + " / " +
-                     util::fmt(r.time_in_service_sec * 1e3, 3) + " ms"});
-  table.add_row({"server utilization", util::fmt(r.utilization, 3)});
-  table.add_row({"shared-link bytes", util::format_bytes(r.link_bytes)});
-  table.add_row({"distinct profiles",
-                 util::fmt_count(r.profiles.size())});
+                 util::fmt(s.time_in_queue_sec * 1e3, 3) + " / " +
+                     util::fmt(s.time_in_service_sec * 1e3, 3) + " ms"});
+  table.add_row({"utilization", util::fmt(s.utilization, 3)});
+  table.add_row({"shared-link bytes", util::format_bytes(s.link_bytes)});
+  table.add_row({"distinct profiles", util::fmt_count(s.profiles.size())});
+  if (!fr.migrations.empty()) {
+    table.add_row({"migrations",
+                   util::fmt_count(fr.migrations.size()) + " (" +
+                       util::format_bytes(fr.migration_bytes) +
+                       " state copied, " +
+                       util::fmt(fr.migration_sec * 1e6, 1) + " us)"});
+  }
+  if (fleet.faults.enabled()) {
+    table.add_row({"queries failed", util::fmt_count(s.failed)});
+    table.add_row({"availability", util::fmt(fr.availability, 4)});
+    table.add_row({"crashes / restarts / replacements",
+                   std::to_string(fr.crashes) + " / " +
+                       std::to_string(fr.restarts) + " / " +
+                       std::to_string(fr.replacements)});
+    table.add_row({"query retries", util::fmt_count(s.query_retries)});
+    table.add_row({"lost work",
+                   util::fmt(s.lost_work_sec * 1e3, 3) + " ms, " +
+                       util::format_bytes(s.lost_bytes)});
+    table.add_row({"io retries / link windows",
+                   std::to_string(fr.io_error_retries) + " / " +
+                       std::to_string(fr.link_degrade_windows)});
+  }
+  if (!fr.incidents.empty()) {
+    std::uint32_t open = 0;
+    for (const obs::Incident& inc : fr.incidents) {
+      if (inc.open) ++open;
+    }
+    table.add_row({"health incidents",
+                   util::fmt_count(fr.incidents.size()) + " (" +
+                       std::to_string(open) + " still open)"});
+  }
   table.print(std::cout);
+  for (const serve::ReplicaStats& rs : fr.replica_stats) {
+    std::cout << "  replica " << rs.replica << ": "
+              << util::fmt_count(rs.served) << " served, util "
+              << util::fmt(rs.utilization, 3)
+              << (rs.retired ? " (retired)" : "") << "\n";
+  }
+  for (const serve::ScalingEvent& ev : fr.scaling_events) {
+    std::cout << "  " << (ev.added ? "scale-up" : "scale-down") << " t="
+              << util::fmt(ev.at_sec * 1e3, 3) << " ms: p99 "
+              << util::fmt(ev.p99_before_us / 1e3, 3) << " -> "
+              << util::fmt(ev.p99_after_us / 1e3, 3) << " ms";
+    if (ev.incident >= 0) std::cout << " (incident #" << ev.incident << ")";
+    std::cout << "\n";
+  }
+  if (!cli.get("incidents-out").empty()) {
+    if (!serve::save_incident_log(cli.get("incidents-out"), fr)) {
+      std::cerr << "error: cannot write " << cli.get("incidents-out") << "\n";
+      return 1;
+    }
+    std::cout << "incident log written to " << cli.get("incidents-out")
+              << "\n";
+  }
   return save_telemetry(cli, telemetry.get());
 }
 
