@@ -9,6 +9,7 @@
 
 #include "core/experiment.hpp"
 #include "core/experiment_runner.hpp"
+#include "graph/datasets.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 
@@ -34,13 +35,9 @@ inline bool parse_args(int argc, char** argv, BenchArgs& args,
   cli.add_flag("csv", "emit CSV instead of an aligned table");
   cli.add_flag("verbose", "log per-run progress to stderr");
   if (!cli.parse(argc, argv)) return false;
-  args.options.scale = static_cast<unsigned>(cli.get_int("scale"));
+  args.options.scale = cli.get_uint("scale", 0, graph::kMaxScale);
   args.options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto jobs = cli.get_int("jobs");
-  if (jobs < 0) {
-    throw std::invalid_argument("--jobs must be >= 0");
-  }
-  args.options.jobs = static_cast<unsigned>(jobs);
+  args.options.jobs = cli.get_uint("jobs");
   args.options.verbose = cli.get_bool("verbose");
   args.csv = cli.get_bool("csv");
   if (args.options.verbose) {

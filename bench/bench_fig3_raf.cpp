@@ -22,11 +22,9 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   core::ExperimentOptions options;
-  options.scale = static_cast<unsigned>(cli.get_int("scale"));
+  options.scale = cli.get_uint("scale", 0, graph::kMaxScale);
   options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto jobs = cli.get_int("jobs");
-  if (jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
-  options.jobs = static_cast<unsigned>(jobs);
+  options.jobs = cli.get_uint("jobs");
   options.verbose = cli.get_bool("verbose");
   if (options.verbose) util::set_log_level(util::LogLevel::kInfo);
   const double fraction = cli.get_double("cache-fraction");

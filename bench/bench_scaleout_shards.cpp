@@ -147,18 +147,12 @@ int main(int argc, char** argv) {
   }
 
   core::ExperimentOptions options;
-  options.scale = static_cast<unsigned>(cli.get_int("scale"));
+  options.scale = cli.get_uint("scale", 0, graph::kMaxScale);
   options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto jobs = cli.get_int("jobs");
-  if (jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
-  options.jobs = static_cast<unsigned>(jobs);
+  options.jobs = cli.get_uint("jobs");
   options.verbose = cli.get_bool("verbose");
   if (options.verbose) util::set_log_level(util::LogLevel::kInfo);
-  const std::int64_t max_shards_arg = cli.get_int("max-shards");
-  if (max_shards_arg < 1 || max_shards_arg > 4096) {
-    throw std::invalid_argument("--max-shards must be in [1, 4096]");
-  }
-  const auto max_shards = static_cast<std::uint32_t>(max_shards_arg);
+  const std::uint32_t max_shards = cli.get_uint("max-shards", 1, 4096);
 
   // Weighted so delta-stepping gets non-trivial bucket structure. Note
   // weight sampling advances the generator's RNG stream, so this is a

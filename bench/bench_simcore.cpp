@@ -26,19 +26,13 @@
 #include <string>
 #include <vector>
 
-#include "access/emogi.hpp"
-#include "access/method.hpp"
-#include "access/xlfdd_direct.hpp"
 #include "algo/bfs.hpp"
 #include "algo/sssp_delta.hpp"
 #include "algo/trace.hpp"
 #include "core/cluster_runtime.hpp"
 #include "core/runtime.hpp"
 #include "core/system_config.hpp"
-#include "device/cxl_device.hpp"
-#include "device/host_dram.hpp"
-#include "device/xlfdd.hpp"
-#include "gpusim/engine.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generate.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_check.hpp"
@@ -87,23 +81,6 @@ std::uint64_t checksum_report(const core::RunReport& r) {
   f.mix(r.source);
   f.mix_double(r.observed_read_latency_us);
   f.mix_double(r.avg_outstanding_reads);
-  return f.h;
-}
-
-std::uint64_t checksum_engine(const gpusim::EngineResult& r) {
-  Fnv f;
-  f.mix(r.total_time);
-  f.mix(r.used_bytes);
-  f.mix(r.fetched_bytes);
-  f.mix(r.transactions);
-  f.mix(r.sublist_reads);
-  f.mix(r.written_bytes);
-  f.mix(r.write_transactions);
-  f.mix(r.rmw_reads);
-  for (const gpusim::StepResult& s : r.steps) {
-    f.mix(s.duration);
-    f.mix(s.fetched_bytes);
-  }
   return f.h;
 }
 
@@ -207,62 +184,45 @@ std::uint64_t checksum_soak(const serve::ServeReport& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Replay stacks: the same composition ExternalGraphRuntime builds, assembled
-// here by hand so the harness can read Simulator::events_processed().
+// Replays run through ExternalGraphRuntime::run_trace, the stack every
+// figure bench replays on; TraceRunResult carries the event count.
 // ---------------------------------------------------------------------------
 struct ReplayMetrics {
   std::uint64_t events = 0;
   std::uint64_t checksum = 0;
 };
 
-std::uint64_t emogi_cache_bytes(const core::SystemConfig& cfg,
-                                std::uint64_t edge_list_bytes) {
-  const auto scaled = static_cast<std::uint64_t>(
-      cfg.emogi_cache_fraction * static_cast<double>(edge_list_bytes));
-  return std::max(scaled, cfg.emogi_cache_min_bytes);
+/// The engine-level result of one replay: total time (the sum of the step
+/// durations), the volumes, sublist reads (frontier_vertices) and every
+/// step's duration and fetched bytes.
+std::uint64_t checksum_trace_run(const core::TraceRunResult& r) {
+  Fnv f;
+  util::SimTime total_time = 0;
+  for (const util::SimTime t : r.step_durations) total_time += t;
+  f.mix(total_time);
+  f.mix(r.report.used_bytes);
+  f.mix(r.report.fetched_bytes);
+  f.mix(r.report.transactions);
+  f.mix(r.report.frontier_vertices);
+  f.mix(r.report.written_bytes);
+  f.mix(r.report.write_transactions);
+  f.mix(r.report.rmw_reads);
+  for (std::size_t k = 0; k < r.step_durations.size(); ++k) {
+    f.mix(r.step_durations[k]);
+    f.mix(r.step_fetched_bytes[k]);
+  }
+  return f.h;
 }
 
-ReplayMetrics replay_dram(const core::SystemConfig& cfg,
-                          const algo::AccessTrace& trace,
-                          std::uint64_t edge_list_bytes) {
-  sim::Simulator sim;
-  device::PcieLink link(sim, device::pcie_x16(cfg.gpu_link_gen));
-  device::HostDram dram(sim, cfg.dram_local, "host-dram");
-  access::EmogiParams ep = cfg.emogi;
-  ep.gpu_cache_bytes = emogi_cache_bytes(cfg, edge_list_bytes);
-  access::EmogiAccess method(ep);
-  access::MemoryPathBackend backend(link, dram);
-  gpusim::TraversalEngine engine(sim, method, backend, cfg.gpu);
-  const gpusim::EngineResult result = engine.run(trace);
-  return ReplayMetrics{sim.events_processed(), checksum_engine(result)};
-}
-
-ReplayMetrics replay_cxl(const core::SystemConfig& cfg,
-                         const algo::AccessTrace& trace,
-                         std::uint64_t edge_list_bytes) {
-  sim::Simulator sim;
-  device::PcieLink link(sim, device::pcie_x16(cfg.gpu_link_gen));
-  device::CxlMemoryPool pool(sim, cfg.cxl, cfg.cxl_devices,
-                             cfg.cxl_interleave_bytes);
-  access::EmogiParams ep = cfg.emogi;
-  ep.gpu_cache_bytes = emogi_cache_bytes(cfg, edge_list_bytes);
-  access::EmogiAccess method(ep);
-  access::MemoryPathBackend backend(link, pool);
-  gpusim::TraversalEngine engine(sim, method, backend, cfg.gpu);
-  const gpusim::EngineResult result = engine.run(trace);
-  return ReplayMetrics{sim.events_processed(), checksum_engine(result)};
-}
-
-ReplayMetrics replay_xlfdd(const core::SystemConfig& cfg,
-                           const algo::AccessTrace& trace) {
-  sim::Simulator sim;
-  device::PcieLink link(sim, device::pcie_x16(cfg.gpu_link_gen));
-  auto array = device::make_xlfdd_array(sim, link, cfg.xlfdd_drives);
-  access::XlfddDirectAccess method(cfg.xlfdd);
-  access::StoragePathBackend backend(*array, "storage:xlfdd");
-  gpusim::TraversalEngine engine(sim, method, backend, cfg.gpu);
-  const gpusim::EngineResult result = engine.run(trace);
-  return ReplayMetrics{sim.events_processed(), checksum_engine(result)};
+ReplayMetrics replay(const core::ExternalGraphRuntime& runtime,
+                     core::BackendKind backend,
+                     const algo::AccessTrace& trace,
+                     std::uint64_t edge_list_bytes) {
+  core::RunRequest req;
+  req.backend = backend;
+  const core::TraceRunResult r =
+      runtime.run_trace(trace, req, edge_list_bytes);
+  return ReplayMetrics{r.events, checksum_trace_run(r)};
 }
 
 /// Raw event-queue churn: a dependent chain interleaved with same-timestamp
@@ -574,14 +534,13 @@ int run_simcore(int argc, char** argv) {
 
   const bool smoke = cli.get_bool("smoke");
   const bool print_golden = cli.get_bool("print-golden");
-  const unsigned scale =
-      smoke || print_golden ? kSmokeScale
-                            : static_cast<unsigned>(cli.get_int("scale"));
+  const unsigned scale = smoke || print_golden
+                             ? kSmokeScale
+                             : cli.get_uint("scale", 0, graph::kMaxScale);
   const std::uint64_t seed =
       smoke || print_golden ? kSmokeSeed
                             : static_cast<std::uint64_t>(cli.get_int("seed"));
-  const unsigned reps =
-      std::max(1u, static_cast<unsigned>(cli.get_int("reps")));
+  const unsigned reps = cli.get_uint("reps", 1);
 
   // -------------------------------------------------------------------
   // Identity suite (always at the smoke configuration so goldens apply).
@@ -718,18 +677,26 @@ int run_simcore(int argc, char** argv) {
         rows.push_back(row);
       };
 
+  const core::ExternalGraphRuntime runtime(cfg);
   const std::uint64_t elb = g.edge_list_bytes();
-  run_replay("bfs_replay_dram", bfs_trace.total_reads,
-             [&] { return replay_dram(cfg, bfs_trace, elb); });
-  run_replay("bfs_replay_cxl", bfs_trace.total_reads,
-             [&] { return replay_cxl(cfg, bfs_trace, elb); });
-  run_replay("pagerank_replay_dram", scan_trace.total_reads,
-             [&] { return replay_dram(cfg, scan_trace, elb); });
-  run_replay("delta_replay_cxl", delta_trace.total_reads,
-             [&] { return replay_cxl(cfg, delta_trace, elb); });
+  using core::BackendKind;
+  run_replay("bfs_replay_dram", bfs_trace.total_reads, [&] {
+    return replay(runtime, BackendKind::kHostDram, bfs_trace, elb);
+  });
+  run_replay("bfs_replay_cxl", bfs_trace.total_reads, [&] {
+    return replay(runtime, BackendKind::kCxl, bfs_trace, elb);
+  });
+  run_replay("pagerank_replay_dram", scan_trace.total_reads, [&] {
+    return replay(runtime, BackendKind::kHostDram, scan_trace, elb);
+  });
+  run_replay("delta_replay_cxl", delta_trace.total_reads, [&] {
+    return replay(runtime, BackendKind::kCxl, delta_trace, elb);
+  });
   run_replay("writeback_replay_xlfdd",
-             writeback_trace.total_reads + writeback_trace.total_writes,
-             [&] { return replay_xlfdd(cfg, writeback_trace); });
+             writeback_trace.total_reads + writeback_trace.total_writes, [&] {
+               return replay(runtime, BackendKind::kXlfdd, writeback_trace,
+                             elb);
+             });
   run_replay("queue_churn", 400'000,
              [&] { return queue_churn(200'000, 1); });
 

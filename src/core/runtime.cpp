@@ -371,6 +371,7 @@ TraceRunResult ExternalGraphRuntime::run_trace(
     result.step_durations.push_back(step.duration);
     result.step_fetched_bytes.push_back(step.fetched_bytes);
   }
+  result.events = stack.sim.events_processed();
   if (telemetry_ != nullptr && telemetry_->enabled()) {
     record_run_telemetry(*telemetry_, result);
   }

@@ -91,6 +91,9 @@ struct TraceRunResult {
   RunReport report;
   std::vector<util::SimTime> step_durations;
   std::vector<std::uint64_t> step_fetched_bytes;
+  /// Discrete events the replay's simulator processed: the work count
+  /// behind wall-clock throughput numbers.
+  std::uint64_t events = 0;
 };
 
 /// False for the algorithms whose traversal never reads the source:

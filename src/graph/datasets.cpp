@@ -17,6 +17,11 @@ const std::vector<DatasetSpec>& paper_datasets() {
 
 CsrGraph make_dataset(DatasetId id, unsigned scale, bool weighted,
                       std::uint64_t seed, unsigned jobs) {
+  if (scale > kMaxScale) {
+    throw std::invalid_argument("dataset scale " + std::to_string(scale) +
+                                " above " + std::to_string(kMaxScale) +
+                                ": 2^scale vertices overflow 64 bits");
+  }
   GeneratorOptions options;
   options.seed = seed;
   options.max_weight = weighted ? 63 : 0;  // GAP benchmark convention

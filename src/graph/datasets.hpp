@@ -36,10 +36,14 @@ struct DatasetSpec {
 /// The three Table-1 datasets, in paper order.
 const std::vector<DatasetSpec>& paper_datasets();
 
+/// The largest scale make_dataset accepts: 2^scale vertices must fit in
+/// a 64-bit count. Front ends bound their --scale by it.
+inline constexpr unsigned kMaxScale = 63;
+
 /// Generates one dataset at 2^scale vertices. Weighted graphs (for SSSP)
 /// carry uniform weights in [1, 63] as in the GAP benchmark. `jobs`
 /// follows GeneratorOptions::jobs (1 = serial; output identical either
-/// way).
+/// way). Throws std::invalid_argument for a scale above kMaxScale.
 CsrGraph make_dataset(DatasetId id, unsigned scale, bool weighted,
                       std::uint64_t seed = 42, unsigned jobs = 0);
 

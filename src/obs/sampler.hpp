@@ -13,10 +13,10 @@
 /// Chrome counter tracks ('C' events) next to the span trace.
 ///
 /// `WindowSeries` — equal slices of a known horizon, folded on demand
-/// into per-window counts and exact percentiles. This is the
-/// bookkeeping `bench_serve_mix --soak` used to hand-roll; the fold
-/// reproduces `serve::soak_windows` arithmetic exactly (same bucket
-/// rounding, same `util::percentile` rank convention).
+/// into per-window counts and exact percentiles. `serve::soak_windows`
+/// folds through it, which is where the p99-per-window table of
+/// `bench_serve --soak` comes from (same bucket rounding, same
+/// `util::percentile` rank convention).
 
 #include <cstdint>
 #include <string>

@@ -140,6 +140,7 @@ std::size_t ReplicaSim::abort_active() {
   // dispatch, so remaining_ps(i) is exactly the backlog still booked.
   discard_pending_ = true;
   backlog_ps -= fleet.remaining_ps(i);
+  busy_ps -= quantum_end_ - fleet.sim.now();
   return i;
 }
 
@@ -247,6 +248,7 @@ void ReplicaSim::dispatch() {
     }
   }
   busy_ps += duration;
+  quantum_end_ = fleet.sim.now() + duration;
   link_bytes += bytes;
   ++quanta;
   if (fleet.telemetry != nullptr) note_quantum(i, duration, bytes);

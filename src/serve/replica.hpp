@@ -110,8 +110,9 @@ struct ReplicaSim {
   /// replay progress is discarded by the caller.
   std::vector<std::size_t> take_all_waiting();
   /// Crash, step 3: aborts the in-flight query, if any. Its already-
-  /// scheduled quantum-completion event is swallowed when it fires.
-  /// Returns the aborted query, or kNoQuery.
+  /// scheduled quantum-completion event is swallowed when it fires, and
+  /// the part of the quantum after the crash leaves busy_ps: it never
+  /// ran. Returns the aborted query, or kNoQuery.
   std::size_t abort_active();
 
   /// Binds per-replica telemetry: the ("serve", "replica<k>") quantum
@@ -134,6 +135,8 @@ struct ReplicaSim {
   /// Set by abort_active: the next quantum_done belongs to a crashed
   /// attempt and must be swallowed, not completed.
   bool discard_pending_ = false;
+  /// When the in-flight quantum ends (set at dispatch).
+  util::SimTime quantum_end_ = 0;
 
   std::uint16_t track_ = 0;       ///< ("serve", "replica<k>"): quanta
   std::uint32_t n_quantum_ = 0;

@@ -1,7 +1,9 @@
 #include "serve/workload.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -13,6 +15,19 @@ namespace {
 /// gap stays finite.
 double unit_exponential(double u) {
   return -std::log(std::max(u, 1e-12));
+}
+
+/// A gap in picoseconds, truncated (the rounding every serve golden
+/// pins) once it is known to be a value SimTime holds: a NaN or
+/// out-of-range double cast to an unsigned integer is undefined.
+util::SimTime checked_gap_ps(double ps, const char* what) {
+  // 2^64 ps, exactly representable: the first value SimTime cannot hold.
+  constexpr double kSimTimeLimit = 18446744073709551616.0;
+  if (!(ps >= 0.0 && ps < kSimTimeLimit)) {
+    throw std::invalid_argument(std::string("WorkloadSpec: ") + what +
+                                " does not fit in 64-bit picoseconds");
+  }
+  return static_cast<util::SimTime>(ps);
 }
 
 }  // namespace
@@ -90,12 +105,19 @@ std::vector<Query> make_queries(const WorkloadSpec& spec) {
     if (spec.process == ArrivalProcess::kOpenLoopPoisson) {
       // gap/qps in seconds -> ps. Monotone non-increasing in offered_qps,
       // so higher load only compresses the same sequence.
-      clock += static_cast<util::SimTime>(
-          gap / spec.offered_qps * static_cast<double>(util::kPsPerSec));
+      const util::SimTime step = checked_gap_ps(
+          gap / spec.offered_qps * static_cast<double>(util::kPsPerSec),
+          "an arrival gap (offered_qps too low)");
+      if (step > std::numeric_limits<util::SimTime>::max() - clock) {
+        throw std::invalid_argument(
+            "WorkloadSpec: the arrival clock overflows 64-bit picoseconds "
+            "(offered_qps too low for num_queries)");
+      }
+      clock += step;
       q.arrival = clock;
     } else {
-      q.think_gap = static_cast<util::SimTime>(
-          gap * static_cast<double>(spec.mean_think_time));
+      q.think_gap = checked_gap_ps(
+          gap * static_cast<double>(spec.mean_think_time), "a think gap");
     }
     queries.push_back(q);
   }

@@ -95,7 +95,9 @@ std::vector<QueryClass> resolve_mix(const WorkloadSpec& spec);
 
 /// Expands the spec into its deterministic query stream. Throws
 /// std::invalid_argument for zero/negative rates, empty closed-loop client
-/// sets, or non-positive mix weights.
+/// sets, non-positive mix weights, or an arrival gap, think gap or arrival
+/// clock too long for 64-bit picoseconds (a rate so low its gaps do not
+/// fit).
 std::vector<Query> make_queries(const WorkloadSpec& spec);
 
 }  // namespace cxlgraph::serve

@@ -29,6 +29,7 @@
 #include "device/pcie.hpp"
 #include "device/storage.hpp"
 #include "fault/fault.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generate.hpp"
 #include "obs/health.hpp"
 #include "serve/fleet.hpp"
@@ -454,6 +455,66 @@ TEST(FleetFaults, CrashRecoversWaitingAndInFlightWork) {
       }
     }
     EXPECT_TRUE(some_retry);
+  }
+}
+
+TEST(FleetFaults, CrashedReplicaIsNeverBusierThanItWasAlive) {
+  // bench_serve --smoke's crash-recovery run: replica 0 crashes twice
+  // mid-quantum. The part of an aborted quantum after the crash never
+  // ran; counting it as busy time put that replica's utilization at 1.055.
+  const graph::CsrGraph g =
+      graph::make_dataset(graph::DatasetId::kUrand, 10, /*weighted=*/true, 7);
+  serve::FleetRequest req;
+  req.base.backend = core::BackendKind::kCxl;
+  req.workload.seed = 7;
+  req.workload.num_queries = 48;
+  req.workload.source_pool = 8;
+  serve::QueryClass bfs;
+  bfs.algorithm = core::Algorithm::kBfs;
+  bfs.weight = 3.0;
+  bfs.slo = util::ps_from_us(2'000.0);
+  serve::QueryClass cc;
+  cc.algorithm = core::Algorithm::kCc;
+  cc.weight = 1.0;
+  cc.slo = util::ps_from_us(8'000.0);
+  serve::QueryClass scan = cc;
+  scan.algorithm = core::Algorithm::kPagerankScan;
+  req.workload.mix = {bfs, cc, scan};
+  serve::FleetServer fleet(core::table3_system(), 1);
+
+  // Offered load: 2x the one-stack capacity per replica, the capacity
+  // probed as the bench does (FIFO, one replica, negligible load).
+  serve::FleetRequest probe = req;
+  probe.workload.offered_qps = 0.001;
+  probe.workload.num_queries = 24;
+  const double capacity_qps =
+      1.0e6 / fleet.serve(g, probe).serve.service_us.mean;
+  req.fleet.replicas = 3;
+  req.fleet.router = serve::RouterKind::kJoinShortestQueue;
+  req.fleet.serve.policy = serve::SchedulingPolicy::kSloPriority;
+  req.workload.offered_qps = capacity_qps * 2.0 * 3;
+  const double horizon_sec = 48 / req.workload.offered_qps;
+  fault::FaultSpec& faults = req.fleet.faults;
+  faults.seed = 0xfa017u;
+  faults.horizon_sec = horizon_sec;
+  faults.crashes = 2;
+  faults.restart_sec = horizon_sec / 8.0;
+  faults.io_bursts = 2;
+  faults.io_burst_sec = horizon_sec / 6.0;
+  faults.io_error_rate = 0.3;
+  faults.io_retry_us = 40.0;
+  faults.link_flaps = 1;
+  faults.flap_sec = horizon_sec / 8.0;
+  faults.flap_derate = 0.5;
+  faults.max_query_retries = 3;
+  faults.retry_backoff_us = 80.0;
+
+  const serve::FleetReport r = fleet.serve(g, req);
+  EXPECT_EQ(r.crashes, 2u);
+  EXPECT_GT(r.serve.query_retries, 0u);  // the crashes hit in-flight work
+  expect_fault_ledger_balances(r.serve);
+  for (const serve::ReplicaStats& rs : r.replica_stats) {
+    EXPECT_LE(rs.utilization, 1.0) << "replica " << rs.replica;
   }
 }
 

@@ -407,6 +407,17 @@ TEST(Datasets, WeightedFlagProducesWeights) {
   EXPECT_FALSE(make_dataset(DatasetId::kUrand, 10, false).weighted());
 }
 
+TEST(Datasets, ScaleAboveMaxThrowsInsteadOfShiftingPast64Bits) {
+  // 1 << 64 is undefined; on x86 it wrapped to a 1-vertex graph (scale
+  // 64) and a 2-vertex one (scale 65).
+  for (const DatasetSpec& spec : paper_datasets()) {
+    for (const unsigned scale : {kMaxScale + 1, kMaxScale + 2}) {
+      EXPECT_THROW(make_dataset(spec.id, scale, false), std::invalid_argument)
+          << spec.name << " at scale " << scale;
+    }
+  }
+}
+
 TEST(Datasets, NameLookup) {
   EXPECT_EQ(dataset_from_name("urand"), DatasetId::kUrand);
   EXPECT_EQ(dataset_from_name("kron27"), DatasetId::kKron);

@@ -349,7 +349,8 @@ TEST(TimeSeriesSampler, BucketsFoldByDeclaredReduction) {
 
 TEST(WindowSeries, FoldMatchesSoakWindowArithmetic) {
   // 8 samples over a 4-second horizon into 4 windows; the hand-rolled
-  // reference is the exact bookkeeping bench_serve_mix --soak used.
+  // reference is the soak's per-window bookkeeping (bucket rounding,
+  // percentile rank) that bench_serve --soak reports.
   obs::WindowSeries series;
   const std::vector<std::pair<double, double>> samples = {
       {0.1, 10.0}, {0.9, 20.0}, {1.5, 30.0}, {1.6, 40.0},

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -759,6 +760,27 @@ TEST(QueryServer, UtilizationNeverExceedsOneUnderThrottledSoak) {
 }
 
 // ------------------------------------------------- config parsing ----
+
+TEST(Workload, ArrivalTimesThatDoNotFitInPicosecondsThrow) {
+  serve::WorkloadSpec spec;
+  spec.num_queries = 8;
+  // A mean gap of 1e24 ps: past 2^64 on the first arrival.
+  spec.offered_qps = 1e-12;
+  EXPECT_THROW(serve::make_queries(spec), std::invalid_argument);
+  // Every gap fits (about 1e17 ps), but a thousand of them overflow the
+  // running arrival clock.
+  spec.offered_qps = 1e-5;
+  spec.num_queries = 1000;
+  EXPECT_THROW(serve::make_queries(spec), std::invalid_argument);
+  // Closed loop: a think gap above the mean overflows a maximal mean.
+  spec.process = serve::ArrivalProcess::kClosedLoop;
+  spec.mean_think_time = std::numeric_limits<util::SimTime>::max();
+  EXPECT_THROW(serve::make_queries(spec), std::invalid_argument);
+  // A slow stream whose clock still fits expands as before.
+  spec = serve::WorkloadSpec{};
+  spec.offered_qps = 1e-3;
+  EXPECT_EQ(serve::make_queries(spec).size(), spec.num_queries);
+}
 
 TEST(QueryServer, PolicyNameParsingRejectsUnknownListingValidSet) {
   for (const serve::SchedulingPolicy p : serve::all_policies()) {

@@ -56,9 +56,6 @@ namespace {
 
 using namespace cxlgraph;
 
-/// --scale is log2 of a 64-bit vertex count.
-constexpr std::uint32_t kMaxScale = 63;
-
 int usage() {
   std::cerr << "usage: cxlgraph <generate|convert|info|reorder|run|serve> "
                "[options]\n"
@@ -119,7 +116,7 @@ int cmd_generate(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
   const graph::CsrGraph g = graph::make_dataset(
       graph::dataset_from_name(cli.get("dataset")),
-      cli.get_uint("scale", 0, kMaxScale), cli.get_bool("weighted"),
+      cli.get_uint("scale", 0, graph::kMaxScale), cli.get_bool("weighted"),
       static_cast<std::uint64_t>(cli.get_int("seed")));
   graph::save_binary_file(g, cli.get("out"));
   std::cout << "wrote " << cli.get("out") << ": " << g.num_vertices()
@@ -225,7 +222,7 @@ int cmd_run(int argc, char** argv) {
   graph::CsrGraph g =
       cli.get("graph").empty()
           ? graph::make_dataset(graph::dataset_from_name(cli.get("dataset")),
-                                cli.get_uint("scale", 0, kMaxScale),
+                                cli.get_uint("scale", 0, graph::kMaxScale),
                                 /*weighted=*/true, seed)
           : graph::load_binary_file(cli.get("graph"));
 
@@ -440,7 +437,7 @@ int cmd_serve(int argc, char** argv) {
   const graph::CsrGraph g =
       cli.get("graph").empty()
           ? graph::make_dataset(graph::dataset_from_name(cli.get("dataset")),
-                                cli.get_uint("scale", 0, kMaxScale),
+                                cli.get_uint("scale", 0, graph::kMaxScale),
                                 /*weighted=*/true, seed)
           : graph::load_binary_file(cli.get("graph"));
 
