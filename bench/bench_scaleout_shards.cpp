@@ -15,7 +15,6 @@
 /// with the changed layout while the cut columns stay identical, which is
 /// exactly the locality-vs-cut separation the knob demonstrates.
 #include <memory>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "core/cluster_runtime.hpp"
@@ -36,38 +35,6 @@ const std::vector<core::Algorithm>& sweep_algorithms() {
       core::Algorithm::kBfs, core::Algorithm::kPagerankScan,
       core::Algorithm::kBfsDirOpt, core::Algorithm::kSsspDelta};
   return algorithms;
-}
-
-/// Bitwise comparison of the fields a shard=1 cluster must reproduce.
-bool reports_identical(const core::RunReport& a, const core::RunReport& b,
-                       std::string& diff) {
-  const auto check = [&diff](const std::string& field, auto x, auto y) {
-    if (x == y) return true;
-    std::ostringstream os;
-    os << field << ": " << x << " != " << y;
-    diff = os.str();
-    return false;
-  };
-  return check("algorithm", a.algorithm, b.algorithm) &&
-         check("backend", a.backend, b.backend) &&
-         check("access_method", a.access_method, b.access_method) &&
-         check("source", a.source, b.source) &&
-         check("runtime_sec", a.runtime_sec, b.runtime_sec) &&
-         check("throughput_mbps", a.throughput_mbps, b.throughput_mbps) &&
-         check("raf", a.raf, b.raf) &&
-         check("avg_transfer_bytes", a.avg_transfer_bytes,
-               b.avg_transfer_bytes) &&
-         check("used_bytes", a.used_bytes, b.used_bytes) &&
-         check("fetched_bytes", a.fetched_bytes, b.fetched_bytes) &&
-         check("transactions", a.transactions, b.transactions) &&
-         check("steps", a.steps, b.steps) &&
-         check("observed_read_latency_us", a.observed_read_latency_us,
-               b.observed_read_latency_us) &&
-         check("avg_outstanding_reads", a.avg_outstanding_reads,
-               b.avg_outstanding_reads) &&
-         check("frontier_vertices", a.frontier_vertices,
-               b.frontier_vertices) &&
-         check("graph_edges", a.graph_edges, b.graph_edges);
 }
 
 int check_single(const graph::CsrGraph& g,
@@ -92,15 +59,11 @@ int check_single(const graph::CsrGraph& g,
       creq.num_shards = 1;
       const core::ClusterReport actual = cluster.run(g, creq);
 
-      std::string diff;
       if (actual.runtime_sec != expected.runtime_sec ||
-          !reports_identical(actual.shard_reports.front(), expected,
-                             diff)) {
+          actual.shard_reports.front() != expected) {
         std::cerr << "check-single FAILED for " << core::to_string(algorithm)
-                  << " on " << core::to_string(backend) << ": "
-                  << (diff.empty() ? "cluster runtime != single runtime"
-                                   : diff)
-                  << "\n";
+                  << " on " << core::to_string(backend)
+                  << ": 1-shard cluster report != single runtime report\n";
         return 1;
       }
     }

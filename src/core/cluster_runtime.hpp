@@ -152,6 +152,8 @@ struct ClusterReport {
 
   partition::CutStats cut;
   std::vector<RunReport> shard_reports;
+
+  friend bool operator==(const ClusterReport&, const ClusterReport&) = default;
 };
 
 class ClusterRuntime {

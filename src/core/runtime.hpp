@@ -77,6 +77,8 @@ struct RunReport {
   // Workload facts.
   std::uint64_t frontier_vertices = 0;  // total sublist reads
   std::uint64_t graph_edges = 0;
+
+  friend bool operator==(const RunReport&, const RunReport&) = default;
 };
 
 /// run_trace's result: the usual report plus per-step (superstep) wall

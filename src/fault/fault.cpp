@@ -1,6 +1,7 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 
@@ -44,13 +45,11 @@ double parse_double(const std::string& key, const std::string& value) {
   }
 }
 
-std::uint64_t parse_count(const std::string& key, const std::string& value) {
-  const double parsed = parse_double(key, value);
-  if (parsed < 0.0 || parsed != static_cast<double>(
-                                    static_cast<std::uint64_t>(parsed))) {
-    fail(key + " must be a non-negative integer, got " + value);
-  }
-  return static_cast<std::uint64_t>(parsed);
+/// A 32-bit count field: a whole base-10 integer that fits it.
+std::uint32_t parse_count(const std::string& key, const std::string& value) {
+  return static_cast<std::uint32_t>(
+      util::parse_uint(value, "fault spec: " + key, 0,
+                       std::numeric_limits<std::uint32_t>::max()));
 }
 
 }  // namespace
@@ -111,17 +110,18 @@ FaultSpec parse_fault_spec(const std::string& spec) {
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
     if (key == "seed") {
-      out.seed = parse_count(key, value);
+      out.seed = util::parse_uint(value, "fault spec: seed", 0,
+                                  std::numeric_limits<std::uint64_t>::max());
     } else if (key == "horizon-ms") {
       out.horizon_sec = parse_double(key, value) * 1e-3;
     } else if (key == "crashes") {
-      out.crashes = static_cast<std::uint32_t>(parse_count(key, value));
+      out.crashes = parse_count(key, value);
     } else if (key == "restart-ms") {
       out.restart_sec = parse_double(key, value) * 1e-3;
     } else if (key == "provision-ms") {
       out.provision_sec = parse_double(key, value) * 1e-3;
     } else if (key == "io-bursts") {
-      out.io_bursts = static_cast<std::uint32_t>(parse_count(key, value));
+      out.io_bursts = parse_count(key, value);
     } else if (key == "io-burst-ms") {
       out.io_burst_sec = parse_double(key, value) * 1e-3;
     } else if (key == "io-rate") {
@@ -129,16 +129,15 @@ FaultSpec parse_fault_spec(const std::string& spec) {
     } else if (key == "io-retry-us") {
       out.io_retry_us = parse_double(key, value);
     } else if (key == "io-max-retries") {
-      out.io_max_retries = static_cast<std::uint32_t>(parse_count(key, value));
+      out.io_max_retries = parse_count(key, value);
     } else if (key == "link-flaps") {
-      out.link_flaps = static_cast<std::uint32_t>(parse_count(key, value));
+      out.link_flaps = parse_count(key, value);
     } else if (key == "flap-ms") {
       out.flap_sec = parse_double(key, value) * 1e-3;
     } else if (key == "flap-derate") {
       out.flap_derate = parse_double(key, value);
     } else if (key == "query-retries") {
-      out.max_query_retries =
-          static_cast<std::uint32_t>(parse_count(key, value));
+      out.max_query_retries = parse_count(key, value);
     } else if (key == "backoff-us") {
       out.retry_backoff_us = parse_double(key, value);
     } else {

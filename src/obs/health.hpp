@@ -58,6 +58,8 @@ struct Incident {
   double peak = 0.0;             ///< worst value observed while open
   double last = 0.0;             ///< value at the most recent observation
   std::uint64_t observations = 0;  ///< evidence: samples folded in
+
+  friend bool operator==(const Incident&, const Incident&) = default;
 };
 
 struct HealthConfig {

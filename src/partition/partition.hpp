@@ -129,6 +129,8 @@ struct CutStats {
   /// Sum of per-shard local vertices (owned + ghosts) over global vertices;
   /// 1.0 means no replication.
   double vertex_replication = 1.0;
+
+  friend bool operator==(const CutStats&, const CutStats&) = default;
 };
 
 struct Partition {

@@ -1116,6 +1116,11 @@ void FleetConfig::validate(std::size_t num_classes) const {
                                   " out of range (workload has " +
                                   std::to_string(num_classes) + " classes)");
     }
+    if (q.max_in_flight == 0) {
+      throw std::invalid_argument("quota for tenant class " +
+                                  std::to_string(q.class_index) +
+                                  " admits no query (max_in_flight 0)");
+    }
   }
   for (const MigrationPlan& m : migrations) {
     if (m.class_index >= num_classes) {

@@ -60,8 +60,8 @@ std::string to_string(RouterKind router);
 RouterKind router_from_name(const std::string& name);
 const std::vector<RouterKind>& all_routers();
 
-/// Per-tenant admission quota: at most max_in_flight queries of the
-/// class admitted and not yet completed; arrivals past it are shed.
+/// Per-tenant admission quota: at most max_in_flight (>= 1) queries of
+/// the class admitted and not yet completed; arrivals past it are shed.
 struct TenantQuota {
   std::uint32_t class_index = 0;
   std::uint32_t max_in_flight = 1;
@@ -151,6 +151,8 @@ struct ReplicaStats {
   /// it spent dead (still-dead-at-end counted to the makespan).
   std::uint32_t crashes = 0;
   double down_sec = 0.0;
+
+  friend bool operator==(const ReplicaStats&, const ReplicaStats&) = default;
 };
 
 struct MigrationRecord {
@@ -166,6 +168,8 @@ struct MigrationRecord {
   /// An in-flight query handed off at a preemption point (resumes on
   /// the target mid-serve).
   bool moved_active = false;
+
+  friend bool operator==(const MigrationRecord&, const MigrationRecord&) = default;
 };
 
 struct ScalingEvent {
@@ -184,6 +188,8 @@ struct ScalingEvent {
   /// Id of the health-monitor incident (saturation for grows, underload
   /// for drains) whose verdict triggered this decision; -1 when none.
   std::int32_t incident = -1;
+
+  friend bool operator==(const ScalingEvent&, const ScalingEvent&) = default;
 };
 
 struct FleetReport {
@@ -220,6 +226,8 @@ struct FleetReport {
   std::uint32_t link_degrade_windows = 0;
   /// completed / (completed + failed); 1.0 when nothing failed.
   double availability = 1.0;
+
+  friend bool operator==(const FleetReport&, const FleetReport&) = default;
 };
 
 /// The fleet entry point is QueryServer's FleetRequest overload; the

@@ -113,6 +113,8 @@ struct QueryProfile {
   std::vector<std::uint64_t> step_bytes;
   util::SimTime service_ps = 0;      // sum of step_ps
   std::uint64_t service_bytes = 0;   // sum of step_bytes
+
+  friend bool operator==(const QueryProfile&, const QueryProfile&) = default;
 };
 
 struct QueryRecord {
@@ -149,6 +151,8 @@ struct QueryRecord {
   util::SimTime lost_ps = 0;
   std::uint64_t lost_bytes = 0;
   bool failed = false;
+
+  friend bool operator==(const QueryRecord&, const QueryRecord&) = default;
 };
 
 struct ServeReport {
@@ -224,6 +228,8 @@ struct ServeReport {
 
   std::vector<QueryRecord> queries;
   std::vector<QueryProfile> profiles;
+
+  friend bool operator==(const ServeReport&, const ServeReport&) = default;
 };
 
 /// One slice of a soak run: the completed queries whose completion fell in

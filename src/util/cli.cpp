@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
@@ -76,23 +77,8 @@ std::int64_t CliParser::get_int(const std::string& name) const {
 
 std::uint32_t CliParser::get_uint(const std::string& name, std::uint32_t min,
                                   std::uint32_t max) const {
-  const std::string& value = require(name).value;
-  bool ok = false;
-  long long parsed = 0;
-  try {
-    std::size_t used = 0;
-    parsed = std::stoll(value, &used);
-    ok = used == value.size() && parsed >= min && parsed <= max;
-  } catch (const std::logic_error&) {
-    // Not a number, or out of long long range: reported below.
-  }
-  if (!ok) {
-    throw std::invalid_argument("--" + name + " must be an integer in [" +
-                                std::to_string(min) + ", " +
-                                std::to_string(max) + "] (got '" + value +
-                                "')");
-  }
-  return static_cast<std::uint32_t>(parsed);
+  return static_cast<std::uint32_t>(
+      parse_uint(require(name).value, "--" + name, min, max));
 }
 
 double CliParser::get_double(const std::string& name) const {
@@ -102,6 +88,20 @@ double CliParser::get_double(const std::string& name) const {
 bool CliParser::get_bool(const std::string& name) const {
   const std::string& v = require(name).value;
   return v == "true" || v == "1" || v == "yes" || v == "on";
+}
+
+std::uint64_t parse_uint(const std::string& text, const std::string& what,
+                         std::uint64_t min, std::uint64_t max) {
+  std::uint64_t parsed = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+  if (error != std::errc() || stop != end || parsed < min || parsed > max) {
+    throw std::invalid_argument(what + " must be an integer in [" +
+                                std::to_string(min) + ", " +
+                                std::to_string(max) + "] (got '" + text +
+                                "')");
+  }
+  return parsed;
 }
 
 std::vector<std::string> split_csv(const std::string& value) {

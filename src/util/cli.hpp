@@ -58,6 +58,13 @@ class CliParser {
   std::vector<std::string> positional_;
 };
 
+/// Parses `text` as a whole base-10 integer in [min, max]: no sign, no
+/// blanks, no exponent, no trailing characters. Throws
+/// std::invalid_argument naming `what` otherwise, so a negative count or
+/// one too wide for its field is an error instead of a wrapped value.
+std::uint64_t parse_uint(const std::string& text, const std::string& what,
+                         std::uint64_t min, std::uint64_t max);
+
 /// Splits a comma-separated option value ("0.25,0.5,1") into its items.
 /// Throws std::invalid_argument on empty input or empty items (",1",
 /// "1,,2") so list-valued options fail with a description, not a crash

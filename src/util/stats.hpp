@@ -86,6 +86,8 @@ struct PercentileSummary {
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
+
+  friend bool operator==(const PercentileSummary&, const PercentileSummary&) = default;
 };
 PercentileSummary summarize_percentiles(std::vector<double> samples);
 

@@ -89,37 +89,6 @@ void expect_fault_ledger_balances(const serve::ServeReport& s) {
   EXPECT_EQ(s.completed + s.shed + s.failed, s.offered);
 }
 
-void expect_reports_identical(const serve::ServeReport& a,
-                              const serve::ServeReport& b) {
-  ASSERT_EQ(a.queries.size(), b.queries.size());
-  for (std::size_t i = 0; i < a.queries.size(); ++i) {
-    const serve::QueryRecord& x = a.queries[i];
-    const serve::QueryRecord& y = b.queries[i];
-    EXPECT_EQ(x.arrival, y.arrival);
-    EXPECT_EQ(x.first_service, y.first_service);
-    EXPECT_EQ(x.completion, y.completion);
-    EXPECT_EQ(x.service_ps, y.service_ps);
-    EXPECT_EQ(x.ride_ps, y.ride_ps);
-    EXPECT_EQ(x.queue_ps, y.queue_ps);
-    EXPECT_EQ(x.service_bytes, y.service_bytes);
-    EXPECT_EQ(x.replica, y.replica);
-    EXPECT_EQ(x.shed, y.shed);
-    EXPECT_EQ(x.retries, y.retries);
-    EXPECT_EQ(x.lost_ps, y.lost_ps);
-    EXPECT_EQ(x.lost_bytes, y.lost_bytes);
-    EXPECT_EQ(x.failed, y.failed);
-  }
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.query_retries, b.query_retries);
-  EXPECT_EQ(a.link_bytes, b.link_bytes);
-  EXPECT_EQ(a.query_bytes, b.query_bytes);
-  EXPECT_EQ(a.lost_bytes, b.lost_bytes);
-  EXPECT_EQ(a.makespan_sec, b.makespan_sec);
-  EXPECT_EQ(a.latency_us.p99, b.latency_us.p99);
-}
-
 // ------------------------------------------------------------- plan ----
 
 TEST(FaultPlan, PureFunctionOfSpecSortedInTime) {
@@ -258,6 +227,30 @@ TEST(FaultSpec, RejectsNonFiniteAndNegativeDurations) {
   EXPECT_THROW(fault::validate(spec), std::invalid_argument);
 }
 
+// Counts are whole base-10 integers that fit their 32-bit field: a NaN,
+// an exponent, a sign, trailing characters or a value past 2^32 - 1 is an
+// error, never an undefined cast or a truncated count. Seeds keep all 64
+// bits, where a round trip through a double would not.
+TEST(FaultSpec, CountsAreCheckedIntegersSeedsKeepAllBits) {
+  for (const std::string key :
+       {"crashes", "io-bursts", "io-max-retries", "link-flaps",
+        "query-retries"}) {
+    for (const std::string bad : {"nan", "1e30", "-1", "4294967297", "2x"}) {
+      EXPECT_THROW(fault::parse_fault_spec("horizon-ms=2," + key + "=" + bad),
+                   std::invalid_argument)
+          << key << "=" << bad;
+    }
+  }
+  EXPECT_EQ(fault::parse_fault_spec("horizon-ms=2,crashes=4294967295").crashes,
+            4294967295u);
+  EXPECT_EQ(fault::parse_fault_spec("seed=9007199254740993").seed,
+            9007199254740993ULL);
+  EXPECT_EQ(fault::parse_fault_spec("seed=18446744073709551615").seed,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_THROW(fault::parse_fault_spec("seed=18446744073709551616"),
+               std::invalid_argument);
+}
+
 // ----------------------------------------------------------- device ----
 
 TEST(IoFaultPenalty, DisabledIsFreeEnabledBacksOffLinearly) {
@@ -358,7 +351,10 @@ TEST(FleetFaults, ZeroRatePlanIsRecordIdenticalToNoPlan) {
   serve::FleetServer fleet(core::table3_system());
   const serve::FleetReport a = fleet.serve(g, plain);
   const serve::FleetReport b = fleet.serve(g, zero);
-  expect_reports_identical(a.serve, b.serve);
+  // Every serve record and aggregate is identical. The whole FleetReports
+  // are not: an armed burst still opens its io-error-burst incidents,
+  // rate 0 or not.
+  EXPECT_EQ(a.serve, b.serve);
   EXPECT_EQ(b.serve.failed, 0u);
   EXPECT_EQ(b.serve.query_retries, 0u);
   EXPECT_EQ(b.serve.lost_bytes, 0u);
@@ -626,13 +622,8 @@ TEST(FleetFaults, IdenticalSeedsIdenticalReportsAcrossJobs) {
   const serve::FleetReport a = fleet1.serve(g, req);
   const serve::FleetReport b = fleet4.serve(g, req);
   const serve::FleetReport c = fleet4.serve(g, req);  // repeat, same server
-  expect_reports_identical(a.serve, b.serve);
-  expect_reports_identical(a.serve, c.serve);
-  EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.restarts, b.restarts);
-  EXPECT_EQ(a.io_error_retries, b.io_error_retries);
-  EXPECT_EQ(a.link_degrade_windows, b.link_degrade_windows);
-  EXPECT_DOUBLE_EQ(a.availability, b.availability);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, c);
 }
 
 TEST(FleetFaults, InvalidSpecsRejectedThroughFleetValidate) {

@@ -58,37 +58,6 @@ serve::FleetRequest mixed_fleet_request(double offered_qps,
   return req;
 }
 
-void expect_reports_identical(const serve::ServeReport& a,
-                              const serve::ServeReport& b) {
-  ASSERT_EQ(a.queries.size(), b.queries.size());
-  for (std::size_t i = 0; i < a.queries.size(); ++i) {
-    const serve::QueryRecord& x = a.queries[i];
-    const serve::QueryRecord& y = b.queries[i];
-    EXPECT_EQ(x.id, y.id);
-    EXPECT_EQ(x.arrival, y.arrival);
-    EXPECT_EQ(x.first_service, y.first_service);
-    EXPECT_EQ(x.completion, y.completion);
-    EXPECT_EQ(x.service_ps, y.service_ps);
-    EXPECT_EQ(x.ride_ps, y.ride_ps);
-    EXPECT_EQ(x.queue_ps, y.queue_ps);
-    EXPECT_EQ(x.service_bytes, y.service_bytes);
-    EXPECT_EQ(x.replica, y.replica);
-    EXPECT_EQ(x.shed, y.shed);
-    EXPECT_EQ(x.slo_violated, y.slo_violated);
-  }
-  EXPECT_EQ(a.admitted, b.admitted);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.link_bytes, b.link_bytes);
-  EXPECT_EQ(a.query_bytes, b.query_bytes);
-  EXPECT_EQ(a.throttled_quanta, b.throttled_quanta);
-  EXPECT_EQ(a.makespan_sec, b.makespan_sec);
-  EXPECT_EQ(a.utilization, b.utilization);
-  EXPECT_EQ(a.latency_us.p50, b.latency_us.p50);
-  EXPECT_EQ(a.latency_us.p99, b.latency_us.p99);
-  EXPECT_EQ(a.streaming_p99_us, b.streaming_p99_us);
-}
-
 // The acceptance gate: one replica behind the random router, no quotas,
 // no shedding, no migration — the fleet must reproduce QueryServer's
 // report bit-for-bit, every record field included.
@@ -109,7 +78,7 @@ TEST(FleetServer, SingleReplicaBitIdenticalToQueryServer) {
   serve::FleetServer fleet(core::table3_system());
   const serve::ServeReport a = solo.serve(g, sreq);
   const serve::FleetReport b = fleet.serve(g, freq);
-  expect_reports_identical(a, b.serve);
+  EXPECT_EQ(a, b.serve);
   EXPECT_EQ(b.replicas, 1u);
   EXPECT_EQ(b.peak_replicas, 1u);
   EXPECT_EQ(b.shed_queue, a.shed);
@@ -131,8 +100,8 @@ TEST(FleetServer, DeterministicAcrossJobsAndRepeatedRuns) {
   const serve::FleetReport a = serial.serve(g, req);
   const serve::FleetReport b = wide.serve(g, req);
   const serve::FleetReport c = serial.serve(g, req);
-  expect_reports_identical(a.serve, b.serve);
-  expect_reports_identical(a.serve, c.serve);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, c);
 }
 
 TEST(FleetServer, RoutersSpreadLoadAndConserveBytes) {
@@ -344,6 +313,9 @@ TEST(FleetServer, ValidatesFleetConfiguration) {
   req.fleet.replicas = 2;
 
   req.fleet.quotas = {serve::TenantQuota{/*class_index=*/7, 1}};
+  EXPECT_THROW(fleet.serve(g, req), std::invalid_argument);
+  // A quota that admits nothing is an error, not "no quota".
+  req.fleet.quotas = {serve::TenantQuota{/*class_index=*/0, 0}};
   EXPECT_THROW(fleet.serve(g, req), std::invalid_argument);
   req.fleet.quotas.clear();
 

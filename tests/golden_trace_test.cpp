@@ -37,27 +37,6 @@ graph::CsrGraph golden_weighted_graph() {
   return graph::generate_uniform(1 << 10, 8.0, opts);
 }
 
-void expect_reports_identical(const core::RunReport& a,
-                              const core::RunReport& b) {
-  EXPECT_EQ(a.algorithm, b.algorithm);
-  EXPECT_EQ(a.backend, b.backend);
-  EXPECT_EQ(a.access_method, b.access_method);
-  EXPECT_EQ(a.source, b.source);
-  // Bit-stable: exact double equality, not a tolerance.
-  EXPECT_EQ(a.runtime_sec, b.runtime_sec);
-  EXPECT_EQ(a.throughput_mbps, b.throughput_mbps);
-  EXPECT_EQ(a.raf, b.raf);
-  EXPECT_EQ(a.avg_transfer_bytes, b.avg_transfer_bytes);
-  EXPECT_EQ(a.used_bytes, b.used_bytes);
-  EXPECT_EQ(a.fetched_bytes, b.fetched_bytes);
-  EXPECT_EQ(a.transactions, b.transactions);
-  EXPECT_EQ(a.steps, b.steps);
-  EXPECT_EQ(a.observed_read_latency_us, b.observed_read_latency_us);
-  EXPECT_EQ(a.avg_outstanding_reads, b.avg_outstanding_reads);
-  EXPECT_EQ(a.frontier_vertices, b.frontier_vertices);
-  EXPECT_EQ(a.graph_edges, b.graph_edges);
-}
-
 TEST(GoldenTrace, GraphShapeIsStable) {
   const graph::CsrGraph g = golden_graph();
   const graph::CsrGraph again = golden_graph();
@@ -135,8 +114,9 @@ TEST(GoldenTrace, RunReportsAreBitStableAcrossRuntimeInstances) {
     const core::RunReport same_rt_a = rt1.run(g, req);
     const core::RunReport same_rt_b = rt1.run(g, req);
     const core::RunReport other_rt = rt2.run(g, req);
-    expect_reports_identical(same_rt_a, same_rt_b);
-    expect_reports_identical(same_rt_a, other_rt);
+    // Bit-stable: every field, doubles exactly, not within a tolerance.
+    EXPECT_EQ(same_rt_a, same_rt_b);
+    EXPECT_EQ(same_rt_a, other_rt);
     EXPECT_GT(same_rt_a.runtime_sec, 0.0);
   }
 }
@@ -179,9 +159,7 @@ TEST(GoldenTrace, ParallelSweepMatchesSerialSweep) {
       parallel.run_all(jobs);
   ASSERT_EQ(serial_reports.size(), jobs.size());
   ASSERT_EQ(parallel_reports.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    expect_reports_identical(serial_reports[i], parallel_reports[i]);
-  }
+  EXPECT_EQ(serial_reports, parallel_reports);
   // Insertion order survives the fan-out: report i describes job i.
   EXPECT_EQ(parallel_reports[0].backend, "host-dram");
   EXPECT_EQ(parallel_reports[1].backend, "cxl");

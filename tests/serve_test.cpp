@@ -60,30 +60,6 @@ serve::ServeRequest mixed_request(double offered_qps,
   return req;
 }
 
-void expect_records_identical(const serve::ServeReport& a,
-                              const serve::ServeReport& b) {
-  ASSERT_EQ(a.queries.size(), b.queries.size());
-  for (std::size_t i = 0; i < a.queries.size(); ++i) {
-    const serve::QueryRecord& x = a.queries[i];
-    const serve::QueryRecord& y = b.queries[i];
-    EXPECT_EQ(x.id, y.id);
-    EXPECT_EQ(x.class_index, y.class_index);
-    EXPECT_EQ(x.profile_index, y.profile_index);
-    EXPECT_EQ(x.arrival, y.arrival);
-    EXPECT_EQ(x.first_service, y.first_service);
-    EXPECT_EQ(x.completion, y.completion);
-    EXPECT_EQ(x.service_ps, y.service_ps);
-    EXPECT_EQ(x.queue_ps, y.queue_ps);
-    EXPECT_EQ(x.service_bytes, y.service_bytes);
-    EXPECT_EQ(x.shed, y.shed);
-    EXPECT_EQ(x.slo_violated, y.slo_violated);
-  }
-  EXPECT_EQ(a.link_bytes, b.link_bytes);
-  EXPECT_EQ(a.query_bytes, b.query_bytes);
-  EXPECT_EQ(a.makespan_sec, b.makespan_sec);
-  EXPECT_EQ(a.latency_us.p99, b.latency_us.p99);
-}
-
 TEST(QueryServer, SingleQueryIdleServerMatchesSingleRuntime) {
   const graph::CsrGraph g = test_graph();
   const core::SystemConfig cfg = core::table3_system();
@@ -114,25 +90,7 @@ TEST(QueryServer, SingleQueryIdleServerMatchesSingleRuntime) {
     core::ExternalGraphRuntime single(cfg);
     const core::RunReport expected = single.run(g, expected_req);
 
-    const core::RunReport& actual = r.profiles.front().report;
-    EXPECT_EQ(actual.algorithm, expected.algorithm);
-    EXPECT_EQ(actual.backend, expected.backend);
-    EXPECT_EQ(actual.access_method, expected.access_method);
-    EXPECT_EQ(actual.source, expected.source);
-    EXPECT_EQ(actual.runtime_sec, expected.runtime_sec);
-    EXPECT_EQ(actual.throughput_mbps, expected.throughput_mbps);
-    EXPECT_EQ(actual.raf, expected.raf);
-    EXPECT_EQ(actual.avg_transfer_bytes, expected.avg_transfer_bytes);
-    EXPECT_EQ(actual.used_bytes, expected.used_bytes);
-    EXPECT_EQ(actual.fetched_bytes, expected.fetched_bytes);
-    EXPECT_EQ(actual.transactions, expected.transactions);
-    EXPECT_EQ(actual.steps, expected.steps);
-    EXPECT_EQ(actual.observed_read_latency_us,
-              expected.observed_read_latency_us);
-    EXPECT_EQ(actual.avg_outstanding_reads,
-              expected.avg_outstanding_reads);
-    EXPECT_EQ(actual.frontier_vertices, expected.frontier_vertices);
-    EXPECT_EQ(actual.graph_edges, expected.graph_edges);
+    EXPECT_EQ(r.profiles.front().report, expected);
 
     // The served latency is exactly the isolated runtime: the per-step
     // durations sum to the engine's total time (integer picoseconds).
@@ -151,12 +109,12 @@ TEST(QueryServer, DeterministicAcrossJobsAndRepeatedRuns) {
   const serve::ServeReport first = serial.serve(g, req);
   // Repeat on the same server: profile cache warm, results identical.
   const serve::ServeReport repeat = serial.serve(g, req);
-  expect_records_identical(first, repeat);
+  EXPECT_EQ(first, repeat);
 
   // Fresh server, parallel profiling: still identical.
   serve::QueryServer parallel(core::table3_system(), /*jobs=*/4);
   const serve::ServeReport fanned = parallel.serve(g, req);
-  expect_records_identical(first, fanned);
+  EXPECT_EQ(first, fanned);
 }
 
 TEST(QueryServer, LatencyMonotoneNonImprovingInOfferedLoad) {
@@ -455,7 +413,7 @@ TEST(QueryServer, BatchingIsDeterministic) {
   req.config.policy = serve::SchedulingPolicy::kSloPriority;
   serve::QueryServer a(core::table3_system());
   serve::QueryServer b(core::table3_system());
-  expect_records_identical(a.serve(g, req), b.serve(g, req));
+  EXPECT_EQ(a.serve(g, req), b.serve(g, req));
 }
 
 // ------------------------------------------------ profile-cache eviction ----
@@ -471,7 +429,7 @@ TEST(QueryServer, ProfileCacheEvictionBoundsMemoryNotResults) {
   const serve::ServeReport a = unbounded.serve(g, req);
   const serve::ServeReport b = bounded.serve(g, req);
   // Eviction is a memory policy, not a semantic one.
-  expect_records_identical(a, b);
+  EXPECT_EQ(a, b);
   EXPECT_GT(unbounded.profile_cache_size(), 2u);
   EXPECT_LE(bounded.profile_cache_size(), 2u);
 
@@ -480,7 +438,7 @@ TEST(QueryServer, ProfileCacheEvictionBoundsMemoryNotResults) {
   const std::uint64_t before = bounded.profiles_computed();
   const serve::ServeReport a2 = unbounded.serve(g, req);
   const serve::ServeReport b2 = bounded.serve(g, req);
-  expect_records_identical(a2, b2);
+  EXPECT_EQ(a2, b2);
   // The unbounded cache computes each distinct computation once: one
   // replay per BFS source, one PageRank scan for all of its sources (the
   // scan never reads the source). That is fewer runs than slots.
@@ -542,11 +500,7 @@ TEST(QueryServer, SharedProfilesMatchIndependentRunsAtTheirOwnSource) {
       run.algorithm = cls.algorithm;
       run.source = p.source;
       const core::TraceRunResult expected = single.run_profiled(g, run);
-      EXPECT_EQ(p.report.source, expected.report.source);
-      EXPECT_EQ(p.report.runtime_sec, expected.report.runtime_sec);
-      EXPECT_EQ(p.report.fetched_bytes, expected.report.fetched_bytes);
-      EXPECT_EQ(p.report.transactions, expected.report.transactions);
-      EXPECT_EQ(p.report.steps, expected.report.steps);
+      EXPECT_EQ(p.report, expected.report);
       EXPECT_EQ(p.step_ps, expected.step_durations);
       EXPECT_EQ(p.step_bytes, expected.step_fetched_bytes);
     } else {
@@ -629,7 +583,7 @@ TEST(QueryServer, SustainedLoadUnderThrottlingRaisesTailOverTime) {
   off_cfg.cxl.thermal.enabled = false;
   serve::QueryServer off_server(std::move(off_cfg));
   const serve::ServeReport off = off_server.serve(g, sustained);
-  expect_records_identical(cold, off);
+  EXPECT_EQ(cold, off);
   EXPECT_EQ(off.throttled_quanta, 0u);
   EXPECT_EQ(off.stack_peak_heat, 0.0);
 }

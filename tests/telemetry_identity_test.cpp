@@ -32,29 +32,6 @@ graph::CsrGraph test_graph() {
   return graph::generate_uniform(1 << 10, 8.0, opts);
 }
 
-void expect_reports_identical(const core::RunReport& a,
-                              const core::RunReport& b) {
-  EXPECT_EQ(a.algorithm, b.algorithm);
-  EXPECT_EQ(a.backend, b.backend);
-  EXPECT_EQ(a.access_method, b.access_method);
-  EXPECT_EQ(a.source, b.source);
-  EXPECT_EQ(a.runtime_sec, b.runtime_sec);
-  EXPECT_EQ(a.throughput_mbps, b.throughput_mbps);
-  EXPECT_EQ(a.raf, b.raf);
-  EXPECT_EQ(a.avg_transfer_bytes, b.avg_transfer_bytes);
-  EXPECT_EQ(a.used_bytes, b.used_bytes);
-  EXPECT_EQ(a.fetched_bytes, b.fetched_bytes);
-  EXPECT_EQ(a.transactions, b.transactions);
-  EXPECT_EQ(a.steps, b.steps);
-  EXPECT_EQ(a.observed_read_latency_us, b.observed_read_latency_us);
-  EXPECT_EQ(a.avg_outstanding_reads, b.avg_outstanding_reads);
-  EXPECT_EQ(a.link_return_busy_sec, b.link_return_busy_sec);
-  EXPECT_EQ(a.link_upstream_busy_sec, b.link_upstream_busy_sec);
-  EXPECT_EQ(a.written_bytes, b.written_bytes);
-  EXPECT_EQ(a.frontier_vertices, b.frontier_vertices);
-  EXPECT_EQ(a.graph_edges, b.graph_edges);
-}
-
 TEST(TelemetryIdentity, RuntimeRunIsBitIdenticalWithTelemetryOn) {
   const graph::CsrGraph g = test_graph();
 
@@ -73,7 +50,7 @@ TEST(TelemetryIdentity, RuntimeRunIsBitIdenticalWithTelemetryOn) {
     on.set_telemetry(&telemetry);
     const core::RunReport tapped = on.run(g, req);
 
-    expect_reports_identical(baseline, tapped);
+    EXPECT_EQ(baseline, tapped);
     // The tap really fired: superstep spans, event counters, channels.
     EXPECT_FALSE(telemetry.tracer().empty());
     EXPECT_GT(telemetry.metrics().size(), 0u);
@@ -98,17 +75,7 @@ TEST(TelemetryIdentity, ClusterRunIsBitIdenticalWithTelemetryOn) {
   on.set_telemetry(&telemetry);
   const core::ClusterReport tapped = on.run(g, req);
 
-  EXPECT_EQ(baseline.runtime_sec, tapped.runtime_sec);
-  EXPECT_EQ(baseline.compute_sec, tapped.compute_sec);
-  EXPECT_EQ(baseline.exchange_sec, tapped.exchange_sec);
-  EXPECT_EQ(baseline.exchange_bytes, tapped.exchange_bytes);
-  EXPECT_EQ(baseline.exchange_messages, tapped.exchange_messages);
-  EXPECT_EQ(baseline.supersteps, tapped.supersteps);
-  EXPECT_EQ(baseline.fetched_bytes, tapped.fetched_bytes);
-  EXPECT_EQ(baseline.superstep_compute_ps, tapped.superstep_compute_ps);
-  EXPECT_EQ(baseline.exchange_phase_ps, tapped.exchange_phase_ps);
-  EXPECT_EQ(baseline.superstep_fetched_bytes,
-            tapped.superstep_fetched_bytes);
+  EXPECT_EQ(baseline, tapped);
   EXPECT_FALSE(telemetry.tracer().empty());
 }
 
@@ -138,26 +105,7 @@ TEST(TelemetryIdentity, ServeRunIsRecordIdenticalWithTelemetryOn) {
   on.set_telemetry(&telemetry);
   const serve::ServeReport tapped = on.serve(g, req);
 
-  ASSERT_EQ(baseline.queries.size(), tapped.queries.size());
-  for (std::size_t i = 0; i < baseline.queries.size(); ++i) {
-    const serve::QueryRecord& x = baseline.queries[i];
-    const serve::QueryRecord& y = tapped.queries[i];
-    EXPECT_EQ(x.id, y.id);
-    EXPECT_EQ(x.arrival, y.arrival);
-    EXPECT_EQ(x.first_service, y.first_service);
-    EXPECT_EQ(x.completion, y.completion);
-    EXPECT_EQ(x.service_ps, y.service_ps);
-    EXPECT_EQ(x.queue_ps, y.queue_ps);
-    EXPECT_EQ(x.service_bytes, y.service_bytes);
-    EXPECT_EQ(x.shed, y.shed);
-    EXPECT_EQ(x.slo_violated, y.slo_violated);
-  }
-  EXPECT_EQ(baseline.link_bytes, tapped.link_bytes);
-  EXPECT_EQ(baseline.query_bytes, tapped.query_bytes);
-  EXPECT_EQ(baseline.makespan_sec, tapped.makespan_sec);
-  EXPECT_EQ(baseline.latency_us.p99, tapped.latency_us.p99);
-  EXPECT_EQ(baseline.streaming_p99_us, tapped.streaming_p99_us);
-  EXPECT_EQ(baseline.p2_max_rel_error, tapped.p2_max_rel_error);
+  EXPECT_EQ(baseline, tapped);
 
   // Lifecycle instants (admit/shed/complete) and quanta spans landed.
   EXPECT_FALSE(telemetry.tracer().empty());
@@ -233,53 +181,12 @@ TEST(TelemetryIdentity, FleetRunIsRecordIdenticalWithTelemetryOn) {
   on.set_telemetry(&telemetry);
   const serve::FleetReport tapped = on.serve(g, req);
 
-  ASSERT_EQ(baseline.serve.queries.size(), tapped.serve.queries.size());
-  for (std::size_t i = 0; i < baseline.serve.queries.size(); ++i) {
-    const serve::QueryRecord& x = baseline.serve.queries[i];
-    const serve::QueryRecord& y = tapped.serve.queries[i];
-    EXPECT_EQ(x.id, y.id);
-    EXPECT_EQ(x.arrival, y.arrival);
-    EXPECT_EQ(x.first_service, y.first_service);
-    EXPECT_EQ(x.completion, y.completion);
-    EXPECT_EQ(x.service_ps, y.service_ps);
-    EXPECT_EQ(x.queue_ps, y.queue_ps);
-    EXPECT_EQ(x.service_bytes, y.service_bytes);
-    EXPECT_EQ(x.replica, y.replica);
-    EXPECT_EQ(x.shed, y.shed);
-    EXPECT_EQ(x.slo_violated, y.slo_violated);
-  }
-  EXPECT_EQ(baseline.serve.link_bytes, tapped.serve.link_bytes);
-  EXPECT_EQ(baseline.serve.makespan_sec, tapped.serve.makespan_sec);
-  EXPECT_EQ(baseline.serve.latency_us.p99, tapped.serve.latency_us.p99);
-  EXPECT_EQ(baseline.peak_replicas, tapped.peak_replicas);
-  EXPECT_EQ(baseline.migration_bytes, tapped.migration_bytes);
-  ASSERT_EQ(baseline.scaling_events.size(), tapped.scaling_events.size());
-  for (std::size_t i = 0; i < baseline.scaling_events.size(); ++i) {
-    EXPECT_EQ(baseline.scaling_events[i].at_sec,
-              tapped.scaling_events[i].at_sec);
-    EXPECT_EQ(baseline.scaling_events[i].added,
-              tapped.scaling_events[i].added);
-    EXPECT_EQ(baseline.scaling_events[i].incident,
-              tapped.scaling_events[i].incident);
-  }
+  EXPECT_EQ(baseline, tapped);
 
   // The incident log is a pure function of the run: identical with and
-  // without the sink, and the workload is hot enough to produce one.
-  ASSERT_EQ(baseline.incidents.size(), tapped.incidents.size());
+  // without the sink, byte for byte once serialized, and the workload is
+  // hot enough to produce one.
   EXPECT_FALSE(baseline.incidents.empty());
-  for (std::size_t i = 0; i < baseline.incidents.size(); ++i) {
-    const obs::Incident& x = baseline.incidents[i];
-    const obs::Incident& y = tapped.incidents[i];
-    EXPECT_EQ(x.id, y.id);
-    EXPECT_EQ(x.kind, y.kind);
-    EXPECT_EQ(x.severity, y.severity);
-    EXPECT_EQ(x.subject, y.subject);
-    EXPECT_EQ(x.opened_ps, y.opened_ps);
-    EXPECT_EQ(x.closed_ps, y.closed_ps);
-    EXPECT_EQ(x.open, y.open);
-    EXPECT_EQ(x.peak, y.peak);
-    EXPECT_EQ(x.observations, y.observations);
-  }
   std::ostringstream log_a, log_b;
   serve::write_incident_log(log_a, baseline);
   serve::write_incident_log(log_b, tapped);
@@ -335,7 +242,7 @@ TEST(TelemetryIdentity, DeviceStateTracingLeavesThrottledRunIdentical) {
   on.set_telemetry(&telemetry);
   const core::RunReport tapped = on.run(g, req);
 
-  expect_reports_identical(baseline, tapped);
+  EXPECT_EQ(baseline, tapped);
 }
 
 }  // namespace

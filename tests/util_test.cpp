@@ -379,7 +379,8 @@ TEST(Cli, UnsignedGetterRangeChecksInsteadOfWrapping) {
 
   for (const char* bad :
        {"--n=-1", "--n=4294967296", "--n=3x", "--n=", "--n=x",
-        "--n=99999999999999999999"}) {
+        "--n=99999999999999999999", "--n= 4", "--n=+4", "--n=4.0",
+        "--n=1e3", "--n=0x4"}) {
     CliParser c;
     c.add_option("n", "count", "4");
     const char* argv[] = {"prog", bad};

@@ -31,11 +31,13 @@
 /// incident log (--incidents-out). Every serve takes the same path and
 /// prints the same table.
 ///
-/// Count options are range-checked (util::CliParser::get_uint): a
-/// negative or out-of-range count is an error, never a wrapped value.
+/// Count options and the integer fields of --migrate, --quota and
+/// --faults are range-checked (util::parse_uint): a negative,
+/// fractional or out-of-range count is an error, never a wrapped value.
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -334,6 +336,12 @@ std::vector<std::string> split_on(const std::string& value, char sep) {
   return parts;
 }
 
+/// One 32-bit field of a list option's entry, e.g. a --quota cap.
+std::uint32_t parse_field(const std::string& text, const std::string& what) {
+  return static_cast<std::uint32_t>(util::parse_uint(
+      text, what, 0, std::numeric_limits<std::uint32_t>::max()));
+}
+
 /// "at_ms:class:from:to" (times in milliseconds), comma-separated.
 std::vector<serve::MigrationPlan> parse_migrations(const std::string& spec) {
   std::vector<serve::MigrationPlan> plans;
@@ -347,9 +355,9 @@ std::vector<serve::MigrationPlan> parse_migrations(const std::string& spec) {
     }
     serve::MigrationPlan plan;
     plan.at_sec = std::stod(parts[0]) * 1e-3;
-    plan.class_index = static_cast<std::uint32_t>(std::stoul(parts[1]));
-    plan.from = static_cast<std::uint32_t>(std::stoul(parts[2]));
-    plan.to = static_cast<std::uint32_t>(std::stoul(parts[3]));
+    plan.class_index = parse_field(parts[1], "--migrate class");
+    plan.from = parse_field(parts[2], "--migrate source replica");
+    plan.to = parse_field(parts[3], "--migrate target replica");
     plans.push_back(plan);
   }
   return plans;
@@ -366,8 +374,8 @@ std::vector<serve::TenantQuota> parse_quotas(const std::string& spec) {
                                   "' (expected class:max, e.g. 0:2)");
     }
     serve::TenantQuota quota;
-    quota.class_index = static_cast<std::uint32_t>(std::stoul(parts[0]));
-    quota.max_in_flight = static_cast<std::uint32_t>(std::stoul(parts[1]));
+    quota.class_index = parse_field(parts[0], "--quota class");
+    quota.max_in_flight = parse_field(parts[1], "--quota cap");
     quotas.push_back(quota);
   }
   return quotas;
