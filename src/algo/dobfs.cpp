@@ -1,6 +1,5 @@
 #include "algo/dobfs.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace cxlgraph::algo {
@@ -98,8 +97,7 @@ AccessTrace build_dobfs_trace(const graph::CsrGraph& graph,
        ++level) {
     if (result.bottom_up_level[level]) continue;
     for (const graph::VertexId v : result.bfs.frontiers[level]) {
-      top_down_chunks += (graph.sublist_bytes(v) + kMaxWorkChunkBytes - 1) /
-                         kMaxWorkChunkBytes;
+      top_down_chunks += AccessTrace::chunks(graph.sublist_bytes(v));
     }
   }
   trace.reserve(result.bfs.frontiers.size(), top_down_chunks);
@@ -113,17 +111,8 @@ AccessTrace build_dobfs_trace(const graph::CsrGraph& graph,
       const std::vector<graph::VertexId>& frontier =
           sorted_frontier(result.bfs.frontiers[level], scratch);
       for (const graph::VertexId v : frontier) {
-        std::uint64_t offset = graph.sublist_byte_offset(v);
-        std::uint64_t remaining = graph.sublist_bytes(v);
-        while (remaining > 0) {
-          const std::uint64_t chunk =
-              std::min(remaining, kMaxWorkChunkBytes);
-          trace.add_read(SublistRef{v, offset, chunk});
-          trace.total_sublist_bytes += chunk;
-          ++trace.total_reads;
-          offset += chunk;
-          remaining -= chunk;
-        }
+        trace.add_sublist(v, graph.sublist_byte_offset(v),
+                          graph.sublist_bytes(v));
       }
     } else {
       // Bottom-up reads: unvisited vertices (depth > level or unreached)
@@ -140,17 +129,8 @@ AccessTrace build_dobfs_trace(const graph::CsrGraph& graph,
           ++scanned;
           if (result.bfs.depth[u] == level) break;
         }
-        std::uint64_t offset = graph.sublist_byte_offset(v);
-        std::uint64_t remaining = scanned * graph::kBytesPerEdge;
-        while (remaining > 0) {
-          const std::uint64_t chunk =
-              std::min(remaining, kMaxWorkChunkBytes);
-          trace.add_read(SublistRef{v, offset, chunk});
-          trace.total_sublist_bytes += chunk;
-          ++trace.total_reads;
-          offset += chunk;
-          remaining -= chunk;
-        }
+        trace.add_sublist(v, graph.sublist_byte_offset(v),
+                          scanned * graph::kBytesPerEdge);
       }
     }
     trace.commit_step();

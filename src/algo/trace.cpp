@@ -6,28 +6,6 @@ namespace cxlgraph::algo {
 
 namespace {
 
-std::uint64_t chunk_count(std::uint64_t bytes) {
-  return (bytes + kMaxWorkChunkBytes - 1) / kMaxWorkChunkBytes;
-}
-
-/// Appends v's sublist to the trace's open step, split into warp-sized
-/// work chunks.
-void append_sublist(const graph::CsrGraph& graph, graph::VertexId v,
-                    AccessTrace& trace) {
-  const std::uint64_t total = graph.sublist_bytes(v);
-  if (total == 0) return;
-  std::uint64_t offset = graph.sublist_byte_offset(v);
-  std::uint64_t remaining = total;
-  while (remaining > 0) {
-    const std::uint64_t chunk = std::min(remaining, kMaxWorkChunkBytes);
-    trace.add_read(SublistRef{v, offset, chunk});
-    trace.total_sublist_bytes += chunk;
-    ++trace.total_reads;
-    offset += chunk;
-    remaining -= chunk;
-  }
-}
-
 /// Exact read-arena size for a frontier schedule: the chunk counts depend
 /// only on degrees, so one cheap pass sizes the whole trace.
 std::uint64_t total_chunks(
@@ -36,13 +14,20 @@ std::uint64_t total_chunks(
   std::uint64_t chunks = 0;
   for (const auto& frontier : frontiers) {
     for (const graph::VertexId v : frontier) {
-      chunks += chunk_count(graph.sublist_bytes(v));
+      chunks += AccessTrace::chunks(graph.sublist_bytes(v));
     }
   }
   return chunks;
 }
 
 }  // namespace
+
+bool commit_superstep(std::span<AccessTrace> traces) {
+  const auto pending = [](const AccessTrace& t) { return t.step_pending(); };
+  if (std::none_of(traces.begin(), traces.end(), pending)) return false;
+  for (AccessTrace& trace : traces) trace.commit_step(/*keep_if_empty=*/true);
+  return true;
+}
 
 // Frontiers from level-synchronous traversals are almost always already
 // vertex-ID sorted (status-bitmap scans emit them in order), so check
@@ -71,7 +56,8 @@ AccessTrace build_trace(
     // keeps the paper's Fig.-3 RAF at ~4 rather than ~15 at 4 kB.
     const auto& frontier = sorted_frontier(raw_frontier, scratch);
     for (const graph::VertexId v : frontier) {
-      append_sublist(graph, v, trace);
+      trace.add_sublist(v, graph.sublist_byte_offset(v),
+                        graph.sublist_bytes(v));
     }
     trace.commit_step();
   }
@@ -93,7 +79,8 @@ AccessTrace build_writeback_trace(
   for (const auto& raw_frontier : frontiers) {
     const auto& frontier = sorted_frontier(raw_frontier, scratch);
     for (const graph::VertexId v : frontier) {
-      append_sublist(graph, v, trace);
+      trace.add_sublist(v, graph.sublist_byte_offset(v),
+                        graph.sublist_bytes(v));
       trace.add_write(WriteRef{region + v * property_bytes, property_bytes});
       trace.total_write_bytes += property_bytes;
       ++trace.total_writes;
@@ -113,18 +100,7 @@ AccessTrace build_trace_with_layout(
   for (const auto& raw_frontier : frontiers) {
     const auto& frontier = sorted_frontier(raw_frontier, scratch);
     for (const graph::VertexId v : frontier) {
-      const std::uint64_t total = graph.sublist_bytes(v);
-      if (total == 0) continue;
-      std::uint64_t offset = layout.byte_offset(v);
-      std::uint64_t remaining = total;
-      while (remaining > 0) {
-        const std::uint64_t chunk = std::min(remaining, kMaxWorkChunkBytes);
-        trace.add_read(SublistRef{v, offset, chunk});
-        trace.total_sublist_bytes += chunk;
-        ++trace.total_reads;
-        offset += chunk;
-        remaining -= chunk;
-      }
+      trace.add_sublist(v, layout.byte_offset(v), graph.sublist_bytes(v));
     }
     trace.commit_step();
   }
@@ -136,12 +112,13 @@ AccessTrace build_sequential_trace(const graph::CsrGraph& graph,
   AccessTrace trace;
   std::uint64_t chunks_per_iter = 0;
   for (graph::VertexId v = 0; v < graph.num_vertices(); ++v) {
-    chunks_per_iter += chunk_count(graph.sublist_bytes(v));
+    chunks_per_iter += AccessTrace::chunks(graph.sublist_bytes(v));
   }
   trace.reserve(num_iterations, num_iterations * chunks_per_iter);
   for (unsigned iter = 0; iter < num_iterations; ++iter) {
     for (graph::VertexId v = 0; v < graph.num_vertices(); ++v) {
-      append_sublist(graph, v, trace);
+      trace.add_sublist(v, graph.sublist_byte_offset(v),
+                        graph.sublist_bytes(v));
     }
     trace.commit_step();
   }

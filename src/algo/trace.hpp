@@ -16,6 +16,7 @@
 /// totals from frontier degree sums), replay walks one flat array, and a
 /// million-read trace costs two allocations instead of one per step.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -44,14 +45,12 @@ struct WriteRef {
   friend bool operator==(const WriteRef&, const WriteRef&) = default;
 };
 
-/// A build buffer for one synchronized traversal step (BFS level / SSSP
-/// iteration). Algorithms that assemble several steps concurrently (the
-/// cluster runtime builds one per shard) fill TraceSteps and append them;
-/// single-stream builders write into the trace's arenas directly.
-struct TraceStep {
-  std::vector<SublistRef> reads;
-  std::vector<WriteRef> writes;
-};
+/// GPU traversals process a frontier's edges warp-parallel, so a hub
+/// vertex's multi-megabyte sublist is fetched by many warps at once, not
+/// serially by one. Traces model that by splitting sublists into work
+/// chunks of at most this many bytes (= the XLFDD maximum transfer, so no
+/// access method's per-request semantics change).
+inline constexpr std::uint64_t kMaxWorkChunkBytes = 2048;
 
 struct AccessTrace {
   /// Arena storage: step s's reads span
@@ -86,40 +85,57 @@ struct AccessTrace {
     return {write_arena.data() + begin, step_ends[s].write_end - begin};
   }
 
-  /// Pre-sizes the arenas; pass exact totals to make construction
-  /// allocation-free from here on.
+  /// Number of reads a sublist of `bytes` splits into (one per chunk).
+  static constexpr std::uint64_t chunks(std::uint64_t bytes) noexcept {
+    return (bytes + kMaxWorkChunkBytes - 1) / kMaxWorkChunkBytes;
+  }
+
+  /// Pre-sizes the arenas; pass exact totals (sum of chunks() over the
+  /// sublists to come) to make construction allocation-free from here on.
   void reserve(std::size_t steps, std::size_t reads, std::size_t writes = 0) {
     step_ends.reserve(steps);
     read_arena.reserve(reads);
     write_arena.reserve(writes);
   }
 
-  /// Direct arena building: push reads/writes for the current step, then
-  /// commit_step() to close it. By default a step with no reads and no
-  /// writes is dropped (the single-runtime builders' historical contract);
-  /// pass keep_if_empty for barrier-aligned multi-shard traces, where an
-  /// idle shard must still consume its superstep slot.
-  void add_read(const SublistRef& read) { read_arena.push_back(read); }
-  void add_write(const WriteRef& write) { write_arena.push_back(write); }
-  void commit_step(bool keep_if_empty = false) {
-    const std::uint64_t read_end = read_arena.size();
-    const std::uint64_t write_end = write_arena.size();
-    const StepExtent prev =
-        step_ends.empty() ? StepExtent{} : step_ends.back();
-    if (!keep_if_empty && read_end == prev.read_end &&
-        write_end == prev.write_end) {
-      return;
+  /// Adds `bytes` of `vertex`'s sublist, starting at edge-list byte
+  /// `offset`, to the open step as work chunks of at most
+  /// kMaxWorkChunkBytes, and counts them in the totals. This is the only
+  /// code that turns a sublist into reads: every builder and every shard
+  /// of a cluster call it, so a one-shard cluster trace equals the
+  /// single-runtime trace by construction.
+  void add_sublist(graph::VertexId vertex, std::uint64_t offset,
+                   std::uint64_t bytes) {
+    total_sublist_bytes += bytes;
+    while (bytes > 0) {
+      const std::uint64_t chunk = std::min(bytes, kMaxWorkChunkBytes);
+      read_arena.push_back(SublistRef{vertex, offset, chunk});
+      ++total_reads;
+      offset += chunk;
+      bytes -= chunk;
     }
-    step_ends.push_back(StepExtent{read_end, write_end});
   }
 
-  /// Appends a step built in a TraceStep buffer.
-  void append_step(const TraceStep& step, bool keep_if_empty = false) {
-    read_arena.insert(read_arena.end(), step.reads.begin(),
-                      step.reads.end());
-    write_arena.insert(write_arena.end(), step.writes.begin(),
-                       step.writes.end());
-    commit_step(keep_if_empty);
+  /// Raw arena pushes for the open step (deserialization, writes); unlike
+  /// add_sublist they leave the totals to the caller.
+  void add_read(const SublistRef& read) { read_arena.push_back(read); }
+  void add_write(const WriteRef& write) { write_arena.push_back(write); }
+
+  /// True when reads or writes were added since the last committed step.
+  bool step_pending() const noexcept {
+    const StepExtent prev =
+        step_ends.empty() ? StepExtent{} : step_ends.back();
+    return read_arena.size() != prev.read_end ||
+           write_arena.size() != prev.write_end;
+  }
+
+  /// Closes the open step. By default a step with no reads and no writes
+  /// is dropped (the single-runtime builders' contract); pass
+  /// keep_if_empty for barrier-aligned multi-shard traces, where an idle
+  /// shard must still consume its superstep slot.
+  void commit_step(bool keep_if_empty = false) {
+    if (!keep_if_empty && !step_pending()) return;
+    step_ends.push_back(StepExtent{read_arena.size(), write_arena.size()});
   }
 
   double avg_sublist_bytes() const noexcept {
@@ -131,6 +147,12 @@ struct AccessTrace {
   friend bool operator==(const AccessTrace&, const AccessTrace&) = default;
 };
 
+/// Commits one barrier-aligned superstep across per-shard traces: every
+/// shard's open step, empty ones included, when any shard added to it;
+/// nothing otherwise, since nothing was written. Returns whether the
+/// superstep was kept. At one shard this is exactly commit_step().
+bool commit_superstep(std::span<AccessTrace> traces);
+
 /// Returns `raw` if it is already vertex-ID sorted (level-synchronous
 /// traversals emit frontiers in order, so this is the common case), else
 /// sorts a copy into `scratch` and returns that. Shared by every
@@ -139,13 +161,6 @@ struct AccessTrace {
 const std::vector<graph::VertexId>& sorted_frontier(
     const std::vector<graph::VertexId>& raw,
     std::vector<graph::VertexId>& scratch);
-
-/// GPU traversals process a frontier's edges warp-parallel, so a hub
-/// vertex's multi-megabyte sublist is fetched by many warps at once, not
-/// serially by one. Traces model that by splitting sublists into work
-/// chunks of at most this many bytes (= the XLFDD maximum transfer, so no
-/// access method's per-request semantics change).
-inline constexpr std::uint64_t kMaxWorkChunkBytes = 2048;
 
 /// Builds a trace from per-step frontiers: step k reads the sublist of every
 /// frontier vertex with nonzero degree, in ascending vertex-ID order,

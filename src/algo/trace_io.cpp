@@ -9,7 +9,7 @@ namespace cxlgraph::algo {
 namespace {
 
 constexpr char kMagic[4] = {'C', 'X', 'T', 'R'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 template <typename T>
 void write_pod(std::ostream& os, const T& value) {
@@ -31,6 +31,8 @@ void save_trace(const AccessTrace& trace, std::ostream& os) {
   write_pod(os, kVersion);
   write_pod(os, trace.total_sublist_bytes);
   write_pod(os, trace.total_reads);
+  write_pod(os, trace.total_write_bytes);
+  write_pod(os, trace.total_writes);
   write_pod(os, static_cast<std::uint64_t>(trace.num_steps()));
   for (std::size_t s = 0; s < trace.num_steps(); ++s) {
     const auto reads = trace.step_reads(s);
@@ -39,6 +41,12 @@ void save_trace(const AccessTrace& trace, std::ostream& os) {
       write_pod(os, read.vertex);
       write_pod(os, read.byte_offset);
       write_pod(os, read.byte_len);
+    }
+    const auto writes = trace.step_writes(s);
+    write_pod(os, static_cast<std::uint64_t>(writes.size()));
+    for (const WriteRef& write : writes) {
+      write_pod(os, write.addr);
+      write_pod(os, write.bytes);
     }
   }
   if (!os) throw std::runtime_error("trace binary: write failed");
@@ -55,14 +63,17 @@ AccessTrace load_trace(std::istream& is) {
     throw std::runtime_error("trace binary: unsupported version " +
                              std::to_string(version));
   }
+  // Nothing is reserved from the header counts: they are checked only
+  // at the end, and a corrupt one must fail as a truncated stream.
   AccessTrace trace;
   trace.total_sublist_bytes = read_pod<std::uint64_t>(is);
   trace.total_reads = read_pod<std::uint64_t>(is);
+  trace.total_write_bytes = read_pod<std::uint64_t>(is);
+  trace.total_writes = read_pod<std::uint64_t>(is);
   const auto num_steps = read_pod<std::uint64_t>(is);
-  trace.reserve(num_steps, trace.total_reads);
 
-  std::uint64_t check_bytes = 0;
-  std::uint64_t check_reads = 0;
+  std::uint64_t read_bytes = 0;
+  std::uint64_t write_bytes = 0;
   for (std::uint64_t s = 0; s < num_steps; ++s) {
     const auto num_reads = read_pod<std::uint64_t>(is);
     for (std::uint64_t r = 0; r < num_reads; ++r) {
@@ -70,14 +81,23 @@ AccessTrace load_trace(std::istream& is) {
       read.vertex = read_pod<std::uint64_t>(is);
       read.byte_offset = read_pod<std::uint64_t>(is);
       read.byte_len = read_pod<std::uint64_t>(is);
-      check_bytes += read.byte_len;
-      ++check_reads;
+      read_bytes += read.byte_len;
       trace.add_read(read);
     }
-    trace.commit_step();
+    const auto num_writes = read_pod<std::uint64_t>(is);
+    for (std::uint64_t w = 0; w < num_writes; ++w) {
+      WriteRef write;
+      write.addr = read_pod<std::uint64_t>(is);
+      write.bytes = read_pod<std::uint64_t>(is);
+      write_bytes += write.bytes;
+      trace.add_write(write);
+    }
+    trace.commit_step(/*keep_if_empty=*/true);
   }
-  if (check_bytes != trace.total_sublist_bytes ||
-      check_reads != trace.total_reads) {
+  if (read_bytes != trace.total_sublist_bytes ||
+      trace.read_arena.size() != trace.total_reads ||
+      write_bytes != trace.total_write_bytes ||
+      trace.write_arena.size() != trace.total_writes) {
     throw std::runtime_error("trace binary: totals do not match contents");
   }
   return trace;

@@ -46,50 +46,28 @@ struct ExchangePhase {
   }
 };
 
-/// Appends the byte range [offset, offset + remaining) of `local`'s
-/// sublist to `step`, chunked exactly like algo::build_trace /
-/// algo::build_dobfs_trace so a single-shard trace is bit-identical to the
-/// unsharded one.
-void append_byte_range(VertexId local, std::uint64_t offset,
-                       std::uint64_t remaining, algo::TraceStep& step,
-                       algo::AccessTrace& trace) {
-  while (remaining > 0) {
-    const std::uint64_t chunk =
-        std::min(remaining, algo::kMaxWorkChunkBytes);
-    step.reads.push_back(algo::SublistRef{local, offset, chunk});
-    trace.total_sublist_bytes += chunk;
-    ++trace.total_reads;
-    offset += chunk;
-    remaining -= chunk;
-  }
-}
-
-/// Appends `local`'s whole sublist to `step`.
-void append_local_sublist(const graph::CsrGraph& g, VertexId local,
-                          algo::TraceStep& step, algo::AccessTrace& trace) {
-  append_byte_range(local, g.sublist_byte_offset(local),
-                    g.sublist_bytes(local), step, trace);
-}
-
-/// Appends to `step` the local sublists of the sorted `actives` present on
-/// `shard` with nonzero local degree; returns their local IDs. This is the
-/// one scan loop every frontier-shaped superstep shares, so the shards=1
-/// bit-identity chunking lives in a single place.
-std::vector<VertexId> scan_actives(const partition::ShardGraph& shard,
-                                   const std::vector<VertexId>& actives,
-                                   std::size_t reserve_hint,
-                                   algo::TraceStep& step,
-                                   algo::AccessTrace& trace) {
-  std::vector<VertexId> active_locals;
-  step.reads.reserve(reserve_hint);
-  for (const VertexId u : actives) {
-    const VertexId l = shard.to_local(u);
-    if (l == partition::kNoLocalId || shard.graph.degree(l) == 0) {
-      continue;
+/// Adds to each shard's trace the local sublists of the sorted `actives`
+/// present on that shard with nonzero local degree, then commits the
+/// superstep. Returns each shard's active local IDs, or nothing when no
+/// shard read anything and the step was dropped. This is the one scan
+/// every frontier-shaped superstep shares.
+std::vector<std::vector<VertexId>> scan_actives(
+    const partition::Partition& part, const std::vector<VertexId>& actives,
+    std::vector<algo::AccessTrace>& traces) {
+  std::vector<std::vector<VertexId>> active_locals(part.num_shards);
+  for (std::uint32_t s = 0; s < part.num_shards; ++s) {
+    const partition::ShardGraph& shard = part.shards[s];
+    for (const VertexId u : actives) {
+      const VertexId l = shard.to_local(u);
+      if (l == partition::kNoLocalId || shard.graph.degree(l) == 0) {
+        continue;
+      }
+      traces[s].add_sublist(l, shard.graph.sublist_byte_offset(l),
+                            shard.graph.sublist_bytes(l));
+      active_locals[s].push_back(l);
     }
-    append_local_sublist(shard.graph, l, step, trace);
-    active_locals.push_back(l);
   }
+  if (!algo::commit_superstep(traces)) return {};
   return active_locals;
 }
 
@@ -141,21 +119,17 @@ void decompose_pagerank(const partition::Partition& part,
                         std::vector<algo::AccessTrace>& traces,
                         std::vector<ExchangePhase>& phases) {
   const std::uint32_t P = part.num_shards;
-  bool any_reads = false;
-  std::vector<algo::TraceStep> steps(P);
   for (std::uint32_t s = 0; s < P; ++s) {
     const partition::ShardGraph& shard = part.shards[s];
-    steps[s].reads.reserve(shard.graph.num_vertices());
     for (VertexId l = 0; l < shard.graph.num_vertices(); ++l) {
-      append_local_sublist(shard.graph, l, steps[s], traces[s]);
+      traces[s].add_sublist(l, shard.graph.sublist_byte_offset(l),
+                            shard.graph.sublist_bytes(l));
     }
-    any_reads = any_reads || !steps[s].reads.empty();
   }
-  if (!any_reads) return;
+  if (!algo::commit_superstep(traces)) return;
   ExchangePhase phase(P);
   for (std::uint32_t s = 0; s < P; ++s) {
     const partition::ShardGraph& shard = part.shards[s];
-    traces[s].append_step(steps[s], /*keep_if_empty=*/true);
     for (VertexId l = 0; l < shard.graph.num_vertices(); ++l) {
       const std::uint32_t to = part.owner[shard.to_global(l)];
       if (to == s) continue;  // owned, not a ghost
@@ -184,19 +158,9 @@ void decompose_frontiers(
     std::vector<VertexId> frontier = frontiers[k];
     std::sort(frontier.begin(), frontier.end());
 
-    std::vector<algo::TraceStep> steps(P);
-    std::vector<std::vector<VertexId>> active_locals(P);
-    bool any_reads = false;
-    for (std::uint32_t s = 0; s < P; ++s) {
-      active_locals[s] = scan_actives(part.shards[s], frontier,
-                                      frontier.size() / P + 1, steps[s],
-                                      traces[s]);
-      any_reads = any_reads || !steps[s].reads.empty();
-    }
-    if (!any_reads) continue;
-    for (std::uint32_t s = 0; s < P; ++s) {
-      traces[s].append_step(steps[s], /*keep_if_empty=*/true);
-    }
+    const std::vector<std::vector<VertexId>> active_locals =
+        scan_actives(part, frontier, traces);
+    if (active_locals.empty()) continue;
 
     if (P > 1 && k + 1 < frontiers.size()) {
       for (const VertexId v : frontiers[k + 1]) next_stamp[v] = k + 1;
@@ -259,18 +223,15 @@ void decompose_dobfs(const graph::CsrGraph& g,
     }
     const bool bottom_up = decider.decide_bottom_up(aggregate);
 
-    std::vector<algo::TraceStep> steps(P);
-    std::vector<std::vector<VertexId>> active_locals(P);
+    std::vector<std::vector<VertexId>> active_locals;
     // Pull-phase discoveries: global vertices a shard found a parent for.
     std::vector<std::vector<VertexId>> discovered(P);
-    bool any_reads = false;
-    for (std::uint32_t s = 0; s < P; ++s) {
-      const partition::ShardGraph& shard = part.shards[s];
-      if (!bottom_up) {
-        active_locals[s] = scan_actives(shard, frontier,
-                                        frontier.size() / P + 1, steps[s],
-                                        traces[s]);
-      } else {
+    if (!bottom_up) {
+      active_locals = scan_actives(part, frontier, traces);
+      if (active_locals.empty()) continue;
+    } else {
+      for (std::uint32_t s = 0; s < P; ++s) {
+        const partition::ShardGraph& shard = part.shards[s];
         for (VertexId l = 0; l < shard.graph.num_vertices(); ++l) {
           const VertexId v = shard.to_global(l);
           const std::uint32_t d = bfs.depth[v];
@@ -286,17 +247,12 @@ void decompose_dobfs(const graph::CsrGraph& g,
               break;
             }
           }
-          append_byte_range(l, shard.graph.sublist_byte_offset(l),
-                            scanned * graph::kBytesPerEdge, steps[s],
-                            traces[s]);
+          traces[s].add_sublist(l, shard.graph.sublist_byte_offset(l),
+                                scanned * graph::kBytesPerEdge);
           if (found) discovered[s].push_back(v);
         }
       }
-      any_reads = any_reads || !steps[s].reads.empty();
-    }
-    if (!any_reads) continue;
-    for (std::uint32_t s = 0; s < P; ++s) {
-      traces[s].append_step(steps[s], /*keep_if_empty=*/true);
+      if (!algo::commit_superstep(traces)) continue;
     }
     report.superstep_bottom_up.push_back(bottom_up ? 1 : 0);
 
@@ -352,19 +308,9 @@ void decompose_delta(const graph::CsrGraph& g,
     std::vector<VertexId> scan = delta.phases[p];
     std::sort(scan.begin(), scan.end());
 
-    std::vector<algo::TraceStep> steps(P);
-    std::vector<std::vector<VertexId>> active_locals(P);
-    bool any_reads = false;
-    for (std::uint32_t s = 0; s < P; ++s) {
-      active_locals[s] = scan_actives(part.shards[s], scan,
-                                      scan.size() / P + 1, steps[s],
-                                      traces[s]);
-      any_reads = any_reads || !steps[s].reads.empty();
-    }
-    if (!any_reads) continue;
-    for (std::uint32_t s = 0; s < P; ++s) {
-      traces[s].append_step(steps[s], /*keep_if_empty=*/true);
-    }
+    const std::vector<std::vector<VertexId>> active_locals =
+        scan_actives(part, scan, traces);
+    if (active_locals.empty()) continue;
     report.superstep_bucket.push_back(delta.phase_bucket[p]);
 
     if (P > 1 && p + 1 < delta.phases.size()) {
@@ -484,8 +430,9 @@ ClusterReport ClusterRuntime::run(const graph::CsrGraph& graph,
   // Build one trace per shard, superstep-aligned: every shard has a step
   // for every kept global step (possibly with no reads — the shard still
   // pays the kernel-launch barrier). Steps with no reads on any shard are
-  // dropped, matching the single-runtime trace builders. Exchange phases
-  // are computed in the same sweep from the shard subgraphs.
+  // dropped (algo::commit_superstep), matching the single-runtime trace
+  // builders. Exchange phases are computed in the same sweep from the
+  // shard subgraphs.
   // -------------------------------------------------------------------
   ClusterReport report;
   std::vector<algo::AccessTrace> traces(P);

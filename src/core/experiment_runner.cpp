@@ -101,10 +101,4 @@ std::vector<RunReport> ExperimentRunner::run_all(
   return run_all(jobs);
 }
 
-RunReport ExperimentRunner::run(const graph::CsrGraph& graph,
-                                const RunRequest& request) {
-  ExternalGraphRuntime rt(config_);
-  return rt.run(graph, request);
-}
-
 }  // namespace cxlgraph::core

@@ -99,9 +99,6 @@ class ExperimentRunner {
     return results;
   }
 
-  /// One serial run under the default config (baselines, warm-up).
-  RunReport run(const graph::CsrGraph& graph, const RunRequest& request);
-
   const SystemConfig& config() const noexcept { return config_; }
 
   /// Number of worker threads the sweeps fan out across (1 when serial).

@@ -15,10 +15,4 @@ StorageDriveParams nvme_drive_params() {
   return p;
 }
 
-std::unique_ptr<StorageArray> make_nvme_array(Simulator& sim, PcieLink& link,
-                                              unsigned num_drives) {
-  return std::make_unique<StorageArray>(sim, link, nvme_drive_params(),
-                                        num_drives, kNvmeStripeBytes);
-}
-
 }  // namespace cxlgraph::device

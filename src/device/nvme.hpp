@@ -18,7 +18,4 @@ StorageDriveParams nvme_drive_params();
 inline constexpr unsigned kNvmeArrayDrives = 4;
 inline constexpr std::uint32_t kNvmeStripeBytes = 4096;
 
-std::unique_ptr<StorageArray> make_nvme_array(
-    Simulator& sim, PcieLink& link, unsigned num_drives = kNvmeArrayDrives);
-
 }  // namespace cxlgraph::device

@@ -45,27 +45,41 @@ IncidentSeverity base_severity(IncidentKind kind) noexcept {
 
 }  // namespace
 
-std::size_t HealthMonitor::open_new(IncidentKind kind, std::string subject,
-                                    util::SimTime now, double threshold,
-                                    double value) {
-  Incident inc;
-  inc.id = static_cast<std::uint32_t>(incidents_.size());
-  inc.kind = kind;
-  inc.severity = base_severity(kind);
-  inc.subject = std::move(subject);
-  inc.opened_ps = now;
-  inc.threshold = threshold;
-  inc.peak = value;
-  inc.last = value;
-  inc.observations = 1;
-  incidents_.push_back(std::move(inc));
-  return incidents_.size() - 1;
+std::int64_t& HealthMonitor::slot_of(std::vector<std::int64_t>& table,
+                                     std::uint32_t replica) {
+  if (table.size() <= replica) table.resize(replica + 1, -1);
+  return table[replica];
 }
 
-void HealthMonitor::touch(std::int64_t index, util::SimTime now,
-                          double value) {
-  (void)now;
-  Incident& inc = incidents_[static_cast<std::size_t>(index)];
+void HealthMonitor::raise(std::int64_t& slot, bool active, IncidentKind kind,
+                          std::uint32_t replica, util::SimTime now,
+                          double threshold, double value) {
+  if (!active) {
+    if (slot >= 0) {
+      Incident& inc = incidents_[static_cast<std::size_t>(slot)];
+      inc.open = false;
+      inc.closed_ps = now;
+      slot = -1;
+    }
+    return;
+  }
+  if (slot < 0) {
+    Incident inc;
+    inc.id = static_cast<std::uint32_t>(incidents_.size());
+    inc.kind = kind;
+    inc.severity = base_severity(kind);
+    inc.subject =
+        replica == kFleet ? "fleet" : "replica" + std::to_string(replica);
+    inc.opened_ps = now;
+    inc.threshold = threshold;
+    inc.peak = value;
+    inc.last = value;
+    inc.observations = 1;
+    slot = static_cast<std::int64_t>(incidents_.size());
+    incidents_.push_back(std::move(inc));
+    return;
+  }
+  Incident& inc = incidents_[static_cast<std::size_t>(slot)];
   inc.last = value;
   if (value > inc.peak) inc.peak = value;
   ++inc.observations;
@@ -79,14 +93,6 @@ void HealthMonitor::touch(std::int64_t index, util::SimTime now,
   }
 }
 
-void HealthMonitor::close(std::int64_t& index, util::SimTime now) {
-  if (index < 0) return;
-  Incident& inc = incidents_[static_cast<std::size_t>(index)];
-  inc.open = false;
-  inc.closed_ps = now;
-  index = -1;
-}
-
 HealthMonitor::DepthVerdict HealthMonitor::observe_depth(
     util::SimTime now, double depth_per_replica) {
   // The verdict reproduces the elastic controller's original threshold
@@ -98,29 +104,12 @@ HealthMonitor::DepthVerdict HealthMonitor::observe_depth(
   } else if (depth_per_replica < config_.depth_low) {
     verdict = DepthVerdict::kUnderloaded;
   }
-
-  if (verdict == DepthVerdict::kOverloaded) {
-    close(open_underload_, now);
-    if (open_saturation_ < 0) {
-      open_saturation_ = static_cast<std::int64_t>(
-          open_new(IncidentKind::kSaturation, "fleet", now,
-                   config_.depth_high, depth_per_replica));
-    } else {
-      touch(open_saturation_, now, depth_per_replica);
-    }
-  } else if (verdict == DepthVerdict::kUnderloaded) {
-    close(open_saturation_, now);
-    if (open_underload_ < 0) {
-      open_underload_ = static_cast<std::int64_t>(
-          open_new(IncidentKind::kUnderload, "fleet", now, config_.depth_low,
-                   depth_per_replica));
-    } else {
-      touch(open_underload_, now, depth_per_replica);
-    }
-  } else {
-    close(open_saturation_, now);
-    close(open_underload_, now);
-  }
+  raise(open_saturation_, verdict == DepthVerdict::kOverloaded,
+        IncidentKind::kSaturation, kFleet, now, config_.depth_high,
+        depth_per_replica);
+  raise(open_underload_, verdict == DepthVerdict::kUnderloaded,
+        IncidentKind::kUnderload, kFleet, now, config_.depth_low,
+        depth_per_replica);
 
   // Trend detector: a run of strictly-rising samples flags a ramp
   // before the absolute threshold trips.
@@ -131,38 +120,16 @@ HealthMonitor::DepthVerdict HealthMonitor::observe_depth(
   }
   prev_depth_ = depth_per_replica;
   have_prev_depth_ = true;
-  if (rising_run_ >= config_.trend_run) {
-    if (open_trend_ < 0) {
-      open_trend_ = static_cast<std::int64_t>(
-          open_new(IncidentKind::kQueueTrend, "fleet", now,
-                   static_cast<double>(config_.trend_run), depth_per_replica));
-    } else {
-      touch(open_trend_, now, depth_per_replica);
-    }
-  } else {
-    close(open_trend_, now);
-  }
-
+  raise(open_trend_, rising_run_ >= config_.trend_run,
+        IncidentKind::kQueueTrend, kFleet, now,
+        static_cast<double>(config_.trend_run), depth_per_replica);
   return verdict;
 }
 
 void HealthMonitor::observe_throttle(util::SimTime now, std::uint32_t replica,
                                      bool throttled) {
-  if (open_throttle_.size() <= replica) {
-    open_throttle_.resize(replica + 1, -1);
-  }
-  std::int64_t& slot = open_throttle_[replica];
-  if (throttled) {
-    if (slot < 0) {
-      slot = static_cast<std::int64_t>(
-          open_new(IncidentKind::kThrottle,
-                   "replica" + std::to_string(replica), now, 0.0, 1.0));
-    } else {
-      touch(slot, now, 1.0);
-    }
-  } else {
-    close(slot, now);
-  }
+  raise(slot_of(open_throttle_, replica), throttled, IncidentKind::kThrottle,
+        replica, now, 0.0, 1.0);
 }
 
 void HealthMonitor::observe_completion(util::SimTime now, bool slo_violated) {
@@ -184,81 +151,41 @@ void HealthMonitor::observe_completion(util::SimTime now, bool slo_violated) {
 
   const double rate = static_cast<double>(slo_violations_) /
                       static_cast<double>(config_.slo_window);
-  if (rate > config_.slo_rate) {
-    if (open_slo_ < 0) {
-      open_slo_ = static_cast<std::int64_t>(open_new(
-          IncidentKind::kSloViolations, "fleet", now, config_.slo_rate, rate));
-    } else {
-      touch(open_slo_, now, rate);
-    }
-  } else {
-    close(open_slo_, now);
-  }
+  raise(open_slo_, rate > config_.slo_rate, IncidentKind::kSloViolations,
+        kFleet, now, config_.slo_rate, rate);
 }
 
 std::int64_t HealthMonitor::observe_crash(util::SimTime now,
                                           std::uint32_t replica, bool down) {
-  if (open_down_.size() <= replica) open_down_.resize(replica + 1, -1);
-  std::int64_t& slot = open_down_[replica];
-  if (down) {
-    if (slot < 0) {
-      slot = static_cast<std::int64_t>(
-          open_new(IncidentKind::kReplicaDown,
-                   "replica" + std::to_string(replica), now, 0.0, 1.0));
-    } else {
-      touch(slot, now, 1.0);
-    }
-    return incidents_[static_cast<std::size_t>(slot)].id;
-  }
-  const std::int64_t id =
-      slot < 0 ? -1 : incidents_[static_cast<std::size_t>(slot)].id;
-  close(slot, now);
-  return id;
+  std::int64_t& slot = slot_of(open_down_, replica);
+  // A recovery reports the incident it closes; a crash, the one it opens
+  // or extends.
+  const std::int64_t closing = slot;
+  raise(slot, down, IncidentKind::kReplicaDown, replica, now, 0.0, 1.0);
+  const std::int64_t index = down ? slot : closing;
+  return index < 0 ? -1 : incidents_[static_cast<std::size_t>(index)].id;
 }
 
 void HealthMonitor::observe_io_burst(util::SimTime now, std::uint32_t replica,
                                      bool active, double rate) {
-  if (open_io_.size() <= replica) open_io_.resize(replica + 1, -1);
-  std::int64_t& slot = open_io_[replica];
-  if (active) {
-    if (slot < 0) {
-      slot = static_cast<std::int64_t>(
-          open_new(IncidentKind::kIoErrorBurst,
-                   "replica" + std::to_string(replica), now, rate, 0.0));
-    } else {
-      touch(slot, now, rate);
-    }
-  } else {
-    close(slot, now);
-  }
+  std::int64_t& slot = slot_of(open_io_, replica);
+  // The window edge opens the incident with 0 errors seen; an overlapping
+  // window's edge folds its rate into the open one.
+  raise(slot, active, IncidentKind::kIoErrorBurst, replica, now, rate,
+        slot < 0 ? 0.0 : rate);
 }
 
 void HealthMonitor::observe_io_errors(util::SimTime now, std::uint32_t replica,
                                       std::uint32_t errors) {
-  if (open_io_.size() <= replica) open_io_.resize(replica + 1, -1);
-  std::int64_t& slot = open_io_[replica];
-  if (slot < 0) {
-    slot = static_cast<std::int64_t>(
-        open_new(IncidentKind::kIoErrorBurst,
-                 "replica" + std::to_string(replica), now, 0.0,
-                 static_cast<double>(errors)));
-    return;
-  }
-  touch(slot, now, static_cast<double>(errors));
+  // Opens an incident if the window edge was missed.
+  raise(slot_of(open_io_, replica), true, IncidentKind::kIoErrorBurst,
+        replica, now, 0.0, static_cast<double>(errors));
 }
 
 void HealthMonitor::observe_link(util::SimTime now, bool degraded,
                                  double factor) {
-  if (degraded) {
-    if (open_link_ < 0) {
-      open_link_ = static_cast<std::int64_t>(open_new(
-          IncidentKind::kLinkDegraded, "fleet", now, factor, factor));
-    } else {
-      touch(open_link_, now, factor);
-    }
-  } else {
-    close(open_link_, now);
-  }
+  raise(open_link_, degraded, IncidentKind::kLinkDegraded, kFleet, now,
+        factor, factor);
 }
 
 std::int64_t HealthMonitor::open_incident(IncidentKind kind) const noexcept {

@@ -126,10 +126,18 @@ class HealthMonitor {
   const HealthConfig& config() const noexcept { return config_; }
 
  private:
-  std::size_t open_new(IncidentKind kind, std::string subject,
-                       util::SimTime now, double threshold, double value);
-  void touch(std::int64_t index, util::SimTime now, double value);
-  void close(std::int64_t& index, util::SimTime now);
+  /// `replica` of a fleet-wide incident (subject "fleet").
+  static constexpr std::uint32_t kFleet = ~std::uint32_t{0};
+
+  /// Drives the incident whose index `slot` holds (-1 when none is open):
+  /// when `active`, opens one of `kind` (building its subject only then)
+  /// or folds `value` into the open one; otherwise closes it.
+  void raise(std::int64_t& slot, bool active, IncidentKind kind,
+             std::uint32_t replica, util::SimTime now, double threshold,
+             double value);
+  /// `replica`'s slot in a per-replica table, grown with closed slots.
+  static std::int64_t& slot_of(std::vector<std::int64_t>& table,
+                               std::uint32_t replica);
 
   HealthConfig config_;
   std::vector<Incident> incidents_;

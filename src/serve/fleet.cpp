@@ -243,9 +243,7 @@ void FleetSim::arrive(std::size_t i) {
   r.arrival = sim.now();
   const std::uint32_t cls = r.class_index;
   if (quota_limit[cls] > 0 && in_flight[cls] >= quota_limit[cls]) {
-    ++shed_quota;
-    shed_query(i);
-    record_depth();
+    shed_query(i, shed_quota);
     return;
   }
   if (dead_count > 0 && !has_live()) {
@@ -273,18 +271,14 @@ void FleetSim::arrive(std::size_t i) {
       least = std::min(least, replicas[k].backlog_ps);
     }
     if (least + remaining_ps(i) > r.slo) {
-      ++shed_deadline;
-      shed_query(i);
-      record_depth();
+      shed_query(i, shed_deadline);
       return;
     }
   }
   ReplicaSim& rep = replicas[route(i)];
   if (config.serve.max_waiting > 0 &&
       rep.waiting() >= config.serve.max_waiting) {
-    ++shed_queue;
-    shed_query(i);
-    record_depth();
+    shed_query(i, shed_queue);
     return;
   }
   ++in_flight[cls];
@@ -298,7 +292,8 @@ void FleetSim::issue_next(std::uint32_t client) {
   sim.schedule_after(queries[i].think_gap, [this, i]() { arrive(i); });
 }
 
-void FleetSim::shed_query(std::size_t i) {
+void FleetSim::shed_query(std::size_t i, std::uint32_t& reason) {
+  ++reason;
   records[i].shed = true;
   ++shed;
   if (telemetry != nullptr) note_admission(i, /*was_shed=*/true);
@@ -306,6 +301,7 @@ void FleetSim::shed_query(std::size_t i) {
   if (spec.process == ArrivalProcess::kClosedLoop) {
     issue_next(static_cast<std::uint32_t>(i % spec.num_clients));
   }
+  record_depth();
 }
 
 void FleetSim::fail_query(std::size_t i) {
@@ -345,10 +341,10 @@ void FleetSim::complete_query(std::size_t i) {
   if (in_flight[r.class_index] > 0) --in_flight[r.class_index];
   // A draining replica retires the moment it runs dry.
   const std::uint32_t k = r.replica;
-  if (k < replicas.size() && meta[k].draining && !meta[k].retired &&
+  if (k < replicas.size() && replicas[k].draining && !replicas[k].retired &&
       replicas[k].idle()) {
-    meta[k].retired = true;
-    meta[k].retired_at = sim.now();
+    replicas[k].retired = true;
+    replicas[k].retired_at = sim.now();
     refresh_routable();
   }
   record_depth();
@@ -415,9 +411,7 @@ void FleetSim::sample_depth() {
 ReplicaSim& FleetSim::add_replica() {
   const std::uint32_t k = static_cast<std::uint32_t>(replicas.size());
   ReplicaSim& r = replicas.emplace_back(*this, k);
-  meta.push_back(ReplicaMeta{sim.now(), false, false, 0});
-  io_until.push_back(0);
-  io_rate.push_back(0.0);
+  r.joined = sim.now();
   r.attach_telemetry();
   refresh_routable();
   return r;
@@ -425,32 +419,28 @@ ReplicaSim& FleetSim::add_replica() {
 
 void FleetSim::refresh_routable() {
   routable_set.clear();
-  for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-    if (routable(k)) routable_set.push_back(k);
+  for (const ReplicaSim& r : replicas) {
+    if (r.routable()) routable_set.push_back(r.index);
   }
   if (routable_set.empty()) {
     // Every replica draining or retired (transiently possible if a
     // migration target was later drained): fall back to the live set.
-    for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-      if (!meta[k].retired && !replicas[k].dead) routable_set.push_back(k);
+    for (const ReplicaSim& r : replicas) {
+      if (r.live()) routable_set.push_back(r.index);
     }
   }
   if (routable_set.empty()) routable_set.push_back(0);
 }
 
 bool FleetSim::has_live() const {
-  for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-    if (!meta[k].retired && !replicas[k].dead) return true;
-  }
-  return false;
+  return std::any_of(replicas.begin(), replicas.end(),
+                     [](const ReplicaSim& r) { return r.live(); });
 }
 
 std::uint32_t FleetSim::active_count() const {
-  std::uint32_t n = 0;
-  for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-    if (routable(k)) ++n;
-  }
-  return n;
+  return static_cast<std::uint32_t>(
+      std::count_if(replicas.begin(), replicas.end(),
+                    [](const ReplicaSim& r) { return r.routable(); }));
 }
 
 double FleetSim::total_depth() const {
@@ -474,8 +464,7 @@ void FleetSim::record_depth() {
 std::uint32_t FleetSim::route(std::size_t i) {
   const QueryRecord& r = records[i];
   const auto pinned = route_override.find(r.class_index);
-  if (pinned != route_override.end() && !meta[pinned->second].retired &&
-      !replicas[pinned->second].dead) {
+  if (pinned != route_override.end() && replicas[pinned->second].live()) {
     return pinned->second;
   }
   const std::vector<std::uint32_t>& set = routable_set;
@@ -508,10 +497,7 @@ void FleetSim::migrate(std::size_t m) {
   rec.to = mp.to;
   rec.start_sec = util::sec_from_ps(sim.now());
   route_override[mp.class_index] = mp.to;
-  if (tracing) {
-    telemetry->tracer().instant(track_control, n_migrate, sim.now(), k_class,
-                                mp.class_index);
-  }
+  control_instant(n_migrate, k_class, mp.class_index);
 
   ReplicaSim& src = replicas[mp.from];
   state.in_transit = src.extract_waiting(mp.class_index);
@@ -545,10 +531,7 @@ void FleetSim::copy_landed(std::size_t m) {
   MigrationState& state = migrations[m];
   state.delivered = true;
   const std::uint32_t to = state.record.to;
-  if (tracing) {
-    telemetry->tracer().instant(track_control, n_copy_landed, sim.now(),
-                                k_class, state.record.class_index);
-  }
+  control_instant(n_copy_landed, k_class, state.record.class_index);
   for (const std::size_t i : state.in_transit) {
     if (replicas[to].dead) {
       // The migration target crashed while the copy was in flight:
@@ -598,14 +581,15 @@ util::SimTime FleetSim::fault_extra(std::uint32_t k, util::SimTime duration) {
   util::SimTime extra = 0;
   const util::SimTime now = sim.now();
   const fault::FaultSpec& faults = plan.spec();
-  if (k < io_until.size() && now < io_until[k] && io_rate[k] > 0.0) {
+  const ReplicaSim& rep = replicas[k];
+  if (now < rep.io_until && rep.io_rate > 0.0) {
     // Transient I/O errors: each failed attempt backs off linearly
     // and retries, up to the cap. The final attempt always delivers —
     // bytes are delayed, never dropped.
     std::uint32_t attempt = 0;
     while (attempt < faults.io_max_retries &&
            fault::FaultPlan::error_draw(faults.seed, k, io_draws++,
-                                        io_rate[k])) {
+                                        rep.io_rate)) {
       ++attempt;
       extra += util::ps_from_us(faults.io_retry_us *
                                 static_cast<double>(attempt));
@@ -631,7 +615,7 @@ std::uint32_t FleetSim::crash_victim(std::uint32_t want) const {
   const auto n = static_cast<std::uint32_t>(replicas.size());
   for (std::uint32_t d = 0; d < n; ++d) {
     const std::uint32_t k = (want + d) % n;
-    if (!meta[k].retired && !replicas[k].dead) return k;
+    if (replicas[k].live()) return k;
   }
   return n;
 }
@@ -641,17 +625,15 @@ void FleetSim::crash(const fault::FaultEvent& e) {
       e.target % static_cast<std::uint32_t>(replicas.size()));
   if (k >= replicas.size()) return;  // whole fleet already down
   const util::SimTime now = sim.now();
-  ++crashes_total;
-  ++meta[k].crashes;
-  meta[k].down_since = now;
-  ++dead_count;
   ReplicaSim& rep = replicas[k];
+  ++crashes_total;
+  ++rep.crashes;
+  rep.down_since = now;
+  ++dead_count;
   rep.on_crash();
   refresh_routable();
   const std::int64_t incident = monitor.observe_crash(now, k, true);
-  if (tracing) {
-    telemetry->tracer().instant(track_control, n_crash, now, k_replica, k);
-  }
+  control_instant(n_crash, k_replica, k);
 
   // Recovery is scheduled before the rerouting below so queries that
   // find no live replica know whether anyone is coming back.
@@ -741,22 +723,21 @@ void FleetSim::drain_orphans() {
 void FleetSim::revive(std::uint32_t k) {
   --pending_recoveries;
   const util::SimTime now = sim.now();
-  meta[k].downtime += now - meta[k].down_since;
-  meta[k].down_since = 0;
-  replicas[k].dead = false;
+  ReplicaSim& rep = replicas[k];
+  rep.downtime += now - rep.down_since;
+  rep.down_since = 0;
+  rep.dead = false;
   refresh_routable();
   if (dead_count > 0) --dead_count;
   ++restarts_total;
   peak_replicas = std::max(peak_replicas, active_count());
   monitor.observe_crash(now, k, false);
-  if (tracing) {
-    telemetry->tracer().instant(track_control, n_restart, now, k_replica, k);
-  }
+  control_instant(n_restart, k_replica, k);
   drain_orphans();
   record_depth();
   // Anything parked in the local queue while the swallow was pending
   // (or just rerouted here) starts as soon as the stack is clear.
-  replicas[k].dispatch();
+  rep.dispatch();
 }
 
 void FleetSim::join_replacement(std::int64_t incident) {
@@ -772,19 +753,11 @@ void FleetSim::join_replacement(std::int64_t incident) {
   // vector (indices are stable), so size() would overstate the fleet
   // once a crash has retired one.
   peak_replicas = std::max(peak_replicas, active_count());
-  ScalingEvent ev;
-  ev.at_sec = util::sec_from_ps(sim.now());
-  ev.added = true;
-  ev.replica = r.index;
-  ev.routable_after = active_count();
-  ev.depth_per_replica = static_cast<double>(total_waiting()) /
-                         static_cast<double>(std::max(1u, active_count()));
-  ev.incident = static_cast<std::int32_t>(incident);
-  scaling_events.push_back(ev);
-  if (tracing) {
-    telemetry->tracer().instant(track_control, n_replace, sim.now(),
-                                k_replica, r.index);
-  }
+  record_scaling(true, r.index,
+                 static_cast<double>(total_waiting()) /
+                     static_cast<double>(std::max(1u, active_count())),
+                 incident);
+  control_instant(n_replace, k_replica, r.index);
   drain_orphans();
   record_depth();
 }
@@ -794,12 +767,13 @@ void FleetSim::io_burst(const fault::FaultEvent& e) {
       e.target % static_cast<std::uint32_t>(replicas.size()));
   const util::SimTime now = sim.now();
   const util::SimTime until = now + e.duration;
-  io_until[k] = std::max(io_until[k], until);
-  io_rate[k] = e.magnitude;
+  ReplicaSim& rep = replicas[k];
+  rep.io_until = std::max(rep.io_until, until);
+  rep.io_rate = e.magnitude;
   monitor.observe_io_burst(now, k, true, e.magnitude);
   sim.schedule_at(until, [this, k]() {
     // Overlapping bursts extend the window; only the last edge closes.
-    if (sim.now() >= io_until[k]) {
+    if (sim.now() >= replicas[k].io_until) {
       monitor.observe_io_burst(sim.now(), k, false, 0.0);
     }
   });
@@ -870,26 +844,16 @@ void FleetSim::grow(double per) {
   ReplicaSim& r = add_replica();
   peak_replicas = std::max(peak_replicas, active_count());
   cooldown = config.elastic.cooldown_intervals;
-  ScalingEvent ev;
-  ev.at_sec = util::sec_from_ps(sim.now());
-  ev.added = true;
-  ev.replica = r.index;
-  ev.routable_after = active_count();
-  ev.depth_per_replica = per;
-  ev.incident = static_cast<std::int32_t>(
-      monitor.open_incident(obs::IncidentKind::kSaturation));
-  scaling_events.push_back(ev);
-  if (tracing) {
-    telemetry->tracer().instant(track_control, n_scale_up, sim.now(),
-                                k_replica, r.index);
-  }
+  record_scaling(true, r.index, per,
+                 monitor.open_incident(obs::IncidentKind::kSaturation));
+  control_instant(n_scale_up, k_replica, r.index);
 }
 
 void FleetSim::shrink(double per) {
   // Drain the least-loaded routable replica; ties retire the youngest.
   std::uint32_t victim = std::numeric_limits<std::uint32_t>::max();
   for (std::uint32_t k = 0; k < replicas.size(); ++k) {
-    if (!routable(k)) continue;
+    if (!replicas[k].routable()) continue;
     if (victim == std::numeric_limits<std::uint32_t>::max() ||
         replicas[k].depth() < replicas[victim].depth() ||
         (replicas[k].depth() == replicas[victim].depth() &&
@@ -897,25 +861,35 @@ void FleetSim::shrink(double per) {
       victim = k;
     }
   }
-  meta[victim].draining = true;
-  if (replicas[victim].idle()) {
-    meta[victim].retired = true;
-    meta[victim].retired_at = sim.now();
+  ReplicaSim& rep = replicas[victim];
+  rep.draining = true;
+  if (rep.idle()) {
+    rep.retired = true;
+    rep.retired_at = sim.now();
   }
   refresh_routable();
   cooldown = config.elastic.cooldown_intervals;
+  record_scaling(false, victim, per,
+                 monitor.open_incident(obs::IncidentKind::kUnderload));
+  control_instant(n_scale_down, k_replica, victim);
+}
+
+void FleetSim::record_scaling(bool added, std::uint32_t replica, double per,
+                              std::int64_t incident) {
   ScalingEvent ev;
   ev.at_sec = util::sec_from_ps(sim.now());
-  ev.added = false;
-  ev.replica = victim;
+  ev.added = added;
+  ev.replica = replica;
   ev.routable_after = active_count();
   ev.depth_per_replica = per;
-  ev.incident = static_cast<std::int32_t>(
-      monitor.open_incident(obs::IncidentKind::kUnderload));
+  ev.incident = static_cast<std::int32_t>(incident);
   scaling_events.push_back(ev);
+}
+
+void FleetSim::control_instant(std::uint32_t name, std::uint32_t key,
+                               std::uint64_t value) {
   if (tracing) {
-    telemetry->tracer().instant(track_control, n_scale_down, sim.now(),
-                                k_replica, victim);
+    telemetry->tracer().instant(track_control, name, sim.now(), key, value);
   }
 }
 
@@ -945,14 +919,13 @@ void FleetSim::fill(FleetReport& report) {
     // Lifetime: join to retirement, or to the fleet makespan for
     // replicas that served to the end. The summed lifetimes are the
     // fleet's capacity — the utilization denominator.
-    const util::SimTime end =
-        meta[k].retired ? meta[k].retired_at : last_completion;
-    const util::SimTime life = end > meta[k].joined ? end - meta[k].joined : 0;
+    const util::SimTime end = r.retired ? r.retired_at : last_completion;
+    const util::SimTime life = end > r.joined ? end - r.joined : 0;
     // Downtime (a still-dead replica counts to the makespan) is not
     // capacity; 0 without faults, so the denominator is unchanged.
-    util::SimTime down = meta[k].downtime;
-    if (r.dead && meta[k].down_since > 0 && end > meta[k].down_since) {
-      down += end - meta[k].down_since;
+    util::SimTime down = r.downtime;
+    if (r.dead && r.down_since > 0 && end > r.down_since) {
+      down += end - r.down_since;
     }
     const util::SimTime alive = life > down ? life - down : 0;
     capacity_ps += alive;
@@ -965,10 +938,10 @@ void FleetSim::fill(FleetReport& report) {
     stats.link_bytes = r.link_bytes;
     stats.throttled_quanta = r.throttled_quanta;
     stats.peak_heat = r.heat.peak_heat();
-    stats.joined_sec = util::sec_from_ps(meta[k].joined);
-    stats.retired = meta[k].retired;
-    stats.retired_sec = util::sec_from_ps(meta[k].retired_at);
-    stats.crashes = meta[k].crashes;
+    stats.joined_sec = util::sec_from_ps(r.joined);
+    stats.retired = r.retired;
+    stats.retired_sec = util::sec_from_ps(r.retired_at);
+    stats.crashes = r.crashes;
     stats.down_sec = util::sec_from_ps(down);
     if (alive > 0) {
       stats.utilization =

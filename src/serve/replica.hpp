@@ -70,12 +70,29 @@ struct ReplicaSim {
   /// remainder); the router's ETA signal. Thermal stretch not included.
   util::SimTime backlog_ps = 0;
 
+  // Fleet membership, kept by FleetSim: the elastic controller drains and
+  // retires, the fault layer counts crashes and downtime.
+  util::SimTime joined = 0;
+  bool draining = false;
+  bool retired = false;
+  util::SimTime retired_at = 0;
+  std::uint32_t crashes = 0;
+  util::SimTime down_since = 0;
+  util::SimTime downtime = 0;
+  /// I/O error-burst window: requests before io_until fail at io_rate.
+  util::SimTime io_until = 0;
+  double io_rate = 0.0;
+
   ReplicaSim(FleetSim& fleet_in, std::uint32_t index_in)
       : fleet(fleet_in), index(index_in) {}
   // Scheduled closures hold this replica's address.
   ReplicaSim(const ReplicaSim&) = delete;
   ReplicaSim& operator=(const ReplicaSim&) = delete;
 
+  /// Can hold queries: neither retired nor crashed.
+  bool live() const noexcept { return !retired && !dead; }
+  /// Takes new arrivals: live and not draining.
+  bool routable() const noexcept { return live() && !draining; }
   std::size_t waiting() const noexcept { return ready.size(); }
   bool busy() const noexcept { return active != kNoQuery; }
   bool idle() const noexcept { return !busy() && ready.empty(); }
@@ -189,17 +206,6 @@ struct FleetSim {
 
   // -- Replicas, routing, admission ---------------------------------------
 
-  struct ReplicaMeta {
-    util::SimTime joined = 0;
-    bool draining = false;
-    bool retired = false;
-    util::SimTime retired_at = 0;
-    std::uint32_t crashes = 0;
-    util::SimTime down_since = 0;
-    util::SimTime downtime = 0;
-  };
-  std::vector<ReplicaMeta> meta;
-
   util::Xoshiro256 router_rng;
   /// The replicas an arrival may route to, in index order. Never empty:
   /// with every replica draining or retired it falls back to the live
@@ -243,11 +249,9 @@ struct FleetSim {
   std::uint32_t replacements_total = 0;
   std::uint64_t io_retries_total = 0;
   std::uint32_t link_windows_total = 0;
-  /// Per-replica I/O error-burst windows and the shared draw counter
+  /// The I/O error draw counter, shared by every replica's burst window
   /// (single-threaded queueing sim: the consumption order is the event
   /// order, deterministic by construction).
-  std::vector<util::SimTime> io_until;
-  std::vector<double> io_rate;
   std::uint64_t io_draws = 0;
   /// Fleet-wide link degradation window.
   util::SimTime link_until = 0;
@@ -338,9 +342,10 @@ struct FleetSim {
   /// deadline feasibility, routed queue capacity), then admit.
   void arrive(std::size_t i);
   void issue_next(std::uint32_t client);
-  /// Marks query i shed: record flag, counter, telemetry, and the
-  /// closed-loop reissue (a shed query does not stall its client).
-  void shed_query(std::size_t i);
+  /// Marks query i shed: record flag, its reason counter (`reason`:
+  /// shed_quota, shed_deadline or shed_queue), telemetry, the closed-loop
+  /// reissue (a shed query does not stall its client) and a depth sample.
+  void shed_query(std::size_t i, std::uint32_t& reason);
   /// Marks query i failed (crash-retry budget exhausted): record flag,
   /// telemetry flow end, closed-loop reissue, quota release.
   void fail_query(std::size_t i);
@@ -362,9 +367,6 @@ struct FleetSim {
   // -- Replicas and routing -----------------------------------------------
 
   ReplicaSim& add_replica();
-  bool routable(std::uint32_t k) const {
-    return !meta[k].draining && !meta[k].retired && !replicas[k].dead;
-  }
   void refresh_routable();
   /// Any replica a query could legally land on right now? (The {0}
   /// fallback of routable_set exists for the no-fault invariant that
@@ -420,6 +422,12 @@ struct FleetSim {
   void elastic_tick();
   void grow(double per);
   void shrink(double per);
+  /// Records a scaling action (grow, shrink, crash replacement) at now.
+  void record_scaling(bool added, std::uint32_t replica, double per,
+                      std::int64_t incident);
+  /// A ("fleet","control") timeline instant at now, when tracing.
+  void control_instant(std::uint32_t name, std::uint32_t key,
+                       std::uint64_t value);
 };
 
 }  // namespace cxlgraph::serve

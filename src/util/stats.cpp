@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
 
 namespace cxlgraph::util {
 
@@ -95,17 +94,6 @@ double Log2Histogram::quantile(double q) const noexcept {
     cumulative = next;
   }
   return static_cast<double>(bucket_upper(buckets_.size() - 1));
-}
-
-std::string Log2Histogram::to_string() const {
-  std::ostringstream oss;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    const std::uint64_t lo = i == 0 ? 0 : bucket_upper(i - 1) + 1;
-    oss << "[" << lo << ".." << bucket_upper(i) << "]: " << buckets_[i]
-        << "\n";
-  }
-  return oss.str();
 }
 
 double percentile(std::vector<double> samples, double pct) {

@@ -4,7 +4,6 @@
 /// instrumentation (request sizes, latencies, queue depths, ...).
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace cxlgraph::util {
@@ -57,8 +56,6 @@ class Log2Histogram {
   std::uint64_t count() const noexcept { return count_; }
   /// Approximate quantile (q in [0,1]) assuming uniform fill within buckets.
   double quantile(double q) const noexcept;
-  /// Renders a human-readable summary, one line per non-empty bucket.
-  std::string to_string() const;
 
   /// Merges another histogram into this one (parallel / shard reduction).
   void merge(const Log2Histogram& other);

@@ -30,9 +30,10 @@ graph::CsrGraph test_graph() {
 TEST(ClusterRuntime, SingleShardMatchesSingleRuntimeOnAllBackends) {
   const graph::CsrGraph g = test_graph();
   const core::SystemConfig cfg = core::table3_system();
-  for (const core::Algorithm algorithm :
-       {core::Algorithm::kBfs, core::Algorithm::kPagerankScan,
-        core::Algorithm::kBfsDirOpt, core::Algorithm::kSsspDelta}) {
+  int shardable = 0;
+  for (const core::Algorithm algorithm : kAllAlgorithms) {
+    if (!core::cluster_supports(algorithm)) continue;
+    ++shardable;
     for (const core::BackendKind backend :
          {core::BackendKind::kHostDram, core::BackendKind::kHostDramRemote,
           core::BackendKind::kCxl, core::BackendKind::kXlfdd,
@@ -61,6 +62,7 @@ TEST(ClusterRuntime, SingleShardMatchesSingleRuntimeOnAllBackends) {
       EXPECT_EQ(actual.supersteps, expected.steps);
     }
   }
+  EXPECT_EQ(shardable, 6);  // every algorithm but bfs-writeback
 }
 
 TEST(ClusterRuntime, ShardingConservesTraversalWork) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "algo/bfs.hpp"
@@ -66,16 +67,21 @@ TEST(TraceChunking, TotalsCountChunks) {
 
 TEST(TraceIo, RoundTrip) {
   const CsrGraph g = graph::generate_uniform(2048, 12.0, {});
-  const AccessTrace original =
-      build_trace(g, bfs(g, pick_source(g, 5)).frontiers);
-  std::stringstream buffer;
-  save_trace(original, buffer);
-  const AccessTrace loaded = load_trace(buffer);
-  EXPECT_EQ(loaded.total_sublist_bytes, original.total_sublist_bytes);
-  EXPECT_EQ(loaded.total_reads, original.total_reads);
-  ASSERT_EQ(loaded.num_steps(), original.num_steps());
-  EXPECT_EQ(loaded.step_ends, original.step_ends);
-  EXPECT_EQ(loaded.read_arena, original.read_arena);
+  const auto frontiers = bfs(g, pick_source(g, 5)).frontiers;
+  // Writes and a barrier-aligned empty step (an idle shard's) must
+  // survive the round trip too.
+  AccessTrace with_writes = build_writeback_trace(g, frontiers);
+  with_writes.commit_step(/*keep_if_empty=*/true);
+  ASSERT_GT(with_writes.total_writes, 0u);
+  for (const AccessTrace& original :
+       {build_trace(g, frontiers), with_writes}) {
+    std::stringstream buffer;
+    save_trace(original, buffer);
+    const AccessTrace loaded = load_trace(buffer);
+    EXPECT_EQ(loaded.num_steps(), original.num_steps());
+    EXPECT_EQ(loaded.total_writes, original.total_writes);
+    EXPECT_TRUE(loaded == original);
+  }
 }
 
 TEST(TraceIo, EmptyTraceRoundTrips) {
@@ -98,6 +104,20 @@ TEST(TraceIo, RejectsTamperedTotals) {
   std::stringstream buffer;
   save_trace(trace, buffer);
   EXPECT_THROW(load_trace(buffer), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsHugeHeaderCounts) {
+  // Every header count claims 2^60: the loader must fail on the missing
+  // contents, not try to allocate from the unchecked counts.
+  std::stringstream buffer;
+  save_trace(AccessTrace{}, buffer);
+  std::string bytes = buffer.str();
+  const std::uint64_t huge = std::uint64_t{1} << 60;
+  for (std::size_t field = 0; field < 5; ++field) {
+    std::memcpy(bytes.data() + 8 + field * sizeof(huge), &huge, sizeof(huge));
+  }
+  std::stringstream corrupt(bytes);
+  EXPECT_THROW(load_trace(corrupt), std::runtime_error);
 }
 
 TEST(TraceIo, RejectsTruncatedStream) {
