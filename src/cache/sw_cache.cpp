@@ -1,5 +1,6 @@
 #include "cache/sw_cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -25,7 +26,6 @@ SwCache::SwCache(const SwCacheParams& params) : params_(params) {
   // traffic model.
   num_sets_ = std::bit_floor(num_sets_);
   tags_.assign(num_sets_ * ways_, kEmpty);
-  last_use_.assign(num_sets_ * ways_, 0);
 }
 
 bool SwCache::access_line(std::uint64_t line_index) {
@@ -33,45 +33,25 @@ bool SwCache::access_line(std::uint64_t line_index) {
     ++stats_.misses;
     return false;
   }
-  const std::uint64_t set = line_index & (num_sets_ - 1);
-  const std::uint64_t base = set * ways_;
-  ++use_clock_;
-
-  // Hit scan first — tags only, no LRU bookkeeping touched.
-  const std::uint64_t* tags = tags_.data() + base;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (tags[w] == line_index) {
-      ++stats_.hits;
-      last_use_[base + w] = use_clock_;
-      return true;
-    }
+  std::uint64_t* set = tags_.data() + (line_index & (num_sets_ - 1)) * ways_;
+  std::uint32_t w = 0;
+  while (w < ways_ && set[w] != line_index) ++w;
+  const bool hit = w < ways_;
+  if (hit) {
+    ++stats_.hits;
+  } else {
+    // The last way holds the LRU line, or is invalid if any way is.
+    ++stats_.misses;
+    w = ways_ - 1;
   }
-  // Miss: pick the victim exactly as the fused scan did — the last
-  // invalid way if any, else the first way with the minimal use stamp.
-  std::uint64_t victim = base;
-  std::uint64_t victim_use = ~std::uint64_t{0};
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    const std::uint64_t slot = base + w;
-    if (tags_[slot] == kEmpty) {
-      victim = slot;
-      victim_use = 0;
-    } else if (last_use_[slot] < victim_use) {
-      victim = slot;
-      victim_use = last_use_[slot];
-    }
-  }
-  ++stats_.misses;
-  tags_[victim] = line_index;
-  last_use_[victim] = use_clock_;
-  return false;
+  // Ways [0, w) age by one; the touched line becomes the MRU.
+  std::copy_backward(set, set + w, set + w + 1);
+  set[0] = line_index;
+  return hit;
 }
 
 void SwCache::reset() {
-  if (enabled_) {
-    tags_.assign(tags_.size(), kEmpty);
-    last_use_.assign(last_use_.size(), 0);
-  }
-  use_clock_ = 0;
+  if (enabled_) tags_.assign(tags_.size(), kEmpty);
   stats_ = SwCacheStats{};
 }
 

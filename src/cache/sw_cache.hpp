@@ -70,11 +70,10 @@ class SwCache {
   std::uint64_t num_sets_ = 0;
   std::uint32_t ways_ = 0;
 
-  /// tags_[set * ways_ + way]; kEmpty marks an invalid way.
+  /// tags_[set * ways_ + way], each set ordered most-recent first: way 0
+  /// is the MRU line, the last way the LRU one. kEmpty marks an invalid
+  /// way; invalid ways only ever trail the valid ones.
   std::vector<std::uint64_t> tags_;
-  /// Monotonic use counters for LRU.
-  std::vector<std::uint64_t> last_use_;
-  std::uint64_t use_clock_ = 0;
 
   SwCacheStats stats_;
 

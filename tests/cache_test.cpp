@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "algo/bfs.hpp"
 #include "algo/sssp.hpp"
 #include "algo/trace.hpp"
@@ -7,6 +13,7 @@
 #include "cache/sw_cache.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generate.hpp"
+#include "util/rng.hpp"
 
 namespace cxlgraph::cache {
 namespace {
@@ -90,6 +97,121 @@ TEST(SwCache, WaysCappedAtLineCount) {
   SwCache cache({.capacity_bytes = 128, .line_bytes = 64, .ways = 16});
   EXPECT_LE(cache.ways(), 2u);
 }
+
+// ------------------------------------------- sw_cache vs a reference LRU ----
+
+/// Deliberately naive set-associative LRU: per set, a std::list ordered by
+/// recency. Slow but self-evidently correct; it takes only the set count
+/// and associativity from the cache under test.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(const SwCache& shape)
+      : sets_(std::max<std::uint64_t>(shape.num_sets(), 1)),
+        ways_(shape.ways()) {}
+
+  bool access(std::uint64_t line) {
+    std::list<std::uint64_t>& set = sets_[line % sets_.size()];
+    const auto it = std::find(set.begin(), set.end(), line);
+    const bool hit = it != set.end();
+    if (hit) set.erase(it);
+    set.push_front(line);
+    if (set.size() > ways_) set.pop_back();
+    ++(hit ? stats_.hits : stats_.misses);
+    return hit;
+  }
+
+  void reset() {
+    for (auto& set : sets_) set.clear();
+    stats_ = SwCacheStats{};
+  }
+
+  const SwCacheStats& stats() const { return stats_; }
+
+ private:
+  std::vector<std::list<std::uint64_t>> sets_;
+  std::uint32_t ways_;
+  SwCacheStats stats_;
+};
+
+struct CacheShape {
+  const char* name;
+  SwCacheParams params;
+
+  friend void PrintTo(const CacheShape& shape, std::ostream* os) {
+    *os << shape.name;
+  }
+};
+
+class SwCacheVsReference : public ::testing::TestWithParam<CacheShape> {};
+
+/// Line streams over a footprint of about twice the cache: uniform with a
+/// hot region, or ascending runs like an edge-list scan.
+std::vector<std::uint64_t> line_stream(std::uint64_t seed, bool runs,
+                                       std::uint64_t lines, int length) {
+  util::Xoshiro256 rng(seed);
+  const std::uint64_t footprint = 2 * std::max<std::uint64_t>(lines, 4);
+  std::vector<std::uint64_t> out;
+  while (static_cast<int>(out.size()) < length) {
+    if (runs) {
+      const std::uint64_t start = rng.next_below(footprint);
+      const std::uint64_t len = 1 + rng.next_below(48);
+      for (std::uint64_t l = start; l < start + len; ++l) out.push_back(l);
+    } else {
+      out.push_back(rng.next_double() < 0.8 ? rng.next_below(footprint)
+                                            : rng.next_below(1 << 20));
+    }
+  }
+  out.resize(static_cast<std::size_t>(length));
+  return out;
+}
+
+TEST_P(SwCacheVsReference, HitsAndStatsMatchOnEveryAccess) {
+  const SwCacheParams& params = GetParam().params;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const bool runs : {false, true}) {
+      SwCache cache(params);
+      ReferenceLru reference(cache);
+      const std::uint64_t lines = cache.num_sets() * cache.ways();
+      // Two passes with a reset between them: the second starts cold.
+      for (int pass = 0; pass < 2; ++pass) {
+        const auto stream =
+            line_stream(seed * 2 + static_cast<std::uint64_t>(pass), runs,
+                        lines, 10'000);
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+          ASSERT_EQ(cache.access_line(stream[i]),
+                    reference.access(stream[i]))
+              << "seed " << seed << " runs " << runs << " pass " << pass
+              << " access " << i << " line " << stream[i];
+        }
+        EXPECT_EQ(cache.stats().hits, reference.stats().hits);
+        EXPECT_EQ(cache.stats().misses, reference.stats().misses);
+        cache.reset();
+        reference.reset();
+        EXPECT_EQ(cache.stats().hits, 0u);
+        EXPECT_EQ(cache.stats().misses, 0u);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SwCacheVsReference,
+    ::testing::Values(
+        CacheShape{"disabled", {.capacity_bytes = 0, .line_bytes = 64,
+                                .ways = 4}},
+        CacheShape{"one_set", {.capacity_bytes = 8 * 64, .line_bytes = 64,
+                               .ways = 8}},
+        CacheShape{"ways_capped", {.capacity_bytes = 4 * 64,
+                                   .line_bytes = 64, .ways = 16}},
+        CacheShape{"sets_rounded_down", {.capacity_bytes = 48 * 64,
+                                         .line_bytes = 64, .ways = 16}},
+        CacheShape{"emogi_64k_32b", {.capacity_bytes = 64 << 10,
+                                     .line_bytes = 32, .ways = 16}},
+        CacheShape{"bam_4k_lines", {.capacity_bytes = 1 << 20,
+                                    .line_bytes = 4096, .ways = 16}}),
+    [](const ::testing::TestParamInfo<CacheShape>& info) {
+      return std::string(info.param.name);
+    });
 
 // ----------------------------------------------------------------- raf ----
 

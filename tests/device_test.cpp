@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "device/cxl_device.hpp"
 #include "device/host_dram.hpp"
@@ -269,12 +271,20 @@ TEST(Cxl, FlitTagBudgetRespected) {
   p.added_latency = ps_from_us(1.0);
   CxlDevice dev(sim, p, "dev");
   int done = 0;
+  std::uint32_t peak = 0;
   for (int i = 0; i < 100; ++i) {
-    dev.read(static_cast<std::uint64_t>(i) * 128, 128, sim.make_callback([&] { ++done; }));
+    dev.read(static_cast<std::uint64_t>(i) * 128, 128, sim.make_callback([&] {
+      ++done;
+      peak = std::max(peak, dev.flits_in_flight());
+    }));
     EXPECT_LE(dev.flits_in_flight(), p.device_tags);
   }
   sim.run();
   EXPECT_EQ(done, 100);
+  // Completions see the budget full, never exceeded; once the run drains,
+  // every tag has been released.
+  EXPECT_EQ(peak, p.device_tags);
+  EXPECT_EQ(dev.flits_in_flight(), 0u);
 }
 
 TEST(Cxl, InOrderBridgeMonotonePops) {
@@ -374,6 +384,77 @@ TEST(CxlPool, AggregateStatsSumAcrossDevices) {
   sim.run();
   EXPECT_EQ(pool.stats().requests, 30u);
   EXPECT_EQ(pool.stats().bytes, 30u * 64u);
+}
+
+TEST(CxlPool, TagSaturationGolden) {
+  // The regime Table-4 sweeps never reach: flits wait for device tags.
+  // Bursts are issued at one picosecond each, on the 250 ns grid of the
+  // port latencies, so ingresses, pops and tag frees tie. Every completion
+  // folds (time, request id, tags held) in completion order, so a change
+  // that removes device events must keep every tie and tag count to keep
+  // the pin.
+  std::uint64_t fold = 0xcbf29ce484222325ULL;
+  const auto mix = [&fold](std::uint64_t x) {
+    fold = (fold ^ x) * 0x100000001b3ULL;
+  };
+  const SimTime grid = ps_from_ns(250);
+  int saturated = 0;
+  for (std::uint64_t trial = 0; trial < 32; ++trial) {
+    util::Xoshiro256 rng(trial + 1);
+    CxlDeviceParams p;
+    p.device_tags = 2 + static_cast<std::uint32_t>(rng.next_below(7));
+    p.added_latency = grid * rng.next_below(5);  // 0..1 us
+    p.socket_hop = grid * rng.next_below(2);
+    p.io_faults.enabled = trial % 2 == 1;
+    p.io_faults.error_rate = 0.3;
+    p.io_faults.seed = trial;
+    p.io_faults.retry_base = grid;
+    Simulator sim;
+    CxlMemoryPool pool(sim, p, 2, 4096);
+
+    struct Request {
+      std::uint64_t addr;
+      std::uint32_t bytes;
+      bool write;
+    };
+    std::uint32_t next_id = 0;
+    std::uint32_t peak = 0;  // most tags one device held at a completion
+    const auto held = [&pool] {
+      return pool.device(0).flits_in_flight() +
+             pool.device(1).flits_in_flight();
+    };
+    for (int b = 0; b < 24; ++b) {
+      std::vector<Request> burst(1 + rng.next_below(16));
+      for (Request& r : burst) {
+        r.addr = rng.next_below(32) * 4096 + rng.next_below(32) * 128;
+        r.bytes = 32u << rng.next_below(3);  // 32, 64 or 128 B
+        r.write = rng.next_below(5) == 0;
+      }
+      sim.schedule_at(grid * rng.next_below(64), [&, burst] {
+        for (const Request& r : burst) {
+          const std::uint32_t id = next_id++;
+          const ReadyFn done = sim.make_callback([&, id] {
+            mix(sim.now());
+            mix(id);
+            mix(held());
+            peak = std::max({peak, pool.device(0).flits_in_flight(),
+                             pool.device(1).flits_in_flight()});
+          });
+          if (r.write) {
+            pool.write(r.addr, r.bytes, done);
+          } else {
+            pool.read(r.addr, r.bytes, done);
+          }
+        }
+      });
+    }
+    sim.run();
+    EXPECT_EQ(held(), 0u) << "trial " << trial;
+    EXPECT_LE(peak, p.device_tags) << "trial " << trial;
+    if (peak == p.device_tags) ++saturated;
+  }
+  EXPECT_GE(saturated, 16);
+  EXPECT_EQ(fold, 0x899ca60f3cff9588ULL);
 }
 
 TEST(CxlPool, SetAddedLatencyPropagates) {
