@@ -39,6 +39,8 @@ void summarize_serve(ServeReport& report, const FleetSim& sim,
                      util::SimTime busy_ps, double capacity_sec) {
   std::vector<double> latency_us, queue_us, service_us;
   latency_us.reserve(report.completed);
+  queue_us.reserve(report.completed);
+  service_us.reserve(report.completed);
   std::uint32_t met_slo = 0;
   util::SimTime queue_total = 0, service_total = 0, ride_total = 0;
   util::SimTime lost_total = 0;
@@ -66,15 +68,9 @@ void summarize_serve(ServeReport& report, const FleetSim& sim,
   report.latency_us = util::summarize_percentiles(std::move(latency_us));
   report.queue_us = util::summarize_percentiles(std::move(queue_us));
   report.service_us = util::summarize_percentiles(std::move(service_us));
-  util::StreamingQuantile p50(0.50), p95(0.95), p99(0.99);
-  for (const double x : sim.completion_order_latency_us) {
-    p50.add(x);
-    p95.add(x);
-    p99.add(x);
-  }
-  report.streaming_p50_us = p50.estimate();
-  report.streaming_p95_us = p95.estimate();
-  report.streaming_p99_us = p99.estimate();
+  report.streaming_p50_us = sim.stream_p50.estimate();
+  report.streaming_p95_us = sim.stream_p95.estimate();
+  report.streaming_p99_us = sim.stream_p99.estimate();
   const auto rel_error = [](double exact, double estimate) {
     return exact > 0.0 ? std::fabs(estimate - exact) / exact : 0.0;
   };
@@ -118,6 +114,7 @@ FleetSim::FleetSim(const FleetConfig& config_in, const WorkloadSpec& spec_in,
       profiles(profiles_in),
       records(records_in),
       thermal(thermal_in),
+      listener(sim.add_listener(this, &FleetSim::on_event)),
       next_step(queries_in.size(), 0),
       followers(config_in.serve.batch_identical ? queries_in.size() : 0),
       router_rng(config_in.router_seed),
@@ -193,21 +190,58 @@ void FleetSim::attach_telemetry(obs::Telemetry* sink) {
   }
 }
 
+void FleetSim::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
+                        std::uint32_t b) {
+  FleetSim& f = *static_cast<FleetSim*>(self);
+  switch (static_cast<Op>(opcode)) {
+    case kArrive:
+      f.arrive(a);
+      break;
+    case kReroute:
+      f.reroute(a);
+      break;
+    case kMigrate:
+      f.migrate(a);
+      break;
+    case kCopyLanded:
+      f.copy_landed(a);
+      break;
+    case kFault:
+      f.deliver_fault(f.plan.events()[a]);
+      break;
+    case kRevive:
+      f.revive(a);
+      break;
+    case kIoBurstEnd:
+      f.io_burst_end(a);
+      break;
+    case kReplace:
+      f.join_replacement(
+          static_cast<std::int64_t>(std::uint64_t{b} << 32 | a));
+      break;
+    case kElasticTick:
+      f.elastic_tick();
+      break;
+    case kLinkFlapEnd:
+      f.link_flap_end();
+      break;
+  }
+}
+
 void FleetSim::run() {
   migrations.resize(config.migrations.size());
   for (std::size_t m = 0; m < config.migrations.size(); ++m) {
-    sim.schedule_at(util::ps_from_sec(config.migrations[m].at_sec),
-                    [this, m]() { migrate(m); });
+    schedule_at(util::ps_from_sec(config.migrations[m].at_sec), kMigrate,
+                static_cast<std::uint32_t>(m));
   }
-  if (config.elastic.enabled) {
-    sim.schedule_after(interval_ps, [this]() { elastic_tick(); });
-  }
-  for (const fault::FaultEvent& e : plan.events()) {
-    sim.schedule_at(e.at, [this, &e]() { deliver_fault(e); });
+  if (config.elastic.enabled) schedule_after(interval_ps, kElasticTick);
+  for (std::size_t f = 0; f < plan.events().size(); ++f) {
+    schedule_at(plan.events()[f].at, kFault, static_cast<std::uint32_t>(f));
   }
   if (spec.process == ArrivalProcess::kOpenLoopPoisson) {
+    // Time-sorted, so the arrivals fill their own lane by appends.
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      sim.schedule_at(queries[i].arrival, [this, i]() { arrive(i); });
+      schedule_at(queries[i].arrival, kArrive, static_cast<std::uint32_t>(i));
     }
   } else {
     client_queries.resize(spec.num_clients);
@@ -289,7 +323,7 @@ void FleetSim::arrive(std::size_t i) {
 void FleetSim::issue_next(std::uint32_t client) {
   if (client_cursor[client] == client_queries[client].size()) return;
   const std::size_t i = client_queries[client][client_cursor[client]++];
-  sim.schedule_after(queries[i].think_gap, [this, i]() { arrive(i); });
+  schedule_after(queries[i].think_gap, kArrive, static_cast<std::uint32_t>(i));
 }
 
 void FleetSim::shed_query(std::size_t i, std::uint32_t& reason) {
@@ -330,8 +364,10 @@ void FleetSim::complete_query(std::size_t i) {
   r.queue_ps = r.completion - r.arrival - r.service_ps - r.ride_ps - r.lost_ps;
   r.slo_violated = r.completion - r.arrival > r.slo;
   last_completion = std::max(last_completion, r.completion);
-  completion_order_latency_us.push_back(
-      util::us_from_ps(r.completion - r.arrival));
+  const double latency_us = util::us_from_ps(r.completion - r.arrival);
+  stream_p50.add(latency_us);
+  stream_p95.add(latency_us);
+  stream_p99.add(latency_us);
   ++completed;
   if (telemetry != nullptr) note_completion(i);
   if (spec.process == ArrivalProcess::kClosedLoop) {
@@ -524,7 +560,7 @@ void FleetSim::migrate(std::size_t m) {
   rec.copy_sec = util::sec_from_ps(copy_ps);
   migration_bytes += bytes;
   migration_ps += copy_ps;
-  sim.schedule_after(copy_ps, [this, m]() { copy_landed(m); });
+  schedule_after(copy_ps, kCopyLanded, static_cast<std::uint32_t>(m));
 }
 
 void FleetSim::copy_landed(std::size_t m) {
@@ -639,7 +675,7 @@ void FleetSim::crash(const fault::FaultEvent& e) {
   // find no live replica know whether anyone is coming back.
   if (e.duration > 0) {
     ++pending_recoveries;
-    sim.schedule_after(e.duration, [this, k]() { revive(k); });
+    schedule_after(e.duration, kRevive, k);
   } else if (config.elastic.enabled &&
              active_count() < config.elastic.max_replicas) {
     // A permanent crash is a scale-up trigger: a replacement joins
@@ -648,9 +684,10 @@ void FleetSim::crash(const fault::FaultEvent& e) {
     const double delay = plan.spec().provision_sec > 0.0
                              ? plan.spec().provision_sec
                              : config.elastic.check_interval_sec;
-    sim.schedule_after(util::ps_from_sec(delay), [this, incident]() {
-      join_replacement(incident);
-    });
+    const auto id = static_cast<std::uint64_t>(incident);
+    schedule_after(util::ps_from_sec(delay), kReplace,
+                   static_cast<std::uint32_t>(id),
+                   static_cast<std::uint32_t>(id >> 32));
   }
 
   // Waiting queries lose any partial progress and re-route through
@@ -673,7 +710,7 @@ void FleetSim::crash(const fault::FaultEvent& e) {
       ++r.retries;
       const util::SimTime backoff = util::ps_from_us(
           plan.spec().retry_backoff_us * static_cast<double>(r.retries));
-      sim.schedule_after(backoff, [this, aborted]() { reroute(aborted); });
+      schedule_after(backoff, kReroute, static_cast<std::uint32_t>(aborted));
     }
   }
   record_depth();
@@ -771,12 +808,14 @@ void FleetSim::io_burst(const fault::FaultEvent& e) {
   rep.io_until = std::max(rep.io_until, until);
   rep.io_rate = e.magnitude;
   monitor.observe_io_burst(now, k, true, e.magnitude);
-  sim.schedule_at(until, [this, k]() {
-    // Overlapping bursts extend the window; only the last edge closes.
-    if (sim.now() >= replicas[k].io_until) {
-      monitor.observe_io_burst(sim.now(), k, false, 0.0);
-    }
-  });
+  schedule_at(until, kIoBurstEnd, k);
+}
+
+void FleetSim::io_burst_end(std::uint32_t k) {
+  // Overlapping bursts extend the window; only the last edge closes.
+  if (sim.now() >= replicas[k].io_until) {
+    monitor.observe_io_burst(sim.now(), k, false, 0.0);
+  }
 }
 
 void FleetSim::link_flap(const fault::FaultEvent& e) {
@@ -786,12 +825,14 @@ void FleetSim::link_flap(const fault::FaultEvent& e) {
   link_factor = e.magnitude;
   ++link_windows_total;
   monitor.observe_link(now, true, e.magnitude);
-  sim.schedule_at(until, [this]() {
-    if (sim.now() >= link_until) {
-      link_factor = 1.0;
-      monitor.observe_link(sim.now(), false, 1.0);
-    }
-  });
+  schedule_at(until, kLinkFlapEnd);
+}
+
+void FleetSim::link_flap_end() {
+  if (sim.now() >= link_until) {
+    link_factor = 1.0;
+    monitor.observe_link(sim.now(), false, 1.0);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -837,7 +878,7 @@ void FleetSim::elastic_tick() {
              active > e.min_replicas) {
     shrink(per);
   }
-  sim.schedule_after(interval_ps, [this]() { elastic_tick(); });
+  schedule_after(interval_ps, kElasticTick);
 }
 
 void FleetSim::grow(double per) {
@@ -1082,6 +1123,14 @@ void FleetConfig::validate(std::size_t num_classes) const {
   if (replicas == 0) {
     throw std::invalid_argument("fleet needs at least one replica");
   }
+  const auto check_cap = [](std::uint32_t n, const char* what) {
+    if (n > kMaxReplicas) {
+      throw std::invalid_argument(
+          std::string(what) + " " + std::to_string(n) + " exceeds the " +
+          std::to_string(kMaxReplicas) + "-replica limit");
+    }
+  };
+  check_cap(replicas, "replicas");
   for (const TenantQuota& q : quotas) {
     if (q.class_index >= num_classes) {
       throw std::invalid_argument("quota tenant class " +
@@ -1116,6 +1165,7 @@ void FleetConfig::validate(std::size_t num_classes) const {
   }
   if (elastic.enabled) {
     const ElasticConfig& e = elastic;
+    check_cap(e.max_replicas, "elastic max_replicas");
     if (e.min_replicas == 0) {
       throw std::invalid_argument("elastic min_replicas must be >= 1");
     }

@@ -47,8 +47,15 @@
 #include "obs/health.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "sim/simulator.hpp"
 
 namespace cxlgraph::serve {
+
+/// Most replicas a fleet may start with or grow to: each replica
+/// registers its own listener with the serve's simulator, whose table
+/// also holds the closure fallback's and the fleet's.
+inline constexpr std::uint32_t kMaxReplicas =
+    sim::Simulator::kMaxListeners - 2;
 
 enum class RouterKind {
   kRandom,             ///< seeded uniform pick over routable replicas
@@ -120,7 +127,8 @@ struct FleetConfig {
   /// tenant-class count; throws std::invalid_argument with a descriptive
   /// message for malformed migration plans (nonexistent source/target
   /// replica, source == target, unknown tenant, a negative, NaN or
-  /// infinite time), out-of-range quota classes, inconsistent elastic
+  /// infinite time), out-of-range quota classes, `replicas` or
+  /// `elastic.max_replicas` above kMaxReplicas, inconsistent elastic
   /// bounds or a check interval that is not a positive finite duration,
   /// or an invalid fault spec.
   void validate(std::size_t num_classes) const;

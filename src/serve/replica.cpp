@@ -6,6 +6,16 @@
 
 namespace cxlgraph::serve {
 
+ReplicaSim::ReplicaSim(FleetSim& fleet_in, std::uint32_t index_in)
+    : fleet(fleet_in),
+      index(index_in),
+      listener_(fleet_in.sim.add_listener(this, &ReplicaSim::on_event)) {}
+
+void ReplicaSim::on_event(void* self, std::uint16_t /*opcode*/,
+                          std::uint32_t /*a*/, std::uint32_t /*b*/) {
+  static_cast<ReplicaSim*>(self)->quantum_done();
+}
+
 void ReplicaSim::attach_telemetry() {
   obs::Telemetry* sink = fleet.telemetry;
   if (sink == nullptr) return;
@@ -252,7 +262,7 @@ void ReplicaSim::dispatch() {
   link_bytes += bytes;
   ++quanta;
   if (fleet.telemetry != nullptr) note_quantum(i, duration, bytes);
-  fleet.sim.schedule_after(duration, [this]() { quantum_done(); });
+  fleet.sim.schedule_after(duration, listener_, 0);
 }
 
 void ReplicaSim::quantum_done() {

@@ -40,6 +40,7 @@
 #include "serve/workload.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace cxlgraph::serve {
 
@@ -83,9 +84,9 @@ struct ReplicaSim {
   util::SimTime io_until = 0;
   double io_rate = 0.0;
 
-  ReplicaSim(FleetSim& fleet_in, std::uint32_t index_in)
-      : fleet(fleet_in), index(index_in) {}
-  // Scheduled closures hold this replica's address.
+  /// Registers this replica's listener with the fleet's simulator.
+  ReplicaSim(FleetSim& fleet_in, std::uint32_t index_in);
+  // The registered listener holds this replica's address.
   ReplicaSim(const ReplicaSim&) = delete;
   ReplicaSim& operator=(const ReplicaSim&) = delete;
 
@@ -141,6 +142,11 @@ struct ReplicaSim {
   void quantum_done();
 
  private:
+  /// The listener's one event: the in-flight quantum completed. A
+  /// replica has at most one pending, so its lane never holds two.
+  static void on_event(void* self, std::uint16_t opcode, std::uint32_t a,
+                       std::uint32_t b);
+
   void place(std::size_t i);
   void note_quantum(std::size_t i, util::SimTime duration,
                     std::uint64_t bytes);
@@ -154,6 +160,7 @@ struct ReplicaSim {
   bool discard_pending_ = false;
   /// When the in-flight quantum ends (set at dispatch).
   util::SimTime quantum_end_ = 0;
+  std::uint16_t listener_ = 0;    ///< quantum completions
 
   std::uint16_t track_ = 0;       ///< ("serve", "replica<k>"): quanta
   std::uint32_t n_quantum_ = 0;
@@ -177,8 +184,10 @@ struct FleetSim {
   const device::ThermalParams& thermal;
 
   sim::Simulator sim;
-  /// deque: scheduled closures capture replica addresses, so growth must
-  /// not relocate existing elements.
+  /// The fleet's own listener: one opcode per event kind (see Op).
+  std::uint16_t listener = 0;
+  /// deque: each replica's registered listener holds its address, so
+  /// growth must not relocate existing elements.
   std::deque<ReplicaSim> replicas;
 
   // -- Per-query state ----------------------------------------------------
@@ -191,8 +200,10 @@ struct FleetSim {
   /// Per-profile suffix sums: remaining_after[p][k] = sum of step_ps[k..].
   /// O(1) remaining-demand estimates for routing / SLO shedding.
   std::vector<std::vector<util::SimTime>> remaining_after;
-  /// Completed latencies in completion order (streaming-estimator feed).
-  std::vector<double> completion_order_latency_us;
+  /// Streaming latency estimators, fed in completion order.
+  util::StreamingQuantile stream_p50{0.50};
+  util::StreamingQuantile stream_p95{0.95};
+  util::StreamingQuantile stream_p99{0.99};
   util::SimTime last_completion = 0;
   std::uint32_t admitted = 0;
   std::uint32_t completed = 0;
@@ -305,14 +316,44 @@ struct FleetSim {
   util::Log2Histogram* h_latency_ns = nullptr;
   std::uint32_t ch_depth = 0;  ///< waiting + in service, fleet-wide
 
+  /// The fleet listener's event kinds. The payload `a` carries the
+  /// subject: a query (arrive, reroute), a migration (migrate, copy
+  /// landed), an index into plan.events() (fault) or a replica (revive,
+  /// I/O-burst end). Replace carries its incident id split across `a`
+  /// (low half) and `b`; elastic tick and link-flap end carry nothing.
+  enum Op : std::uint16_t {
+    kArrive,
+    kReroute,
+    kMigrate,
+    kCopyLanded,
+    kFault,
+    kRevive,
+    kIoBurstEnd,
+    kReplace,
+    kElasticTick,
+    kLinkFlapEnd,
+  };
+
   FleetSim(const FleetConfig& config_in, const WorkloadSpec& spec_in,
            const std::vector<Query>& queries_in,
            const std::vector<QueryProfile>& profiles_in,
            std::vector<QueryRecord>& records_in,
            const device::ThermalParams& thermal_in, std::size_t num_classes);
-  // Replicas and scheduled closures hold this object's address.
+  // Replicas and the registered listener hold this object's address.
   FleetSim(const FleetSim&) = delete;
   FleetSim& operator=(const FleetSim&) = delete;
+
+  static void on_event(void* self, std::uint16_t opcode, std::uint32_t a,
+                       std::uint32_t b);
+  /// Schedules `op` about subject `a` at `time` / after `delay`.
+  void schedule_at(util::SimTime time, Op op, std::uint32_t a = 0,
+                   std::uint32_t b = 0) {
+    sim.schedule_at(time, listener, op, a, b);
+  }
+  void schedule_after(util::SimTime delay, Op op, std::uint32_t a = 0,
+                      std::uint32_t b = 0) {
+    sim.schedule_after(delay, listener, op, a, b);
+  }
 
   /// Binds the sink (nullptr or disabled: stays untapped): the lifecycle
   /// track, counters and depth channel, every replica's telemetry, and
@@ -415,7 +456,11 @@ struct FleetSim {
   void revive(std::uint32_t k);
   void join_replacement(std::int64_t incident);
   void io_burst(const fault::FaultEvent& e);
+  /// Closes replica k's I/O-burst window unless a later burst extended it.
+  void io_burst_end(std::uint32_t k);
   void link_flap(const fault::FaultEvent& e);
+  /// Closes the link-degrade window unless a later flap extended it.
+  void link_flap_end();
 
   // -- Elastic controller -------------------------------------------------
 

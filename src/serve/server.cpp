@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "algo/bfs.hpp"
@@ -74,7 +75,8 @@ std::vector<SoakWindow> soak_windows(const ServeReport& report,
   }
   obs::WindowSeries series;
   for (const QueryRecord& r : report.queries) {
-    if (r.shed) continue;
+    // Only completed queries: a shed or failed one has no completion.
+    if (r.shed || r.failed) continue;
     series.record(util::sec_from_ps(r.completion),
                   util::us_from_ps(r.completion - r.arrival));
   }
@@ -170,7 +172,24 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
                       static_cast<int>(cls.strategy), source};
   };
 
-  std::map<ProfileKey, std::size_t> slot_of;
+  // Every key of this call shares the base fields, so a slot is a
+  // (class shape, source) pair. A class's shape is the first class with
+  // its (algorithm, shards, strategy); classes differing only in SLO or
+  // weight share slots. slot_of[shape] maps a source to its slot.
+  std::vector<std::uint32_t> shape(mix.size());
+  for (std::uint32_t c = 0; c < mix.size(); ++c) {
+    shape[c] = c;
+    for (std::uint32_t d = 0; d < c; ++d) {
+      if (mix[d].algorithm == mix[c].algorithm &&
+          mix[d].shards == mix[c].shards &&
+          mix[d].strategy == mix[c].strategy) {
+        shape[c] = d;
+        break;
+      }
+    }
+  }
+  std::vector<std::unordered_map<graph::VertexId, std::size_t>> slot_of(
+      mix.size());
   struct Slot {
     ProfileKey cache_key;
     std::uint32_t class_index;
@@ -183,7 +202,7 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
     const graph::VertexId source = base.source.value_or(
         algo::pick_source(graph, out.queries[i].source_seed));
     const auto [it, inserted] =
-        slot_of.try_emplace(key_for(c, source), slots.size());
+        slot_of[shape[c]].try_emplace(source, slots.size());
     if (inserted) {
       const bool keyed = core::uses_source(mix[c].algorithm);
       slots.push_back(Slot{key_for(c, keyed ? source : 0), c, source});

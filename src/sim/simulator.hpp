@@ -14,11 +14,13 @@
 /// hardware request/response flows.
 ///
 /// A `std::function` fallback (schedule_at(time, fn) / make_callback) is
-/// kept for cold paths — tests, the serving layer's arrival process,
-/// latency probes — through an internal listener whose payload indexes a
-/// free-listed closure-slot pool; it shares the queue and therefore the
-/// deterministic (time, seq) order with POD events.
+/// kept for cold paths — tests and the gpusim latency probes — through an
+/// internal listener whose payload indexes a free-listed closure-slot
+/// pool; it shares the queue and therefore the deterministic (time, seq)
+/// order with POD events. The serving layer does not use it: the fleet
+/// and every replica register listeners of their own.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -77,10 +79,13 @@ class Simulator {
   }
   EventObserver* observer() const noexcept { return observer_; }
 
+  /// Size of the listener table; index 0 is the closure fallback's.
+  static constexpr std::size_t kMaxListeners = kNullListener;
+
   /// Registers a listener; the returned index is this component's event
   /// address for the lifetime of the simulator.
   std::uint16_t add_listener(void* self, HandlerFn fn) {
-    if (handlers_.size() >= kNullListener) {
+    if (handlers_.size() >= kMaxListeners) {
       throw std::length_error("Simulator: listener table full");
     }
     handlers_.push_back(Handler{self, fn});

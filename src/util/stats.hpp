@@ -70,11 +70,14 @@ class Log2Histogram {
 };
 
 /// Exact percentile from a sample vector (copies + sorts; test/report use).
+/// The sort is a radix sort: for NaN-free samples the result is that of a
+/// comparison sort, bit for bit.
 double percentile(std::vector<double> samples, double pct);
 
 /// Exact tail summary of a sample set: the numbers a latency report leads
-/// with. Computed by one sort of a copy; for million-sample streams use
-/// StreamingQuantile instead.
+/// with. Computed by one radix sort of a copy (linear in the sample
+/// count); the mean is summed in sorted order, so every field equals that
+/// of a comparison sort bit for bit on NaN-free samples.
 struct PercentileSummary {
   std::uint64_t count = 0;
   double mean = 0.0;

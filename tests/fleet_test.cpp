@@ -20,6 +20,7 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/generate.hpp"
@@ -340,6 +341,29 @@ TEST(FleetServer, ValidatesFleetConfiguration) {
   // picoseconds, so it is not validated either.
   req.fleet.elastic.enabled = false;
   EXPECT_NO_THROW(fleet.serve(g, req));
+}
+
+// Every replica registers a listener with the serve's simulator, so a
+// fleet that could outgrow the listener table is rejected up front.
+TEST(FleetConfig, ValidateRejectsMoreReplicasThanListenerSlots) {
+  serve::FleetConfig fleet;
+  fleet.replicas = serve::kMaxReplicas;
+  EXPECT_NO_THROW(fleet.validate(1));
+  fleet.replicas = serve::kMaxReplicas + 1;
+  EXPECT_THROW(fleet.validate(1), std::invalid_argument);
+
+  fleet.replicas = 2;
+  fleet.elastic.enabled = true;
+  fleet.elastic.max_replicas = serve::kMaxReplicas;
+  EXPECT_NO_THROW(fleet.validate(1));
+  fleet.elastic.max_replicas = serve::kMaxReplicas + 1;
+  try {
+    fleet.validate(1);
+    FAIL() << "elastic max_replicas past the limit was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("max_replicas"), std::string::npos)
+        << e.what();
+  }
 }
 
 // FleetConfig::validate is callable on its own (serve() routes through

@@ -2,7 +2,7 @@
 /// \file golden_suite.hpp
 /// The one definition of "same behaviour" for simulated results: an FNV-1a
 /// fold of every report type over every member, the smoke configuration,
-/// and the golden table of its 15 cases. simcore_identity_test checks the
+/// and the golden table of its 16 cases. simcore_identity_test checks the
 /// table in tier 1 (so also in the sanitizer lanes); bench_simcore --smoke
 /// checks the same table and folds its rows with the same functions. No
 /// gtest here, so a bench can include it.
@@ -234,6 +234,37 @@ inline serve::FleetRequest smoke_fleet_faults_request() {
   return req;
 }
 
+/// The fleet *elastic* configuration: the smoke fleet driven by six
+/// closed-loop clients (20 µs think time) on two replicas, with the
+/// elastic controller checking every 200 µs between one and four
+/// replicas, and two permanent crashes, each replaced after 300 µs of
+/// provisioning; an aborted query gets one retry. It draws a grow, both
+/// replacements, a scale-down and two retries, so closed-loop arrivals,
+/// elastic ticks and crash replacement are on the checksum.
+inline serve::FleetRequest smoke_fleet_elastic_request() {
+  serve::FleetRequest req = smoke_fleet_request();
+  req.workload.process = serve::ArrivalProcess::kClosedLoop;
+  req.workload.num_clients = 6;
+  req.workload.mean_think_time = util::ps_from_us(20.0);
+  req.fleet.replicas = 2;
+  req.fleet.migrations.clear();
+  serve::ElasticConfig& elastic = req.fleet.elastic;
+  elastic.enabled = true;
+  elastic.min_replicas = 1;
+  elastic.max_replicas = 4;
+  elastic.check_interval_sec = 200e-6;
+  // Six clients queue at most four waiting queries on two replicas, so
+  // the default depth of 8 would never scale up.
+  elastic.scale_up_depth = 2.0;
+  fault::FaultSpec& faults = req.fleet.faults;
+  faults.horizon_sec = 0.001;
+  faults.crashes = 2;
+  faults.restart_sec = 0.0;
+  faults.provision_sec = 300e-6;
+  faults.max_query_retries = 1;
+  return req;
+}
+
 /// The sustained-load soak with the stack thermal model on: a cold
 /// (model-off) FIFO serve calibrates the thermal budget — the heat rate is
 /// the cold run's link-byte rate, cooling absorbs half of it, the budget
@@ -300,6 +331,7 @@ inline constexpr GoldenCase kGoldens[] = {
     {"serve-soak-throttled/cxl", 0x8fc41bd8bd288bd2ULL},
     {"fleet-serve/cxl",          0x6064190218e5705fULL},
     {"fleet-faults/cxl",         0x96df14db2e0a4ce4ULL},
+    {"fleet-elastic/cxl",        0x3200549809038d6eULL},
 };
 // clang-format on
 
@@ -348,6 +380,7 @@ inline std::vector<std::uint64_t> compute_checksums(
   fleet.set_telemetry(telemetry);
   sums.push_back(checksum(fleet.serve(g, smoke_fleet_request())));
   sums.push_back(checksum(fleet.serve(g, smoke_fleet_faults_request())));
+  sums.push_back(checksum(fleet.serve(g, smoke_fleet_elastic_request())));
   if (sums.size() != std::size(kGoldens)) {
     throw std::logic_error("golden suite and table differ in length");
   }

@@ -25,6 +25,7 @@
 #include "core/cluster_runtime.hpp"
 #include "core/runtime.hpp"
 #include "graph/generate.hpp"
+#include "golden_suite.hpp"
 #include "serve/fleet.hpp"
 #include "serve/server.hpp"
 
@@ -586,6 +587,25 @@ TEST(QueryServer, SustainedLoadUnderThrottlingRaisesTailOverTime) {
   EXPECT_EQ(cold, off);
   EXPECT_EQ(off.throttled_quanta, 0u);
   EXPECT_EQ(off.stack_peak_heat, 0.0);
+}
+
+TEST(QueryServer, SoakWindowsCountOnlyCompletedQueries) {
+  // Without retries the smoke fault plan fails a query outright. A failed
+  // record has no completion (0): it must stay out of every window rather
+  // than land in window 0 with a wrapped-around latency.
+  const graph::CsrGraph g = golden::smoke_graph();
+  serve::FleetRequest req = golden::smoke_fleet_faults_request();
+  req.fleet.faults.max_query_retries = 0;
+  serve::QueryServer server(core::table3_system(), /*jobs=*/1);
+  const serve::ServeReport r = server.serve(g, req).serve;
+  ASSERT_GT(r.failed, 0u);
+  ASSERT_GT(r.completed, 0u);
+  std::uint32_t counted = 0;
+  for (const serve::SoakWindow& w : serve::soak_windows(r, 4)) {
+    counted += w.completed;
+    EXPECT_LE(w.p99_us, r.latency_us.max);
+  }
+  EXPECT_EQ(counted, r.completed);
 }
 
 // ------------------------------------- streaming-estimator fidelity ----

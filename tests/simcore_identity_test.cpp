@@ -8,8 +8,9 @@
 /// narrower folds still reproduce the pre-rewrite values — so every
 /// simulated report on the smoke configuration is pinned bit-for-bit:
 /// BFS on all seven backends, the write-back and delta-stepping paths, a
-/// sharded cluster run, a serving mix, a thermal soak, and a fleet with
-/// and without faults. The core may get faster; it may not drift by one
+/// sharded cluster run, a serving mix, a thermal soak, a fleet with and
+/// without faults, and a closed-loop elastic fleet replacing crashed
+/// replicas. The core may get faster; it may not drift by one
 /// bit. The suite is also run twice (run-to-run identity) and once with a
 /// fully-enabled telemetry sink (observing must not perturb).
 #include <gtest/gtest.h>
@@ -70,7 +71,7 @@ TEST(SimCoreIdentity, ServeReportsMatchGoldens) {
 }
 
 TEST(SimCoreIdentity, FleetReportsMatchGoldens) {
-  expect_goldens({"fleet-serve/cxl", "fleet-faults/cxl"});
+  expect_goldens({"fleet-serve/cxl", "fleet-faults/cxl", "fleet-elastic/cxl"});
 }
 
 TEST(SimCoreIdentity, RepeatedSuiteIsIdentical) {

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
+#include <utility>
 #include <sstream>
 #include <stdexcept>
 
@@ -193,6 +196,118 @@ TEST(PercentileSummary, OrderInvariantAndMonotone) {
   std::reverse(v.begin(), v.end());
   const PercentileSummary r = summarize_percentiles(v);
   EXPECT_DOUBLE_EQ(s.p95, r.p95);
+}
+
+/// The comparison-sort reference the radix-sorted summaries must equal:
+/// std::sort, the mean summed in sorted order, linear-interpolated ranks.
+double reference_rank(const std::vector<double>& sorted, double pct) {
+  const double rank = pct / 100.0 * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+PercentileSummary reference_summary(std::vector<double> v) {
+  PercentileSummary s;
+  if (v.empty()) return s;
+  std::sort(v.begin(), v.end());
+  s.count = v.size();
+  double sum = 0.0;
+  for (const double x : v) sum += x;
+  s.mean = sum / static_cast<double>(v.size());
+  s.min = v.front();
+  s.max = v.back();
+  s.p50 = reference_rank(v, 50.0);
+  s.p95 = reference_rank(v, 95.0);
+  s.p99 = reference_rank(v, 99.0);
+  return s;
+}
+
+bool same_bits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+/// A seeded adversarial sample: negatives, duplicates, +-inf, subnormals,
+/// +-DBL_MAX, and values sharing their high bytes (so the radix sort
+/// skips digits). No NaN and no -0.0, where a radix and a comparison sort
+/// may legitimately differ.
+std::vector<double> radix_sample(std::size_t n, std::uint64_t seed) {
+  constexpr double kSpecial[] = {
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      4.9e-320,
+      -2.2e-310,
+      0.0,
+      1.0};
+  Xoshiro256 rng(seed);
+  std::vector<double> v;
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (rng.next_below(6)) {
+      case 0:
+        v.push_back(kSpecial[rng.next_below(std::size(kSpecial))]);
+        break;
+      case 1:  // shares every byte but the lowest few with 1.0
+        v.push_back(1.0 + static_cast<double>(rng.next_below(4096)) *
+                              std::numeric_limits<double>::epsilon());
+        break;
+      case 2:
+        v.push_back(v.empty() ? 2.0 : v[rng.next_below(v.size())]);
+        break;
+      case 3:
+        v.push_back(-1e3 * rng.next_double() - 1.0);
+        break;
+      case 4:
+        v.push_back(std::ldexp(rng.next_double() + 0.5,
+                               static_cast<int>(rng.next_below(2000)) - 1000));
+        break;
+      default:
+        v.push_back(1e6 * rng.next_double());
+        break;
+    }
+  }
+  return v;
+}
+
+TEST(PercentileSummary, RadixSortEqualsComparisonSortBitForBit) {
+  std::vector<std::vector<double>> cases;
+  std::uint64_t seed = 1;
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{255},
+        std::size_t{256}, std::size_t{257}, std::size_t{100'000}}) {
+    for (int rep = 0; rep < 3; ++rep) cases.push_back(radix_sample(n, seed++));
+  }
+  cases.push_back(std::vector<double>(300, 42.5));  // every digit shared
+  std::vector<double> low_bytes;  // only the two lowest digits differ
+  Xoshiro256 rng(99);
+  for (int i = 0; i < 5000; ++i) {
+    low_bytes.push_back(1.0 + static_cast<double>(rng.next_below(65536)) *
+                                  std::numeric_limits<double>::epsilon());
+  }
+  cases.push_back(low_bytes);
+  for (const std::vector<double>& v : cases) {
+    const PercentileSummary got = summarize_percentiles(v);
+    const PercentileSummary want = reference_summary(v);
+    EXPECT_EQ(got.count, want.count);
+    const std::pair<double, double> fields[] = {
+        {got.mean, want.mean}, {got.min, want.min}, {got.max, want.max},
+        {got.p50, want.p50},   {got.p95, want.p95}, {got.p99, want.p99}};
+    for (std::size_t f = 0; f < std::size(fields); ++f) {
+      EXPECT_TRUE(same_bits(fields[f].first, fields[f].second))
+          << "field " << f << " of an n=" << v.size() << " sample";
+    }
+    if (v.empty()) continue;
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double pct : {0.0, 1.0, 37.5, 50.0, 99.9, 100.0}) {
+      EXPECT_TRUE(same_bits(percentile(v, pct), reference_rank(sorted, pct)))
+          << "percentile " << pct << " of an n=" << v.size() << " sample";
+    }
+  }
 }
 
 TEST(StreamingQuantile, ExactForSmallSamples) {
