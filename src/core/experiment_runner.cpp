@@ -1,9 +1,10 @@
 #include "core/experiment_runner.hpp"
 
 #include <algorithm>
-#include <future>
+#include <map>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 namespace cxlgraph::core {
 
@@ -30,47 +31,72 @@ std::vector<RunReport> ExperimentRunner::run_all(
     }
   }
 
-  std::vector<RunReport> reports(jobs.size());
-  if (jobs_ == 1 || jobs.size() <= 1) {
-    ExternalGraphRuntime rt(config_);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (jobs[i].config) {
-        ExternalGraphRuntime custom(*jobs[i].config);
-        reports[i] = custom.run(*jobs[i].graph, jobs[i].request);
-      } else {
-        reports[i] = rt.run(*jobs[i].graph, jobs[i].request);
-      }
-    }
-    return reports;
-  }
-
-  ensure_pool();
-
-  // Each task builds its own runtime (a config copy) and writes its report
-  // into a pre-sized slot, so results land in insertion order no matter
-  // which worker finishes first.
-  std::vector<std::future<void>> futures;
-  futures.reserve(jobs.size());
+  // A trace is a pure function of (graph contents, algorithm, source), and
+  // make_trace never reads the SystemConfig, so jobs that differ only in
+  // backend, sweep knobs or config can replay one trace. slot[i] is job
+  // i's shared trace, kNone when no other job has its key. A job whose
+  // source does not resolve shares nothing: its own task throws the
+  // error, in insertion order.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<graph::VertexId> sources(jobs.size());
+  std::vector<std::size_t> slot(jobs.size(), kNone);
+  std::vector<std::size_t> builders;  // per shared trace, its first job
+  std::map<std::tuple<std::uint64_t, Algorithm, graph::VertexId>,
+           std::size_t>
+      first_with;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    futures.push_back(pool_->submit([this, &jobs, &reports, i] {
-      const SweepJob& job = jobs[i];
-      ExternalGraphRuntime rt(job.config ? *job.config : config_);
-      reports[i] = rt.run(*job.graph, job.request);
-    }));
+    const graph::CsrGraph& graph = *jobs[i].graph;
+    try {
+      sources[i] = resolve_source(graph, jobs[i].request);
+    } catch (...) {
+      continue;
+    }
+    if (graph.id() == 0) continue;
+    const auto [first, fresh] = first_with.try_emplace(
+        std::make_tuple(graph.id(), jobs[i].request.algorithm, sources[i]),
+        i);
+    if (fresh) continue;
+    if (slot[first->second] == kNone) {
+      slot[first->second] = builders.size();
+      builders.push_back(first->second);
+    }
+    slot[i] = slot[first->second];
   }
 
-  // Drain every future before rethrowing so no task still references the
-  // local vectors when an exception unwinds them.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+  // Each shared trace is built once, up front; a trace with one job is
+  // built inside that job's task, so only shared traces are held for the
+  // whole sweep. A failed build stays empty and each of its jobs
+  // rebuilds, throwing the same error from its own task.
+  const ExternalGraphRuntime tracer(config_);
+  std::vector<std::function<std::optional<algo::AccessTrace>()>> builds;
+  for (const std::size_t b : builders) {
+    builds.push_back([&tracer, &job = jobs[b], source = sources[b]]()
+                         -> std::optional<algo::AccessTrace> {
+      try {
+        return tracer.make_trace(*job.graph, job.request.algorithm, source);
+      } catch (...) {
+        return std::nullopt;
+      }
+    });
   }
-  if (first_error) std::rethrow_exception(first_error);
-  return reports;
+  const std::vector<std::optional<algo::AccessTrace>> shared =
+      map_tasks(builds);
+
+  // Each task runs on its own runtime (a config copy) and map_tasks
+  // returns the reports in job order, so the sweep is bit-identical to
+  // serial whatever the worker count.
+  std::vector<std::function<RunReport()>> runs;
+  runs.reserve(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const algo::AccessTrace* trace =
+        slot[i] != kNone && shared[slot[i]] ? &*shared[slot[i]] : nullptr;
+    runs.push_back([this, &job = jobs[i], source = sources[i], trace] {
+      ExternalGraphRuntime rt(job.config ? *job.config : config_);
+      if (trace == nullptr) return rt.run(*job.graph, job.request);
+      return rt.run_trace(*trace, job.request, *job.graph, source).report;
+    });
+  }
+  return map_tasks(runs);
 }
 
 std::vector<TraceRunResult> ExperimentRunner::run_traces(

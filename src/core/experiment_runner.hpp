@@ -3,10 +3,11 @@
 /// Fans independent experiment runs across a thread pool.
 ///
 /// Every ExternalGraphRuntime::run is deterministic in (SystemConfig,
-/// graph, RunRequest) and shares no mutable state with other runs, so an
-/// ablation sweep's configurations can execute on worker threads while the
-/// results come back in insertion order — bit-identical to the serial
-/// sweep, just faster.
+/// graph, RunRequest). Each task gets its own runtime, and the traces
+/// jobs share are built once and only read afterwards, so an ablation
+/// sweep's configurations can execute on worker threads while the results
+/// come back in insertion order — bit-identical to the serial sweep, just
+/// faster.
 ///
 ///   core::ExperimentRunner runner(core::table4_system(), /*jobs=*/0);
 ///   std::vector<core::RunRequest> requests = ...;  // one per config
@@ -53,8 +54,11 @@ class ExperimentRunner {
   explicit ExperimentRunner(SystemConfig config, unsigned jobs = 0);
 
   /// Runs every job and returns reports in insertion order, regardless of
-  /// completion order. The first exception thrown by any run propagates
-  /// after all jobs finish or are drained.
+  /// completion order. Jobs with the same (graph.id(), algorithm, resolved
+  /// source) replay one trace, built once whatever their backends, knobs
+  /// or configs: one runtime per task, shared traces read-only. The first
+  /// exception thrown by any run propagates after all jobs finish or are
+  /// drained.
   std::vector<RunReport> run_all(const std::vector<SweepJob>& jobs);
 
   /// Convenience: every request runs against the same graph under the

@@ -276,6 +276,12 @@ bool uses_source(Algorithm algorithm) noexcept {
   return true;
 }
 
+graph::VertexId resolve_source(const graph::CsrGraph& graph,
+                               const RunRequest& request) {
+  return request.source.value_or(
+      algo::pick_source(graph, request.source_seed));
+}
+
 ExternalGraphRuntime::ExternalGraphRuntime(SystemConfig config)
     : config_(std::move(config)) {}
 
@@ -313,13 +319,20 @@ RunReport ExternalGraphRuntime::run(const graph::CsrGraph& graph,
 
 TraceRunResult ExternalGraphRuntime::run_profiled(
     const graph::CsrGraph& graph, const RunRequest& request) {
-  const graph::VertexId source = request.source.value_or(
-      algo::pick_source(graph, request.source_seed));
-  const algo::AccessTrace trace =
-      make_trace(graph, request.algorithm, source);
+  const graph::VertexId source = resolve_source(graph, request);
+  if (graph.id() == 0 || !held_ || held_->graph_id != graph.id() ||
+      held_->algorithm != request.algorithm || held_->source != source) {
+    held_.reset();
+    algo::AccessTrace trace = make_trace(graph, request.algorithm, source);
+    held_ = HeldTrace{graph.id(), request.algorithm, source, std::move(trace)};
+  }
+  return run_trace(held_->trace, request, graph, source);
+}
 
-  TraceRunResult result =
-      run_trace(trace, request, graph.edge_list_bytes());
+TraceRunResult ExternalGraphRuntime::run_trace(
+    const algo::AccessTrace& trace, const RunRequest& request,
+    const graph::CsrGraph& graph, graph::VertexId source) const {
+  TraceRunResult result = run_trace(trace, request, graph.edge_list_bytes());
   result.report.source = source;
   result.report.graph_edges = graph.num_edges();
   return result;

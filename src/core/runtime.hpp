@@ -105,6 +105,18 @@ struct TraceRunResult {
 /// which is what lets the serving layer replay one per source-free class.
 bool uses_source(Algorithm algorithm) noexcept;
 
+/// The vertex `request` traverses from on `graph`: its explicit source,
+/// else the pick seeded by its source_seed. With the graph's id and the
+/// algorithm it keys a trace, for run_profiled's held trace and for
+/// ExperimentRunner::run_all's shared ones.
+graph::VertexId resolve_source(const graph::CsrGraph& graph,
+                               const RunRequest& request);
+
+/// Threading: run and run_profiled update the runtime's held trace, so a
+/// runtime runs them on one thread at a time; sweeps give each task its
+/// own runtime. make_trace is stateless, and run_trace and the latency
+/// probes only read the runtime, so with no telemetry attached one
+/// runtime may serve them to several threads at once.
 class ExternalGraphRuntime {
  public:
   explicit ExternalGraphRuntime(SystemConfig config);
@@ -116,6 +128,14 @@ class ExternalGraphRuntime {
   /// returned report is bit-for-bit the same), but also surfaces the
   /// per-superstep durations and fetched bytes a shared-resource scheduler
   /// interleaves. run() is implemented on top of this.
+  ///
+  /// A trace is a pure function of (graph contents, algorithm, source),
+  /// so the runtime keeps the last one it built, keyed by (graph.id(),
+  /// algorithm, resolved source), and replays it when the next call's key
+  /// matches: a sweep over backends, latencies or sweep knobs builds it
+  /// once. On a miss the held trace is dropped before the new one is
+  /// built, so at most one trace and one stack are alive; a make_trace
+  /// that throws leaves nothing held. A graph with id 0 never matches.
   TraceRunResult run_profiled(const graph::CsrGraph& graph,
                               const RunRequest& request);
 
@@ -127,6 +147,15 @@ class ExternalGraphRuntime {
   TraceRunResult run_trace(const algo::AccessTrace& trace,
                            const RunRequest& request,
                            std::uint64_t edge_list_bytes) const;
+
+  /// Replays make_trace(graph, request.algorithm, source) as run_profiled
+  /// does, filling in the report's source and graph_edges: the one replay
+  /// of a whole-graph trace, for run_profiled and for
+  /// ExperimentRunner::run_all's shared traces.
+  TraceRunResult run_trace(const algo::AccessTrace& trace,
+                           const RunRequest& request,
+                           const graph::CsrGraph& graph,
+                           graph::VertexId source) const;
 
   /// Runs the traversal only and returns its access trace (no simulation).
   algo::AccessTrace make_trace(const graph::CsrGraph& graph,
@@ -158,8 +187,17 @@ class ExternalGraphRuntime {
   }
 
  private:
+  /// run_profiled's last trace and the key it was built for.
+  struct HeldTrace {
+    std::uint64_t graph_id = 0;
+    Algorithm algorithm = Algorithm::kBfs;
+    graph::VertexId source = 0;
+    algo::AccessTrace trace;
+  };
+
   SystemConfig config_;
   obs::Telemetry* telemetry_ = nullptr;
+  std::optional<HeldTrace> held_;
 };
 
 }  // namespace cxlgraph::core

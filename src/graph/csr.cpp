@@ -1,14 +1,25 @@
 #include "graph/csr.hpp"
 
+#include <atomic>
 #include <stdexcept>
 
 namespace cxlgraph::graph {
+
+namespace {
+
+std::uint64_t next_graph_id() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
 
 CsrGraph::CsrGraph(std::vector<EdgeIndex> offsets,
                    std::vector<VertexId> edges, std::vector<Weight> weights)
     : offsets_(std::move(offsets)),
       edges_(std::move(edges)),
-      weights_(std::move(weights)) {
+      weights_(std::move(weights)),
+      id_(next_graph_id()) {
   const std::string problem = validate();
   if (!problem.empty()) {
     throw std::invalid_argument("CsrGraph: " + problem);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cxlgraph::graph {
@@ -75,10 +76,35 @@ class CsrGraph {
   /// otherwise a description of the first violation found.
   std::string validate() const;
 
+  /// Identity of the contents: non-zero and unique within the process for
+  /// every graph built from arrays, kept by copies (their contents are
+  /// equal) and by the target of a move. A default-constructed or
+  /// moved-from graph reads 0, which names no contents. The graph is
+  /// immutable, so equal non-zero ids mean equal contents: caches of
+  /// anything derived from a graph key on this.
+  std::uint64_t id() const noexcept { return id_.value; }
+
  private:
+  /// A move hands the id to the target and zeroes the source, so the
+  /// graph keeps its implicit copy and move operations.
+  struct Id {
+    std::uint64_t value = 0;
+
+    Id() = default;
+    explicit Id(std::uint64_t v) noexcept : value(v) {}
+    Id(const Id&) = default;
+    Id& operator=(const Id&) = default;
+    Id(Id&& other) noexcept : value(std::exchange(other.value, 0)) {}
+    Id& operator=(Id&& other) noexcept {
+      value = std::exchange(other.value, 0);
+      return *this;
+    }
+  };
+
   std::vector<EdgeIndex> offsets_;  // size n+1
   std::vector<VertexId> edges_;
   std::vector<Weight> weights_;  // empty or size num_edges()
+  Id id_;
 };
 
 /// Degree statistics in the form the paper's Table 1 reports.

@@ -14,27 +14,6 @@
 
 namespace cxlgraph::serve {
 
-namespace {
-
-/// Content fingerprint for profile-cache invalidation: a full FNV-style
-/// pass over shape, offsets, edges, and weights, so *any* structural
-/// change to the graph misses the cache. One multiply-xor per element —
-/// negligible next to a single query profile's traversal + replay.
-std::uint64_t graph_fingerprint(const graph::CsrGraph& g) {
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t x) { h = (h ^ x) * kPrime; };
-  mix(g.num_vertices());
-  mix(g.num_edges());
-  mix(g.weighted() ? 1 : 0);
-  for (const graph::EdgeIndex o : g.offsets()) mix(o);
-  for (const graph::VertexId e : g.edges()) mix(e);
-  for (const graph::Weight w : g.weights()) mix(w);
-  return h;
-}
-
-}  // namespace
-
 std::string to_string(SchedulingPolicy policy) {
   switch (policy) {
     case SchedulingPolicy::kFifo:
@@ -156,10 +135,9 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
   // every source, so its cache key drops the source: one replay serves
   // all of that class's slots, each rebound to its own source below.
   // -------------------------------------------------------------------
-  const std::uint64_t fingerprint = graph_fingerprint(graph);
-  if (cached_graph_fingerprint_ != fingerprint) {
+  if (graph.id() == 0 || cached_graph_id_ != graph.id()) {
     profile_cache_.clear();
-    cached_graph_fingerprint_ = fingerprint;
+    cached_graph_id_ = graph.id();
   }
   const auto key_for = [&base, &mix](std::uint32_t c,
                                      graph::VertexId source) {

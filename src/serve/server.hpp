@@ -358,16 +358,17 @@ class QueryServer {
   core::ExperimentRunner runner_;
   /// Idle-stack profiles are pure functions of (config, graph, key), so
   /// repeated serves — an offered-load sweep, a policy comparison — reuse
-  /// them. Invalidated whenever the graph changes, detected by a cheap
-  /// content fingerprint (not the address: a different graph reallocated
-  /// at the same address must not reuse stale profiles). Bounded to
+  /// them. Invalidated whenever the served graph's id() changes (not its
+  /// address: a different graph built at the same address has a new id;
+  /// a copy keeps the id and the profiles). A content-equal graph built
+  /// separately re-profiles, with identical results. Bounded to
   /// profile_cache_capacity_ entries with LRU eviction (0 = unbounded) so
   /// a long-lived multi-tenant server cannot grow without limit.
   std::map<ProfileKey, CacheEntry> profile_cache_;
   std::size_t profile_cache_capacity_ = 0;
   std::uint64_t cache_clock_ = 0;
   std::uint64_t profiles_computed_ = 0;
-  std::uint64_t cached_graph_fingerprint_ = 0;
+  std::uint64_t cached_graph_id_ = 0;
   obs::Telemetry* telemetry_ = nullptr;
 };
 

@@ -195,6 +195,97 @@ TEST(Runtime, SourceFreeAlgorithmsIgnoreTheSource) {
   }
 }
 
+// ------------------------------------------------------- held trace ----
+
+void expect_same_run(const TraceRunResult& held, const TraceRunResult& fresh) {
+  EXPECT_EQ(held.report, fresh.report);
+  EXPECT_EQ(held.step_durations, fresh.step_durations);
+  EXPECT_EQ(held.step_fetched_bytes, fresh.step_fetched_bytes);
+  EXPECT_EQ(held.events, fresh.events);
+}
+
+// One runtime replays its held trace while (graph, algorithm, source)
+// repeats and rebuilds when any of them changes. A, A', B, A sequences
+// (A' a hit that changes only the memory stack, B a miss) must give
+// every report a fresh runtime gives.
+TEST(Runtime, HeldTraceRunsMatchFreshRuntimes) {
+  const graph::CsrGraph g = test_graph();
+  RunRequest a;
+  a.backend = BackendKind::kCxl;
+  a.cxl_added_latency = util::ps_from_us(0.5);
+  RunRequest slower = a;
+  slower.cxl_added_latency = util::ps_from_us(2.0);
+  RunRequest dram = a;
+  dram.backend = BackendKind::kHostDram;
+  RunRequest pinned = a;
+  pinned.backend = BackendKind::kXlfdd;
+  pinned.source = resolve_source(g, a);
+  RunRequest sssp = a;
+  sssp.algorithm = Algorithm::kSssp;
+  RunRequest elsewhere = a;
+  elsewhere.source_seed = 5;
+  ASSERT_NE(resolve_source(g, elsewhere), resolve_source(g, a));
+
+  const std::vector<std::vector<RunRequest>> sequences = {
+      {a, slower, sssp, a},
+      {a, dram, elsewhere, a},
+      {a, pinned, sssp, slower},
+      {sssp, sssp, elsewhere, dram},
+  };
+  for (const std::vector<RunRequest>& sequence : sequences) {
+    ExternalGraphRuntime rt(table4_system());
+    for (const RunRequest& req : sequence) {
+      SCOPED_TRACE(to_string(req.algorithm) + " on " +
+                   to_string(req.backend));
+      ExternalGraphRuntime fresh(table4_system());
+      expect_same_run(rt.run_profiled(g, req), fresh.run_profiled(g, req));
+    }
+  }
+}
+
+// A graph reassigned in place keeps its address and shape but takes the
+// new contents' id, so the held trace of the old contents must not replay.
+TEST(Runtime, ReassignedGraphRebuildsTheHeldTrace) {
+  graph::CsrGraph g = graph::make_dataset(graph::DatasetId::kUrand, 10,
+                                          /*weighted=*/false, /*seed=*/1);
+  RunRequest req;
+  req.source = algo::pick_source(g, 1);
+  ExternalGraphRuntime rt(table4_system());
+  const RunReport before = rt.run(g, req);
+
+  const graph::CsrGraph* const address = &g;
+  const std::uint64_t vertices = g.num_vertices();
+  g = graph::make_dataset(graph::DatasetId::kUrand, 10, /*weighted=*/false,
+                          /*seed=*/2);
+  ASSERT_EQ(&g, address);
+  ASSERT_EQ(g.num_vertices(), vertices);
+
+  const RunReport after = rt.run(g, req);
+  EXPECT_EQ(after, ExternalGraphRuntime(table4_system()).run(g, req));
+  EXPECT_NE(after, before);
+}
+
+// A make_trace that throws leaves nothing held, not even its key: the
+// same request throws again, and the runs after it are those of a fresh
+// runtime.
+TEST(Runtime, FailedTraceBuildLeavesTheRuntimeCorrect) {
+  const graph::CsrGraph g = test_graph();
+  RunRequest good;
+  RunRequest bad = good;
+  bad.source = g.num_vertices();
+  RunRequest other = good;
+  other.backend = BackendKind::kCxl;
+
+  ExternalGraphRuntime rt(table4_system());
+  ExternalGraphRuntime fresh(table4_system());
+  const RunReport expected = fresh.run(g, good);
+  EXPECT_EQ(rt.run(g, good), expected);
+  EXPECT_THROW(rt.run(g, bad), std::out_of_range);
+  EXPECT_THROW(rt.run(g, bad), std::out_of_range);
+  EXPECT_EQ(rt.run(g, other), fresh.run(g, other));
+  EXPECT_EQ(rt.run(g, good), expected);
+}
+
 // --------------------------------------------------- experiment runner ----
 
 TEST(ExperimentRunner, SerialModeCreatesNoPool) {
@@ -260,6 +351,78 @@ TEST(ExperimentRunner, WorkerExceptionPropagates) {
 
   ExperimentRunner runner(table3_system(), /*jobs=*/2);
   EXPECT_THROW(runner.run_all({good, bad, good}), std::invalid_argument);
+}
+
+// Jobs with one (graph, algorithm, source) replay one trace across
+// backends, knobs and per-job configs; each report must equal a fresh
+// runtime's run of that job, serially and on four workers.
+TEST(ExperimentRunner, SharedTracesMatchAFreshRunPerJob) {
+  const graph::CsrGraph g = test_graph();
+  graph::GeneratorOptions opts;
+  opts.seed = 7;
+  const graph::CsrGraph h = graph::generate_uniform(1 << 12, 16.0, opts);
+  SystemConfig two_devices = table4_system();
+  two_devices.cxl_devices = 2;
+  SystemConfig gen4 = table4_system();
+  gen4.gpu_link_gen = device::PcieGen::kGen4;
+
+  const auto job = [](const graph::CsrGraph& graph, Algorithm algorithm,
+                      BackendKind backend) {
+    SweepJob j;
+    j.graph = &graph;
+    j.request.algorithm = algorithm;
+    j.request.backend = backend;
+    return j;
+  };
+  std::vector<SweepJob> jobs;
+  jobs.push_back(job(g, Algorithm::kBfs, BackendKind::kHostDram));
+  for (const double added : {0.0, 1.0, 3.0}) {
+    jobs.push_back(job(g, Algorithm::kBfs, BackendKind::kCxl));
+    jobs.back().request.cxl_added_latency = util::ps_from_us(added);
+  }
+  jobs.push_back(job(g, Algorithm::kBfs, BackendKind::kCxl));
+  jobs.back().config = two_devices;
+  jobs.push_back(job(g, Algorithm::kSssp, BackendKind::kHostDram));
+  jobs.push_back(job(h, Algorithm::kBfs, BackendKind::kHostDram));
+  jobs.push_back(job(g, Algorithm::kSssp, BackendKind::kXlfdd));
+  jobs.back().config = gen4;
+  jobs.push_back(job(g, Algorithm::kBfs, BackendKind::kHostDram));
+  jobs.back().request.source_seed = 5;
+  jobs.push_back(job(g, Algorithm::kBfs, BackendKind::kXlfdd));
+  jobs.back().request.source = resolve_source(g, jobs.front().request);
+  jobs.push_back(job(h, Algorithm::kCc, BackendKind::kCxl));
+
+  std::vector<RunReport> expected;
+  for (const SweepJob& j : jobs) {
+    ExternalGraphRuntime fresh(j.config.value_or(table4_system()));
+    expected.push_back(fresh.run(*j.graph, j.request));
+  }
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    ExperimentRunner runner(table4_system(), workers);
+    EXPECT_EQ(runner.run_all(jobs), expected);
+  }
+}
+
+// A shared trace that fails to build throws from its jobs' own tasks, so
+// the error that propagates is still the first in insertion order.
+TEST(ExperimentRunner, FailedSharedTraceKeepsInsertionOrderErrors) {
+  const graph::CsrGraph g = test_graph();
+  SweepJob bad_line;
+  bad_line.graph = &g;
+  bad_line.request.backend = BackendKind::kBamNvme;
+  bad_line.request.alignment = 1;  // throws std::invalid_argument
+  SweepJob bad_source;
+  bad_source.graph = &g;
+  bad_source.request.source = g.num_vertices();  // throws std::out_of_range
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    ExperimentRunner runner(table3_system(), workers);
+    EXPECT_THROW(runner.run_all({bad_line, bad_source, bad_source}),
+                 std::invalid_argument);
+    EXPECT_THROW(runner.run_all({bad_source, bad_line, bad_source}),
+                 std::out_of_range);
+  }
 }
 
 TEST(ExperimentRunner, RunTracesMatchesRun) {

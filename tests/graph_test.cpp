@@ -20,6 +20,29 @@ TEST(Csr, EmptyGraph) {
   EXPECT_TRUE(g.validate().empty());
 }
 
+TEST(Csr, IdIsFreshPerBuildKeptByCopiesAndMovedOut) {
+  const CsrGraph a({0, 1, 2}, {1, 0});
+  const CsrGraph b({0, 1, 2}, {1, 0});
+  EXPECT_NE(a.id(), 0u);
+  EXPECT_NE(b.id(), 0u);
+  EXPECT_NE(a.id(), b.id());  // equal contents, built apart
+
+  EXPECT_EQ(CsrGraph().id(), 0u);
+  CsrGraph copy = a;
+  EXPECT_EQ(copy.id(), a.id());
+  CsrGraph assigned;
+  assigned = b;
+  EXPECT_EQ(assigned.id(), b.id());
+
+  const CsrGraph moved = std::move(copy);
+  EXPECT_EQ(moved.id(), a.id());
+  EXPECT_EQ(copy.id(), 0u);  // moved from
+  CsrGraph move_assigned;
+  move_assigned = std::move(assigned);
+  EXPECT_EQ(move_assigned.id(), b.id());
+  EXPECT_EQ(assigned.id(), 0u);  // moved from
+}
+
 TEST(Csr, BasicAccessors) {
   // 0 -> {1, 2}, 1 -> {2}, 2 -> {}
   CsrGraph g({0, 2, 3, 3}, {1, 2, 2});

@@ -454,6 +454,37 @@ TEST(QueryServer, ProfileCacheEvictionBoundsMemoryNotResults) {
   EXPECT_GT(bounded.profiles_computed(), before);
 }
 
+// The cache follows the graph's identity, not its address: a copy reuses
+// every profile, and a graph reassigned in place to other contents of the
+// same shape re-profiles and serves what a fresh server serves.
+TEST(QueryServer, ProfileCacheFollowsTheGraphIdentity) {
+  graph::CsrGraph g = test_graph();
+  const serve::ServeRequest req = mixed_request(2000.0, 24);
+  serve::QueryServer server(core::table3_system());
+  const serve::ServeReport first = server.serve(g, req);
+  const std::uint64_t profiled = server.profiles_computed();
+  ASSERT_GT(profiled, 0u);
+
+  const graph::CsrGraph copy = g;
+  EXPECT_EQ(server.serve(copy, req), first);
+  EXPECT_EQ(server.profiles_computed(), profiled);
+
+  const graph::CsrGraph* const address = &g;
+  const std::uint64_t vertices = g.num_vertices();
+  graph::GeneratorOptions opts;
+  opts.seed = kSeed + 1;
+  opts.max_weight = 63;
+  g = graph::generate_uniform(1 << 10, 8.0, opts);
+  ASSERT_EQ(&g, address);
+  ASSERT_EQ(g.num_vertices(), vertices);
+
+  const serve::ServeReport reassigned = server.serve(g, req);
+  EXPECT_GT(server.profiles_computed(), profiled);
+  serve::QueryServer fresh(core::table3_system());
+  EXPECT_EQ(reassigned, fresh.serve(g, req));
+  EXPECT_NE(reassigned, first);
+}
+
 // Source-free classes (CC, PageRank scan) share one replay across their
 // sources, shard-spanning classes share one partition per layout. Every
 // slot must still equal an independent run at that slot's own source.
