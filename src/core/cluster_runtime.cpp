@@ -422,8 +422,8 @@ ClusterReport ClusterRuntime::run(const graph::CsrGraph& graph,
         to_string(algorithm));
   }
 
-  const VertexId source = request.run.source.value_or(
-      algo::pick_source(graph, request.run.source_seed));
+  const VertexId source =
+      resolve_source(graph, request.run.source, request.run.source_seed);
   const std::uint32_t P = request.num_shards;
 
   // -------------------------------------------------------------------

@@ -47,7 +47,8 @@ std::vector<RunReport> ExperimentRunner::run_all(
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const graph::CsrGraph& graph = *jobs[i].graph;
     try {
-      sources[i] = resolve_source(graph, jobs[i].request);
+      sources[i] = resolve_source(graph, jobs[i].request.source,
+                                  jobs[i].request.source_seed);
     } catch (...) {
       continue;
     }

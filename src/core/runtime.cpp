@@ -277,9 +277,9 @@ bool uses_source(Algorithm algorithm) noexcept {
 }
 
 graph::VertexId resolve_source(const graph::CsrGraph& graph,
-                               const RunRequest& request) {
-  return request.source.value_or(
-      algo::pick_source(graph, request.source_seed));
+                               std::optional<graph::VertexId> source,
+                               std::uint64_t source_seed) {
+  return source ? *source : algo::pick_source(graph, source_seed);
 }
 
 ExternalGraphRuntime::ExternalGraphRuntime(SystemConfig config)
@@ -319,7 +319,8 @@ RunReport ExternalGraphRuntime::run(const graph::CsrGraph& graph,
 
 TraceRunResult ExternalGraphRuntime::run_profiled(
     const graph::CsrGraph& graph, const RunRequest& request) {
-  const graph::VertexId source = resolve_source(graph, request);
+  const graph::VertexId source =
+      resolve_source(graph, request.source, request.source_seed);
   if (graph.id() == 0 || !held_ || held_->graph_id != graph.id() ||
       held_->algorithm != request.algorithm || held_->source != source) {
     held_.reset();

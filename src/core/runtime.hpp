@@ -105,12 +105,15 @@ struct TraceRunResult {
 /// which is what lets the serving layer replay one per source-free class.
 bool uses_source(Algorithm algorithm) noexcept;
 
-/// The vertex `request` traverses from on `graph`: its explicit source,
-/// else the pick seeded by its source_seed. With the graph's id and the
-/// algorithm it keys a trace, for run_profiled's held trace and for
-/// ExperimentRunner::run_all's shared ones.
+/// The vertex a run traverses from on `graph`: `source` when set, else
+/// algo::pick_source(graph, source_seed), which is evaluated only then (so
+/// an explicit source needs no edges). Every runtime and the serving layer
+/// resolve through this. With the graph's id and the algorithm it keys a
+/// trace, for run_profiled's held trace and for ExperimentRunner::run_all's
+/// shared ones.
 graph::VertexId resolve_source(const graph::CsrGraph& graph,
-                               const RunRequest& request);
+                               std::optional<graph::VertexId> source,
+                               std::uint64_t source_seed);
 
 /// Threading: run and run_profiled update the runtime's held trace, so a
 /// runtime runs them on one thread at a time; sweeps give each task its

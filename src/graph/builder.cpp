@@ -1,68 +1,89 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace cxlgraph::graph {
 
+namespace {
+
+/// One entry of a vertex's row while the rows are sorted.
+struct RowEntry {
+  VertexId dst;
+  Weight weight;
+};
+
+}  // namespace
+
 CsrGraph build_csr(std::uint64_t num_vertices, EdgeList edges,
                    const BuildOptions& options) {
+  // num_vertices + 1 offsets must not wrap to none.
+  if (num_vertices == std::numeric_limits<std::uint64_t>::max()) {
+    throw std::invalid_argument("vertex count too large for row offsets");
+  }
+  const auto dropped = [&options](const Edge& e) {
+    return options.remove_self_loops && e.src == e.dst;
+  };
+
+  // Count each kept edge into its row (and its reverse into the other
+  // endpoint's row), then turn the counts into row offsets.
+  std::vector<EdgeIndex> offsets(num_vertices + 1, 0);
   for (const Edge& e : edges) {
     if (e.src >= num_vertices || e.dst >= num_vertices) {
       throw std::invalid_argument("edge endpoint out of range");
     }
+    if (dropped(e)) continue;
+    ++offsets[e.src + 1];
+    if (options.symmetrize) ++offsets[e.dst + 1];
   }
-
-  if (options.remove_self_loops) {
-    std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
-  }
-
-  if (options.symmetrize) {
-    const std::size_t original = edges.size();
-    edges.reserve(original * 2);
-    for (std::size_t i = 0; i < original; ++i) {
-      const Edge& e = edges[i];
-      edges.push_back(Edge{e.dst, e.src, e.weight});
-    }
-  }
-
-  // Sorting by (src, dst) gives CSR layout, sorted sublists, and makes
-  // duplicates adjacent; weight is the tiebreaker so dedup keeps the min.
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    if (a.src != b.src) return a.src < b.src;
-    if (a.dst != b.dst) return a.dst < b.dst;
-    return a.weight < b.weight;
-  });
-
-  if (options.dedup) {
-    edges.erase(std::unique(edges.begin(), edges.end(),
-                            [](const Edge& a, const Edge& b) {
-                              return a.src == b.src && a.dst == b.dst;
-                            }),
-                edges.end());
-  }
-
-  std::vector<EdgeIndex> offsets(num_vertices + 1, 0);
-  for (const Edge& e : edges) ++offsets[e.src + 1];
   for (std::size_t i = 1; i < offsets.size(); ++i) {
     offsets[i] += offsets[i - 1];
   }
 
-  std::vector<VertexId> targets(edges.size());
-  std::vector<Weight> weights(edges.size());
+  // Scatter (dst, weight) into the rows; then neither the input nor the
+  // fill cursors are needed.
+  std::vector<RowEntry> rows(offsets.back());
+  std::vector<EdgeIndex> fill(offsets.begin(), offsets.end() - 1);
+  for (const Edge& e : edges) {
+    if (dropped(e)) continue;
+    rows[fill[e.src]++] = RowEntry{e.dst, e.weight};
+    if (options.symmetrize) rows[fill[e.dst]++] = RowEntry{e.src, e.weight};
+  }
+  EdgeList().swap(edges);
+  std::vector<EdgeIndex>().swap(fill);
+
+  // Sort each row by (dst, weight) and copy it out; a dedup keeps the
+  // first entry of each dst, its smallest weight. Reserved, not sized:
+  // the room that a dedup leaves unused is never touched.
+  std::vector<VertexId> targets;
+  std::vector<Weight> weights;
+  targets.reserve(rows.size());
+  weights.reserve(rows.size());
   bool any_nontrivial_weight = false;
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    targets[i] = edges[i].dst;
-    weights[i] = edges[i].weight;
-    any_nontrivial_weight |= edges[i].weight != 1;
+  EdgeIndex row_begin = 0;
+  for (std::uint64_t v = 0; v < num_vertices; ++v) {
+    RowEntry* const first = rows.data() + row_begin;
+    RowEntry* last = rows.data() + offsets[v + 1];
+    std::sort(first, last, [](const RowEntry& a, const RowEntry& b) {
+      return a.dst != b.dst ? a.dst < b.dst : a.weight < b.weight;
+    });
+    if (options.dedup) {
+      last = std::unique(first, last,
+                         [](const RowEntry& a, const RowEntry& b) {
+                           return a.dst == b.dst;
+                         });
+    }
+    for (const RowEntry* it = first; it != last; ++it) {
+      targets.push_back(it->dst);
+      weights.push_back(it->weight);
+      any_nontrivial_weight |= it->weight != 1;
+    }
+    row_begin = offsets[v + 1];
+    offsets[v + 1] = targets.size();
   }
 
-  if (!options.sort_neighbors) {
-    // Edges were globally sorted above for CSR layout; nothing to undo —
-    // sorted sublists are a superset of the unsorted contract.
-  }
-
-  if (!any_nontrivial_weight) weights.clear();
+  if (!any_nontrivial_weight) std::vector<Weight>().swap(weights);
   return CsrGraph(std::move(offsets), std::move(targets), std::move(weights));
 }
 

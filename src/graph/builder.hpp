@@ -27,12 +27,25 @@ struct BuildOptions {
   bool remove_self_loops = false;
   /// Collapse parallel edges, keeping the smallest weight.
   bool dedup = false;
-  /// Sort each vertex's neighbor sublist by target ID.
-  bool sort_neighbors = true;
 };
 
 /// Builds a CSR graph over vertices [0, num_vertices). Edges referencing
-/// vertices >= num_vertices throw std::invalid_argument.
+/// vertices >= num_vertices, and num_vertices == UINT64_MAX (whose
+/// num_vertices + 1 offsets would wrap), throw std::invalid_argument. Every
+/// row comes
+/// out sorted by (target, weight); all-unit weights are stored unweighted.
+///
+/// The builder has the GAP suite's shape (Beamer, Asanovic and Patterson,
+/// arXiv:1508.03619): one pass counts each kept edge into its source's row
+/// (and, when symmetrizing, its reverse into the target's row), a second
+/// scatters (target, weight) pairs into the rows, and each row is then
+/// sorted by (target, weight) and, when deduplicating, cut to the first
+/// entry of each target. That is the array a global sort of the
+/// symmetrized list by (source, target, weight) gives: rows are the
+/// source ranges in order, (target, weight) is a total order within a
+/// row, and equal keys are equal edges, so no sort order is left to
+/// choose. The first entry of a target is its smallest weight, which is
+/// the one a dedup keeps either way.
 CsrGraph build_csr(std::uint64_t num_vertices, EdgeList edges,
                    const BuildOptions& options = {});
 

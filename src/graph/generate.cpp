@@ -110,11 +110,15 @@ CsrGraph generate_kronecker(unsigned scale, double edge_factor,
     std::uint64_t dst = 0;
     for (unsigned bit = 0; bit < scale; ++bit) {
       const double r = rng.next_double();
-      // Quadrant selection: A = (0,0), B = (0,1), C = (1,0), D = (1,1).
-      const bool src_bit = r >= kA + kB;
-      const bool dst_bit = (r >= kA && r < kA + kB) || r >= kA + kB + kC;
-      src = (src << 1) | static_cast<std::uint64_t>(src_bit);
-      dst = (dst << 1) | static_cast<std::uint64_t>(dst_bit);
+      // Quadrant q = 0..3 is A = (0,0), B = (0,1), C = (1,0), D = (1,1):
+      // the src bit is q's high bit, the dst bit its low bit. Summing the
+      // comparisons keeps the pick free of branches that random r would
+      // mispredict.
+      const auto q = static_cast<std::uint64_t>(r >= kA) +
+                     static_cast<std::uint64_t>(r >= kA + kB) +
+                     static_cast<std::uint64_t>(r >= kA + kB + kC);
+      src = (src << 1) | (q >> 1);
+      dst = (dst << 1) | (q & 1);
     }
     e.src = src;
     e.dst = dst;

@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "algo/bfs.hpp"
 #include "obs/sampler.hpp"
 #include "serve/fleet.hpp"
 
@@ -177,8 +176,8 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
   out.query_profile.resize(out.queries.size());
   for (std::size_t i = 0; i < out.queries.size(); ++i) {
     const std::uint32_t c = out.queries[i].class_index;
-    const graph::VertexId source = base.source.value_or(
-        algo::pick_source(graph, out.queries[i].source_seed));
+    const graph::VertexId source =
+        core::resolve_source(graph, base.source, out.queries[i].source_seed);
     const auto [it, inserted] =
         slot_of[shape[c]].try_emplace(source, slots.size());
     if (inserted) {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "algo/bfs.hpp"
 #include "core/cluster_runtime.hpp"
 #include "core/experiment.hpp"
 #include "core/experiment_runner.hpp"
 #include "core/runtime.hpp"
 #include "core/system_config.hpp"
+#include "graph/builder.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generate.hpp"
 #include "report_expect.hpp"
@@ -219,12 +223,13 @@ TEST(Runtime, HeldTraceRunsMatchFreshRuntimes) {
   dram.backend = BackendKind::kHostDram;
   RunRequest pinned = a;
   pinned.backend = BackendKind::kXlfdd;
-  pinned.source = resolve_source(g, a);
+  pinned.source = resolve_source(g, a.source, a.source_seed);
   RunRequest sssp = a;
   sssp.algorithm = Algorithm::kSssp;
   RunRequest elsewhere = a;
   elsewhere.source_seed = 5;
-  ASSERT_NE(resolve_source(g, elsewhere), resolve_source(g, a));
+  ASSERT_NE(resolve_source(g, elsewhere.source, elsewhere.source_seed),
+            resolve_source(g, a.source, a.source_seed));
 
   const std::vector<std::vector<RunRequest>> sequences = {
       {a, slower, sssp, a},
@@ -240,6 +245,31 @@ TEST(Runtime, HeldTraceRunsMatchFreshRuntimes) {
       ExternalGraphRuntime fresh(table4_system());
       expect_same_run(rt.run_profiled(g, req), fresh.run_profiled(g, req));
     }
+  }
+}
+
+// The source pick runs only when a request names no source: an explicit
+// source needs no edges, while a pick on an edgeless graph still throws.
+TEST(Runtime, ExplicitSourceRunsOnAnEdgelessGraph) {
+  const graph::CsrGraph g = graph::build_csr(4, {});
+  RunRequest req;
+  req.source = 2;
+  ExternalGraphRuntime rt(table4_system());
+  const RunReport r = rt.run(g, req);
+  EXPECT_EQ(r.source, 2u);
+  EXPECT_EQ(r.graph_edges, 0u);
+
+  ClusterRequest cluster_req;
+  cluster_req.run = req;
+  cluster_req.num_shards = 2;
+  EXPECT_EQ(ClusterRuntime(table4_system()).run(g, cluster_req).source, 2u);
+
+  req.source.reset();
+  try {
+    rt.run(g, req);
+    ADD_FAILURE() << "a picked source on an edgeless graph must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "pick_source: graph has no edges");
   }
 }
 
@@ -389,7 +419,8 @@ TEST(ExperimentRunner, SharedTracesMatchAFreshRunPerJob) {
   jobs.push_back(job(g, Algorithm::kBfs, BackendKind::kHostDram));
   jobs.back().request.source_seed = 5;
   jobs.push_back(job(g, Algorithm::kBfs, BackendKind::kXlfdd));
-  jobs.back().request.source = resolve_source(g, jobs.front().request);
+  jobs.back().request.source = resolve_source(
+      g, jobs.front().request.source, jobs.front().request.source_seed);
   jobs.push_back(job(h, Algorithm::kCc, BackendKind::kCxl));
 
   std::vector<RunReport> expected;

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generate.hpp"
 #include "graph/io.hpp"
+#include "golden_suite.hpp"
+#include "util/rng.hpp"
 
 namespace cxlgraph::graph {
 namespace {
@@ -132,6 +138,110 @@ TEST(Builder, UnitWeightsStoredAsUnweighted) {
 
 TEST(Builder, RejectsOutOfRangeEndpoint) {
   EXPECT_THROW(build_csr_from_pairs(2, {{0, 5}}), std::invalid_argument);
+}
+
+// An edge list naming vertex UINT64_MAX - 1 asks for UINT64_MAX vertices,
+// whose UINT64_MAX + 1 row offsets wrap to none.
+TEST(Builder, RejectsVertexCountWithNoRoomForOffsets) {
+  const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW(build_csr(top, {}), std::invalid_argument);
+  std::istringstream is("0 " + std::to_string(top - 1) + "\n");
+  EXPECT_THROW(load_edge_list(is), std::invalid_argument);
+}
+
+/// The oracle for build_csr: the earlier builder, which symmetrizes the
+/// list by appending reverses and sorts every edge by (src, dst, weight)
+/// in one global sort. It shares no code with the row-wise builder.
+CsrGraph global_sort_reference(std::uint64_t num_vertices, EdgeList edges,
+                               const BuildOptions& options) {
+  if (options.remove_self_loops) {
+    std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
+  }
+  if (options.symmetrize) {
+    const std::size_t original = edges.size();
+    edges.reserve(original * 2);
+    for (std::size_t i = 0; i < original; ++i) {
+      const Edge& e = edges[i];
+      edges.push_back(Edge{e.dst, e.src, e.weight});
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    if (a.src != b.src) return a.src < b.src;
+    if (a.dst != b.dst) return a.dst < b.dst;
+    return a.weight < b.weight;
+  });
+  if (options.dedup) {
+    edges.erase(std::unique(edges.begin(), edges.end(),
+                            [](const Edge& a, const Edge& b) {
+                              return a.src == b.src && a.dst == b.dst;
+                            }),
+                edges.end());
+  }
+  std::vector<EdgeIndex> offsets(num_vertices + 1, 0);
+  for (const Edge& e : edges) ++offsets[e.src + 1];
+  for (std::size_t i = 1; i < offsets.size(); ++i) {
+    offsets[i] += offsets[i - 1];
+  }
+  std::vector<VertexId> targets(edges.size());
+  std::vector<Weight> weights(edges.size());
+  bool any_nontrivial_weight = false;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    targets[i] = edges[i].dst;
+    weights[i] = edges[i].weight;
+    any_nontrivial_weight |= edges[i].weight != 1;
+  }
+  if (!any_nontrivial_weight) weights.clear();
+  return CsrGraph(std::move(offsets), std::move(targets), std::move(weights));
+}
+
+/// A list over [0, n) with self-loops, parallel edges of different
+/// weights, weights 0, 1 and UINT32_MAX, and (for n > 2) isolated
+/// vertices: endpoints come from the lower half of the range only.
+EdgeList messy_edges(std::uint64_t n, std::uint64_t seed) {
+  if (n == 0) return {};
+  util::Xoshiro256 rng(seed);
+  const std::uint64_t span = n > 2 ? n / 2 : n;
+  const Weight special[] = {0, 1, std::numeric_limits<Weight>::max()};
+  EdgeList edges;
+  for (std::uint64_t i = 0; i < 4 * n; ++i) {
+    Edge e{rng.next_below(span), rng.next_below(span),
+           static_cast<Weight>(rng.next_below(1000))};
+    if (i % 3 == 0) e.weight = special[rng.next_below(3)];
+    if (i % 7 == 0) e.dst = e.src;
+    edges.push_back(e);
+    if (i % 5 == 0) {
+      e.weight = special[rng.next_below(3)];
+      edges.push_back(e);
+    }
+  }
+  return edges;
+}
+
+TEST(Builder, MatchesGlobalSortReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const std::uint64_t n : {0u, 1u, 2u, 7u, 1000u}) {
+      const EdgeList weighted = messy_edges(n, seed);
+      EdgeList unit = weighted;
+      for (Edge& e : unit) e.weight = 1;
+      for (int bits = 0; bits < 8; ++bits) {
+        BuildOptions opts;
+        opts.symmetrize = (bits & 1) != 0;
+        opts.remove_self_loops = (bits & 2) != 0;
+        opts.dedup = (bits & 4) != 0;
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", n " +
+                     std::to_string(n) + ", options " + std::to_string(bits));
+        const EdgeList* const lists[] = {&weighted, &unit};
+        for (const EdgeList* edges : lists) {
+          const CsrGraph expected = global_sort_reference(n, *edges, opts);
+          const CsrGraph got = build_csr(n, *edges, opts);
+          EXPECT_EQ(got.offsets(), expected.offsets());
+          EXPECT_EQ(got.edges(), expected.edges());
+          EXPECT_EQ(got.weights(), expected.weights());
+        }
+        EXPECT_FALSE(build_csr(n, unit, opts).weighted());
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- generators ----
@@ -437,6 +547,44 @@ TEST(Datasets, ScaleAboveMaxThrowsInsteadOfShiftingPast64Bits) {
     for (const unsigned scale : {kMaxScale + 1, kMaxScale + 2}) {
       EXPECT_THROW(make_dataset(spec.id, scale, false), std::invalid_argument)
           << spec.name << " at scale " << scale;
+    }
+  }
+}
+
+// The generated graphs byte for byte, pinned from the global-sort builder:
+// an FNV-1a fold of offsets, edges and weights (each length first). Shape
+// tests and the report goldens only see generation through what it feeds;
+// this names the dataset, scale and weighting that moved.
+TEST(Datasets, BytesArePinned) {
+  struct Pin {
+    DatasetId id;
+    unsigned scale;
+    bool weighted;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {DatasetId::kUrand, 10, false, 5812692621345197340ULL},
+      {DatasetId::kUrand, 10, true, 13358823265826359718ULL},
+      {DatasetId::kUrand, 12, false, 12779507869574359832ULL},
+      {DatasetId::kUrand, 12, true, 6077864722255787682ULL},
+      {DatasetId::kKron, 10, false, 13386251083143315122ULL},
+      {DatasetId::kKron, 10, true, 18446490760629978756ULL},
+      {DatasetId::kKron, 12, false, 1506354033447144746ULL},
+      {DatasetId::kKron, 12, true, 7192360561429113738ULL},
+      {DatasetId::kFriendster, 10, false, 17936864462581538428ULL},
+      {DatasetId::kFriendster, 10, true, 17170042105300977150ULL},
+      {DatasetId::kFriendster, 12, false, 5526144868759206358ULL},
+      {DatasetId::kFriendster, 12, true, 6590048493651094678ULL},
+  };
+  for (const Pin& pin : pins) {
+    for (const unsigned jobs : {1u, 4u}) {
+      const CsrGraph g =
+          make_dataset(pin.id, pin.scale, pin.weighted, /*seed=*/42, jobs);
+      EXPECT_EQ(golden::Fnv().mix(g.offsets(), g.edges(), g.weights()).value(),
+                pin.digest)
+          << paper_datasets()[static_cast<std::size_t>(pin.id)].name
+          << " scale " << pin.scale << (pin.weighted ? " weighted" : "")
+          << " jobs " << jobs;
     }
   }
 }

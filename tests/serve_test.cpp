@@ -24,6 +24,7 @@
 #include "algo/bfs.hpp"
 #include "core/cluster_runtime.hpp"
 #include "core/runtime.hpp"
+#include "graph/builder.hpp"
 #include "graph/generate.hpp"
 #include "golden_suite.hpp"
 #include "serve/fleet.hpp"
@@ -99,6 +100,30 @@ TEST(QueryServer, SingleQueryIdleServerMatchesSingleRuntime) {
     EXPECT_EQ(r.latency_us.p50, r.latency_us.p99);
     EXPECT_EQ(r.link_bytes, expected.fetched_bytes);
     EXPECT_TRUE(r.conservation_ok());
+  }
+}
+
+// Every query of a base request that names its source runs from it, so
+// profiling needs no edges; without a source each query's pick throws.
+TEST(QueryServer, ExplicitSourceProfilesAnEdgelessGraph) {
+  const graph::CsrGraph g = graph::build_csr(4, {});
+  core::RunRequest base;
+  base.source = 1;
+  serve::WorkloadSpec workload;
+  workload.num_queries = 3;
+  serve::QueryServer server(core::table3_system(), /*jobs=*/1);
+  const serve::ProfiledWorkload profiled =
+      server.profile_workload(g, base, workload);
+  ASSERT_EQ(profiled.profiles.size(), 1u);
+  EXPECT_EQ(profiled.profiles.front().report.source, 1u);
+  EXPECT_EQ(profiled.query_profile, std::vector<std::size_t>(3, 0));
+
+  base.source.reset();
+  try {
+    server.profile_workload(g, base, workload);
+    ADD_FAILURE() << "a picked source on an edgeless graph must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "pick_source: graph has no edges");
   }
 }
 
