@@ -18,6 +18,7 @@
 #include <cinttypes>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -66,27 +67,42 @@ ReplayMetrics replay(const core::ExternalGraphRuntime& runtime,
 }
 
 /// Raw event-queue churn: a dependent chain interleaved with same-timestamp
-/// bursts, the two access patterns the traversal replay is made of.
+/// bursts, the two access patterns the traversal replay is made of. One
+/// listener, two opcodes: each chain link schedules `burst_width` bursts
+/// one picosecond out and the next link two picoseconds out.
 ReplayMetrics queue_churn(std::uint64_t chain_events,
                           std::uint64_t burst_width) {
-  sim::Simulator sim;
-  std::uint64_t fired = 0;
-  std::function<void()> burst = [&fired]() { ++fired; };
-  std::function<void()> chain = [&]() {
-    ++fired;
-    if (fired < chain_events) {
-      for (std::uint64_t i = 0; i < burst_width; ++i) {
-        sim.schedule_after(1, burst);
-        ++fired;  // accounted at schedule so the chain terminates
+  enum Op : std::uint16_t { kChain, kBurst };
+  struct Churn {
+    Churn(std::uint64_t chain, std::uint64_t width)
+        : listener(sim.add_listener(this, &Churn::on_event)),
+          chain_events(chain),
+          burst_width(width) {}
+    Churn(const Churn&) = delete;
+    Churn& operator=(const Churn&) = delete;
+
+    sim::Simulator sim;
+    std::uint16_t listener;
+    std::uint64_t chain_events;
+    std::uint64_t burst_width;
+    std::uint64_t fired = 0;
+
+    static void on_event(void* self, std::uint16_t opcode, std::uint32_t,
+                         std::uint32_t) {
+      auto* c = static_cast<Churn*>(self);
+      ++c->fired;
+      if (opcode == kBurst || c->fired >= c->chain_events) return;
+      for (std::uint64_t i = 0; i < c->burst_width; ++i) {
+        c->sim.schedule_after(1, c->listener, kBurst);
       }
-      fired -= burst_width;
-      sim.schedule_after(2, chain);
+      c->sim.schedule_after(2, c->listener, kChain);
     }
   };
-  sim.schedule_at(0, chain);
-  sim.run();
-  return ReplayMetrics{sim.events_processed(),
-                       golden::Fnv().mix(fired, sim.now()).value()};
+  Churn churn(chain_events, burst_width);
+  churn.sim.schedule_at(0, churn.listener, kChain);
+  churn.sim.run();
+  return ReplayMetrics{churn.sim.events_processed(),
+                       golden::Fnv().mix(churn.fired, churn.sim.now()).value()};
 }
 
 // ---------------------------------------------------------------------------

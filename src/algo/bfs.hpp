@@ -39,7 +39,8 @@ struct BfsResult {
 BfsResult bfs(const graph::CsrGraph& graph, graph::VertexId source);
 
 /// Validates a BFS result against the graph (triangle-inequality-style
-/// parent/depth checks). Returns an empty string when consistent.
+/// parent/depth checks). Returns an empty string when consistent. A test
+/// oracle: no product calls it.
 std::string validate_bfs(const graph::CsrGraph& graph,
                          graph::VertexId source, const BfsResult& result);
 

@@ -33,12 +33,14 @@ struct SsspResult {
 SsspResult sssp_frontier(const graph::CsrGraph& graph,
                          graph::VertexId source);
 
-/// Dijkstra reference (binary heap); distances only.
+/// Dijkstra reference (binary heap); distances only. A test oracle for
+/// the frontier and delta-stepping SSSPs: no product calls it.
 std::vector<Distance> sssp_dijkstra(const graph::CsrGraph& graph,
                                     graph::VertexId source);
 
 /// Checks that `dist` satisfies shortest-path optimality conditions.
-/// Returns an empty string when consistent.
+/// Returns an empty string when consistent. A test oracle: no product
+/// calls it.
 std::string validate_sssp(const graph::CsrGraph& graph,
                           graph::VertexId source,
                           const std::vector<Distance>& dist);

@@ -31,14 +31,15 @@ double throughput_mbps(const ThroughputParams& p, double transfer_bytes);
 double throughput_slope_iops(const ThroughputParams& p);
 
 /// The smallest transfer size that saturates the link: d_opt with
-/// s·d_opt = W (Sec. 3.3.2).
+/// s·d_opt = W (Sec. 3.3.2). A test oracle: no product calls it.
 double optimal_transfer_bytes(const ThroughputParams& p);
 
 /// t = D/T in seconds (Eq. 1). D in bytes.
 double runtime_sec(const ThroughputParams& p, double total_bytes,
                    double transfer_bytes);
 
-/// Outstanding requests N = T·L/d implied by Little's law (Eq. 3).
+/// Outstanding requests N = T·L/d implied by Little's law (Eq. 3). A test
+/// oracle: no product calls it.
 double littles_law_outstanding(double throughput_mbps, double latency_sec,
                                double transfer_bytes);
 

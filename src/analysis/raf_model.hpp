@@ -5,10 +5,10 @@
 /// For a sublist of length l fetched at alignment a with its start offset
 /// uniformly distributed over the 8 B positions within a line, the
 /// expected fetched bytes are a·E[lines(l, a)]. Summing over a graph's
-/// degree distribution predicts the *uncached* RAF of Fig. 3 analytically;
-/// cxlgraph cross-validates this against the trace-driven cache simulator
-/// (see analysis tests). The model is also the fast path for capacity
-/// planning, where running a full trace would be overkill.
+/// degree distribution predicts the *uncached* RAF of Fig. 3 analytically.
+/// expected_lines and predicted_uncached_raf are test oracles, which no
+/// product calls: the tests cross-validate the trace-driven cache
+/// simulator against them.
 
 #include <cstdint>
 

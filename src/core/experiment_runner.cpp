@@ -1,22 +1,13 @@
 #include "core/experiment_runner.hpp"
 
-#include <algorithm>
 #include <map>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
 
 namespace cxlgraph::core {
 
 ExperimentRunner::ExperimentRunner(SystemConfig config, unsigned jobs)
     : config_(std::move(config)), jobs_(jobs) {}
-
-unsigned ExperimentRunner::workers() const noexcept {
-  if (jobs_ == 1) return 1;
-  if (pool_) return pool_->size();
-  return jobs_ == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                    : jobs_;
-}
 
 util::ThreadPool& ExperimentRunner::ensure_pool() {
   if (!pool_) pool_ = std::make_unique<util::ThreadPool>(jobs_);

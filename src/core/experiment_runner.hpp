@@ -105,9 +105,6 @@ class ExperimentRunner {
 
   const SystemConfig& config() const noexcept { return config_; }
 
-  /// Number of worker threads the sweeps fan out across (1 when serial).
-  unsigned workers() const noexcept;
-
  private:
   util::ThreadPool& ensure_pool();
 

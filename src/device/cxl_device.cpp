@@ -183,10 +183,6 @@ void CxlMemoryPool::write(std::uint64_t addr, std::uint32_t bytes,
   devices_[index]->write(addr, bytes, ready);
 }
 
-void CxlMemoryPool::set_added_latency(SimTime added) noexcept {
-  for (auto& d : devices_) d->set_added_latency(added);
-}
-
 // Aggregated lazily for reporting; fine for post-run inspection.
 namespace {
 DeviceStats sum_stats(

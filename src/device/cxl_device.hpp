@@ -91,12 +91,6 @@ class CxlDevice final : public MemoryDevice {
     return io_error_requests_;
   }
 
-  /// Reprograms the latency bridge (the real prototype exposes this as a
-  /// register behind CXL.io).
-  void set_added_latency(SimTime added) noexcept {
-    params_.added_latency = added;
-  }
-
   /// Passive telemetry tap for thermal transitions (nullptr detaches);
   /// the track is named after this device under the "device" process.
   void set_telemetry(obs::Telemetry* telemetry) {
@@ -174,8 +168,6 @@ class CxlMemoryPool final : public MemoryDevice {
   }
   CxlDevice& device(unsigned i) { return *devices_[i]; }
   const CxlDevice& device(unsigned i) const { return *devices_[i]; }
-
-  void set_added_latency(SimTime added) noexcept;
 
   /// Binds every member device's state-model tap.
   void set_telemetry(obs::Telemetry* telemetry) {

@@ -316,22 +316,4 @@ void StorageArray::set_telemetry(obs::Telemetry* telemetry) {
   }
 }
 
-StorageDriveStats StorageArray::aggregate_stats() const {
-  StorageDriveStats out;
-  for (const auto& d : drives_) {
-    out.requests += d->stats().requests;
-    out.bytes += d->stats().bytes;
-    out.written_bytes += d->stats().written_bytes;
-    out.service_latency_us.merge(d->stats().service_latency_us);
-    out.peak_outstanding =
-        std::max(out.peak_outstanding, d->stats().peak_outstanding);
-    out.throttled_requests += d->stats().throttled_requests;
-    out.peak_heat = std::max(out.peak_heat, d->stats().peak_heat);
-    out.wear_units += d->stats().wear_units;
-    out.io_errors += d->stats().io_errors;
-    out.io_error_requests += d->stats().io_error_requests;
-  }
-  return out;
-}
-
 }  // namespace cxlgraph::device

@@ -178,7 +178,6 @@ class StorageArray {
   double total_iops() const noexcept {
     return params_.iops * static_cast<double>(drives_.size());
   }
-  StorageDriveStats aggregate_stats() const;
 
  private:
   /// Join state for a straddling request split across drives, pooled.

@@ -16,11 +16,4 @@ StorageDriveParams xlfdd_drive_params() {
   return p;
 }
 
-std::unique_ptr<StorageArray> make_xlfdd_array(Simulator& sim,
-                                               PcieLink& link,
-                                               unsigned num_drives) {
-  return std::make_unique<StorageArray>(sim, link, xlfdd_drive_params(),
-                                        num_drives, kXlfddStripeBytes);
-}
-
 }  // namespace cxlgraph::device

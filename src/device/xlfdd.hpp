@@ -18,7 +18,4 @@ StorageDriveParams xlfdd_drive_params();
 inline constexpr unsigned kXlfddArrayDrives = 16;
 inline constexpr std::uint32_t kXlfddStripeBytes = 8192;
 
-std::unique_ptr<StorageArray> make_xlfdd_array(
-    Simulator& sim, PcieLink& link, unsigned num_drives = kXlfddArrayDrives);
-
 }  // namespace cxlgraph::device

@@ -54,20 +54,7 @@ std::uint32_t parse_count(const std::string& key, const std::string& value) {
 
 }  // namespace
 
-const char* to_string(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kReplicaCrash:
-      return "replica-crash";
-    case FaultKind::kIoErrorBurst:
-      return "io-error-burst";
-    case FaultKind::kLinkDegrade:
-      return "link-degrade";
-  }
-  return "?";
-}
-
 void validate(const FaultSpec& spec) {
-  if (!spec.enabled()) return;
   // Every duration becomes picoseconds; a negative, NaN or infinite one
   // would make that cast undefined, so each is checked before its range.
   const auto sec = [](double value, const char* what) {
@@ -76,6 +63,12 @@ void validate(const FaultSpec& spec) {
   const auto us = [](double value, const char* what) {
     util::checked_ps_from_us(value, std::string("fault spec: ") + what);
   };
+  // A query's last retry waits max_query_retries backoffs, converted as
+  // one product, so the product must fit as well as the factor.
+  us(spec.retry_backoff_us, "query retry backoff");
+  us(spec.retry_backoff_us * static_cast<double>(spec.max_query_retries),
+     "query retry backoff times query retries");
+  if (!spec.enabled()) return;
   sec(spec.horizon_sec, "horizon");
   if (spec.horizon_sec <= 0.0) {
     fail("horizon must be > 0 when any fault count is set");
@@ -98,7 +91,6 @@ void validate(const FaultSpec& spec) {
       fail("link derate factor must be in [0, 1]");
     }
   }
-  us(spec.retry_backoff_us, "query retry backoff");
 }
 
 FaultSpec parse_fault_spec(const std::string& spec) {

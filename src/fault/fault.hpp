@@ -35,8 +35,6 @@ enum class FaultKind : std::uint8_t {
   kLinkDegrade,   ///< interconnect bandwidth derate / outage window
 };
 
-const char* to_string(FaultKind kind) noexcept;
-
 /// How much chaos to inject, all defaults off. Counts say how many
 /// events of each kind the plan draws; their times are uniform over
 /// [0, horizon_sec) and their targets uniform over the initial fleet,
@@ -87,7 +85,9 @@ struct FaultSpec {
 
 /// Throws std::invalid_argument with a descriptive message for an
 /// inconsistent spec (missing horizon, rates outside [0, 1], negative
-/// delays). A disabled spec is always valid.
+/// delays, a retry backoff whose product with max_query_retries does not
+/// fit in picoseconds). A disabled spec is valid when its retry policy
+/// is.
 void validate(const FaultSpec& spec);
 
 /// Parses the CLI/bench `--faults` grammar: comma-separated key=value

@@ -1,88 +1,109 @@
 #include "gpusim/cpu_probe.hpp"
 
-#include <functional>
-
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace cxlgraph::gpusim {
+
+namespace {
+
+/// The CPU side of the probe as a listener. A read crosses the CPU hop
+/// (kAtDevice, payload = address), the device model (kDeviceDone) and the
+/// return hop (kReturned). Before the flood, one isolated read measures
+/// the unqueued latency; during it, each return issues more reads until
+/// the flood window closes.
+struct Probe {
+  enum Op : std::uint16_t { kAtDevice, kDeviceDone, kReturned };
+
+  Probe(sim::Simulator& sim, device::CxlDevice& dev,
+        const CpuProbeParams& params)
+      : sim(sim),
+        dev(dev),
+        params(params),
+        listener(sim.add_listener(this, &Probe::on_event)) {}
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
+
+  static void on_event(void* self, std::uint16_t opcode, std::uint32_t a,
+                       std::uint32_t b) {
+    auto* probe = static_cast<Probe*>(self);
+    switch (opcode) {
+      case kAtDevice:
+        probe->dev.read(a | std::uint64_t{b} << 32, probe->params.read_bytes,
+                        sim::Callback{probe->listener, kDeviceDone});
+        break;
+      case kDeviceDone:
+        probe->sim.schedule_after(probe->params.cpu_overhead,
+                                  probe->listener, kReturned);
+        break;
+      case kReturned:
+        if (!probe->flooding) {
+          probe->isolated_latency = probe->sim.now() - probe->isolated_issued;
+          break;
+        }
+        --probe->outstanding;
+        ++probe->completed;
+        probe->bytes += probe->params.read_bytes;
+        probe->issue_more();
+        break;
+    }
+  }
+
+  void issue(std::uint64_t addr) {
+    sim.schedule_after(params.cpu_overhead, listener, kAtDevice,
+                       static_cast<std::uint32_t>(addr),
+                       static_cast<std::uint32_t>(addr >> 32));
+  }
+
+  void issue_more() {
+    if (sim.now() >= flood_end) return;
+    while (outstanding < params.cpu_max_outstanding) {
+      ++outstanding;
+      issue(rng.next_below(params.span_bytes / params.read_bytes) *
+            params.read_bytes);
+    }
+  }
+
+  sim::Simulator& sim;
+  device::CxlDevice& dev;
+  const CpuProbeParams& params;
+  std::uint16_t listener;
+  sim::SimTime isolated_issued = 0;
+  sim::SimTime isolated_latency = 0;
+  bool flooding = false;
+  sim::SimTime flood_end = 0;
+  std::uint32_t outstanding = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t bytes = 0;
+  util::Xoshiro256 rng{0xdecafbad};
+};
+
+}  // namespace
 
 CpuProbeResult cpu_random_read_probe(
     const device::CxlDeviceParams& device_params,
     const CpuProbeParams& probe_params) {
   sim::Simulator sim;
   device::CxlDevice dev(sim, device_params, "cxl-probe-target");
+  Probe probe(sim, dev, probe_params);
 
   // Phase 1: one isolated request to measure the nominal device latency
   // (request arrival to data return, no queueing).
-  sim::SimTime isolated_latency = 0;
-  {
-    const sim::SimTime issued = sim.now();
-    sim.schedule_after(probe_params.cpu_overhead, [&]() {
-      dev.read(0, probe_params.read_bytes, sim.make_callback([&]() {
-                 sim.schedule_after(probe_params.cpu_overhead,
-                                    [&, issued]() {
-                                      isolated_latency = sim.now() - issued;
-                                    });
-               }));
-    });
-    sim.run();
-  }
-
-  struct ProbeState {
-    std::uint32_t outstanding = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t bytes = 0;
-    util::OnlineStats latency_us;
-    util::Xoshiro256 rng{0xdecafbad};
-    bool stopped = false;
-  };
-  ProbeState state;
+  probe.isolated_issued = sim.now();
+  probe.issue(0);
+  sim.run();
 
   // Phase 2: flood with up to cpu_max_outstanding requests for `duration`.
-  // Every closure below runs inside the sim.run() of this scope, so they
-  // capture `state` and `issue_more` by reference; owning copies would make
-  // issue_more a reference cycle that never frees.
   const sim::SimTime flood_start = sim.now();
-  const sim::SimTime flood_end = flood_start + probe_params.duration;
-  std::function<void()> issue_more;
-  issue_more = [&]() {
-    if (state.stopped) return;
-    if (sim.now() >= flood_end) {
-      state.stopped = true;
-      return;
-    }
-    while (state.outstanding < probe_params.cpu_max_outstanding) {
-      ++state.outstanding;
-      const std::uint64_t addr =
-          state.rng.next_below(probe_params.span_bytes /
-                               probe_params.read_bytes) *
-          probe_params.read_bytes;
-      const sim::SimTime issued = sim.now();
-      // CPU -> device hop, the device model, then the return hop.
-      sim.schedule_after(probe_params.cpu_overhead, [&, addr, issued]() {
-        dev.read(addr, probe_params.read_bytes,
-                 sim.make_callback([&, issued]() {
-                   sim.schedule_after(probe_params.cpu_overhead, [&, issued]() {
-                     --state.outstanding;
-                     ++state.completed;
-                     state.bytes += probe_params.read_bytes;
-                     state.latency_us.add(util::us_from_ps(sim.now() - issued));
-                     issue_more();
-                   });
-                 }));
-      });
-      if (state.stopped) break;
-    }
-  };
-  issue_more();
+  probe.flooding = true;
+  probe.flood_end = flood_start + probe_params.duration;
+  probe.issue_more();
   sim.run();
 
   CpuProbeResult result;
   const sim::SimTime elapsed = sim.now() - flood_start;
-  result.completed_reads = state.completed;
-  result.throughput_mbps = util::mbps_from(state.bytes, elapsed);
-  result.observed_latency_us = util::us_from_ps(isolated_latency);
+  result.completed_reads = probe.completed;
+  result.throughput_mbps = util::mbps_from(probe.bytes, elapsed);
+  result.observed_latency_us = util::us_from_ps(probe.isolated_latency);
   // N = T * L / d, with T in B/s and L in seconds (paper Eq. 3). L is the
   // *device-internal* latency — the CPU hops sit outside the device's
   // outstanding-request budget — which is what makes the curve plateau at

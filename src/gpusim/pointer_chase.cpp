@@ -1,71 +1,86 @@
 #include "gpusim/pointer_chase.hpp"
 
-#include <memory>
-
 #include "util/rng.hpp"
 
 namespace cxlgraph::gpusim {
+
+namespace {
+
+/// One warp's dependent chain as a listener: each read's completion waits
+/// out the warp sync, then the next hop issues the next read.
+struct Chase {
+  enum Op : std::uint16_t { kReadDone, kHop };
+
+  Chase(sim::Simulator& sim, device::PcieLink& link,
+        device::MemoryDevice& device, const PointerChaseParams& params)
+      : sim(sim),
+        link(link),
+        device(device),
+        params(params),
+        listener(sim.add_listener(this, &Chase::on_event)),
+        remaining(params.hops),
+        start(sim.now()) {
+    hop_us.reserve(params.hops);
+  }
+  Chase(const Chase&) = delete;
+  Chase& operator=(const Chase&) = delete;
+
+  static void on_event(void* self, std::uint16_t opcode, std::uint32_t,
+                       std::uint32_t) {
+    auto* chase = static_cast<Chase*>(self);
+    if (opcode == kReadDone) {
+      chase->sim.schedule_after(chase->params.warp_sync_overhead,
+                                chase->listener, kHop);
+    } else {
+      chase->hop();
+    }
+  }
+
+  void hop() {
+    if (remaining != params.hops) {
+      hop_us.push_back(util::us_from_ps(sim.now() - hop_start));
+    }
+    if (remaining == 0) {
+      end = sim.now();
+      return;
+    }
+    --remaining;
+    hop_start = sim.now();
+    const std::uint64_t addr =
+        rng.next_below(params.span_bytes / params.read_bytes) *
+        params.read_bytes;
+    link.memory_read(device, addr, params.read_bytes,
+                     sim::Callback{listener, kReadDone});
+  }
+
+  sim::Simulator& sim;
+  device::PcieLink& link;
+  device::MemoryDevice& device;
+  const PointerChaseParams& params;
+  std::uint16_t listener;
+  unsigned remaining;
+  util::Xoshiro256 rng{0xc0ffee};
+  sim::SimTime start;
+  sim::SimTime hop_start = 0;
+  sim::SimTime end = 0;
+  std::vector<double> hop_us;
+};
+
+}  // namespace
 
 PointerChaseResult pointer_chase(sim::Simulator& sim,
                                  device::PcieLink& link,
                                  device::MemoryDevice& device,
                                  const PointerChaseParams& params) {
-  struct ChaseState {
-    unsigned remaining;
-    util::Xoshiro256 rng{0xc0ffee};
-    sim::SimTime start = 0;
-    sim::SimTime hop_start = 0;
-    sim::SimTime end = 0;
-    std::vector<double> hop_us;
-  };
-  auto state = std::make_shared<ChaseState>();
-  state->remaining = params.hops;
-  state->start = sim.now();
-  state->hop_us.reserve(params.hops);
-
-  // Dependent chain: each completion schedules the next hop after the
-  // warp-sync gap. std::function allows the self-reference.
-  auto hop = std::make_shared<std::function<void()>>();
-  *hop = [&sim, &link, &device, state, hop, params]() {
-    if (state->remaining != params.hops) {
-      state->hop_us.push_back(util::us_from_ps(sim.now() -
-                                               state->hop_start));
-    }
-    if (state->remaining == 0) {
-      state->end = sim.now();
-      return;
-    }
-    --state->remaining;
-    state->hop_start = sim.now();
-    const std::uint64_t addr =
-        state->rng.next_below(params.span_bytes / params.read_bytes) *
-        params.read_bytes;
-    // Cold path (hundreds of hops): the one-shot closure adapter keeps
-    // the self-referencing chain without a bespoke listener.
-    link.memory_read(device, addr, params.read_bytes,
-                     sim.make_callback([&sim, hop, params]() {
-                       sim.schedule_after(params.warp_sync_overhead,
-                                          [hop]() { (*hop)(); });
-                     }));
-  };
-  (*hop)();
+  Chase chase(sim, link, device, params);
+  chase.hop();
   sim.run();
-  // The closure holds a copy of its own owning shared_ptr (it must, to
-  // stay alive across scheduled events); reset it now that the queue has
-  // drained, or the cycle would leak the state on every call.
-  *hop = nullptr;
 
   PointerChaseResult result;
-  result.hop_us = std::move(state->hop_us);
-  result.mean_us = util::us_from_ps(state->end - state->start) /
+  result.hop_us = std::move(chase.hop_us);
+  result.mean_us = util::us_from_ps(chase.end - chase.start) /
                    static_cast<double>(params.hops);
   return result;
-}
-
-double pointer_chase_latency_us(sim::Simulator& sim, device::PcieLink& link,
-                                device::MemoryDevice& device,
-                                const PointerChaseParams& params) {
-  return pointer_chase(sim, link, device, params).mean_us;
 }
 
 }  // namespace cxlgraph::gpusim

@@ -23,20 +23,17 @@ struct PointerChaseParams {
   sim::SimTime warp_sync_overhead = util::ps_from_ns(20);
 };
 
-/// Runs the chase on a fresh chain through `device` behind `link`; returns
-/// the average per-hop latency in microseconds.
-double pointer_chase_latency_us(sim::Simulator& sim, device::PcieLink& link,
-                                device::MemoryDevice& device,
-                                const PointerChaseParams& params = {});
-
-/// Per-hop latency distribution of the same chase. mean_us matches
-/// pointer_chase_latency_us on an identical chain; hop_us holds one sample
-/// per hop (issue to warp-resume), so a latency report can quote tails
-/// (p50/p95/p99 via util::summarize_percentiles) instead of one average.
+/// Result of one chase: mean_us is the average per-hop latency in
+/// microseconds; hop_us holds one sample per hop (issue to warp-resume),
+/// so a latency report can quote tails (p50/p95/p99 via
+/// util::summarize_percentiles) instead of one average.
 struct PointerChaseResult {
   double mean_us = 0.0;
   std::vector<double> hop_us;
 };
+
+/// Runs the chase on a fresh chain through `device` behind `link`. The
+/// chain registers a listener of its own with `sim`.
 PointerChaseResult pointer_chase(sim::Simulator& sim,
                                  device::PcieLink& link,
                                  device::MemoryDevice& device,

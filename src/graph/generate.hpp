@@ -55,7 +55,8 @@ CsrGraph generate_power_law(std::uint64_t num_vertices, double avg_degree,
                             double exponent,
                             const GeneratorOptions& options = {});
 
-/// Deterministic shapes for unit tests.
+/// Deterministic shapes for unit tests: test fixtures whose traversals
+/// have known answers. No product builds them.
 CsrGraph make_path(std::uint64_t n);           // 0-1-2-...-(n-1), undirected
 CsrGraph make_ring(std::uint64_t n);           // path + closing edge
 CsrGraph make_star(std::uint64_t leaves);      // vertex 0 to all others

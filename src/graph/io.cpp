@@ -129,21 +129,6 @@ CsrGraph load_binary_file(const std::string& path) {
   return load_binary(is);
 }
 
-void save_edge_list(const CsrGraph& graph, std::ostream& os) {
-  os << "# cxlgraph edge list: " << graph.num_vertices() << " vertices, "
-     << graph.num_edges() << " edges\n";
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    const auto neighbors = graph.neighbors(v);
-    const auto weights =
-        graph.weighted() ? graph.weights_of(v) : std::span<const Weight>{};
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      os << v << ' ' << neighbors[i];
-      if (!weights.empty()) os << ' ' << weights[i];
-      os << '\n';
-    }
-  }
-}
-
 CsrGraph load_edge_list(std::istream& is, bool symmetrize) {
   EdgeList edges;
   VertexId max_vertex = 0;

@@ -20,7 +20,6 @@ void save_binary_file(const CsrGraph& graph, const std::string& path);
 CsrGraph load_binary_file(const std::string& path);
 
 /// Text edge list: one "src dst [weight]" triple per line; '#' comments.
-void save_edge_list(const CsrGraph& graph, std::ostream& os);
 CsrGraph load_edge_list(std::istream& is, bool symmetrize = false);
 
 }  // namespace cxlgraph::graph

@@ -216,14 +216,4 @@ void write_incident_json(std::ostream& os, const Incident& inc) {
      << ",\"observations\":" << inc.observations << "}";
 }
 
-void write_incidents_json(std::ostream& os,
-                          const std::vector<Incident>& incidents) {
-  os << "{\"incidents\":[";
-  for (std::size_t i = 0; i < incidents.size(); ++i) {
-    if (i != 0) os << ",\n";
-    write_incident_json(os, incidents[i]);
-  }
-  os << "]}\n";
-}
-
 }  // namespace cxlgraph::obs

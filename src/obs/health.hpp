@@ -166,8 +166,4 @@ class HealthMonitor {
 /// the bytes are exact and runs diff cleanly).
 void write_incident_json(std::ostream& os, const Incident& incident);
 
-/// Serializes a full `{"incidents":[...]}` document.
-void write_incidents_json(std::ostream& os,
-                          const std::vector<Incident>& incidents);
-
 }  // namespace cxlgraph::obs

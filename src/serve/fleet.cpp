@@ -808,7 +808,7 @@ void FleetSim::io_burst(const fault::FaultEvent& e) {
   rep.io_until = std::max(rep.io_until, until);
   rep.io_rate = e.magnitude;
   monitor.observe_io_burst(now, k, true, e.magnitude);
-  schedule_at(until, kIoBurstEnd, k);
+  schedule_after(e.duration, kIoBurstEnd, k);  // throws if `until` wrapped
 }
 
 void FleetSim::io_burst_end(std::uint32_t k) {
@@ -825,7 +825,7 @@ void FleetSim::link_flap(const fault::FaultEvent& e) {
   link_factor = e.magnitude;
   ++link_windows_total;
   monitor.observe_link(now, true, e.magnitude);
-  schedule_at(until, kLinkFlapEnd);
+  schedule_after(e.duration, kLinkFlapEnd);  // throws if `until` wrapped
 }
 
 void FleetSim::link_flap_end() {

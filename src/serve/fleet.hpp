@@ -53,9 +53,9 @@ namespace cxlgraph::serve {
 
 /// Most replicas a fleet may start with or grow to: each replica
 /// registers its own listener with the serve's simulator, whose table
-/// also holds the closure fallback's and the fleet's.
+/// also holds the fleet's.
 inline constexpr std::uint32_t kMaxReplicas =
-    sim::Simulator::kMaxListeners - 2;
+    sim::Simulator::kMaxListeners - 1;
 
 enum class RouterKind {
   kRandom,             ///< seeded uniform pick over routable replicas

@@ -74,17 +74,6 @@ class EventQueue {
 
   bool empty() const noexcept { return sources_ == 0; }
 
-  /// Pending events. Sums over every lane: for diagnostics, not the
-  /// dispatch loop.
-  std::size_t size() const noexcept {
-    std::size_t n = heap_.size();
-    for (const Lane& lane : lanes_) n += lane.events.size() - lane.head;
-    return n;
-  }
-
-  /// Time of the earliest event. Undefined when empty().
-  SimTime next_time() const noexcept { return heads_.front().time; }
-
   /// Removes and returns the earliest event. Undefined when empty().
   Event pop() {
     const std::uint32_t source = heads_.front().source;

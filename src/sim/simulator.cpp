@@ -1,19 +1,18 @@
 #include "sim/simulator.hpp"
 
+#include <string>
+
 namespace cxlgraph::sim {
 
-Simulator::Simulator() {
-  // Listener 0: the closure trampoline backing the std::function fallback.
-  add_listener(this, &Simulator::closure_trampoline);
+void Simulator::throw_past() {
+  throw std::logic_error("schedule_at: time in the simulated past");
 }
 
-void Simulator::closure_trampoline(void* self, std::uint16_t /*opcode*/,
-                                   std::uint32_t a, std::uint32_t /*b*/) {
-  auto* sim = static_cast<Simulator*>(self);
-  // Free the slot before running: the closure may schedule more closures.
-  EventFn fn = std::move(sim->closures_[a]);
-  sim->closures_.release(a);
-  fn();
+void Simulator::throw_wrap(SimTime delay) const {
+  throw std::overflow_error(
+      "schedule_after: now " + std::to_string(now_) + " ps + delay " +
+      std::to_string(delay) +
+      " ps overflows 64-bit picoseconds (the simulated clock would wrap)");
 }
 
 std::uint64_t Simulator::run(std::uint64_t max_events) {
@@ -29,30 +28,6 @@ std::uint64_t Simulator::run(std::uint64_t max_events) {
     }
     execute(ev);
     ++count;
-  }
-  processed_ += count;
-  return count;
-}
-
-std::uint64_t Simulator::run_until(SimTime deadline,
-                                   std::uint64_t max_events) {
-  std::uint64_t count = 0;
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
-    if (count >= max_events) {
-      throw std::runtime_error("Simulator::run_until: event budget exceeded");
-    }
-    const Event ev = queue_.pop();
-    now_ = ev.time;
-    if (observer_ != nullptr) {
-      observer_->on_event(now_, ev.listener, ev.opcode);
-    }
-    execute(ev);
-    ++count;
-  }
-  if (now_ < deadline && queue_.empty()) {
-    // Time does not advance past the last event when the queue drains.
-  } else if (now_ < deadline) {
-    now_ = deadline;
   }
   processed_ += count;
   return count;

@@ -8,12 +8,11 @@ namespace cxlgraph::util {
 
 void CliParser::add_option(const std::string& name, const std::string& help,
                            const std::string& default_value) {
-  options_[name] = Option{help, default_value, /*is_flag=*/false,
-                          /*seen=*/false};
+  options_[name] = Option{help, default_value, /*is_flag=*/false};
 }
 
 void CliParser::add_flag(const std::string& name, const std::string& help) {
-  options_[name] = Option{help, "false", /*is_flag=*/true, /*seen=*/false};
+  options_[name] = Option{help, "false", /*is_flag=*/true};
 }
 
 bool CliParser::parse(int argc, const char* const* argv) {
@@ -50,13 +49,8 @@ bool CliParser::parse(int argc, const char* const* argv) {
       }
       opt.value = argv[++i];
     }
-    opt.seen = true;
   }
   return true;
-}
-
-bool CliParser::has(const std::string& name) const {
-  return require(name).seen;
 }
 
 const CliParser::Option& CliParser::require(const std::string& name) const {

@@ -25,7 +25,6 @@ class CliParser {
   /// Throws std::invalid_argument on unknown options or missing values.
   bool parse(int argc, const char* const* argv);
 
-  bool has(const std::string& name) const;
   std::string get(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
   /// An unsigned count: throws std::invalid_argument naming the option
@@ -49,7 +48,6 @@ class CliParser {
     std::string help;
     std::string value;
     bool is_flag = false;
-    bool seen = false;
   };
 
   const Option& require(const std::string& name) const;

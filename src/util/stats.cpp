@@ -3,19 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <utility>
 
 namespace cxlgraph::util {
-
-double OnlineStats::variance() const noexcept {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_);
-}
-
-double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 void OnlineStats::merge(const OnlineStats& other) noexcept {
   if (other.count_ == 0) return;
@@ -28,7 +20,6 @@ void OnlineStats::merge(const OnlineStats& other) noexcept {
   const double delta = other.mean_ - mean_;
   const double n = n1 + n2;
   mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
   count_ += other.count_;
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
@@ -108,16 +99,6 @@ void Log2Histogram::add(std::uint64_t value) noexcept {
   if (idx >= buckets_.size()) buckets_.resize(idx + 1, 0);
   ++buckets_[idx];
   ++count_;
-}
-
-void Log2Histogram::merge(const Log2Histogram& other) {
-  if (other.buckets_.size() > buckets_.size()) {
-    buckets_.resize(other.buckets_.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
 }
 
 double Log2Histogram::quantile(double q) const noexcept {
@@ -248,13 +229,6 @@ double StreamingQuantile::estimate() const noexcept {
     return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
   }
   return height_[2];
-}
-
-double geometric_mean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) log_sum += std::log(v);
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 }  // namespace cxlgraph::util

@@ -8,7 +8,7 @@
 
 namespace cxlgraph::util {
 
-/// Single-pass mean/variance/min/max accumulator (Welford's algorithm).
+/// Single-pass mean/min/max/sum accumulator (Welford's running mean).
 class OnlineStats {
  public:
   void add(double x) noexcept {
@@ -22,14 +22,10 @@ class OnlineStats {
     sum_ += x;
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
   }
 
   std::uint64_t count() const noexcept { return count_; }
   double mean() const noexcept { return count_ ? mean_ : 0.0; }
-  /// Population variance (n divisor); 0 for fewer than 2 samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
   double min() const noexcept { return count_ ? min_ : 0.0; }
   double max() const noexcept { return count_ ? max_ : 0.0; }
   double sum() const noexcept { return sum_; }
@@ -40,7 +36,6 @@ class OnlineStats {
  private:
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
@@ -56,9 +51,6 @@ class Log2Histogram {
   std::uint64_t count() const noexcept { return count_; }
   /// Approximate quantile (q in [0,1]) assuming uniform fill within buckets.
   double quantile(double q) const noexcept;
-
-  /// Merges another histogram into this one (parallel / shard reduction).
-  void merge(const Log2Histogram& other);
 
   const std::vector<std::uint64_t>& buckets() const noexcept {
     return buckets_;
@@ -114,8 +106,5 @@ class StreamingQuantile {
   double desired_[5] = {};   // desired marker positions
   double increment_[5] = {}; // desired-position increments per sample
 };
-
-/// Geometric mean of strictly positive values; 0 if the input is empty.
-double geometric_mean(const std::vector<double>& values);
 
 }  // namespace cxlgraph::util

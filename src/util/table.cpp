@@ -23,14 +23,6 @@ void TablePrinter::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TablePrinter::add_row_values(const std::vector<double>& values,
-                                  int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) cells.push_back(fmt(v, precision));
-  add_row(std::move(cells));
-}
-
 void TablePrinter::print(std::ostream& os) const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {

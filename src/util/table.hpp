@@ -22,9 +22,6 @@ class TablePrinter {
   /// Adds one row; the number of cells must match the header count.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats arithmetic values with sensible defaults.
-  void add_row_values(const std::vector<double>& values, int precision = 3);
-
   std::size_t row_count() const noexcept { return rows_.size(); }
   std::size_t column_count() const noexcept { return headers_.size(); }
 

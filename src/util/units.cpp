@@ -54,22 +54,4 @@ std::string format_bytes(double bytes) {
   return buf;
 }
 
-std::string format_time_ps(SimTime ps) {
-  char buf[48];
-  const double v = static_cast<double>(ps);
-  if (ps < kPsPerNs) {
-    std::snprintf(buf, sizeof(buf), "%llu ps",
-                  static_cast<unsigned long long>(ps));
-  } else if (ps < kPsPerUs) {
-    std::snprintf(buf, sizeof(buf), "%.2f ns", v / kPsPerNs);
-  } else if (ps < kPsPerMs) {
-    std::snprintf(buf, sizeof(buf), "%.3f us", v / kPsPerUs);
-  } else if (ps < kPsPerSec) {
-    std::snprintf(buf, sizeof(buf), "%.3f ms", v / kPsPerMs);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3f s", v / kPsPerSec);
-  }
-  return buf;
-}
-
 }  // namespace cxlgraph::util

@@ -64,9 +64,6 @@ constexpr double mbps_from(std::uint64_t bytes, SimTime elapsed) noexcept {
 /// "1.23 GB", "456.0 MB", "789 B" style formatting (decimal units).
 std::string format_bytes(double bytes);
 
-/// "1.234 us", "56.7 ns" style formatting from picoseconds.
-std::string format_time_ps(SimTime ps);
-
 inline std::string format_bytes(std::uint64_t bytes) {
   return format_bytes(static_cast<double>(bytes));
 }

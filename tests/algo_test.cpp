@@ -2,7 +2,6 @@
 
 #include "algo/bfs.hpp"
 #include "algo/cc.hpp"
-#include "algo/pagerank.hpp"
 #include "algo/sssp.hpp"
 #include "algo/trace.hpp"
 #include "graph/builder.hpp"
@@ -200,37 +199,6 @@ TEST(Cc, AgreesWithBfsReachability) {
       EXPECT_EQ(r.label[v], r.label[s]);
     }
   }
-}
-
-// ----------------------------------------------------------- pagerank ----
-
-TEST(PageRank, RanksSumToOne) {
-  const CsrGraph g = graph::generate_uniform(1024, 8.0, {});
-  const PageRankResult r = pagerank(g);
-  double sum = 0.0;
-  for (const double x : r.rank) sum += x;
-  EXPECT_NEAR(sum, 1.0, 1e-6);
-}
-
-TEST(PageRank, HubOutranksLeavesInStar) {
-  const CsrGraph g = graph::make_star(16);
-  const PageRankResult r = pagerank(g);
-  for (VertexId v = 1; v <= 16; ++v) EXPECT_GT(r.rank[0], r.rank[v]);
-}
-
-TEST(PageRank, SymmetricRingIsUniform) {
-  const CsrGraph g = graph::make_ring(10);
-  const PageRankResult r = pagerank(g);
-  for (const double x : r.rank) EXPECT_NEAR(x, 0.1, 1e-6);
-}
-
-TEST(PageRank, Converges) {
-  const CsrGraph g = graph::generate_uniform(512, 6.0, {});
-  PageRankOptions opts;
-  opts.tolerance = 1e-8;
-  const PageRankResult r = pagerank(g, opts);
-  EXPECT_LT(r.final_delta, 1e-8);
-  EXPECT_LT(r.iterations, 100u);
 }
 
 // -------------------------------------------------------------- trace ----

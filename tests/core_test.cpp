@@ -318,11 +318,6 @@ TEST(Runtime, FailedTraceBuildLeavesTheRuntimeCorrect) {
 
 // --------------------------------------------------- experiment runner ----
 
-TEST(ExperimentRunner, SerialModeCreatesNoPool) {
-  ExperimentRunner runner(table3_system(), /*jobs=*/1);
-  EXPECT_EQ(runner.workers(), 1u);
-}
-
 TEST(ExperimentRunner, EmptySweepReturnsEmpty) {
   ExperimentRunner runner(table3_system(), /*jobs=*/2);
   EXPECT_TRUE(runner.run_all(std::vector<SweepJob>{}).empty());

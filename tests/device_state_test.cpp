@@ -8,6 +8,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "closure_sim.hpp"
 #include "device/cxl_device.hpp"
 #include "device/pcie.hpp"
 #include "device/state_model.hpp"
@@ -18,6 +19,7 @@
 namespace cxlgraph::device {
 namespace {
 
+using sim::ClosureSim;
 using util::ps_from_us;
 using util::SimTime;
 
@@ -25,7 +27,7 @@ using util::SimTime;
 /// loop: the queue fills to queue_depth).
 SimTime batch_read_makespan(const StorageDriveParams& p, int requests,
                             std::uint32_t bytes) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   StorageDrive drive(sim, link, p);
   SimTime last = 0;
@@ -39,7 +41,7 @@ SimTime batch_read_makespan(const StorageDriveParams& p, int requests,
 /// Makespan of `requests` reads issued one at a time (closed loop, QD 1).
 SimTime serial_read_makespan(const StorageDriveParams& p, int requests,
                              std::uint32_t bytes) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   StorageDrive drive(sim, link, p);
   SimTime last = 0;
@@ -56,7 +58,7 @@ SimTime serial_read_makespan(const StorageDriveParams& p, int requests,
 
 SimTime batch_write_makespan(const StorageDriveParams& p, int requests,
                              std::uint32_t bytes) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   StorageDrive drive(sim, link, p);
   SimTime last = 0;
@@ -93,7 +95,7 @@ TEST(Thermal, ThrottlingSlowsSustainedReads) {
 }
 
 TEST(Thermal, DriveReportsThrottleObservables) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   StorageDriveParams p = xlfdd_drive_params();
   p.thermal.enabled = true;
@@ -216,7 +218,7 @@ TEST(Endurance, WearSlowsProgramsOverTime) {
   const SimTime worn_span = batch_write_makespan(worn, writes, 2048);
   EXPECT_GT(worn_span, fresh_span);
 
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   StorageDrive drive(sim, link, worn);
   for (int i = 0; i < writes; ++i) {
@@ -290,7 +292,7 @@ TEST(CxlThermal, DeratesChannelUnderSustainedLoad) {
   const int reads = 200;
   SimTime cold_span = 0;
   {
-    Simulator sim;
+    ClosureSim sim;
     CxlDevice dev(sim, cold_p);
     for (int i = 0; i < reads; ++i) {
       dev.read(0, 4096, sim.make_callback([&] { cold_span = sim.now(); }));
@@ -299,7 +301,7 @@ TEST(CxlThermal, DeratesChannelUnderSustainedLoad) {
   }
   SimTime hot_span = 0;
   {
-    Simulator sim;
+    ClosureSim sim;
     CxlDevice dev(sim, hot_p);
     for (int i = 0; i < reads; ++i) {
       dev.read(0, 4096, sim.make_callback([&] { hot_span = sim.now(); }));

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "closure_sim.hpp"
 #include "device/cxl_device.hpp"
 #include "device/host_dram.hpp"
 #include "device/nvme.hpp"
@@ -17,6 +18,7 @@
 namespace cxlgraph::device {
 namespace {
 
+using sim::ClosureSim;
 using util::ps_from_ns;
 using util::ps_from_us;
 
@@ -31,7 +33,7 @@ TEST(Pcie, PresetsMatchPaperNumbers) {
 }
 
 TEST(Pcie, SingleReadLatencyDecomposes) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLinkParams lp = pcie_x16(PcieGen::kGen4);
   PcieLink link(sim, lp);
   HostDramParams dp;
@@ -51,7 +53,7 @@ TEST(Pcie, SingleReadLatencyDecomposes) {
 TEST(Pcie, BandwidthCapsThroughput) {
   // Saturate the link with far more parallelism than N_max and check the
   // data rate lands at W.
-  Simulator sim;
+  ClosureSim sim;
   PcieLinkParams lp = pcie_x16(PcieGen::kGen4);
   PcieLink link(sim, lp);
   HostDram dram(sim, HostDramParams{});
@@ -76,7 +78,7 @@ TEST(Pcie, BandwidthCapsThroughput) {
 TEST(Pcie, TagLimitEnforcesLittlesLaw) {
   // Make the device slow (16 us) so the N_max term binds:
   // T = N_max * d / L.
-  Simulator sim;
+  ClosureSim sim;
   PcieLinkParams lp = pcie_x16(PcieGen::kGen4);
   PcieLink link(sim, lp);
   HostDramParams dp;
@@ -102,7 +104,7 @@ TEST(Pcie, TagLimitEnforcesLittlesLaw) {
 }
 
 TEST(Pcie, NeverExceedsTagBudget) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLinkParams lp = pcie_x16(PcieGen::kGen3);
   PcieLink link(sim, lp);
   HostDramParams dp;
@@ -119,7 +121,7 @@ TEST(Pcie, NeverExceedsTagBudget) {
 }
 
 TEST(Pcie, StorageDeliveriesShareBandwidthButNotTags) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLinkParams lp = pcie_x16(PcieGen::kGen4);
   PcieLink link(sim, lp);
   int done = 0;
@@ -142,7 +144,7 @@ TEST(Pcie, StorageDeliveriesShareBandwidthButNotTags) {
 TEST(Pcie, ReturnBusyTimeMatchesSerializedBytes) {
   // The return half's busy time is exactly the per-transfer serialization
   // sum — the utilization the link reports must be conserved, not sampled.
-  Simulator sim;
+  ClosureSim sim;
   PcieLinkParams lp = pcie_x16(PcieGen::kGen4);
   PcieLink link(sim, lp);
   HostDram dram(sim, HostDramParams{});
@@ -165,7 +167,7 @@ TEST(Pcie, UpstreamBusyTimeTracksWritePayloads) {
   // Regression: serialize_upstream held the upstream half busy but never
   // charged the busy-time stat, so write-heavy runs reported the link as
   // idle. Both halves must now account their own transfers.
-  Simulator sim;
+  ClosureSim sim;
   PcieLinkParams lp = pcie_x16(PcieGen::kGen4);
   PcieLink link(sim, lp);
   HostDram dram(sim, HostDramParams{});
@@ -186,7 +188,7 @@ TEST(Pcie, UpstreamBusyTimeTracksWritePayloads) {
 }
 
 TEST(Pcie, BusyTimeSumsBothHalves) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   HostDram dram(sim, HostDramParams{});
   link.memory_read(dram, 0, 128, sim.make_callback([] {}));
@@ -209,7 +211,7 @@ TEST(Pcie, RejectsBadParameters) {
 // ------------------------------------------------------------ host dram ----
 
 TEST(HostDram, SocketHopAddsLatency) {
-  Simulator sim;
+  ClosureSim sim;
   HostDramParams local;
   HostDramParams remote;
   remote.socket_hop = ps_from_ns(100);
@@ -224,7 +226,7 @@ TEST(HostDram, SocketHopAddsLatency) {
 }
 
 TEST(HostDram, StatsAccumulate) {
-  Simulator sim;
+  ClosureSim sim;
   HostDram dram(sim, HostDramParams{});
   dram.read(0, 64, sim.make_callback([] {}));
   dram.read(64, 64, sim.make_callback([] {}));
@@ -236,7 +238,7 @@ TEST(HostDram, StatsAccumulate) {
 // ------------------------------------------------------------------ cxl ----
 
 TEST(Cxl, AddedLatencyDelaysCompletion) {
-  Simulator sim;
+  ClosureSim sim;
   CxlDeviceParams base;
   CxlDevice dev0(sim, base, "base");
   CxlDeviceParams delayed = base;
@@ -254,7 +256,7 @@ TEST(Cxl, AddedLatencyDelaysCompletion) {
 }
 
 TEST(Cxl, LargeReadsSplitIntoFlits) {
-  Simulator sim;
+  ClosureSim sim;
   CxlDevice dev(sim, CxlDeviceParams{}, "dev");
   dev.read(0, 128, sim.make_callback([] {}));
   sim.run();
@@ -265,7 +267,7 @@ TEST(Cxl, LargeReadsSplitIntoFlits) {
 }
 
 TEST(Cxl, FlitTagBudgetRespected) {
-  Simulator sim;
+  ClosureSim sim;
   CxlDeviceParams p;
   p.device_tags = 8;
   p.added_latency = ps_from_us(1.0);
@@ -290,7 +292,7 @@ TEST(Cxl, FlitTagBudgetRespected) {
 TEST(Cxl, InOrderBridgeMonotonePops) {
   // With in-order release, a long-latency flit delays later short ones;
   // completions must be monotone in issue order for same-size reads.
-  Simulator sim;
+  ClosureSim sim;
   CxlDeviceParams p;
   p.added_latency = ps_from_us(1.0);
   CxlDevice dev(sim, p, "dev");
@@ -306,7 +308,7 @@ TEST(Cxl, InOrderBridgeMonotonePops) {
 }
 
 TEST(Cxl, ChannelBandwidthCapsThroughput) {
-  Simulator sim;
+  ClosureSim sim;
   CxlDeviceParams p;  // 5,700 MB/s single channel
   CxlDevice dev(sim, p, "dev");
   const int reads = 20'000;
@@ -326,7 +328,7 @@ TEST(Cxl, ChannelBandwidthCapsThroughput) {
 TEST(Cxl, ThroughputDropsWithAddedLatency) {
   // Fig. 10's mechanism: tags * flit / latency once latency dominates.
   auto measure = [](double added_us) {
-    Simulator sim;
+    ClosureSim sim;
     CxlDeviceParams p;
     p.added_latency = ps_from_us(added_us);
     CxlDevice dev(sim, p, "dev");
@@ -350,7 +352,7 @@ TEST(Cxl, ThroughputDropsWithAddedLatency) {
 TEST(Cxl, RejectsZeroByteRequests) {
   // Zero bytes split into no flits: no pop would ever complete the request,
   // leaking its parent slot (and, behind a link, the link's tag).
-  Simulator sim;
+  ClosureSim sim;
   CxlDevice dev(sim, CxlDeviceParams{}, "dev");
   EXPECT_THROW(dev.read(0, 0, sim.make_callback([] {})), std::invalid_argument);
   EXPECT_THROW(dev.write(0, 0, sim.make_callback([] {})),
@@ -363,7 +365,7 @@ TEST(Cxl, RejectsZeroByteRequests) {
 }
 
 TEST(CxlPool, InterleavesAcrossDevices) {
-  Simulator sim;
+  ClosureSim sim;
   CxlMemoryPool pool(sim, CxlDeviceParams{}, 4, 4096);
   // Touch one page per device.
   for (std::uint64_t p = 0; p < 4; ++p) {
@@ -376,7 +378,7 @@ TEST(CxlPool, InterleavesAcrossDevices) {
 }
 
 TEST(CxlPool, AggregateStatsSumAcrossDevices) {
-  Simulator sim;
+  ClosureSim sim;
   CxlMemoryPool pool(sim, CxlDeviceParams{}, 3, 4096);
   for (int i = 0; i < 30; ++i) {
     pool.read(static_cast<std::uint64_t>(i) * 4096, 64, sim.make_callback([] {}));
@@ -409,7 +411,7 @@ TEST(CxlPool, TagSaturationGolden) {
     p.io_faults.error_rate = 0.3;
     p.io_faults.seed = trial;
     p.io_faults.retry_base = grid;
-    Simulator sim;
+    ClosureSim sim;
     CxlMemoryPool pool(sim, p, 2, 4096);
 
     struct Request {
@@ -457,10 +459,11 @@ TEST(CxlPool, TagSaturationGolden) {
   EXPECT_EQ(fold, 0x899ca60f3cff9588ULL);
 }
 
-TEST(CxlPool, SetAddedLatencyPropagates) {
+TEST(CxlPool, AddedLatencyReachesEveryDevice) {
   Simulator sim;
-  CxlMemoryPool pool(sim, CxlDeviceParams{}, 2, 4096);
-  pool.set_added_latency(ps_from_us(3.0));
+  CxlDeviceParams p;
+  p.added_latency = ps_from_us(3.0);
+  CxlMemoryPool pool(sim, p, 2, 4096);
   EXPECT_EQ(pool.device(0).params().added_latency, ps_from_us(3.0));
   EXPECT_EQ(pool.device(1).params().added_latency, ps_from_us(3.0));
 }
@@ -479,7 +482,7 @@ TEST(Storage, PresetsMatchPaper) {
 }
 
 TEST(Storage, IopsCapsRequestRate) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   StorageDriveParams p = nvme_drive_params();
   StorageDrive drive(sim, link, p);
@@ -502,7 +505,7 @@ TEST(Storage, IopsCapsRequestRate) {
 TEST(Storage, SmallReadsDoNotBeatIops) {
   // The paper's assumption: reading fewer bytes does not raise IOPS.
   auto iops_at = [](std::uint32_t bytes) {
-    Simulator sim;
+    ClosureSim sim;
     PcieLink link(sim, pcie_x16(PcieGen::kGen4));
     StorageDrive drive(sim, link, nvme_drive_params());
     SimTime last = 0;
@@ -517,7 +520,7 @@ TEST(Storage, SmallReadsDoNotBeatIops) {
 }
 
 TEST(Storage, QueueDepthNeverExceeded) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   StorageDriveParams p = xlfdd_drive_params();
   p.queue_depth = 8;
@@ -531,14 +534,14 @@ TEST(Storage, QueueDepthNeverExceeded) {
 }
 
 TEST(Storage, RejectsOversizeTransfer) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   StorageDrive drive(sim, link, xlfdd_drive_params());
   EXPECT_THROW(drive.submit(0, 4096, sim.make_callback([] {})), std::invalid_argument);
 }
 
 TEST(StorageArray, RoutesByStripe) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   StorageArray array(sim, link, xlfdd_drive_params(), 4, 8192);
   int done = 0;
@@ -547,11 +550,14 @@ TEST(StorageArray, RoutesByStripe) {
   }
   sim.run();
   EXPECT_EQ(done, 8);
-  EXPECT_EQ(array.aggregate_stats().requests, 8u);
+  // Stripe s lands on drive s % 4: two requests each.
+  for (unsigned d = 0; d < array.num_drives(); ++d) {
+    EXPECT_EQ(array.drive(d).stats().requests, 2u) << "drive " << d;
+  }
 }
 
 TEST(StorageArray, SplitsStraddlingRequests) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   StorageArray array(sim, link, xlfdd_drive_params(), 4, 8192);
   int done = 0;
@@ -559,14 +565,16 @@ TEST(StorageArray, SplitsStraddlingRequests) {
   array.submit(8192 - 512, 1024, sim.make_callback([&] { ++done; }));
   sim.run();
   EXPECT_EQ(done, 1);
-  EXPECT_EQ(array.aggregate_stats().requests, 2u);
-  EXPECT_EQ(array.aggregate_stats().bytes, 1024u);
+  for (unsigned d = 0; d < 2; ++d) {
+    EXPECT_EQ(array.drive(d).stats().requests, 1u) << "drive " << d;
+    EXPECT_EQ(array.drive(d).stats().bytes, 512u) << "drive " << d;
+  }
 }
 
 TEST(StorageArray, RejectsZeroByteRequests) {
   // Regression: (addr + bytes - 1) underflowed for bytes == 0, computing a
   // last stripe of ~2^64 and splitting the "request" across every drive.
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   StorageArray array(sim, link, xlfdd_drive_params(), 4, 8192);
   EXPECT_THROW(array.submit(0, 0, sim.make_callback([] {})),
@@ -575,14 +583,16 @@ TEST(StorageArray, RejectsZeroByteRequests) {
                std::invalid_argument);
   EXPECT_THROW(array.submit_write(0, 0, sim.make_callback([] {})),
                std::invalid_argument);
-  EXPECT_EQ(array.aggregate_stats().requests, 0u);
+  for (unsigned d = 0; d < array.num_drives(); ++d) {
+    EXPECT_EQ(array.drive(d).stats().requests, 0u) << "drive " << d;
+  }
 }
 
 TEST(StorageArray, SplitsChunksAtMaxTransfer) {
   // Regression: an in-stripe request larger than the drive's max_transfer
   // (XLFDD: 2 kB moves inside an 8 kB stripe) passed straight to the
   // drive and threw mid-simulation. The array must split it.
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   const StorageDriveParams p = xlfdd_drive_params();
   StorageArray array(sim, link, p, 4, 8192);
@@ -594,30 +604,32 @@ TEST(StorageArray, SplitsChunksAtMaxTransfer) {
   array.submit(8192 - 3072, 5120, sim.make_callback([&] { ++done; }));
   sim.run();
   EXPECT_EQ(done, 2);
-  const StorageDriveStats agg = array.aggregate_stats();
-  EXPECT_EQ(agg.requests, 5u);
-  EXPECT_EQ(agg.bytes, 4096u + 5120u);
+  // Drive 0 (stripe 0): 2 kB + 2 kB, then 2 kB + 1 kB; drive 1: 2 kB.
+  EXPECT_EQ(array.drive(0).stats().requests, 4u);
+  EXPECT_EQ(array.drive(0).stats().bytes, 4096u + 3072u);
+  EXPECT_EQ(array.drive(1).stats().requests, 1u);
+  EXPECT_EQ(array.drive(1).stats().bytes, 2048u);
   // Every issued command respected the limit, or the drives would throw.
   EXPECT_LE(p.max_transfer, 2048u);
 }
 
 TEST(StorageArray, SplitsOversizedWrites) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   StorageArray array(sim, link, xlfdd_drive_params(), 4, 8192);
   int done = 0;
   array.submit_write(0, 4096, sim.make_callback([&] { ++done; }));
   sim.run();
   EXPECT_EQ(done, 1);
-  EXPECT_EQ(array.aggregate_stats().requests, 2u);
-  EXPECT_EQ(array.aggregate_stats().written_bytes, 4096u);
+  EXPECT_EQ(array.drive(0).stats().requests, 2u);
+  EXPECT_EQ(array.drive(0).stats().written_bytes, 4096u);
 }
 
 TEST(Storage, SaturationRespectsQueueDepthProperty) {
   // Property: under randomized mixed read/write saturation the drive
   // never holds more than queue_depth requests, and every submit
   // eventually completes.
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
   StorageDriveParams p = xlfdd_drive_params();
   p.queue_depth = 16;
@@ -664,13 +676,14 @@ TEST(StorageArray, XlfddArraySupportsRequiredIops) {
   // Sec. 4.1.1: 16 drives "well support" 93.75 MIOPS.
   Simulator sim;
   PcieLink link(sim, pcie_x16(PcieGen::kGen4));
-  auto array = make_xlfdd_array(sim, link);
-  EXPECT_GE(array->total_iops(), 93.75e6);
+  StorageArray array(sim, link, xlfdd_drive_params(), kXlfddArrayDrives,
+                     kXlfddStripeBytes);
+  EXPECT_GE(array.total_iops(), 93.75e6);
 }
 
 TEST(StorageArray, AggregateIopsScaleWithDrives) {
   auto measure = [](unsigned drives) {
-    Simulator sim;
+    ClosureSim sim;
     PcieLink link(sim, pcie_x16(PcieGen::kGen4));
     StorageDriveParams p = nvme_drive_params();
     StorageArray array(sim, link, p, drives, 4096);

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "closure_sim.hpp"
 #include "device/cxl_device.hpp"
 #include "device/pcie.hpp"
 #include "device/storage.hpp"
@@ -142,7 +143,7 @@ TEST(FaultPlan, DisabledSpecYieldsNoEvents) {
   const fault::FaultPlan plan(spec, 4);
   EXPECT_FALSE(plan.active());
   EXPECT_TRUE(plan.events().empty());
-  EXPECT_NO_THROW(fault::validate(spec));  // disabled is always valid
+  EXPECT_NO_THROW(fault::validate(spec));  // the default retry policy fits
 }
 
 TEST(FaultPlan, ErrorDrawIsDeterministicAndRespectsRate) {
@@ -231,6 +232,21 @@ TEST(FaultSpec, RejectsNonFiniteAndNegativeDurations) {
 // an exponent, a sign, trailing characters or a value past 2^32 - 1 is an
 // error, never an undefined cast or a truncated count. Seeds keep all 64
 // bits, where a round trip through a double would not.
+// A query's n-th retry waits n backoffs, converted to picoseconds as one
+// product: a backoff that fits alone but not times the retry budget is
+// rejected, whether or not the spec draws any fault.
+TEST(FaultSpec, RejectsABackoffWhoseRetryProductOverflows) {
+  // 1e13 us is 1e19 ps, below 2^64 ps; twice that is not.
+  EXPECT_NO_THROW(fault::parse_fault_spec("backoff-us=1e13,query-retries=1"));
+  EXPECT_THROW(fault::parse_fault_spec("backoff-us=1e13,query-retries=2"),
+               std::invalid_argument);
+  EXPECT_THROW(fault::parse_fault_spec(
+                   "horizon-ms=10,crashes=1,backoff-us=1e13,query-retries=2"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      fault::parse_fault_spec("backoff-us=0,query-retries=4294967295"));
+}
+
 TEST(FaultSpec, CountsAreCheckedIntegersSeedsKeepAllBits) {
   for (const std::string key :
        {"crashes", "io-bursts", "io-max-retries", "link-flaps",
@@ -276,7 +292,7 @@ TEST(IoFaultPenalty, DisabledIsFreeEnabledBacksOffLinearly) {
 
 TEST(StorageDrive, IoFaultsStretchLatencyNotBytes) {
   const auto run = [](double rate) {
-    sim::Simulator sim;
+    sim::ClosureSim sim;
     device::PcieLinkParams lp = device::pcie_x16(device::PcieGen::kGen4);
     device::PcieLink link(sim, lp);
     device::StorageDriveParams params;
@@ -311,7 +327,7 @@ TEST(StorageDrive, IoFaultsStretchLatencyNotBytes) {
 
 TEST(CxlDevice, IoFaultsStretchLatencyNotBytes) {
   const auto run = [](double rate) {
-    sim::Simulator sim;
+    sim::ClosureSim sim;
     device::CxlDeviceParams params;
     params.io_faults.enabled = true;
     params.io_faults.error_rate = rate;
@@ -624,6 +640,45 @@ TEST(FleetFaults, IdenticalSeedsIdenticalReportsAcrossJobs) {
   const serve::FleetReport c = fleet4.serve(g, req);  // repeat, same server
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
+}
+
+// A restart delay that fits in picoseconds on its own can still carry the
+// revival past the last picosecond once added to the crash time. The
+// simulator rejects that push instead of wrapping the clock, which used
+// to revive the replica at once.
+TEST(FleetFaults, FaultDelaysPastTheLastPicosecondAreRejected) {
+  const graph::CsrGraph g = test_graph();
+  serve::FleetServer fleet(core::table3_system());
+  // 48 queries at 4000 qps keep the fleet busy past every fault drawn
+  // over the first 8 ms; a fault after the workload drains is skipped.
+  serve::FleetRequest req = fleet_request(4000.0, 48, 3);
+  req.fleet.faults.horizon_sec = 0.008;
+  req.fleet.faults.crashes = 2;
+  // 18,446,744,000 ms: the revival lands near, but before, 2^64 ps.
+  req.fleet.faults.restart_sec = 18'446'744.0;
+  const serve::FleetReport fits = fleet.serve(g, req);
+  EXPECT_GT(fits.crashes, 0u);
+  EXPECT_GT(fits.restarts, 0u);
+  // 18,446,744,073.7 ms: crash time plus restart passes 2^64 ps.
+  req.fleet.faults.restart_sec = 18'446'744'073.7e-3;
+  try {
+    fleet.serve(g, req);
+    FAIL() << "a revival past the last picosecond was scheduled";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos)
+        << e.what();
+  }
+  // I/O-burst and link-flap windows end the same way.
+  req.fleet.faults.crashes = 0;
+  req.fleet.faults.io_bursts = 1;
+  req.fleet.faults.io_burst_sec = 18'446'744'073.7e-3;
+  req.fleet.faults.io_error_rate = 0.3;
+  EXPECT_THROW(fleet.serve(g, req), std::overflow_error);
+  req.fleet.faults.io_bursts = 0;
+  req.fleet.faults.link_flaps = 1;
+  req.fleet.faults.flap_sec = 18'446'744'073.7e-3;
+  req.fleet.faults.flap_derate = 0.5;
+  EXPECT_THROW(fleet.serve(g, req), std::overflow_error);
 }
 
 TEST(FleetFaults, InvalidSpecsRejectedThroughFleetValidate) {

@@ -2,7 +2,7 @@
 /// \file golden_suite.hpp
 /// The one definition of "same behaviour" for simulated results: an FNV-1a
 /// fold of every report type over every member, the smoke configuration,
-/// and the golden table of its 16 cases. simcore_identity_test checks the
+/// and the golden table of its 18 cases. simcore_identity_test checks the
 /// table in tier 1 (so also in the sanitizer lanes); bench_simcore --smoke
 /// checks the same table and folds its rows with the same functions. No
 /// gtest here, so a bench can include it.
@@ -27,6 +27,8 @@
 #include "core/cluster_runtime.hpp"
 #include "core/runtime.hpp"
 #include "core/system_config.hpp"
+#include "gpusim/cpu_probe.hpp"
+#include "gpusim/pointer_chase.hpp"
 #include "graph/generate.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/fleet.hpp"
@@ -146,6 +148,10 @@ CXLGRAPH_GOLDEN_FOLD(serve::FleetReport, serve, router, replicas,
                      migration_sec, scaling_events, incidents, crashes,
                      restarts, replacements, io_error_retries,
                      link_degrade_windows, availability)
+CXLGRAPH_GOLDEN_FOLD(gpusim::PointerChaseResult, mean_us, hop_us)
+CXLGRAPH_GOLDEN_FOLD(gpusim::CpuProbeResult, throughput_mbps,
+                     observed_latency_us, littles_law_outstanding,
+                     completed_reads)
 
 #undef CXLGRAPH_GOLDEN_FOLD
 
@@ -305,9 +311,27 @@ inline serve::ServeReport run_throttled_soak(
   return hot.serve(g, req);
 }
 
+/// Fig. 9's pointer chase through the local CXL device at +2 us.
+inline gpusim::PointerChaseResult run_probe_chase() {
+  const core::SystemConfig cfg = core::table4_system();
+  sim::Simulator sim;
+  device::PcieLink link(sim, device::pcie_x16(cfg.gpu_link_gen));
+  device::CxlDeviceParams cp = cfg.cxl;
+  cp.added_latency = util::ps_from_us(2.0);
+  cp.socket_hop = 0;
+  device::CxlMemoryPool pool(sim, cp, 1, cfg.cxl_interleave_bytes);
+  return gpusim::pointer_chase(sim, link, pool);
+}
+
+/// Fig. 10's CPU random-read probe of the CXL device at +2 us.
+inline gpusim::CpuProbeResult run_probe_cpu() {
+  device::CxlDeviceParams cp = core::table4_system().cxl;
+  cp.added_latency = util::ps_from_us(2.0);
+  return gpusim::cpu_random_read_probe(cp);
+}
+
 // ---------------------------------------------------------------------------
-// The golden table: one checksum per case of the smoke configuration, in
-// compute_checksums() order.
+// The golden table: one checksum per case, in compute_checksums() order.
 // ---------------------------------------------------------------------------
 struct GoldenCase {
   const char* name;
@@ -332,12 +356,15 @@ inline constexpr GoldenCase kGoldens[] = {
     {"fleet-serve/cxl",          0x6064190218e5705fULL},
     {"fleet-faults/cxl",         0x96df14db2e0a4ce4ULL},
     {"fleet-elastic/cxl",        0x3200549809038d6eULL},
+    {"probe-chase/cxl",          0x9c956c65fc373004ULL},
+    {"probe-cpu/cxl",            0x5d108de029133492ULL},
 };
 // clang-format on
 
-/// Computes every case of the table on `g`, in table order. With a
-/// telemetry sink every layer is tapped; observing must not move a
-/// checksum.
+/// Computes every case of the table, in table order: the smoke cases on
+/// `g`, then the two latency probes, which build their own stacks. With
+/// a telemetry sink every layer of the smoke cases is tapped; observing
+/// must not move a checksum.
 inline std::vector<std::uint64_t> compute_checksums(
     const graph::CsrGraph& g, obs::Telemetry* telemetry = nullptr) {
   const core::SystemConfig cfg = core::table3_system();
@@ -381,6 +408,9 @@ inline std::vector<std::uint64_t> compute_checksums(
   sums.push_back(checksum(fleet.serve(g, smoke_fleet_request())));
   sums.push_back(checksum(fleet.serve(g, smoke_fleet_faults_request())));
   sums.push_back(checksum(fleet.serve(g, smoke_fleet_elastic_request())));
+
+  sums.push_back(checksum(run_probe_chase()));
+  sums.push_back(checksum(run_probe_cpu()));
   if (sums.size() != std::size(kGoldens)) {
     throw std::logic_error("golden suite and table differ in length");
   }

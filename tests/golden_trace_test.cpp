@@ -151,8 +151,6 @@ TEST(GoldenTrace, ParallelSweepMatchesSerialSweep) {
 
   core::ExperimentRunner serial(core::table4_system(), /*jobs=*/1);
   core::ExperimentRunner parallel(core::table4_system(), /*jobs=*/4);
-  EXPECT_EQ(serial.workers(), 1u);
-  EXPECT_EQ(parallel.workers(), 4u);
 
   const std::vector<core::RunReport> serial_reports = serial.run_all(jobs);
   const std::vector<core::RunReport> parallel_reports =

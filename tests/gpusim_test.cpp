@@ -167,9 +167,11 @@ TEST(Engine, DeterministicAcrossRuns) {
 TEST(Engine, StorageBackendWorksEndToEnd) {
   sim::Simulator sim;
   device::PcieLink link(sim, device::pcie_x16(device::PcieGen::kGen4));
-  auto array = device::make_xlfdd_array(sim, link);
+  device::StorageArray array(sim, link, device::xlfdd_drive_params(),
+                            device::kXlfddArrayDrives,
+                            device::kXlfddStripeBytes);
   access::XlfddDirectAccess method;
-  access::StoragePathBackend backend(*array, "xlfdd");
+  access::StoragePathBackend backend(array, "xlfdd");
   TraversalEngine engine(sim, method, backend, GpuParams{});
   const algo::AccessTrace trace = small_trace();
   const EngineResult r = engine.run(trace);
@@ -185,7 +187,7 @@ TEST(PointerChase, HostDramLatencyNearOneMicrosecond) {
   sim::Simulator sim;
   device::PcieLink link(sim, device::pcie_x16(device::PcieGen::kGen3));
   device::HostDram dram(sim, device::HostDramParams{});
-  const double latency = pointer_chase_latency_us(sim, link, dram);
+  const double latency = pointer_chase(sim, link, dram).mean_us;
   EXPECT_GT(latency, 0.8);
   EXPECT_LT(latency, 1.5);
 }
@@ -197,7 +199,7 @@ TEST(PointerChase, AddedCxlLatencyShowsUpOneForOne) {
     device::CxlDeviceParams p;
     p.added_latency = ps_from_us(added_us);
     device::CxlDevice dev(sim, p, "dev");
-    return pointer_chase_latency_us(sim, link, dev);
+    return pointer_chase(sim, link, dev).mean_us;
   };
   const double base = measure(0.0);
   for (double added = 1.0; added <= 3.0; added += 1.0) {
@@ -214,12 +216,12 @@ TEST(PointerChase, CxlCostsMoreThanDram) {
   sim::Simulator sim_a;
   device::PcieLink link_a(sim_a, device::pcie_x16(device::PcieGen::kGen3));
   device::HostDram dram(sim_a, device::HostDramParams{});
-  const double dram_latency = pointer_chase_latency_us(sim_a, link_a, dram);
+  const double dram_latency = pointer_chase(sim_a, link_a, dram).mean_us;
 
   sim::Simulator sim_b;
   device::PcieLink link_b(sim_b, device::pcie_x16(device::PcieGen::kGen3));
   device::CxlDevice cxl(sim_b, device::CxlDeviceParams{}, "dev");
-  const double cxl_latency = pointer_chase_latency_us(sim_b, link_b, cxl);
+  const double cxl_latency = pointer_chase(sim_b, link_b, cxl).mean_us;
 
   // Fig. 9: CXL(+0) adds roughly half a microsecond over host DRAM.
   EXPECT_NEAR(cxl_latency - dram_latency, 0.5, 0.25);

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "cache/sw_cache.hpp"
+#include "closure_sim.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -72,7 +73,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheModelCheck,
 
 TEST(SimulatorFuzz, TimeIsMonotoneAndAllEventsFire) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    sim::Simulator sim;
+    sim::ClosureSim sim;
     util::Xoshiro256 rng(seed);
     std::uint64_t fired = 0;
     std::uint64_t scheduled = 0;

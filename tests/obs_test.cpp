@@ -4,8 +4,6 @@
 ///  * registry snapshots are deterministic: entries export sorted by
 ///    (component, name) regardless of registration order, so identical
 ///    update sequences serialize byte-identical JSON;
-///  * Log2Histogram::merge is exactly "add every sample to one
-///    histogram" (the parallel-reduction contract);
 ///  * trace export orders spans by simulated time with stable ties, and
 ///    round-trips through the trace_check parser/validator;
 ///  * sampler buckets fold by the channel's declared reduction, and
@@ -26,6 +24,7 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_check.hpp"
+#include "serve/fleet.hpp"
 #include "util/stats.hpp"
 
 namespace cxlgraph {
@@ -84,28 +83,6 @@ TEST(MetricsRegistry, GaugeTracksHighWaterMark) {
   EXPECT_EQ(g.value(), 1.0);
   EXPECT_EQ(g.max(), 5.0);
   EXPECT_EQ(g.updates(), 3u);
-}
-
-TEST(Log2Histogram, MergeEqualsSampleUnion) {
-  util::Log2Histogram a, b, all;
-  const std::vector<std::uint64_t> left = {1, 2, 3, 100, 5000};
-  const std::vector<std::uint64_t> right = {0, 7, 1 << 20, 42};
-  for (const std::uint64_t v : left) {
-    a.add(v);
-    all.add(v);
-  }
-  for (const std::uint64_t v : right) {
-    b.add(v);
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_EQ(a.buckets(), all.buckets());
-  EXPECT_EQ(a.quantile(0.5), all.quantile(0.5));
-  // Merging an empty histogram is the identity.
-  util::Log2Histogram empty;
-  a.merge(empty);
-  EXPECT_EQ(a.buckets(), all.buckets());
 }
 
 TEST(MetricsRegistry, LabelsScopeDistinctInstruments) {
@@ -567,8 +544,12 @@ TEST(HealthMonitor, IncidentLogRoundTripsThroughJson) {
   mon.observe_depth(1'000'000, 9.5);
   mon.observe_depth(2'000'000, 2.0);
   mon.observe_throttle(3'000'000, 1, true);
+  // The fleet's incident log writes each incident with
+  // obs::write_incident_json.
+  serve::FleetReport report;
+  report.incidents = mon.incidents();
   std::ostringstream os;
-  obs::write_incidents_json(os, mon.incidents());
+  serve::write_incident_log(os, report);
   const obs::JsonValue doc = obs::parse_json(os.str());
   ASSERT_NE(doc.find("incidents"), nullptr);
   const auto& arr = doc.find("incidents")->array;
@@ -585,7 +566,7 @@ TEST(HealthMonitor, IncidentLogRoundTripsThroughJson) {
   EXPECT_TRUE(arr[1].find("open")->boolean);
   // Identical monitors serialize byte-identically.
   std::ostringstream again;
-  obs::write_incidents_json(again, mon.incidents());
+  serve::write_incident_log(again, report);
   EXPECT_EQ(os.str(), again.str());
 }
 

@@ -7,6 +7,7 @@
 
 #include "access/method.hpp"
 #include "analysis/model.hpp"
+#include "closure_sim.hpp"
 #include "device/host_dram.hpp"
 #include "device/pcie.hpp"
 #include "device/storage.hpp"
@@ -23,8 +24,8 @@ using device::PcieLink;
 using device::PcieLinkParams;
 using device::StorageDrive;
 using device::StorageDriveParams;
+using sim::ClosureSim;
 using sim::SimTime;
-using sim::Simulator;
 using util::ps_from_us;
 
 /// Floods a memory-path device with fixed-size reads and returns the
@@ -32,7 +33,7 @@ using util::ps_from_us;
 double memory_path_throughput(const PcieLinkParams& lp,
                               const HostDramParams& dp, std::uint32_t bytes,
                               int reads = 30'000) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, lp);
   HostDram dram(sim, dp);
   SimTime last = 0;
@@ -46,7 +47,7 @@ double memory_path_throughput(const PcieLinkParams& lp,
 /// Floods a storage drive and returns throughput in MB/s.
 double storage_throughput(const StorageDriveParams& p, std::uint32_t bytes,
                           int reads = 20'000) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, device::pcie_x16(PcieGen::kGen4));
   StorageDrive drive(sim, link, p);
   SimTime last = 0;
@@ -74,7 +75,7 @@ TEST_P(LittlesLawRegime, DesMatchesModelWithinTenPercent) {
 
   // The model needs the latency as observed end to end; feed it the DES's
   // own measured latency so we test structure, not constants.
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, lp);
   HostDram dram(sim, dp);
   SimTime last = 0;
@@ -189,7 +190,7 @@ TEST(Crossover, StorageShiftsFromIopsToLinkBandwidth) {
 // --------------------------------------------- fairness & conservation ----
 
 TEST(Conservation, EveryIssuedReadCompletesExactlyOnce) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, device::pcie_x16(PcieGen::kGen3));
   HostDramParams dp;
   dp.access_latency = ps_from_us(3.0);
@@ -208,7 +209,7 @@ TEST(Conservation, EveryIssuedReadCompletesExactlyOnce) {
 TEST(Conservation, MixedMemoryAndStorageTrafficSharesOneLink) {
   // Memory reads and storage DMA both serialize on the same return path:
   // combined throughput cannot exceed W.
-  Simulator sim;
+  ClosureSim sim;
   const auto lp = device::pcie_x16(PcieGen::kGen4);
   PcieLink link(sim, lp);
   HostDram dram(sim, HostDramParams{});

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
+#include "closure_sim.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 
@@ -30,13 +33,6 @@ TEST(EventQueue, EqualTimesPreserveInsertionOrder) {
   std::vector<std::uint64_t> order;
   while (!q.empty()) order.push_back(q.pop().a);
   for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, NextTimeReportsEarliest) {
-  EventQueue q;
-  q.push(42, 0, 0);
-  q.push(7, 0, 0);
-  EXPECT_EQ(q.next_time(), 7u);
 }
 
 TEST(EventQueue, CarriesListenerOpcodeAndPayload) {
@@ -116,9 +112,9 @@ TEST(EventQueue, InterleavedPushPopStaysSorted) {
   // pushes extend their class's monotone stream (lane appends; lanes drain
   // and refill as pops catch up); the rest land behind their class's
   // latest time (the overflow heap, whose front they often undercut). Pops
-  // are mixed in throughout. next_time() must name each popped event's
-  // time, and the output must be globally sorted by (time, seq) with every
-  // event popped exactly once, carrying its own listener and opcode.
+  // are mixed in throughout. The output must be globally sorted by
+  // (time, seq) with every event popped exactly once, carrying its own
+  // listener and opcode.
   constexpr std::uint64_t kListeners = 20;
   constexpr std::uint16_t kOpcodes[] = {0, 1, 2, 3, 17};
   constexpr std::uint64_t kClasses = kListeners * 5;
@@ -134,12 +130,9 @@ TEST(EventQueue, InterleavedPushPopStaysSorted) {
   std::vector<std::uint64_t> class_of;  // by payload
   std::vector<Event> popped;
   std::uint32_t pushed = 0;
-  std::size_t next_time_misses = 0;
   SimTime floor = 0;  // discrete-event rule: never push before "now"
   auto pop = [&]() {
-    const SimTime expected = q.next_time();
     popped.push_back(q.pop());
-    if (popped.back().time != expected) ++next_time_misses;
     floor = popped.back().time;
   };
   for (int round = 0; round < 5000; ++round) {
@@ -158,7 +151,6 @@ TEST(EventQueue, InterleavedPushPopStaysSorted) {
     for (std::uint64_t p = 0; p < pops && !q.empty(); ++p) pop();
   }
   while (!q.empty()) pop();
-  EXPECT_EQ(next_time_misses, 0u);
   ASSERT_EQ(popped.size(), pushed);
   std::vector<bool> seen(pushed, false);
   for (std::size_t i = 0; i < popped.size(); ++i) {
@@ -176,23 +168,12 @@ TEST(EventQueue, InterleavedPushPopStaysSorted) {
   }
 }
 
-TEST(EventQueue, SizeCountsRunAndHeap) {
-  EventQueue q;
-  q.push(1, 0, 0);
-  q.push(1, 0, 0);
-  q.push(2, 0, 0);
-  EXPECT_EQ(q.size(), 3u);
-  q.pop();  // run of time 1 active, one served
-  EXPECT_EQ(q.size(), 2u);
-  q.pop();
-  q.pop();
-  EXPECT_TRUE(q.empty());
-}
-
 // ------------------------------------------------------------ simulator ----
+// These drive the loop with closures through the tests-only ClosureSim,
+// whose closure events are POD events on its own listener.
 
 TEST(Simulator, AdvancesTime) {
-  Simulator sim;
+  ClosureSim sim;
   SimTime seen = 0;
   sim.schedule_at(100, [&] { seen = sim.now(); });
   sim.run();
@@ -201,7 +182,7 @@ TEST(Simulator, AdvancesTime) {
 }
 
 TEST(Simulator, ScheduleAfterIsRelative) {
-  Simulator sim;
+  ClosureSim sim;
   std::vector<SimTime> times;
   sim.schedule_at(50, [&] {
     times.push_back(sim.now());
@@ -212,7 +193,7 @@ TEST(Simulator, ScheduleAfterIsRelative) {
 }
 
 TEST(Simulator, RejectsSchedulingInThePast) {
-  Simulator sim;
+  ClosureSim sim;
   sim.schedule_at(100, [&] {
     EXPECT_THROW(sim.schedule_at(50, [] {}), std::logic_error);
   });
@@ -220,7 +201,7 @@ TEST(Simulator, RejectsSchedulingInThePast) {
 }
 
 TEST(Simulator, CascadedEventsAllRun) {
-  Simulator sim;
+  ClosureSim sim;
   int count = 0;
   std::function<void()> chain = [&] {
     ++count;
@@ -233,29 +214,8 @@ TEST(Simulator, CascadedEventsAllRun) {
   EXPECT_EQ(sim.events_processed(), 100u);
 }
 
-TEST(Simulator, RunUntilStopsAtDeadline) {
-  Simulator sim;
-  int count = 0;
-  for (SimTime t = 0; t < 10; ++t) {
-    sim.schedule_at(t * 10, [&] { ++count; });
-  }
-  sim.run_until(45);
-  EXPECT_EQ(count, 5);  // events at 0,10,20,30,40
-  EXPECT_EQ(sim.pending_events(), 5u);
-  sim.run();
-  EXPECT_EQ(count, 10);
-}
-
-TEST(Simulator, RunUntilExecutesEventExactlyAtDeadline) {
-  Simulator sim;
-  bool ran = false;
-  sim.schedule_at(100, [&] { ran = true; });
-  sim.run_until(100);
-  EXPECT_TRUE(ran);
-}
-
 TEST(Simulator, EventBudgetGuardsRunaway) {
-  Simulator sim;
+  ClosureSim sim;
   std::function<void()> forever = [&] { sim.schedule_after(1, forever); };
   sim.schedule_at(0, forever);
   EXPECT_THROW(sim.run(/*max_events=*/1000), std::runtime_error);
@@ -263,7 +223,7 @@ TEST(Simulator, EventBudgetGuardsRunaway) {
 
 TEST(Simulator, DeterministicAcrossRuns) {
   auto run_once = [] {
-    Simulator sim;
+    ClosureSim sim;
     std::vector<int> order;
     for (int i = 0; i < 50; ++i) {
       sim.schedule_at(static_cast<SimTime>((i * 37) % 13),
@@ -276,7 +236,7 @@ TEST(Simulator, DeterministicAcrossRuns) {
 }
 
 TEST(Simulator, RunReturnsEventCount) {
-  Simulator sim;
+  ClosureSim sim;
   for (int i = 0; i < 7; ++i) sim.schedule_at(i, [] {});
   EXPECT_EQ(sim.run(), 7u);
 }
@@ -330,7 +290,7 @@ TEST(PodDispatch, CallbackScheduleMatchesPodSchedule) {
 }
 
 TEST(PodDispatch, MakeCallbackIsOneShotAndReusesSlots) {
-  Simulator sim;
+  ClosureSim sim;
   int calls = 0;
   for (int i = 0; i < 100; ++i) {
     sim.schedule_at(static_cast<SimTime>(i),
@@ -340,9 +300,10 @@ TEST(PodDispatch, MakeCallbackIsOneShotAndReusesSlots) {
   EXPECT_EQ(calls, 100);
 }
 
-/// Equivalence: the same logical schedule issued once through closures and
-/// once through POD events must execute in exactly the same order — the
-/// two paths share one queue and one (time, seq) contract.
+/// Equivalence: the same logical schedule issued once through ClosureSim's
+/// closures and once through POD events must execute in exactly the same
+/// order — both are POD events on one queue, under one (time, seq)
+/// contract.
 TEST(PodDispatch, ClosureAndPodSchedulingInterleaveDeterministically) {
   struct Tagger {
     std::vector<int>* out;
@@ -352,7 +313,7 @@ TEST(PodDispatch, ClosureAndPodSchedulingInterleaveDeterministically) {
     }
   };
   auto run_once = [](bool pod_first) {
-    Simulator sim;
+    ClosureSim sim;
     std::vector<int> order;
     Tagger tagger{&order};
     const std::uint16_t id = sim.add_listener(&tagger, &Tagger::on_event);
@@ -370,6 +331,43 @@ TEST(PodDispatch, ClosureAndPodSchedulingInterleaveDeterministically) {
   EXPECT_EQ(run_once(true), run_once(true));
   // Same timestamps, same push order, mirrored transport: same order.
   EXPECT_EQ(run_once(true), run_once(false));
+}
+
+TEST(PodDispatch, FreshSimulatorHasNoListener) {
+  // The whole table is free for components: the first listener gets
+  // index 0, and exactly kMaxListeners fit.
+  Simulator sim;
+  Recorder rec{sim, {}};
+  for (std::size_t i = 0; i < Simulator::kMaxListeners; ++i) {
+    ASSERT_EQ(sim.add_listener(&rec, &Recorder::on_event), i);
+  }
+  EXPECT_THROW(sim.add_listener(&rec, &Recorder::on_event),
+               std::length_error);
+}
+
+TEST(PodDispatch, ClosureSimRegistersItsListenerFirst) {
+  ClosureSim sim;
+  Recorder rec{sim, {}};
+  EXPECT_EQ(sim.add_listener(&rec, &Recorder::on_event), 1u);
+}
+
+TEST(PodDispatch, ScheduleAfterRejectsAClockWrap) {
+  // A delay that passed every duration check can still end past the last
+  // picosecond: now + delay would wrap to a time in the past and run at
+  // once. The last representable time is still schedulable.
+  constexpr SimTime kLast = std::numeric_limits<SimTime>::max();
+  Simulator sim;
+  Recorder rec{sim, {}};
+  const std::uint16_t id = sim.add_listener(&rec, &Recorder::on_event);
+  sim.schedule_at(100, id, 0);
+  sim.run();
+  sim.schedule_after(kLast - 100, id, 0);
+  EXPECT_THROW(sim.schedule_after(kLast - 99, id, 0), std::overflow_error);
+  EXPECT_THROW(sim.schedule_after(kLast, Callback{id, 0}),
+               std::overflow_error);
+  sim.run();
+  EXPECT_EQ(rec.log.size(), 2u);  // the rejected events never ran
+  EXPECT_EQ(sim.now(), kLast);
 }
 
 TEST(PodDispatch, MillionEventStressIsDeterministic) {

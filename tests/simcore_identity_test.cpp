@@ -9,8 +9,8 @@
 /// simulated report on the smoke configuration is pinned bit-for-bit:
 /// BFS on all seven backends, the write-back and delta-stepping paths, a
 /// sharded cluster run, a serving mix, a thermal soak, a fleet with and
-/// without faults, and a closed-loop elastic fleet replacing crashed
-/// replicas. The core may get faster; it may not drift by one
+/// without faults, a closed-loop elastic fleet replacing crashed
+/// replicas, and the Fig.-9 and Fig.-10 latency probes. The core may get faster; it may not drift by one
 /// bit. The suite is also run twice (run-to-run identity) and once with a
 /// fully-enabled telemetry sink (observing must not perturb).
 #include <gtest/gtest.h>
@@ -72,6 +72,12 @@ TEST(SimCoreIdentity, ServeReportsMatchGoldens) {
 
 TEST(SimCoreIdentity, FleetReportsMatchGoldens) {
   expect_goldens({"fleet-serve/cxl", "fleet-faults/cxl", "fleet-elastic/cxl"});
+}
+
+TEST(SimCoreIdentity, LatencyProbesMatchGoldens) {
+  // Fig. 9's pointer chase and Fig. 10's CPU probe at +2 us, exactly:
+  // the figure tables print only two decimals.
+  expect_goldens({"probe-chase/cxl", "probe-cpu/cxl"});
 }
 
 TEST(SimCoreIdentity, RepeatedSuiteIsIdentical) {

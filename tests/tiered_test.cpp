@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "closure_sim.hpp"
 #include "core/runtime.hpp"
 #include "device/cxl_device.hpp"
 #include "device/host_dram.hpp"
@@ -15,10 +16,9 @@ namespace {
 using device::TieredMemory;
 using device::TieredMemoryParams;
 using device::TierPlacement;
-using sim::Simulator;
 
 struct Fixture {
-  Simulator sim;
+  sim::ClosureSim sim;
   device::HostDram dram;
   device::CxlDevice cxl;
 

@@ -7,6 +7,7 @@
 #include "access/emogi.hpp"
 #include "access/xlfdd_direct.hpp"
 #include "algo/bfs.hpp"
+#include "closure_sim.hpp"
 #include "core/runtime.hpp"
 #include "device/cxl_device.hpp"
 #include "device/host_dram.hpp"
@@ -20,6 +21,7 @@ namespace {
 
 using device::PcieGen;
 using device::PcieLink;
+using sim::ClosureSim;
 using sim::SimTime;
 using sim::Simulator;
 using util::ps_from_us;
@@ -27,7 +29,7 @@ using util::ps_from_us;
 // ---------------------------------------------------------- link writes ----
 
 TEST(LinkWrites, WriteCompletesAndCountsBytes) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, device::pcie_x16(PcieGen::kGen4));
   device::HostDram dram(sim, device::HostDramParams{});
   bool done = false;
@@ -39,7 +41,7 @@ TEST(LinkWrites, WriteCompletesAndCountsBytes) {
 }
 
 TEST(LinkWrites, WritesShareTheTagBudgetWithReads) {
-  Simulator sim;
+  ClosureSim sim;
   const auto lp = device::pcie_x16(PcieGen::kGen3);
   PcieLink link(sim, lp);
   device::HostDramParams dp;
@@ -62,7 +64,7 @@ TEST(LinkWrites, UpstreamDoesNotStealDownstreamBandwidth) {
   // Full duplex: saturating reads should be unaffected by concurrent
   // storage-write payload transfers.
   auto read_mbps = [](bool with_writes) {
-    Simulator sim;
+    ClosureSim sim;
     const auto lp = device::pcie_x16(PcieGen::kGen4);
     PcieLink link(sim, lp);
     device::HostDram dram(sim, device::HostDramParams{});
@@ -103,13 +105,13 @@ TEST(DeviceWrites, DefaultDeviceIsReadOnly) {
     device::DeviceCaps caps_;
     device::DeviceStats stats_;
   };
-  Simulator sim;
+  ClosureSim sim;
   ReadOnlyDevice dev(sim);
   EXPECT_THROW(dev.write(0, 64, sim.make_callback([] {})), std::logic_error);
 }
 
 TEST(DeviceWrites, CxlWriteSlowerThanReadByCoherency) {
-  Simulator sim;
+  ClosureSim sim;
   device::CxlDeviceParams p;
   device::CxlDevice dev(sim, p, "dev");
   SimTime read_done = 0;
@@ -117,7 +119,7 @@ TEST(DeviceWrites, CxlWriteSlowerThanReadByCoherency) {
   dev.read(0, 64, sim.make_callback([&] { read_done = sim.now(); }));
   sim.run();
   const SimTime read_latency = read_done;
-  Simulator sim2;
+  ClosureSim sim2;
   device::CxlDevice dev2(sim2, p, "dev2");
   dev2.write(0, 64, sim2.make_callback([&] { write_done = sim2.now(); }));
   sim2.run();
@@ -125,7 +127,7 @@ TEST(DeviceWrites, CxlWriteSlowerThanReadByCoherency) {
 }
 
 TEST(DeviceWrites, StorageWriteDominatedByProgramLatency) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, device::pcie_x16(PcieGen::kGen4));
   device::StorageDriveParams p = device::xlfdd_drive_params();
   device::StorageDrive drive(sim, link, p);
@@ -137,7 +139,7 @@ TEST(DeviceWrites, StorageWriteDominatedByProgramLatency) {
 }
 
 TEST(DeviceWrites, WriteIopsCapSustainedRate) {
-  Simulator sim;
+  ClosureSim sim;
   PcieLink link(sim, device::pcie_x16(PcieGen::kGen4));
   device::StorageDriveParams p = device::xlfdd_drive_params();
   p.queue_depth = 1024;
@@ -203,9 +205,10 @@ TEST(EngineWrites, EngineAccountsWrites) {
 TEST(EngineWrites, StorageWritesTriggerRmwOnPartialUnits) {
   Simulator sim;
   PcieLink link(sim, device::pcie_x16(PcieGen::kGen4));
-  auto array = device::make_xlfdd_array(sim, link, 4);
+  device::StorageArray array(sim, link, device::xlfdd_drive_params(), 4,
+                            device::kXlfddStripeBytes);
   access::XlfddDirectAccess method;
-  access::StoragePathBackend backend(*array, "xlfdd");
+  access::StoragePathBackend backend(array, "xlfdd");
   gpusim::TraversalEngine engine(sim, method, backend,
                                  gpusim::GpuParams{});
   // A sparse graph: isolated 8 B writes inside 16 B units -> RMW.
