@@ -33,7 +33,10 @@ struct PointerChaseResult {
 };
 
 /// Runs the chase on a fresh chain through `device` behind `link`. The
-/// chain registers a listener of its own with `sim`.
+/// chain registers a listener of its own with `sim`, bound to an object
+/// that dies when the call returns; a simulator cannot drop a listener,
+/// so `sim` must run no further events afterwards. Build a fresh
+/// simulator (and devices) per chase.
 PointerChaseResult pointer_chase(sim::Simulator& sim,
                                  device::PcieLink& link,
                                  device::MemoryDevice& device,

@@ -67,7 +67,8 @@ class Simulator {
   static constexpr std::size_t kMaxListeners = kNullListener;
 
   /// Registers a listener; the returned index is this component's event
-  /// address for the lifetime of the simulator.
+  /// address for the lifetime of the simulator. There is no removal:
+  /// `self` must outlive every event the simulator runs for it.
   std::uint16_t add_listener(void* self, HandlerFn fn) {
     if (handlers_.size() >= kMaxListeners) {
       throw std::length_error("Simulator: listener table full");

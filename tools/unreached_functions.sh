@@ -32,19 +32,19 @@ oracles=(
   'cxlgraph::graph::make_star'
 )
 
-generator=()
-if command -v ninja > /dev/null; then generator=(-G Ninja); fi
 # Build type None: no per-type flags, so nothing but -O0 applies.
-cmake -B "$build" -S "$src" "${generator[@]}" \
+cmake -B "$build" -S "$src" \
   -DCMAKE_BUILD_TYPE=None \
   -DCMAKE_CXX_FLAGS="-O0 -ffunction-sections" \
   -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" \
-  -DCXLGRAPH_BUILD_TESTS=OFF > /dev/null
-cmake --build "$build" -j "${JOBS:-4}" > /dev/null
+  -DCXLGRAPH_BUILD_TESTS=OFF
+cmake --build "$build" --parallel "$(nproc)"
 
 # perfbench/ is its own CMake package; compile its driver against the
-# same library with the same flags instead of configuring it.
-${CXX:-c++} -std=c++20 -O0 -ffunction-sections -pthread \
+# same library, with the compiler and flags the build used, instead of
+# configuring it.
+cxx=$(sed -nE 's/^CMAKE_CXX_COMPILER:[A-Z]+=//p' "$build/CMakeCache.txt")
+"$cxx" -std=c++20 -O0 -ffunction-sections -pthread \
   -DPERFBENCH_BUILD_TYPE='"O0"' -I"$src/src" \
   "$src/perfbench/perfbench.cpp" "$build/libcxlgraph.a" \
   -Wl,--gc-sections -o "$build/perfbench_driver"
