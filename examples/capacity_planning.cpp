@@ -6,8 +6,8 @@
 /// prints whether the device saturates the link for the workload's measured
 /// transfer-size profile, and the predicted runtime for the dataset.
 ///
-///   ./capacity_planning --device-miops=100 --device-latency-us=3 \
-///       [--gen=4] [--scale=15] [--alignment=32]
+///   ./capacity_planning --device-miops=100 --device-latency-us=3
+///                       [--gen=4] [--scale=15] [--alignment=32]
 
 #include <algorithm>
 #include <iostream>

@@ -16,6 +16,8 @@ struct BamParams {
   /// GPU-memory software cache capacity (BaM dedicates several GB).
   std::uint64_t cache_bytes = 8ull << 30;
   std::uint32_t cache_ways = 16;
+
+  friend bool operator==(const BamParams&, const BamParams&) = default;
 };
 
 class BamAccess final : public AccessMethod {

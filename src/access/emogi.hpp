@@ -24,6 +24,8 @@ struct EmogiParams {
   /// models the slice available to edge data.
   std::uint64_t gpu_cache_bytes = 4ull << 20;
   std::uint32_t cache_ways = 16;
+
+  friend bool operator==(const EmogiParams&, const EmogiParams&) = default;
 };
 
 class EmogiAccess final : public AccessMethod {

@@ -21,6 +21,8 @@ struct UvmParams {
   /// GPU-memory page cache capacity (device memory available for pages).
   std::uint64_t resident_bytes = 8ull << 30;
   std::uint32_t cache_ways = 16;
+
+  friend bool operator==(const UvmParams&, const UvmParams&) = default;
 };
 
 class UvmAccess final : public AccessMethod {

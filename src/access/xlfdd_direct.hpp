@@ -16,6 +16,9 @@ namespace cxlgraph::access {
 struct XlfddDirectParams {
   std::uint32_t alignment = 16;
   std::uint32_t max_transfer = 2048;
+
+  friend bool operator==(const XlfddDirectParams&,
+                         const XlfddDirectParams&) = default;
 };
 
 class XlfddDirectAccess final : public AccessMethod {

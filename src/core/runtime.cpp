@@ -30,6 +30,7 @@ struct RunStack {
   std::unique_ptr<device::MemoryDevice> fast_tier;
   std::unique_ptr<device::MemoryDevice> slow_tier;
   std::unique_ptr<device::StorageArray> storage_array;
+  MethodSpec method_spec;
   std::unique_ptr<access::AccessMethod> method;
   std::unique_ptr<access::MemoryBackend> backend;
 };
@@ -41,10 +42,61 @@ std::uint64_t scaled_capacity(double fraction, std::uint64_t base,
   return std::max(scaled, floor_bytes);
 }
 
+/// The access method `req`'s backend reads through on this edge list.
+MethodSpec method_spec(const SystemConfig& cfg, const RunRequest& req,
+                       std::uint64_t edge_list_bytes) {
+  switch (req.backend) {
+    case BackendKind::kHostDram:
+    case BackendKind::kHostDramRemote:
+    case BackendKind::kCxl:
+    case BackendKind::kTieredDramCxl: {
+      access::EmogiParams ep = cfg.emogi;
+      if (req.alignment) ep.alignment = *req.alignment;
+      ep.gpu_cache_bytes = scaled_capacity(
+          cfg.emogi_cache_fraction, edge_list_bytes, cfg.emogi_cache_min_bytes);
+      return ep;
+    }
+    case BackendKind::kXlfdd: {
+      access::XlfddDirectParams xp = cfg.xlfdd;
+      if (req.alignment) xp.alignment = *req.alignment;
+      return xp;
+    }
+    case BackendKind::kBamNvme: {
+      access::BamParams bp = cfg.bam;
+      if (req.alignment) bp.line_bytes = *req.alignment;
+      bp.cache_bytes =
+          req.cache_bytes.value_or(scaled_capacity(
+              cfg.bam_cache_fraction, edge_list_bytes, 1ull << 20));
+      return bp;
+    }
+    case BackendKind::kUvm: {
+      access::UvmParams up = cfg.uvm;
+      up.resident_bytes = req.cache_bytes.value_or(scaled_capacity(
+          cfg.uvm_resident_fraction, edge_list_bytes, 1ull << 20));
+      return up;
+    }
+  }
+  throw std::invalid_argument("unknown backend");
+}
+
+std::unique_ptr<access::AccessMethod> make_method(const MethodSpec& spec) {
+  if (const auto* ep = std::get_if<access::EmogiParams>(&spec)) {
+    return std::make_unique<access::EmogiAccess>(*ep);
+  }
+  if (const auto* xp = std::get_if<access::XlfddDirectParams>(&spec)) {
+    return std::make_unique<access::XlfddDirectAccess>(*xp);
+  }
+  if (const auto* bp = std::get_if<access::BamParams>(&spec)) {
+    return std::make_unique<access::BamAccess>(*bp);
+  }
+  return std::make_unique<access::UvmAccess>(std::get<access::UvmParams>(spec));
+}
+
 /// Builds link + device + access method for the requested backend.
 RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
                      std::uint64_t edge_list_bytes) {
   RunStack s;
+  s.method_spec = method_spec(cfg, req, edge_list_bytes);
   device::PcieLinkParams link_params = device::pcie_x16(cfg.gpu_link_gen);
   if (req.backend == BackendKind::kCxl && cfg.gpu_direct_cxl) {
     // Direct GPU<->CXL path: no CPU translation in either direction.
@@ -63,11 +115,6 @@ RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
                                     : cfg.dram_remote;
       s.memory_device = std::make_unique<device::HostDram>(
           s.sim, dram_params, to_string(req.backend));
-      access::EmogiParams ep = cfg.emogi;
-      if (req.alignment) ep.alignment = *req.alignment;
-      ep.gpu_cache_bytes = scaled_capacity(
-          cfg.emogi_cache_fraction, edge_list_bytes, cfg.emogi_cache_min_bytes);
-      s.method = std::make_unique<access::EmogiAccess>(ep);
       s.backend = std::make_unique<access::MemoryPathBackend>(
           *s.link, *s.memory_device);
       break;
@@ -77,11 +124,6 @@ RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
       if (req.cxl_added_latency) cp.added_latency = *req.cxl_added_latency;
       s.memory_device = std::make_unique<device::CxlMemoryPool>(
           s.sim, cp, cfg.cxl_devices, cfg.cxl_interleave_bytes);
-      access::EmogiParams ep = cfg.emogi;
-      if (req.alignment) ep.alignment = *req.alignment;
-      ep.gpu_cache_bytes = scaled_capacity(
-          cfg.emogi_cache_fraction, edge_list_bytes, cfg.emogi_cache_min_bytes);
-      s.method = std::make_unique<access::EmogiAccess>(ep);
       s.backend = std::make_unique<access::MemoryPathBackend>(
           *s.link, *s.memory_device);
       break;
@@ -93,9 +135,6 @@ RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
       sp.qd_curve = cfg.storage_qd_curve;
       s.storage_array = std::make_unique<device::StorageArray>(
           s.sim, *s.link, sp, cfg.xlfdd_drives, device::kXlfddStripeBytes);
-      access::XlfddDirectParams xp = cfg.xlfdd;
-      if (req.alignment) xp.alignment = *req.alignment;
-      s.method = std::make_unique<access::XlfddDirectAccess>(xp);
       s.backend = std::make_unique<access::StoragePathBackend>(
           *s.storage_array, "storage:xlfdd-x" +
                                 std::to_string(cfg.xlfdd_drives));
@@ -108,17 +147,13 @@ RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
       sp.qd_curve = cfg.storage_qd_curve;
       s.storage_array = std::make_unique<device::StorageArray>(
           s.sim, *s.link, sp, cfg.nvme_drives, device::kNvmeStripeBytes);
-      access::BamParams bp = cfg.bam;
-      if (req.alignment) bp.line_bytes = *req.alignment;
-      bp.cache_bytes =
-          req.cache_bytes.value_or(scaled_capacity(
-              cfg.bam_cache_fraction, edge_list_bytes, 1ull << 20));
-      if (bp.line_bytes < s.storage_array->drive_params().min_alignment ||
-          bp.line_bytes > s.storage_array->drive_params().max_transfer) {
+      const std::uint32_t line =
+          std::get<access::BamParams>(s.method_spec).line_bytes;
+      if (line < s.storage_array->drive_params().min_alignment ||
+          line > s.storage_array->drive_params().max_transfer) {
         throw std::invalid_argument(
             "BaM line size outside NVMe transfer limits");
       }
-      s.method = std::make_unique<access::BamAccess>(bp);
       s.backend = std::make_unique<access::StoragePathBackend>(
           *s.storage_array,
           "storage:nvme-x" + std::to_string(cfg.nvme_drives));
@@ -138,11 +173,6 @@ RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
       tp.fast_bytes = tp.fast_bytes / 4096 * 4096;  // page-rounded split
       s.memory_device = std::make_unique<device::TieredMemory>(
           *s.fast_tier, *s.slow_tier, tp);
-      access::EmogiParams ep = cfg.emogi;
-      if (req.alignment) ep.alignment = *req.alignment;
-      ep.gpu_cache_bytes = scaled_capacity(
-          cfg.emogi_cache_fraction, edge_list_bytes, cfg.emogi_cache_min_bytes);
-      s.method = std::make_unique<access::EmogiAccess>(ep);
       s.backend = std::make_unique<access::MemoryPathBackend>(
           *s.link, *s.memory_device);
       break;
@@ -150,15 +180,12 @@ RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
     case BackendKind::kUvm: {
       s.storage_array = std::make_unique<device::StorageArray>(
           s.sim, *s.link, access::uvm_fault_engine_params(), 1, 4096);
-      access::UvmParams up = cfg.uvm;
-      up.resident_bytes = req.cache_bytes.value_or(scaled_capacity(
-          cfg.uvm_resident_fraction, edge_list_bytes, 1ull << 20));
-      s.method = std::make_unique<access::UvmAccess>(up);
       s.backend = std::make_unique<access::StoragePathBackend>(
           *s.storage_array, "storage:uvm-fault-path");
       break;
     }
   }
+  s.method = make_method(s.method_spec);
   return s;
 }
 
@@ -325,9 +352,14 @@ TraceRunResult ExternalGraphRuntime::run_profiled(
       held_->algorithm != request.algorithm || held_->source != source) {
     held_.reset();
     algo::AccessTrace trace = make_trace(graph, request.algorithm, source);
-    held_ = HeldTrace{graph.id(), request.algorithm, source, std::move(trace)};
+    held_ = HeldTrace{graph.id(), request.algorithm, source, std::move(trace),
+                      std::nullopt};
   }
-  return run_trace(held_->trace, request, graph, source);
+  TraceRunResult result = replay(held_->trace, request,
+                                 graph.edge_list_bytes(), &held_->expansion);
+  result.report.source = source;
+  result.report.graph_edges = graph.num_edges();
+  return result;
 }
 
 TraceRunResult ExternalGraphRuntime::run_trace(
@@ -342,6 +374,13 @@ TraceRunResult ExternalGraphRuntime::run_trace(
 TraceRunResult ExternalGraphRuntime::run_trace(
     const algo::AccessTrace& trace, const RunRequest& request,
     std::uint64_t edge_list_bytes) const {
+  return replay(trace, request, edge_list_bytes, nullptr);
+}
+
+TraceRunResult ExternalGraphRuntime::replay(
+    const algo::AccessTrace& trace, const RunRequest& request,
+    std::uint64_t edge_list_bytes,
+    std::optional<HeldExpansion>* held) const {
   RunStack stack = build_stack(config_, request, edge_list_bytes);
   gpusim::TraversalEngine engine(stack.sim, *stack.method, *stack.backend,
                                  config_.gpu);
@@ -349,7 +388,16 @@ TraceRunResult ExternalGraphRuntime::run_trace(
   if (telemetry_ != nullptr && telemetry_->enabled()) {
     observer = attach_run_observer(*telemetry_, stack);
   }
-  const gpusim::EngineResult engine_result = engine.run(trace);
+  if (held != nullptr &&
+      (!*held || (*held)->method != stack.method_spec)) {
+    // The stack's method is cold, as a replay needs it: expanding the
+    // whole trace through it equals the engine's step-by-step expansion.
+    held->reset();
+    *held = HeldExpansion{stack.method_spec,
+                          gpusim::expand_trace(*stack.method, trace)};
+  }
+  const gpusim::EngineResult engine_result =
+      held != nullptr ? engine.run(trace, (*held)->reads) : engine.run(trace);
   if (observer != nullptr) {
     observer->finish();
     stack.sim.set_observer(nullptr);

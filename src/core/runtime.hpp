@@ -16,6 +16,7 @@
 
 #include <optional>
 #include <string>
+#include <variant>
 
 #include "algo/trace.hpp"
 #include "core/system_config.hpp"
@@ -98,6 +99,13 @@ struct TraceRunResult {
   std::uint64_t events = 0;
 };
 
+/// The access method a run reads through, as its kind and construction
+/// parameters. Equal specs expand every trace identically: host DRAM,
+/// remote DRAM, CXL and tiered stacks all read through EMOGI, so their
+/// specs match whenever alignment and cache size do.
+using MethodSpec = std::variant<access::EmogiParams, access::XlfddDirectParams,
+                                access::BamParams, access::UvmParams>;
+
 /// False for the algorithms whose traversal never reads the source:
 /// kCc and kPagerankScan sweep the whole graph, so make_trace — and a
 /// ClusterRuntime decomposition — yields the same trace for every source.
@@ -139,10 +147,16 @@ class ExternalGraphRuntime {
   /// once. On a miss the held trace is dropped before the new one is
   /// built, so at most one trace and one stack are alive; a make_trace
   /// that throws leaves nothing held. A graph with id 0 never matches.
+  ///
+  /// Beside the trace it holds the trace's expansion through the last
+  /// access method it replayed (gpusim::expand_trace), keyed by that
+  /// method's MethodSpec, so the replays of a latency sweep expand the
+  /// trace once. A different spec replaces it.
   TraceRunResult run_profiled(const graph::CsrGraph& graph,
                               const RunRequest& request);
 
-  /// Replays a prepared access trace through a freshly built backend stack.
+  /// Replays a prepared access trace through a freshly built backend stack,
+  /// expanding each step's reads as it goes.
   /// `edge_list_bytes` is the size of the edge list resident on this
   /// runtime's external memory (cache capacities scale with it); for a
   /// cluster shard that is the shard's slice, not the whole graph. The
@@ -190,13 +204,27 @@ class ExternalGraphRuntime {
   }
 
  private:
+  /// A held trace's expansion and the access method it was made with.
+  struct HeldExpansion {
+    MethodSpec method;
+    gpusim::ReadExpansion reads;
+  };
+
   /// run_profiled's last trace and the key it was built for.
   struct HeldTrace {
     std::uint64_t graph_id = 0;
     Algorithm algorithm = Algorithm::kBfs;
     graph::VertexId source = 0;
     algo::AccessTrace trace;
+    std::optional<HeldExpansion> expansion;
   };
+
+  /// run_trace's replay. With `held` set, the replay reads from *held
+  /// when its method matches this stack's, after rebuilding it otherwise.
+  TraceRunResult replay(const algo::AccessTrace& trace,
+                        const RunRequest& request,
+                        std::uint64_t edge_list_bytes,
+                        std::optional<HeldExpansion>* held) const;
 
   SystemConfig config_;
   obs::Telemetry* telemetry_ = nullptr;

@@ -16,6 +16,8 @@ CxlDevice::CxlDevice(Simulator& sim, const CxlDeviceParams& params,
   validate(params.thermal);
   fault::validate(params.io_faults);
   io_faulty_ = params.io_faults.enabled;
+  ingress_covers_egress_ =
+      params.socket_hop + params.port_ingress >= params.port_egress;
   listener_ = sim_.add_listener(this, &CxlDevice::on_event);
   caps_.name = std::move(name);
   caps_.min_alignment = 1;
@@ -49,6 +51,7 @@ void CxlDevice::read(std::uint64_t addr, std::uint32_t bytes, ReadyFn ready) {
     }
   }
   sim_.schedule_after(entry, listener_, kIngress, parent, flit_count);
+  ingress_flits_ += flit_count;
 }
 
 void CxlDevice::admit_flit(std::uint32_t parent_slot) {
@@ -80,8 +83,6 @@ void CxlDevice::admit_flit(std::uint32_t parent_slot) {
       {dram_ready, arrival + params_.added_latency, last_pop_time_});
   last_pop_time_ = pop_time;
 
-  stats_.internal_latency_us.add(util::us_from_ps(pop_time - arrival));
-
   sim_.schedule_at(pop_time, listener_, kPop, parent_slot);
 }
 
@@ -92,6 +93,12 @@ void CxlDevice::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
     case kIngress: {
       const auto parent = static_cast<std::uint32_t>(a);
       const auto flit_count = static_cast<std::uint32_t>(b);
+      dev->ingress_flits_ -= flit_count;
+      while (!dev->recorded_frees_.empty() &&
+             dev->retired(dev->recorded_frees_.front())) {
+        dev->recorded_frees_.pop_front();
+        --dev->flits_in_flight_;
+      }
       for (std::uint32_t i = 0; i < flit_count; ++i) {
         if (dev->flits_in_flight_ < dev->params_.device_tags) {
           ++dev->flits_in_flight_;
@@ -107,8 +114,33 @@ void CxlDevice::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
       // The FPGA's outstanding-request budget spans the whole device
       // residency, so the tag is released only once the flit has also
       // crossed the egress port.
-      dev->sim_.schedule_after(dev->params_.port_egress, dev->listener_,
-                               kTagFree);
+      //
+      // When no flit can be waiting by then, the free is recorded at the
+      // (time, seq) its kTagFree would take instead of scheduled. Exact:
+      // a kIngress that runs before the free was scheduled before this
+      // kPop, because it runs at least socket_hop + port_ingress >=
+      // port_egress after its read(), and a read() at this very time but
+      // after this kPop pushes a later seq than the free would have. So
+      // every flit that can arrive first is counted in ingress_flits_,
+      // and flits_in_flight_ + ingress_flits_ <= device_tags admits them
+      // all: with waiting_flits_ empty, none waits, and the elided
+      // kTagFree would only have decremented flits_in_flight_. Every
+      // other push keeps its relative (time, seq) order, and the
+      // decrement lands where the event would have run: at the first
+      // kIngress after it, or in flits_in_flight(). A free past the last
+      // picosecond is scheduled, so schedule_after still rejects it.
+      SimTime free_time = 0;
+      if (dev->ingress_covers_egress_ && dev->waiting_flits_.empty() &&
+          dev->flits_in_flight_ + dev->ingress_flits_ <=
+              dev->params_.device_tags &&
+          !__builtin_add_overflow(dev->sim_.now(), dev->params_.port_egress,
+                                  &free_time)) {
+        dev->recorded_frees_.push_back(
+            TagFree{free_time, dev->sim_.next_seq()});
+      } else {
+        dev->sim_.schedule_after(dev->params_.port_egress, dev->listener_,
+                                 kTagFree);
+      }
       if (--dev->parents_[parent].flits_remaining == 0) {
         dev->sim_.schedule_after(
             dev->params_.port_egress + dev->params_.socket_hop,
@@ -191,7 +223,6 @@ DeviceStats sum_stats(
   for (const auto& d : devices) {
     out.requests += d->stats().requests;
     out.bytes += d->stats().bytes;
-    out.internal_latency_us.merge(d->stats().internal_latency_us);
   }
   return out;
 }

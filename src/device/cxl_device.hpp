@@ -75,7 +75,15 @@ class CxlDevice final : public MemoryDevice {
   const DeviceStats& stats() const noexcept override { return stats_; }
 
   const CxlDeviceParams& params() const noexcept { return params_; }
-  std::uint32_t flits_in_flight() const noexcept { return flits_in_flight_; }
+  /// Device tags held now, as seen by the event being dispatched.
+  std::uint32_t flits_in_flight() const noexcept {
+    std::uint32_t held = flits_in_flight_;
+    for (const TagFree& f : recorded_frees_) {
+      if (!retired(f)) break;
+      --held;
+    }
+    return held;
+  }
 
   /// Thermal observables (0 / false while params().thermal is off).
   double heat() const noexcept { return thermal_.heat(); }
@@ -119,10 +127,23 @@ class CxlDevice final : public MemoryDevice {
     kWriteCoherent,  ///< coherency round done; write enters the pipeline
   };
 
+  /// A tag free recorded instead of scheduled as kTagFree: the time and
+  /// sequence number that event would have had.
+  struct TagFree {
+    SimTime time;
+    std::uint64_t seq;
+  };
+
   static void on_event(void* self, std::uint16_t opcode, std::uint32_t a,
                        std::uint32_t b);
 
   void admit_flit(std::uint32_t parent_slot);
+  /// True once the elided kTagFree of `f` would have run: it was due
+  /// earlier, or now and pushed no later than the dispatching event.
+  bool retired(const TagFree& f) const noexcept {
+    return f.time < sim_.now() ||
+           (f.time == sim_.now() && f.seq <= sim_.event_seq());
+  }
 
   Simulator& sim_;
   CxlDeviceParams params_;
@@ -133,8 +154,17 @@ class CxlDevice final : public MemoryDevice {
 
   util::SlotPool<ParentRead> parents_;
   util::SlotPool<PendingWrite> pending_writes_;
+  /// Tags held, counting recorded frees not yet retired.
   std::uint32_t flits_in_flight_ = 0;
   std::deque<std::uint32_t> waiting_flits_;  // parent slot per queued flit
+  /// Recorded tag frees in (time, seq) order, at most one per flit in
+  /// flight; kIngress retires the due prefix before it admits.
+  std::deque<TagFree> recorded_frees_;
+  /// Flits of this device's kIngress events scheduled but not yet run.
+  std::uint64_t ingress_flits_ = 0;
+  /// socket_hop + port_ingress >= port_egress: every kIngress that runs
+  /// before a tag free was scheduled before the kPop that frees it.
+  bool ingress_covers_egress_ = false;
   SimTime channel_busy_until_ = 0;
   /// Latency-bridge FIFO ordering: pops are monotone in time.
   SimTime last_pop_time_ = 0;

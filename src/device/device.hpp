@@ -14,7 +14,6 @@
 #include <string>
 
 #include "sim/simulator.hpp"
-#include "util/stats.hpp"
 
 namespace cxlgraph::device {
 
@@ -41,7 +40,6 @@ struct DeviceCaps {
 struct DeviceStats {
   std::uint64_t requests = 0;
   std::uint64_t bytes = 0;
-  util::OnlineStats internal_latency_us;  // request arrival -> data ready
 };
 
 /// Base class for device models. `read` is called when the request arrives

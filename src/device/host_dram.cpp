@@ -26,7 +26,6 @@ void HostDram::read(std::uint64_t addr, std::uint32_t bytes, ReadyFn ready) {
   channel_busy_until_ = slot_start + transfer;
   const SimTime ready_time =
       channel_busy_until_ + params_.access_latency + params_.socket_hop;
-  stats_.internal_latency_us.add(util::us_from_ps(ready_time - arrival));
   sim_.schedule_at(ready_time, std::move(ready));
 }
 

@@ -20,6 +20,7 @@
 
 #include "device/device.hpp"
 #include "util/slot_pool.hpp"
+#include "util/stats.hpp"
 #include "util/units.hpp"
 
 namespace cxlgraph::device {

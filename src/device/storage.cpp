@@ -40,7 +40,7 @@ void StorageDrive::submit(std::uint64_t addr, std::uint32_t bytes,
   ++stats_.requests;
   stats_.bytes += bytes;
   const std::uint32_t slot =
-      pool_.acquire(Pending{bytes, /*is_write=*/false, done, 0});
+      pool_.acquire(Pending{bytes, /*is_write=*/false, done});
   if (outstanding_ >= params_.queue_depth) {
     waiting_.push_back(slot);
     return;
@@ -64,7 +64,7 @@ void StorageDrive::submit_write(std::uint64_t addr, std::uint32_t bytes,
   stats_.bytes += bytes;
   stats_.written_bytes += bytes;
   const std::uint32_t slot =
-      pool_.acquire(Pending{bytes, /*is_write=*/true, done, 0});
+      pool_.acquire(Pending{bytes, /*is_write=*/true, done});
   if (outstanding_ >= params_.queue_depth) {
     waiting_.push_back(slot);
     return;
@@ -76,7 +76,6 @@ void StorageDrive::submit_write(std::uint64_t addr, std::uint32_t bytes,
 }
 
 void StorageDrive::start_write(std::uint32_t slot) {
-  pool_[slot].submit_time = sim_.now();
   // Pull the payload out of GPU memory over the shared link (upstream),
   // then program the media at the write service rate.
   link_.upstream_transfer(pool_[slot].bytes,
@@ -123,7 +122,6 @@ double StorageDrive::service_stretch(SimTime now, std::uint32_t bytes) {
 void StorageDrive::start(std::uint32_t slot) {
   Pending& p = pool_[slot];
   const SimTime submit_time = sim_.now();
-  p.submit_time = submit_time;
 
   SimTime interval = service_interval_;
   auto transfer = static_cast<SimTime>(
@@ -168,11 +166,8 @@ void StorageDrive::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
   const auto slot = static_cast<std::uint32_t>(a);
   switch (opcode) {
     case kDataAtLink: {
-      const Pending& p = drive->pool_[slot];
-      drive->stats_.service_latency_us.add(
-          util::us_from_ps(drive->sim_.now() - p.submit_time));
       drive->link_.storage_deliver(
-          p.bytes, sim::Callback{drive->listener_, kDelivered, slot});
+          drive->pool_[slot].bytes, sim::Callback{drive->listener_, kDelivered, slot});
       break;
     }
     case kDelivered:
@@ -226,8 +221,6 @@ void StorageDrive::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
       break;
     }
     case kProgrammed:
-      drive->stats_.service_latency_us.add(util::us_from_ps(
-          drive->sim_.now() - drive->pool_[slot].submit_time));
       drive->finish(slot);
       break;
   }

@@ -68,7 +68,6 @@ struct StorageDriveStats {
   std::uint64_t requests = 0;
   std::uint64_t bytes = 0;
   std::uint64_t written_bytes = 0;  // write-path share of `bytes`
-  util::OnlineStats service_latency_us;  // submit -> data handed to link
   std::uint64_t peak_outstanding = 0;
   /// State-model observations (zero while every model is off).
   std::uint64_t throttled_requests = 0;
@@ -113,7 +112,6 @@ class StorageDrive {
     std::uint32_t bytes = 0;
     bool is_write = false;
     DoneFn done;
-    SimTime submit_time = 0;
   };
 
   enum Op : std::uint16_t {

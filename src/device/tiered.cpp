@@ -61,10 +61,6 @@ const DeviceStats& TieredMemory::stats() const noexcept {
   aggregate_stats_.requests =
       fast_.stats().requests + slow_.stats().requests;
   aggregate_stats_.bytes = fast_.stats().bytes + slow_.stats().bytes;
-  aggregate_stats_.internal_latency_us.merge(
-      fast_.stats().internal_latency_us);
-  aggregate_stats_.internal_latency_us.merge(
-      slow_.stats().internal_latency_us);
   return aggregate_stats_;
 }
 

@@ -5,6 +5,20 @@
 
 namespace cxlgraph::gpusim {
 
+namespace {
+
+/// Appends the expansions of `reads`, in order, to `out`.
+void expand_reads(access::AccessMethod& method,
+                  std::span<const algo::SublistRef> reads,
+                  ReadExpansion& out) {
+  for (const algo::SublistRef& read : reads) {
+    method.expand(read, out.txns);
+    out.read_begin.push_back(out.txns.size());
+  }
+}
+
+}  // namespace
+
 TraversalEngine::TraversalEngine(Simulator& sim,
                                  access::AccessMethod& method,
                                  access::MemoryBackend& backend,
@@ -55,24 +69,14 @@ void TraversalEngine::on_event(void* self, std::uint16_t opcode,
 void TraversalEngine::pump_reads(std::uint32_t warp_index) {
   WarpState& w = warps_[warp_index];
   while (w.in_flight < params_.warp_mlp) {
-    if (w.next_txn == w.txns.size()) {
-      bool got_work = false;
-      while (next_read_ < num_reads_) {
-        const algo::SublistRef& read = reads_[next_read_++];
-        ++step_result_.sublist_reads;
-        step_result_.used_bytes += read.byte_len;
-        w.txns.clear();
-        w.next_txn = 0;
-        method_.expand(read, w.txns);
-        if (!w.txns.empty()) {
-          got_work = true;
-          break;
-        }
-        // Full cache hit: the sublist costs no external traffic.
-      }
-      if (!got_work) return;  // work queue drained; warp goes idle
+    // An empty range is a full cache hit: the sublist costs no external
+    // traffic, and the warp pulls the next read.
+    while (w.next_txn == w.end_txn) {
+      if (next_read_ == num_reads_) return;  // work drained; warp idles
+      w.next_txn = read_begin_[next_read_];
+      w.end_txn = read_begin_[++next_read_];
     }
-    const access::Transaction txn = w.txns[w.next_txn++];
+    const access::Transaction& txn = txns_[w.next_txn++];
     ++w.in_flight;
     ++step_result_.transactions;
     step_result_.fetched_bytes += txn.bytes;
@@ -102,7 +106,30 @@ void TraversalEngine::pump_writes(std::uint32_t warp_index) {
   }
 }
 
+ReadExpansion expand_trace(access::AccessMethod& method,
+                           const algo::AccessTrace& trace) {
+  ReadExpansion out;
+  out.txns.reserve(trace.read_arena.size());
+  out.read_begin.reserve(trace.read_arena.size() + 1);
+  expand_reads(method, trace.read_arena, out);
+  return out;
+}
+
 EngineResult TraversalEngine::run(const algo::AccessTrace& trace) {
+  return replay(trace, nullptr);
+}
+
+EngineResult TraversalEngine::run(const algo::AccessTrace& trace,
+                                  const ReadExpansion& expansion) {
+  if (expansion.read_begin.size() != trace.read_arena.size() + 1) {
+    throw std::invalid_argument(
+        "TraversalEngine: expansion is not of this trace");
+  }
+  return replay(trace, &expansion);
+}
+
+EngineResult TraversalEngine::replay(const algo::AccessTrace& trace,
+                                     const ReadExpansion* whole) {
   EngineResult result;
   const SimTime run_start = sim_.now();
 
@@ -111,15 +138,27 @@ EngineResult TraversalEngine::run(const algo::AccessTrace& trace) {
     const auto step_writes = trace.step_writes(s);
     const SimTime step_start = sim_.now();
 
-    reads_ = step_reads.data();
+    if (whole != nullptr) {
+      txns_ = whole->txns.data();
+      read_begin_ = whole->read_begin.data() +
+                    (s == 0 ? 0 : trace.step_ends[s - 1].read_end);
+    } else {
+      step_expansion_.txns.clear();
+      step_expansion_.read_begin.resize(1);
+      expand_reads(method_, step_reads, step_expansion_);
+      txns_ = step_expansion_.txns.data();
+      read_begin_ = step_expansion_.read_begin.data();
+    }
     num_reads_ = step_reads.size();
     next_read_ = 0;
     step_result_ = StepResult{};
-    for (WarpState& w : warps_) {
-      w.txns.clear();
-      w.next_txn = 0;
-      w.in_flight = 0;
+    // Warps pull every read before the step drains, so its read counts
+    // are known up front.
+    step_result_.sublist_reads = num_reads_;
+    for (const algo::SublistRef& read : step_reads) {
+      step_result_.used_bytes += read.byte_len;
     }
+    for (WarpState& w : warps_) w = WarpState{};
 
     // Kernel launch, then all warps start pulling work; the simulator run
     // is the step barrier (the step is done when no events remain).

@@ -52,6 +52,21 @@ struct StepResult {
   std::uint64_t rmw_reads = 0;           // storage read-modify-write cycles
 };
 
+/// Pass 1 of a replay: the transactions an access method issues for each
+/// read, in read order. Read i's transactions are
+/// txns[read_begin[i], read_begin[i + 1]); an empty range is a full cache
+/// hit. The expansion depends on read order alone, never on timing: warps
+/// pull reads strictly in trace order, so the method's cache sees the same
+/// sequence whichever warp pulls a read.
+struct ReadExpansion {
+  std::vector<access::Transaction> txns;
+  std::vector<std::uint64_t> read_begin{0};
+};
+
+/// The expansion of every read of `trace`, steps in order.
+ReadExpansion expand_trace(access::AccessMethod& method,
+                           const algo::AccessTrace& trace);
+
 struct EngineResult {
   SimTime total_time = 0;
   std::uint64_t used_bytes = 0;     // E
@@ -89,16 +104,22 @@ class TraversalEngine {
 
   /// Replays the whole trace; returns aggregate and per-step results.
   /// Runs the simulator to completion for each step (barrier semantics).
+  /// Each step's reads are expanded through the access method into one
+  /// reused buffer before the step runs.
   EngineResult run(const algo::AccessTrace& trace);
 
+  /// Same replay from `expansion`, expand_trace's result for this trace
+  /// and an access method built like this engine's; the engine's own
+  /// method then expands nothing. Bit-identical to run(trace).
+  EngineResult run(const algo::AccessTrace& trace,
+                   const ReadExpansion& expansion);
+
  private:
-  /// One warp's execution state: the expansion of its current sublist and
-  /// how far it has issued into it. Pooled across steps and traces — the
-  /// transaction buffers keep their capacity, so the steady state issues
-  /// no allocations.
+  /// One warp's execution state: the transaction range of its current
+  /// read and how far it has issued into it.
   struct WarpState {
-    std::vector<access::Transaction> txns;
-    std::size_t next_txn = 0;
+    std::uint64_t next_txn = 0;
+    std::uint64_t end_txn = 0;
     std::uint32_t in_flight = 0;
   };
 
@@ -131,6 +152,10 @@ class TraversalEngine {
   void pump_writes(std::uint32_t warp_index);
   void coalesce_writes(std::span<const algo::WriteRef> writes,
                        std::uint32_t alignment, std::uint64_t cap);
+  /// Both run()s: replays every step, from `whole` when it is set and from
+  /// a per-step expansion otherwise.
+  EngineResult replay(const algo::AccessTrace& trace,
+                      const ReadExpansion* whole);
 
   Simulator& sim_;
   access::AccessMethod& method_;
@@ -141,7 +166,10 @@ class TraversalEngine {
   // Per-step replay state (reset at each step; buffers reuse capacity).
   std::vector<WarpState> warps_;
   std::vector<WriteTxn> wtxns_;
-  const algo::SublistRef* reads_ = nullptr;
+  ReadExpansion step_expansion_;
+  /// The step's transactions, and read i's range start, i <= num_reads_.
+  const access::Transaction* txns_ = nullptr;
+  const std::uint64_t* read_begin_ = nullptr;
   std::size_t num_reads_ = 0;
   std::size_t next_read_ = 0;
   std::size_t next_write_ = 0;

@@ -205,11 +205,16 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
   std::vector<std::function<QueryProfile()>> tasks;
   for (const std::size_t k : single_todo) {
     tasks.push_back([this, &graph, &base, &mix, slot = slots[k]]() {
-      core::ExternalGraphRuntime runtime(config_);
+      const core::ExternalGraphRuntime runtime(config_);
       core::RunRequest req = base;
       req.algorithm = mix[slot.class_index].algorithm;
       req.source = slot.source;
-      core::TraceRunResult run = runtime.run_profiled(graph, req);
+      // One replay per trace: run_trace expands it step by step rather
+      // than holding a whole expansion that nothing replays again.
+      const algo::AccessTrace trace =
+          runtime.make_trace(graph, req.algorithm, slot.source);
+      core::TraceRunResult run =
+          runtime.run_trace(trace, req, graph, slot.source);
       QueryProfile p;
       p.report = std::move(run.report);
       p.step_ps = std::move(run.step_durations);

@@ -74,6 +74,9 @@ class EventQueue {
 
   bool empty() const noexcept { return sources_ == 0; }
 
+  /// The sequence number the next push takes.
+  std::uint64_t next_seq() const noexcept { return next_seq_; }
+
   /// Removes and returns the earliest event. Undefined when empty().
   Event pop() {
     const std::uint32_t source = heads_.front().source;

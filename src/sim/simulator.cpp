@@ -23,6 +23,7 @@ std::uint64_t Simulator::run(std::uint64_t max_events) {
     }
     const Event ev = queue_.pop();
     now_ = ev.time;
+    event_seq_ = ev.seq;
     if (observer_ != nullptr) {
       observer_->on_event(now_, ev.listener, ev.opcode);
     }

@@ -57,6 +57,14 @@ class Simulator {
   SimTime now() const noexcept { return now_; }
   std::uint64_t events_processed() const noexcept { return processed_; }
 
+  /// The sequence number the next scheduled event takes, and the one of
+  /// the event being (or last) dispatched. Together with now() they place
+  /// a component's own record of an elided event exactly where the event
+  /// would have run: before every event pushed after it, after every
+  /// event pushed before it at the same time.
+  std::uint64_t next_seq() const noexcept { return queue_.next_seq(); }
+  std::uint64_t event_seq() const noexcept { return event_seq_; }
+
   /// Attaches (or detaches, with nullptr) a passive dispatch observer.
   /// Costs one predictable branch per event when detached.
   void set_observer(EventObserver* observer) noexcept {
@@ -132,6 +140,7 @@ class Simulator {
   EventQueue queue_;
   std::vector<Handler> handlers_;
   SimTime now_ = 0;
+  std::uint64_t event_seq_ = 0;
   std::uint64_t processed_ = 0;
   EventObserver* observer_ = nullptr;
 };

@@ -30,9 +30,6 @@ class OnlineStats {
   double max() const noexcept { return count_ ? max_ : 0.0; }
   double sum() const noexcept { return sum_; }
 
-  /// Merges another accumulator into this one (parallel reduction).
-  void merge(const OnlineStats& other) noexcept;
-
  private:
   std::uint64_t count_ = 0;
   double mean_ = 0.0;

@@ -248,6 +248,46 @@ TEST(Runtime, HeldTraceRunsMatchFreshRuntimes) {
   }
 }
 
+// One held trace replayed through a run of access methods: the held
+// expansion may serve a replay only when the method's kind and every
+// construction parameter match (host DRAM and CXL share EMOGI's; alignment
+// and cache size do not). Each run must equal a fresh runtime's and the
+// step-by-step run_trace replay, events included.
+TEST(Runtime, HeldExpansionsMatchFreshRuntimes) {
+  const graph::CsrGraph g = test_graph();
+  RunRequest dram;
+  dram.algorithm = Algorithm::kSssp;
+  RunRequest cxl = dram;
+  cxl.backend = BackendKind::kCxl;
+  cxl.cxl_added_latency = util::ps_from_us(0.5);
+  RunRequest slower = cxl;
+  slower.cxl_added_latency = util::ps_from_us(2.0);
+  RunRequest aligned = cxl;
+  aligned.alignment = 64;
+  RunRequest bam = dram;
+  bam.backend = BackendKind::kBamNvme;
+  bam.cache_bytes = 64u << 10;
+  RunRequest bigger_bam = bam;
+  bigger_bam.cache_bytes = 1u << 20;
+  RunRequest xlfdd = dram;
+  xlfdd.backend = BackendKind::kXlfdd;
+
+  const graph::VertexId source =
+      resolve_source(g, dram.source, dram.source_seed);
+  ExternalGraphRuntime rt(table4_system());
+  const algo::AccessTrace trace = rt.make_trace(g, dram.algorithm, source);
+  for (const RunRequest& req :
+       {dram, cxl, slower, aligned, bam, bigger_bam, xlfdd, cxl}) {
+    SCOPED_TRACE(to_string(req.backend) + " align " +
+                 std::to_string(req.alignment.value_or(0)) + " cache " +
+                 std::to_string(req.cache_bytes.value_or(0)));
+    const TraceRunResult held = rt.run_profiled(g, req);
+    expect_same_run(held,
+                    ExternalGraphRuntime(table4_system()).run_profiled(g, req));
+    expect_same_run(held, rt.run_trace(trace, req, g, source));
+  }
+}
+
 // The source pick runs only when a request names no source: an explicit
 // source needs no edges, while a pick on an edgeless graph still throws.
 TEST(Runtime, ExplicitSourceRunsOnAnEdgelessGraph) {

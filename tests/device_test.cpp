@@ -459,6 +459,88 @@ TEST(CxlPool, TagSaturationGolden) {
   EXPECT_EQ(fold, 0x899ca60f3cff9588ULL);
 }
 
+TEST(CxlPool, TagFreeRecordsAreInvisible) {
+  // A device records a flit's tag free instead of scheduling it when no
+  // flit can be waiting before it; the record must be invisible. Each
+  // trial alternates bursts that fill the device tags with trickles that
+  // drain them, so one run switches between recorded and scheduled frees.
+  // Port shapes include port_ingress < port_egress, where every free is
+  // scheduled unless the socket hop covers the gap; writes, I/O faults and
+  // the socket hop vary per trial. Completions fold (time, request id,
+  // tags held) in completion order, ties included; the pin was taken on
+  // the device code from before frees were recorded.
+  std::uint64_t fold = 0xcbf29ce484222325ULL;
+  const auto mix = [&fold](std::uint64_t x) {
+    fold = (fold ^ x) * 0x100000001b3ULL;
+  };
+  const SimTime grid = ps_from_ns(125);
+  const SimTime ports[][2] = {  // {port_ingress, port_egress}
+      {2 * grid, 2 * grid},
+      {grid, 2 * grid},
+      {3 * grid, 2 * grid},
+      {2 * grid, 3 * grid}};
+  int saturated = 0;
+  for (std::uint64_t trial = 0; trial < 32; ++trial) {
+    util::Xoshiro256 rng(trial + 101);
+    CxlDeviceParams p;
+    p.device_tags = 2 + static_cast<std::uint32_t>(rng.next_below(7));
+    p.added_latency = grid * rng.next_below(9);  // 0..1 us
+    p.port_ingress = ports[trial % 4][0];
+    p.port_egress = ports[trial % 4][1];
+    p.socket_hop = trial / 4 % 2 == 1 ? grid : 0;
+    p.io_faults.enabled = trial / 8 % 2 == 1;
+    p.io_faults.error_rate = 0.3;
+    p.io_faults.seed = trial;
+    p.io_faults.retry_base = grid;
+    ClosureSim sim;
+    CxlMemoryPool pool(sim, p, 2, 4096);
+
+    std::uint32_t next_id = 0;
+    std::uint32_t peak = 0;  // most tags one device held at a completion
+    const auto held = [&pool] {
+      return pool.device(0).flits_in_flight() +
+             pool.device(1).flits_in_flight();
+    };
+    const auto issue = [&](SimTime at) {
+      const std::uint64_t addr =
+          rng.next_below(16) * 4096 + rng.next_below(32) * 128;
+      const std::uint32_t bytes = 32u << rng.next_below(3);  // 32..128 B
+      const bool write = rng.next_below(5) == 0;
+      sim.schedule_at(at, [&, addr, bytes, write] {
+        const std::uint32_t id = next_id++;
+        const ReadyFn done = sim.make_callback([&, id] {
+          mix(sim.now());
+          mix(id);
+          mix(held());
+          peak = std::max({peak, pool.device(0).flits_in_flight(),
+                           pool.device(1).flits_in_flight()});
+        });
+        if (write) {
+          pool.write(addr, bytes, done);
+        } else {
+          pool.read(addr, bytes, done);
+        }
+      });
+    };
+    for (int phase = 0; phase < 6; ++phase) {
+      // A burst in one picosecond, then a trickle on the port grid.
+      SimTime at = ps_from_us(20) * static_cast<SimTime>(phase);
+      for (std::uint64_t n = 8 + rng.next_below(17); n > 0; --n) issue(at);
+      at += ps_from_us(8);
+      for (int n = 0; n < 16; ++n) {
+        at += grid * (1 + rng.next_below(8));
+        issue(at);
+      }
+    }
+    sim.run();
+    EXPECT_EQ(held(), 0u) << "trial " << trial;
+    EXPECT_LE(peak, p.device_tags) << "trial " << trial;
+    if (peak == p.device_tags) ++saturated;
+  }
+  EXPECT_GE(saturated, 16);
+  EXPECT_EQ(fold, 0x7b998bdd71e04bc4ULL);
+}
+
 TEST(CxlPool, AddedLatencyReachesEveryDevice) {
   Simulator sim;
   CxlDeviceParams p;

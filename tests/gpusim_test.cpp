@@ -180,6 +180,62 @@ TEST(Engine, StorageBackendWorksEndToEnd) {
   EXPECT_GT(r.total_time, 0u);
 }
 
+// Reads that EMOGI's cache holds whole expand to no transactions, and a
+// step may read nothing (writes only, or nothing at all). Both replays,
+// step by step and from expand_trace, must give what the engine gave when
+// each warp expanded a read as it pulled it: the fold is pinned on that
+// engine.
+TEST(Engine, CachedReadsAndReadlessStepsReplayAsBefore) {
+  algo::AccessTrace trace;
+  for (std::uint64_t v = 0; v < 256; ++v) trace.add_sublist(v, v * 96, 96);
+  trace.commit_step();
+  // Every fourth read is new; the others hit lines step 0 brought in.
+  for (std::uint64_t v = 0; v < 256; ++v) {
+    trace.add_sublist(v, (v % 4 == 0 ? 65536 : 0) + v * 96, 96);
+  }
+  trace.commit_step();
+  for (std::uint64_t v = 0; v < 64; ++v) trace.add_write({v * 8, 8});
+  trace.commit_step();
+  trace.commit_step(/*keep_if_empty=*/true);
+
+  GpuParams gp;
+  gp.num_warps = 32;
+  const auto replay = [&trace, &gp](bool whole) {
+    sim::Simulator sim;
+    device::PcieLink link(sim, device::pcie_x16(device::PcieGen::kGen4));
+    device::HostDram dram(sim, device::HostDramParams{});
+    access::EmogiAccess method(access::EmogiParams{});
+    access::MemoryPathBackend backend(link, dram);
+    TraversalEngine engine(sim, method, backend, gp);
+    return whole ? engine.run(trace, expand_trace(method, trace))
+                 : engine.run(trace);
+  };
+  for (const bool whole : {false, true}) {
+    SCOPED_TRACE(whole ? "whole-trace expansion" : "per-step expansion");
+    const EngineResult r = replay(whole);
+    ASSERT_EQ(r.steps.size(), 4u);
+    EXPECT_EQ(r.steps[1].sublist_reads, 256u);
+    EXPECT_EQ(r.steps[1].used_bytes, 256u * 96);
+    EXPECT_EQ(r.steps[2].sublist_reads, 0u);
+    EXPECT_GT(r.steps[2].write_transactions, 0u);
+    EXPECT_EQ(r.steps[3].duration, gp.step_launch_overhead);
+    std::uint64_t fold = 0xcbf29ce484222325ULL;
+    const auto mix = [&fold](std::uint64_t x) {
+      fold = (fold ^ x) * 0x100000001b3ULL;
+    };
+    mix(r.total_time);
+    for (const StepResult& s : r.steps) {
+      for (const std::uint64_t x :
+           {s.duration, s.sublist_reads, s.transactions, s.fetched_bytes,
+            s.used_bytes, s.write_transactions, s.written_bytes,
+            s.write_payload_bytes, s.rmw_reads}) {
+        mix(x);
+      }
+    }
+    EXPECT_EQ(fold, 0x633c6823ca3f0511ULL);
+  }
+}
+
 // ------------------------------------------------------- pointer chase ----
 
 TEST(PointerChase, HostDramLatencyNearOneMicrosecond) {

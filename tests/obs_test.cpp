@@ -302,7 +302,7 @@ TEST(TimeSeriesSampler, BucketsFoldByDeclaredReduction) {
   const std::uint32_t max =
       sampler.channel("q/peak", obs::TimeSeriesSampler::Reduce::kMax);
   EXPECT_EQ(sampler.channel("q/depth"), last);  // deduped by name
-  for (const auto [t, v] : std::vector<std::pair<util::SimTime, double>>{
+  for (const auto& [t, v] : std::vector<std::pair<util::SimTime, double>>{
            {10, 3.0}, {50, 7.0}, {90, 5.0}, {250, 2.0}}) {
     sampler.record(last, t, v);
     sampler.record(sum, t, v);

@@ -105,33 +105,6 @@ TEST(OnlineStats, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(OnlineStats, MergeMatchesSequential) {
-  OnlineStats all;
-  OnlineStats left;
-  OnlineStats right;
-  Xoshiro256 rng(17);
-  for (int i = 0; i < 1'000; ++i) {
-    const double x = rng.next_double() * 100.0;
-    all.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmptyIsIdentity) {
-  OnlineStats a;
-  a.add(1.0);
-  a.add(3.0);
-  OnlineStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-}
-
 TEST(Log2Histogram, BucketsSmallValues) {
   Log2Histogram h;
   h.add(0);
