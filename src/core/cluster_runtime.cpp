@@ -394,8 +394,7 @@ ClusterReport ClusterRuntime::run(const graph::CsrGraph& graph,
                                   const ClusterRequest& request) {
   return run(graph,
              partition::make_partition(graph, request.strategy,
-                                       request.num_shards,
-                                       request.partition_seed,
+                                       request.num_shards, /*seed=*/0,
                                        request.reorder),
              request);
 }
@@ -409,11 +408,6 @@ ClusterReport ClusterRuntime::run(const graph::CsrGraph& graph,
     throw std::invalid_argument(
         "ClusterRuntime: partition does not match the request's shard "
         "count and strategy or the graph's vertex count");
-  }
-  if (!request.shard_configs.empty() &&
-      request.shard_configs.size() != request.num_shards) {
-    throw std::invalid_argument(
-        "ClusterRequest: shard_configs must be empty or one per shard");
   }
   const Algorithm algorithm = request.run.algorithm;
   if (!cluster_supports(algorithm)) {
@@ -463,9 +457,6 @@ ClusterReport ClusterRuntime::run(const graph::CsrGraph& graph,
     jobs[s].trace = &traces[s];
     jobs[s].request = request.run;
     jobs[s].edge_list_bytes = part.shards[s].graph.edge_list_bytes();
-    if (!request.shard_configs.empty()) {
-      jobs[s].config = request.shard_configs[s];
-    }
   }
   const std::vector<TraceRunResult> results = runner_.run_traces(jobs);
 
@@ -536,9 +527,7 @@ ClusterReport ClusterRuntime::run(const graph::CsrGraph& graph,
   report.compute_sec = util::sec_from_ps(compute_ps);
 
   const double bandwidth_mbps =
-      request.exchange_bandwidth_mbps > 0.0
-          ? request.exchange_bandwidth_mbps
-          : device::pcie_x16(config().gpu_link_gen).bandwidth_mbps;
+      device::pcie_x16(config().gpu_link_gen).bandwidth_mbps;
   // Asymmetric composition: a phase ends when the slowest-ingress shard
   // has drained, so the phase costs max over destinations of the bytes
   // converging there — not the bulk total over one shared pipe. Each

@@ -76,20 +76,12 @@ struct ClusterRequest {
   RunRequest run;
   std::uint32_t num_shards = 1;
   partition::Strategy strategy = partition::Strategy::kVertexRange;
-  /// Perturbs the kHashEdge placement only.
-  std::uint64_t partition_seed = 0;
   /// Partitioner-aware local relabeling applied per shard after the cut is
   /// fixed (degree-sort within each shard's subgraph). Changes layout and
   /// therefore per-shard replay cost, never the cut or the exchange.
   partition::ShardReorder reorder = partition::ShardReorder::kNone;
-  /// Per-shard SystemConfig overrides for heterogeneous clusters; empty
-  /// uses the runtime's config everywhere, otherwise size must equal
-  /// num_shards.
-  std::vector<SystemConfig> shard_configs;
-  /// Inter-shard (GPU-to-GPU) link bandwidth the bulk exchange is charged
-  /// against; 0 uses the system's GPU link bandwidth.
-  double exchange_bandwidth_mbps = 0.0;
-  /// Fixed all-to-all synchronization cost per exchange phase.
+  /// Fixed all-to-all synchronization cost per exchange phase. The bulk
+  /// exchange itself is charged against the system's GPU link bandwidth.
   util::SimTime exchange_latency = util::ps_from_us(5.0);
 };
 
@@ -171,7 +163,7 @@ class ClusterRuntime {
   /// The same run over a partition the caller built once and reuses
   /// (the two-argument run() builds one and delegates here). `part` must
   /// come from partition::make_partition(graph, request.strategy,
-  /// request.num_shards, request.partition_seed, request.reorder); the
+  /// request.num_shards, /*seed=*/0, request.reorder); the
   /// result is then field-for-field identical. A partition whose shard
   /// count, strategy or vertex count disagrees with the request and graph
   /// throws std::invalid_argument (the seed and reorder are not recorded

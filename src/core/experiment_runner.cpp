@@ -102,7 +102,7 @@ std::vector<TraceRunResult> ExperimentRunner::run_traces(
   tasks.reserve(jobs.size());
   for (const TraceJob& job : jobs) {
     tasks.push_back([this, &job] {
-      const ExternalGraphRuntime rt(job.config ? *job.config : config_);
+      const ExternalGraphRuntime rt(config_);
       return rt.run_trace(*job.trace, job.request, job.edge_list_bytes);
     });
   }

@@ -36,15 +36,14 @@ struct SweepJob {
 };
 
 /// A prepared-trace run: ClusterRuntime builds one trace per shard and fans
-/// them here, each against its own backend stack (and optionally its own
-/// per-shard SystemConfig). The trace must outlive the run_traces call.
+/// them here, each against its own backend stack under the runner's
+/// config. The trace must outlive the run_traces call.
 struct TraceJob {
   const algo::AccessTrace* trace = nullptr;
   RunRequest request;
   /// Edge-list bytes resident on this runtime's external memory (cache
   /// capacity scaling); a shard passes its slice, not the whole graph.
   std::uint64_t edge_list_bytes = 0;
-  std::optional<SystemConfig> config;
 };
 
 class ExperimentRunner {

@@ -131,8 +131,6 @@ RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
     case BackendKind::kXlfdd: {
       device::StorageDriveParams sp = device::xlfdd_drive_params();
       sp.thermal = cfg.storage_thermal;
-      sp.endurance = cfg.storage_endurance;
-      sp.qd_curve = cfg.storage_qd_curve;
       s.storage_array = std::make_unique<device::StorageArray>(
           s.sim, *s.link, sp, cfg.xlfdd_drives, device::kXlfddStripeBytes);
       s.backend = std::make_unique<access::StoragePathBackend>(
@@ -143,8 +141,6 @@ RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
     case BackendKind::kBamNvme: {
       device::StorageDriveParams sp = device::nvme_drive_params();
       sp.thermal = cfg.storage_thermal;
-      sp.endurance = cfg.storage_endurance;
-      sp.qd_curve = cfg.storage_qd_curve;
       s.storage_array = std::make_unique<device::StorageArray>(
           s.sim, *s.link, sp, cfg.nvme_drives, device::kNvmeStripeBytes);
       const std::uint32_t line =
@@ -167,7 +163,6 @@ RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
       s.slow_tier = std::make_unique<device::CxlMemoryPool>(
           s.sim, cp, cfg.cxl_devices, cfg.cxl_interleave_bytes);
       device::TieredMemoryParams tp;
-      tp.placement = device::TierPlacement::kRangeSplit;
       tp.fast_bytes = req.cache_bytes.value_or(static_cast<std::uint64_t>(
           cfg.tier_fast_fraction * static_cast<double>(edge_list_bytes)));
       tp.fast_bytes = tp.fast_bytes / 4096 * 4096;  // page-rounded split

@@ -135,10 +135,10 @@ class ExternalGraphRuntime {
   /// Runs one workload end to end. Deterministic in (graph, request).
   RunReport run(const graph::CsrGraph& graph, const RunRequest& request);
 
-  /// The contention seam for the serving layer: identical to run() (the
-  /// returned report is bit-for-bit the same), but also surfaces the
-  /// per-superstep durations and fetched bytes a shared-resource scheduler
-  /// interleaves. run() is implemented on top of this.
+  /// run() plus the per-superstep durations and fetched bytes (the
+  /// returned report is bit-for-bit run()'s); run() is implemented on top
+  /// of this. Serving profiles replay each trace once, so they call
+  /// make_trace and run_trace instead and hold nothing.
   ///
   /// A trace is a pure function of (graph contents, algorithm, source),
   /// so the runtime keeps the last one it built, keyed by (graph.id(),
@@ -167,8 +167,8 @@ class ExternalGraphRuntime {
 
   /// Replays make_trace(graph, request.algorithm, source) as run_profiled
   /// does, filling in the report's source and graph_edges: the one replay
-  /// of a whole-graph trace, for run_profiled and for
-  /// ExperimentRunner::run_all's shared traces.
+  /// of a whole-graph trace, for run_profiled, for
+  /// ExperimentRunner::run_all's shared traces and for serving profiles.
   TraceRunResult run_trace(const algo::AccessTrace& trace,
                            const RunRequest& request,
                            const graph::CsrGraph& graph,

@@ -83,13 +83,11 @@ struct SystemConfig {
   /// prefix holds the hottest sublists).
   double tier_fast_fraction = 0.25;
 
-  /// State-dependent storage service (CXLSSDEval-shaped; state_model.hpp),
+  /// Storage thermal throttling (CXLSSDEval-shaped; state_model.hpp),
   /// applied on top of the XLFDD/NVMe presets by build_stack. The CXL
-  /// pool's thermal model lives in `cxl.thermal`. All default OFF so the
+  /// pool's thermal model lives in `cxl.thermal`. Default OFF so the
   /// default path stays bit-identical to the time-invariant baseline.
   device::ThermalParams storage_thermal;
-  device::EnduranceParams storage_endurance;
-  device::QdCurveParams storage_qd_curve;
 
   /// Sec. 5 ("future GPUs may implement the CXL interface"): when true,
   /// CXL runs bypass the CPU translation hop — the link's per-direction

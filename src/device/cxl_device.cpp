@@ -9,13 +9,13 @@ CxlDevice::CxlDevice(Simulator& sim, const CxlDeviceParams& params,
                      std::string name)
     : sim_(sim),
       params_(params),
-      ps_per_byte_(util::ps_per_byte(params.channel_bandwidth_mbps)) {
+      ps_per_byte_(util::ps_per_byte(
+          util::checked_rate(params.channel_bandwidth_mbps,
+                             "CxlDevice: channel_bandwidth_mbps"))) {
   if (params.flit_bytes == 0 || params.device_tags == 0) {
     throw std::invalid_argument("CxlDevice: bad parameters");
   }
   validate(params.thermal);
-  fault::validate(params.io_faults);
-  io_faulty_ = params.io_faults.enabled;
   ingress_covers_egress_ =
       params.socket_hop + params.port_ingress >= params.port_egress;
   listener_ = sim_.add_listener(this, &CxlDevice::on_event);
@@ -38,19 +38,9 @@ void CxlDevice::read(std::uint64_t addr, std::uint32_t bytes, ReadyFn ready) {
       parents_.acquire(ParentRead{flit_count, ready});
 
   // Socket hop (if remote) + port ingress, then each flit contends for a
-  // device tag. Transient errors replay the port crossing after a
-  // linear-backoff delay (latency only — the payload is untouched).
-  SimTime entry = params_.socket_hop + params_.port_ingress;
-  if (io_faulty_) {
-    std::uint32_t errors = 0;
-    entry += fault::io_fault_penalty(params_.io_faults, io_requests_++,
-                                     &errors);
-    if (errors > 0) {
-      io_errors_ += errors;
-      ++io_error_requests_;
-    }
-  }
-  sim_.schedule_after(entry, listener_, kIngress, parent, flit_count);
+  // device tag.
+  sim_.schedule_after(params_.socket_hop + params_.port_ingress, listener_,
+                      kIngress, parent, flit_count);
   ingress_flits_ += flit_count;
 }
 

@@ -24,7 +24,6 @@
 
 #include "device/device.hpp"
 #include "device/state_model.hpp"
-#include "fault/fault.hpp"
 #include "obs/telemetry.hpp"
 #include "util/slot_pool.hpp"
 #include "util/units.hpp"
@@ -57,10 +56,6 @@ struct CxlDeviceParams {
   /// state_model.hpp). Defaults OFF, keeping the default path
   /// bit-identical to the time-invariant baseline.
   ThermalParams thermal;
-  /// Deterministic transient CXL.mem errors (default OFF): a failed
-  /// request replays its port crossing after a linear-backoff delay, so
-  /// errors add entry latency but never drop bytes.
-  fault::IoFaultParams io_faults;
 };
 
 class CxlDevice final : public MemoryDevice {
@@ -91,12 +86,6 @@ class CxlDevice final : public MemoryDevice {
   bool throttled() const noexcept { return thermal_.throttled(); }
   std::uint64_t throttled_flits() const noexcept {
     return thermal_.throttled_ops();
-  }
-
-  /// Fault-injection observables (0 while params().io_faults is off).
-  std::uint64_t io_errors() const noexcept { return io_errors_; }
-  std::uint64_t io_error_requests() const noexcept {
-    return io_error_requests_;
   }
 
   /// Passive telemetry tap for thermal transitions (nullptr detaches);
@@ -169,12 +158,6 @@ class CxlDevice final : public MemoryDevice {
   /// Latency-bridge FIFO ordering: pops are monotone in time.
   SimTime last_pop_time_ = 0;
   ThermalState thermal_;
-  /// True iff io_faults is enabled; the fault draw is skipped entirely
-  /// otherwise (no RNG consumption on the default path).
-  bool io_faulty_ = false;
-  std::uint64_t io_requests_ = 0;  ///< per-device fault stream cursor
-  std::uint64_t io_errors_ = 0;
-  std::uint64_t io_error_requests_ = 0;
   obs::StateModelTrace state_trace_;
 };
 

@@ -4,34 +4,6 @@
 
 namespace cxlgraph::device {
 
-const std::vector<QdPoint>& default_qd_curve() {
-  // CXLSSDEval plot_qd_scalability.py shape: steep climb to QD 16,
-  // saturation by QD 64, slight regression when the queue is flooded.
-  static const std::vector<QdPoint> curve = {
-      {1.0, 0.25}, {4.0, 0.55}, {16.0, 0.85},
-      {64.0, 1.0}, {256.0, 1.0}, {1024.0, 0.92},
-  };
-  return curve;
-}
-
-double qd_scale(const QdCurveParams& params, std::uint32_t outstanding) {
-  const std::vector<QdPoint>& pts =
-      params.points.empty() ? default_qd_curve() : params.points;
-  const double qd =
-      outstanding == 0 ? 1.0 : static_cast<double>(outstanding);
-  if (qd <= pts.front().queue_depth) return pts.front().scale;
-  if (qd >= pts.back().queue_depth) return pts.back().scale;
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    if (qd <= pts[i].queue_depth) {
-      const double span = pts[i].queue_depth - pts[i - 1].queue_depth;
-      const double frac =
-          span > 0.0 ? (qd - pts[i - 1].queue_depth) / span : 1.0;
-      return pts[i - 1].scale + frac * (pts[i].scale - pts[i - 1].scale);
-    }
-  }
-  return pts.back().scale;
-}
-
 void validate(const ThermalParams& params) {
   if (!params.enabled) return;
   if (!(params.heat_per_mb >= 0.0) || !(params.cool_per_sec >= 0.0) ||
@@ -39,29 +11,6 @@ void validate(const ThermalParams& params) {
       !(params.hysteresis > 0.0 && params.hysteresis <= 1.0) ||
       !(params.throttle_factor > 0.0 && params.throttle_factor <= 1.0)) {
     throw std::invalid_argument("ThermalParams: bad parameters");
-  }
-}
-
-void validate(const EnduranceParams& params) {
-  if (!params.enabled) return;
-  if (!(params.wear_per_gb >= 0.0) || !(params.latency_slope >= 0.0) ||
-      !(params.max_factor >= 1.0)) {
-    throw std::invalid_argument("EnduranceParams: bad parameters");
-  }
-}
-
-void validate(const QdCurveParams& params) {
-  if (!params.enabled) return;
-  const std::vector<QdPoint>& pts =
-      params.points.empty() ? default_qd_curve() : params.points;
-  double prev_qd = 0.0;
-  for (const QdPoint& p : pts) {
-    if (!(p.queue_depth > prev_qd) || !(p.scale > 0.0)) {
-      throw std::invalid_argument(
-          "QdCurveParams: points must be sorted by queue depth with "
-          "positive scales");
-    }
-    prev_qd = p.queue_depth;
   }
 }
 

@@ -1,28 +1,18 @@
 #pragma once
 /// \file state_model.hpp
-/// State-dependent device service models, shaped after the CXLSSDEval
-/// evaluation suite's measurements on real CXL-SSD hardware:
+/// State-dependent device service, shaped after the CXLSSDEval evaluation
+/// suite's thermal-throttling measurements on real CXL-SSD hardware
+/// (plot_thermal_throttling.py): heat accumulates with every byte moved
+/// and dissipates linearly over time; past a thermal budget the device
+/// derates sustained bandwidth until it has cooled below a hysteresis
+/// point.
 ///
-///  * thermal throttling (plot_thermal_throttling.py): heat accumulates
-///    with every byte moved and dissipates linearly over time; past a
-///    thermal budget the device derates sustained bandwidth until it has
-///    cooled below a hysteresis point;
-///  * flash endurance (plot_endurance.py): program/erase wear accumulates
-///    with bytes programmed and shifts program latency upward, linearly in
-///    wear up to a cap;
-///  * queue-depth scalability (plot_qd_scalability.py): delivered
-///    throughput is a piecewise-linear function of the outstanding queue
-///    depth instead of a flat IOPS cap — shallow queues underutilize the
-///    controller, saturated queues can regress slightly.
-///
-/// Every model defaults OFF. With all flags off the device models compute
-/// service times through exactly the baseline (time-invariant) integer
+/// The model defaults OFF. With it off the device models compute service
+/// times through exactly the baseline (time-invariant) integer
 /// expressions, so the simcore identity goldens keep pinning the default
-/// path bit-for-bit. The models only read accounting that the bugfix pass
-/// in this layer made exact (write-path byte counts, busy time).
+/// path bit-for-bit.
 
 #include <cstdint>
-#include <vector>
 
 #include "util/units.hpp"
 
@@ -46,48 +36,9 @@ struct ThermalParams {
   double throttle_factor = 0.4;
 };
 
-/// Program/erase wear shifting program latency as the flash ages.
-struct EnduranceParams {
-  bool enabled = false;
-  /// Wear units accumulated per decimal gigabyte programmed.
-  double wear_per_gb = 1.0;
-  /// Fractional program-latency growth per wear unit:
-  /// factor = 1 + latency_slope * wear_units, capped at max_factor.
-  double latency_slope = 0.05;
-  double max_factor = 4.0;
-};
-
-/// One point of a QD -> relative-throughput curve.
-struct QdPoint {
-  double queue_depth = 1.0;
-  /// Throughput relative to the nominal IOPS rating at this depth.
-  double scale = 1.0;
-};
-
-/// Queue-depth-dependent throughput: the flat IOPS cap becomes
-/// iops * scale(outstanding), with scale interpolated piecewise-linearly
-/// between the curve's points (clamped at both ends).
-struct QdCurveParams {
-  bool enabled = false;
-  /// Must be non-empty and sorted by queue_depth when enabled; empty +
-  /// enabled uses default_qd_curve().
-  std::vector<QdPoint> points;
-};
-
-/// The CXLSSDEval-shaped default curve: throughput climbs steeply to
-/// QD ~16, saturates by QD ~64, and regresses slightly past QD 256.
-const std::vector<QdPoint>& default_qd_curve();
-
-/// Relative throughput at `outstanding` requests (>= 1 treated as given;
-/// 0 treated as 1). Uses `params.points`, or default_qd_curve() when the
-/// list is empty.
-double qd_scale(const QdCurveParams& params, std::uint32_t outstanding);
-
-/// Throw std::invalid_argument on malformed parameters; no-ops when the
-/// respective `enabled` flag is off.
+/// Throws std::invalid_argument on malformed parameters; a no-op when
+/// `enabled` is off.
 void validate(const ThermalParams& params);
-void validate(const EnduranceParams& params);
-void validate(const QdCurveParams& params);
 
 /// Heat/cool accumulator with hysteresis. charge() advances the linear
 /// cooling to `now`, adds the transfer's heat, updates the throttled
@@ -128,28 +79,6 @@ class ThermalState {
   util::SimTime last_update_ = 0;
   bool throttled_ = false;
   std::uint64_t throttled_ops_ = 0;
-};
-
-/// Monotone program/erase wear accumulator.
-class WearState {
- public:
-  WearState() = default;
-
-  /// Program-latency multiplier at the *current* wear level; charge the
-  /// bytes afterwards so the first write of a fresh device sees 1.0.
-  double latency_factor(const EnduranceParams& params) const noexcept {
-    const double factor = 1.0 + params.latency_slope * wear_units_;
-    return factor < params.max_factor ? factor : params.max_factor;
-  }
-
-  void charge(const EnduranceParams& params, std::uint64_t bytes) noexcept {
-    wear_units_ += params.wear_per_gb * static_cast<double>(bytes) / 1.0e9;
-  }
-
-  double wear_units() const noexcept { return wear_units_; }
-
- private:
-  double wear_units_ = 0.0;
 };
 
 }  // namespace cxlgraph::device

@@ -6,25 +6,32 @@
 
 namespace cxlgraph::device {
 
+namespace {
+
+/// The pipelined controller's service interval at `iops` requests per
+/// second.
+SimTime interval_ps(double iops) {
+  return static_cast<SimTime>(
+      static_cast<double>(util::kPsPerSec) / iops + 0.5);
+}
+
+}  // namespace
+
 StorageDrive::StorageDrive(Simulator& sim, PcieLink& link,
                            const StorageDriveParams& params)
     : sim_(sim),
       link_(link),
       params_(params),
-      service_interval_(static_cast<SimTime>(
-          static_cast<double>(util::kPsPerSec) / params.iops + 0.5)),
-      ps_per_byte_drive_link_(util::ps_per_byte(params.drive_link_mbps)) {
-  if (params.iops <= 0 || params.queue_depth == 0 ||
-      params.max_transfer == 0) {
+      service_interval_(
+          interval_ps(util::checked_rate(params.iops, "StorageDrive: iops"))),
+      write_interval_(interval_ps(
+          util::checked_rate(params.write_iops, "StorageDrive: write_iops"))),
+      ps_per_byte_drive_link_(util::ps_per_byte(util::checked_rate(
+          params.drive_link_mbps, "StorageDrive: drive_link_mbps"))) {
+  if (params.queue_depth == 0 || params.max_transfer == 0) {
     throw std::invalid_argument("StorageDrive: bad parameters");
   }
   validate(params.thermal);
-  validate(params.endurance);
-  validate(params.qd_curve);
-  fault::validate(params.io_faults);
-  state_dependent_ = params.thermal.enabled || params.endurance.enabled ||
-                     params.qd_curve.enabled;
-  io_faulty_ = params.io_faults.enabled;
   listener_ = sim_.add_listener(this, &StorageDrive::on_event);
 }
 
@@ -99,22 +106,15 @@ void StorageDrive::finish(std::uint32_t slot) {
   sim_.dispatch(done);
 }
 
-/// Service-time stretch from the enabled state models for a transfer of
-/// `bytes` observed at `now`. Only called when state_dependent_ is set, so
-/// the default path never touches floating point beyond the baseline math.
+/// Service-time stretch from the thermal model for a transfer of `bytes`
+/// observed at `now`. Only called with the model on, so the default path
+/// never touches floating point beyond the baseline math.
 double StorageDrive::service_stretch(SimTime now, std::uint32_t bytes) {
-  double stretch = 1.0;
-  if (params_.qd_curve.enabled) {
-    stretch /= qd_scale(params_.qd_curve, outstanding_);
-  }
-  if (params_.thermal.enabled) {
-    const double mult = thermal_.charge(params_.thermal, now, bytes);
-    if (mult > 1.0) ++stats_.throttled_requests;
-    stretch *= mult;
-    stats_.peak_heat = thermal_.peak_heat();
-    if (state_trace_.bound()) {
-      state_trace_.on_thermal(now, thermal_.throttled());
-    }
+  const double stretch = thermal_.charge(params_.thermal, now, bytes);
+  if (stretch > 1.0) ++stats_.throttled_requests;
+  stats_.peak_heat = thermal_.peak_heat();
+  if (state_trace_.bound()) {
+    state_trace_.on_thermal(now, thermal_.throttled());
   }
   return stretch;
 }
@@ -126,7 +126,7 @@ void StorageDrive::start(std::uint32_t slot) {
   SimTime interval = service_interval_;
   auto transfer = static_cast<SimTime>(
       static_cast<double>(p.bytes) * ps_per_byte_drive_link_ + 0.5);
-  if (state_dependent_) {
+  if (params_.thermal.enabled) {
     const double stretch = service_stretch(submit_time, p.bytes);
     if (stretch != 1.0) {
       interval = static_cast<SimTime>(
@@ -141,16 +141,7 @@ void StorageDrive::start(std::uint32_t slot) {
       std::max(controller_busy_until_,
                submit_time + params_.submission_overhead);
   controller_busy_until_ = service_start + interval;
-  SimTime media_ready = controller_busy_until_ + params_.access_latency;
-  if (io_faulty_) {
-    std::uint32_t errors = 0;
-    media_ready +=
-        fault::io_fault_penalty(params_.io_faults, io_requests_++, &errors);
-    if (errors > 0) {
-      stats_.io_errors += errors;
-      ++stats_.io_error_requests;
-    }
-  }
+  const SimTime media_ready = controller_busy_until_ + params_.access_latency;
 
   // Per-drive link hop, then the shared GPU link delivers the data.
   const SimTime drive_link_start =
@@ -175,47 +166,21 @@ void StorageDrive::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
       drive->finish(slot);
       break;
     case kPayloadUp: {
-      SimTime interval = static_cast<SimTime>(
-          static_cast<double>(util::kPsPerSec) / drive->params_.write_iops +
-          0.5);
-      SimTime program = drive->params_.program_latency;
-      if (drive->state_dependent_) {
-        const std::uint32_t bytes = drive->pool_[slot].bytes;
-        const double stretch =
-            drive->service_stretch(drive->sim_.now(), bytes);
+      SimTime interval = drive->write_interval_;
+      if (drive->params_.thermal.enabled) {
+        const double stretch = drive->service_stretch(
+            drive->sim_.now(), drive->pool_[slot].bytes);
         if (stretch != 1.0) {
           interval = static_cast<SimTime>(
               static_cast<double>(interval) * stretch + 0.5);
-        }
-        if (drive->params_.endurance.enabled) {
-          // Factor first, then charge: the first write of a fresh device
-          // programs at the rated latency.
-          program = static_cast<SimTime>(
-              static_cast<double>(program) *
-                  drive->wear_.latency_factor(drive->params_.endurance) +
-              0.5);
-          drive->wear_.charge(drive->params_.endurance, bytes);
-          drive->stats_.wear_units = drive->wear_.wear_units();
-          if (drive->state_trace_.bound()) {
-            drive->state_trace_.on_wear(drive->sim_.now(),
-                                        drive->wear_.wear_units());
-          }
-        }
-      }
-      if (drive->io_faulty_) {
-        std::uint32_t errors = 0;
-        program += fault::io_fault_penalty(drive->params_.io_faults,
-                                           drive->io_requests_++, &errors);
-        if (errors > 0) {
-          drive->stats_.io_errors += errors;
-          ++drive->stats_.io_error_requests;
         }
       }
       const SimTime service_start =
           std::max(drive->controller_busy_until_,
                    drive->sim_.now() + drive->params_.submission_overhead);
       drive->controller_busy_until_ = service_start + interval;
-      const SimTime programmed = drive->controller_busy_until_ + program;
+      const SimTime programmed =
+          drive->controller_busy_until_ + drive->params_.program_latency;
       drive->sim_.schedule_at(programmed, drive->listener_, kProgrammed,
                               slot);
       break;

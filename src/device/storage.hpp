@@ -19,7 +19,6 @@
 
 #include "device/pcie.hpp"
 #include "device/state_model.hpp"
-#include "fault/fault.hpp"
 #include "obs/telemetry.hpp"
 #include "util/slot_pool.hpp"
 #include "util/units.hpp"
@@ -51,17 +50,10 @@ struct StorageDriveParams {
   double write_iops = 0.3e6;
   SimTime program_latency = util::ps_from_us(75.0);
 
-  /// State-dependent service (CXLSSDEval-shaped; see state_model.hpp).
-  /// All default OFF: the defaults keep the drive time-invariant and the
+  /// Thermal throttling (CXLSSDEval-shaped; see state_model.hpp).
+  /// Default OFF: the default keeps the drive time-invariant and the
   /// service-time arithmetic bit-identical to the baseline.
   ThermalParams thermal;
-  EnduranceParams endurance;
-  QdCurveParams qd_curve;
-
-  /// Deterministic transient I/O errors (default OFF). Each request draws
-  /// per-retry from a seeded stream; an error re-arms the command after a
-  /// linear-backoff delay. Bytes are unaffected — errors only add latency.
-  fault::IoFaultParams io_faults;
 };
 
 struct StorageDriveStats {
@@ -69,13 +61,9 @@ struct StorageDriveStats {
   std::uint64_t bytes = 0;
   std::uint64_t written_bytes = 0;  // write-path share of `bytes`
   std::uint64_t peak_outstanding = 0;
-  /// State-model observations (zero while every model is off).
+  /// Thermal-model observations (zero while the model is off).
   std::uint64_t throttled_requests = 0;
   double peak_heat = 0.0;
-  double wear_units = 0.0;
-  /// Fault-injection observations (zero while io_faults is off).
-  std::uint64_t io_errors = 0;          ///< individual retried attempts
-  std::uint64_t io_error_requests = 0;  ///< requests that hit >= 1 error
 };
 
 /// A single drive. Data is delivered through the shared GPU link.
@@ -95,12 +83,11 @@ class StorageDrive {
   const StorageDriveStats& stats() const noexcept { return stats_; }
   std::uint32_t outstanding() const noexcept { return outstanding_; }
 
-  /// State-model observables (fixed at 0 / false while the models are off).
+  /// Thermal observables (fixed at 0 / false while the model is off).
   double heat() const noexcept { return thermal_.heat(); }
   bool throttled() const noexcept { return thermal_.throttled(); }
-  double wear_units() const noexcept { return wear_.wear_units(); }
 
-  /// Passive telemetry tap for state-model transitions (nullptr detaches).
+  /// Passive telemetry tap for thermal transitions (nullptr detaches).
   /// `thread` names this drive's trace track under the "device" process.
   void set_telemetry(obs::Telemetry* telemetry, const std::string& thread) {
     state_trace_.bind(telemetry, "device", thread);
@@ -132,7 +119,10 @@ class StorageDrive {
   Simulator& sim_;
   PcieLink& link_;
   StorageDriveParams params_;
+  /// Controller service intervals: 1/iops for reads, 1/write_iops for
+  /// programs.
   SimTime service_interval_;
+  SimTime write_interval_;
   double ps_per_byte_drive_link_;
   std::uint16_t listener_ = 0;
   SimTime controller_busy_until_ = 0;
@@ -141,15 +131,7 @@ class StorageDrive {
   util::SlotPool<Pending> pool_;
   std::deque<std::uint32_t> waiting_;
   StorageDriveStats stats_;
-  /// True iff any state model is enabled; the service-time derating code
-  /// is skipped entirely otherwise so the default path stays bit-identical.
-  bool state_dependent_ = false;
   ThermalState thermal_;
-  WearState wear_;
-  /// True iff io_faults is enabled; the penalty draw is skipped entirely
-  /// otherwise (no RNG consumption on the default path).
-  bool io_faulty_ = false;
-  std::uint64_t io_requests_ = 0;  ///< per-drive fault stream cursor
   obs::StateModelTrace state_trace_;
 };
 

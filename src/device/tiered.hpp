@@ -8,12 +8,8 @@
 /// (host DRAM) and a large cheap tier (CXL / flash-backed CXL). Combined
 /// with degree-sorted reordering (hot hubs first), a *range* split puts
 /// the most-touched sublists in DRAM — the natural way to spend a limited
-/// DRAM budget under the paper's cost argument.
-///
-/// Two placements are provided:
-///  * range split  — addresses below `fast_bytes` go to the fast device;
-///  * interleave   — pages round-robin across both (classic NUMA
-///                   interleave, matching the paper's multi-device setup).
+/// DRAM budget under the paper's cost argument. Addresses below
+/// `fast_bytes` go to the fast device, the rest to the slow one.
 
 #include <memory>
 
@@ -21,20 +17,9 @@
 
 namespace cxlgraph::device {
 
-enum class TierPlacement {
-  kRangeSplit,
-  kInterleave,
-};
-
 struct TieredMemoryParams {
-  TierPlacement placement = TierPlacement::kRangeSplit;
-  /// Range split: bytes served by the fast device (prefix of the space).
+  /// Bytes served by the fast device (prefix of the space).
   std::uint64_t fast_bytes = 0;
-  /// Interleave: page granularity and the fast:slow page ratio numerator/
-  /// denominator (e.g. 1:1 -> every other page fast).
-  std::uint32_t interleave_bytes = 4096;
-  std::uint32_t fast_pages_per_cycle = 1;
-  std::uint32_t cycle_pages = 2;
 };
 
 /// Routes reads/writes to `fast` or `slow` by address. Requests are
@@ -52,7 +37,9 @@ class TieredMemory final : public MemoryDevice {
   const DeviceStats& stats() const noexcept override;
 
   /// Which device an address routes to (exposed for tests/benches).
-  bool is_fast(std::uint64_t addr) const noexcept;
+  bool is_fast(std::uint64_t addr) const noexcept {
+    return addr < params_.fast_bytes;
+  }
 
   std::uint64_t fast_requests() const noexcept { return fast_requests_; }
   std::uint64_t slow_requests() const noexcept { return slow_requests_; }

@@ -195,32 +195,4 @@ bool FaultPlan::error_draw(std::uint64_t seed, std::uint64_t stream,
   return unit_from(mixer.next()) < rate;
 }
 
-void validate(const IoFaultParams& params) {
-  if (!params.enabled) return;
-  if (params.error_rate < 0.0 || params.error_rate > 1.0) {
-    throw std::invalid_argument(
-        "io fault params: error_rate must be in [0, 1]");
-  }
-  if (params.max_retries == 0) {
-    throw std::invalid_argument(
-        "io fault params: max_retries must be >= 1 when enabled");
-  }
-}
-
-util::SimTime io_fault_penalty(const IoFaultParams& params,
-                               std::uint64_t request, std::uint32_t* errors) {
-  std::uint32_t count = 0;
-  util::SimTime penalty = 0;
-  if (params.enabled) {
-    while (count < params.max_retries &&
-           FaultPlan::error_draw(params.seed, request, count,
-                                 params.error_rate)) {
-      ++count;
-      penalty += params.retry_base * static_cast<util::SimTime>(count);
-    }
-  }
-  if (errors != nullptr) *errors = count;
-  return penalty;
-}
-
 }  // namespace cxlgraph::fault

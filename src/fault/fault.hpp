@@ -127,8 +127,8 @@ class FaultPlan {
   const std::vector<FaultEvent>& events() const noexcept { return events_; }
 
   /// Deterministic per-draw error coin: a pure function of (seed,
-  /// stream, draw, rate). Streams keep independent consumers (replicas,
-  /// devices) from correlating; the draw counter advances per attempt.
+  /// stream, draw, rate). Streams keep replicas from correlating; the
+  /// draw counter advances per attempt.
   static bool error_draw(std::uint64_t seed, std::uint64_t stream,
                          std::uint64_t draw, double rate) noexcept;
 
@@ -136,33 +136,5 @@ class FaultPlan {
   FaultSpec spec_;
   std::vector<FaultEvent> events_;
 };
-
-/// Device-layer seam: per-request transient I/O errors on a
-/// StorageDrive / CxlDevice. Default OFF — the device arithmetic stays
-/// bit-identical to the baseline until enabled.
-struct IoFaultParams {
-  bool enabled = false;
-  /// Per-attempt error probability in [0, 1].
-  double error_rate = 0.0;
-  std::uint64_t seed = 0x10fau;
-  /// Retry budget per request; the attempt after the last retry always
-  /// succeeds (the controller's recovery path re-reads the media), so
-  /// bytes are delayed, never dropped.
-  std::uint32_t max_retries = 3;
-  /// Linear backoff: retry k adds k * retry_base to the request.
-  util::SimTime retry_base = util::ps_from_us(25.0);
-};
-
-/// Throws std::invalid_argument for rates outside [0, 1] or a zero
-/// retry budget on an enabled config. Disabled params are always valid.
-void validate(const IoFaultParams& params);
-
-/// Deterministic retry penalty for request number `request` on a device
-/// configured with `params`: draws the error coin up to max_retries
-/// times, sums the linear backoff of every failed attempt, and reports
-/// the error count through `errors` (may be null). Returns 0 when the
-/// params are disabled.
-util::SimTime io_fault_penalty(const IoFaultParams& params,
-                               std::uint64_t request, std::uint32_t* errors);
 
 }  // namespace cxlgraph::fault

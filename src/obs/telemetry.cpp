@@ -32,14 +32,10 @@ void StateModelTrace::bind(Telemetry* telemetry, const std::string& process,
     n_enter_ = tracer.intern("throttle-enter");
     n_exit_ = tracer.intern("throttle-exit");
     n_episode_ = tracer.intern("throttled");
-    n_wear_ = tracer.intern("wear-milestone");
-    k_units_ = tracer.intern("units");
   }
   if (telemetry_->metering()) {
     episodes_ =
         &telemetry_->metrics().counter(process, thread + "/throttle_episodes");
-    wear_milestones_ =
-        &telemetry_->metrics().counter(process, thread + "/wear_milestones");
   }
 }
 
@@ -56,16 +52,6 @@ void StateModelTrace::on_thermal(util::SimTime now, bool throttled) {
     telemetry_->tracer().complete(track_, n_episode_, since_, now - since_);
   }
   if (episodes_ != nullptr) episodes_->add();
-}
-
-void StateModelTrace::on_wear(util::SimTime now, double wear_units) {
-  const auto level = static_cast<std::uint64_t>(wear_units);
-  if (level <= wear_int_) return;
-  wear_int_ = level;
-  if (tracing_) {
-    telemetry_->tracer().instant(track_, n_wear_, now, k_units_, level);
-  }
-  if (wear_milestones_ != nullptr) wear_milestones_->add();
 }
 
 SimRunObserver::SimRunObserver(Telemetry& telemetry,

@@ -84,12 +84,11 @@ class Telemetry {
   TimeSeriesSampler sampler_;
 };
 
-/// Folds a device state model's observable state into trace events:
-/// instants on throttle enter/exit plus one complete span per throttle
-/// episode, and an instant each time wear crosses a whole unit. Device
-/// models own one of these by value; unbound (the default) every hook
-/// is a single pointer check — and the hooks only sit on code paths
-/// already gated behind the state-model `enabled` flags.
+/// Folds a device's thermal state into trace events: instants on
+/// throttle enter/exit plus one complete span per throttle episode.
+/// Device models own one of these by value; unbound (the default) every
+/// hook is a single pointer check — and the hooks only sit on code paths
+/// already gated behind the thermal model's `enabled` flag.
 class StateModelTrace {
  public:
   StateModelTrace() = default;
@@ -101,8 +100,6 @@ class StateModelTrace {
 
   /// Reports the thermal state observed after a charge at `now`.
   void on_thermal(util::SimTime now, bool throttled);
-  /// Reports the wear level observed after a write charge at `now`.
-  void on_wear(util::SimTime now, double wear_units);
 
  private:
   Telemetry* telemetry_ = nullptr;
@@ -111,13 +108,9 @@ class StateModelTrace {
   std::uint32_t n_enter_ = 0;
   std::uint32_t n_exit_ = 0;
   std::uint32_t n_episode_ = 0;
-  std::uint32_t n_wear_ = 0;
-  std::uint32_t k_units_ = 0;
-  Counter* episodes_ = nullptr;         ///< null when metrics are off
-  Counter* wear_milestones_ = nullptr;  ///< null when metrics are off
+  Counter* episodes_ = nullptr;  ///< null when metrics are off
   bool throttled_ = false;
   util::SimTime since_ = 0;
-  std::uint64_t wear_int_ = 0;
 };
 
 /// The standard simulator tap: counts dispatched events into a

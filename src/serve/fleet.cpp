@@ -18,6 +18,10 @@ namespace cxlgraph::serve {
 
 namespace {
 
+/// The random router's stream seed. Routing only: records depend on the
+/// draws through nothing but which replica served.
+constexpr std::uint64_t kRouterSeed = 0x5eedf1ee7ULL;
+
 /// Detector thresholds mirror the elastic config so the monitor's depth
 /// verdict is the exact comparison the controller used to make inline.
 obs::HealthConfig health_config(const ElasticConfig& elastic) {
@@ -30,7 +34,7 @@ obs::HealthConfig health_config(const ElasticConfig& elastic) {
 }
 
 /// Report aggregation over the finished simulation: exact + P²
-/// percentiles, queue/service/ride time split, query-byte conservation
+/// percentiles, queue/service time split, query-byte conservation
 /// side, goodput and SLO accounting. `busy_ps` is the summed stack busy
 /// time and `capacity_sec` the utilization denominator (summed replica
 /// lifetime: the makespan for one replica that served to the end).
@@ -42,7 +46,7 @@ void summarize_serve(ServeReport& report, const FleetSim& sim,
   queue_us.reserve(report.completed);
   service_us.reserve(report.completed);
   std::uint32_t met_slo = 0;
-  util::SimTime queue_total = 0, service_total = 0, ride_total = 0;
+  util::SimTime queue_total = 0, service_total = 0;
   util::SimTime lost_total = 0;
   for (const QueryRecord& r : sim.records) {
     // The crash-recovery ledger sums over every record: failed (and any
@@ -56,13 +60,8 @@ void summarize_serve(ServeReport& report, const FleetSim& sim,
     service_us.push_back(util::us_from_ps(r.service_ps));
     queue_total += r.queue_ps;
     service_total += r.service_ps;
-    ride_total += r.ride_ps;
     if (!r.slo_violated) ++met_slo;
-    // A batch follower's bytes were fetched once, by its leader's replay.
-    if (!r.batch_follower) {
-      report.query_bytes +=
-          sim.profiles[r.profile_index].report.fetched_bytes;
-    }
+    report.query_bytes += sim.profiles[r.profile_index].report.fetched_bytes;
   }
   report.lost_work_sec = util::sec_from_ps(lost_total);
   report.latency_us = util::summarize_percentiles(std::move(latency_us));
@@ -80,7 +79,6 @@ void summarize_serve(ServeReport& report, const FleetSim& sim,
        rel_error(report.latency_us.p99, report.streaming_p99_us)});
   report.time_in_queue_sec = util::sec_from_ps(queue_total);
   report.time_in_service_sec = util::sec_from_ps(service_total);
-  report.time_riding_sec = util::sec_from_ps(ride_total);
   if (report.makespan_sec > 0.0) {
     report.completed_qps =
         static_cast<double>(report.completed) / report.makespan_sec;
@@ -116,8 +114,7 @@ FleetSim::FleetSim(const FleetConfig& config_in, const WorkloadSpec& spec_in,
       thermal(thermal_in),
       listener(sim.add_listener(this, &FleetSim::on_event)),
       next_step(queries_in.size(), 0),
-      followers(config_in.serve.batch_identical ? queries_in.size() : 0),
-      router_rng(config_in.router_seed),
+      router_rng(kRouterSeed),
       quota_limit(num_classes, 0),
       in_flight(num_classes, 0),
       plan(config_in.faults, config_in.replicas),
@@ -356,12 +353,10 @@ void FleetSim::fail_query(std::size_t i) {
 void FleetSim::complete_query(std::size_t i) {
   QueryRecord& r = records[i];
   r.completion = sim.now();
-  // Sojourn splits exactly into queue + service + ride: a batch follower
-  // holds the stack for no time of its own, but the quanta it spent
-  // riding its leader's replay are ride, not queue. Stack time a crash
-  // discarded is its own component (lost_ps); retry backoff waits land
-  // in queue with the rest of the non-service time.
-  r.queue_ps = r.completion - r.arrival - r.service_ps - r.ride_ps - r.lost_ps;
+  // Sojourn splits exactly into queue + service + lost: stack time a
+  // crash discarded is its own component (lost_ps); retry backoff waits
+  // land in queue with the rest of the non-service time.
+  r.queue_ps = r.completion - r.arrival - r.service_ps - r.lost_ps;
   r.slo_violated = r.completion - r.arrival > r.slo;
   last_completion = std::max(last_completion, r.completion);
   const double latency_us = util::us_from_ps(r.completion - r.arrival);
@@ -717,16 +712,6 @@ void FleetSim::crash(const fault::FaultEvent& e) {
 }
 
 void FleetSim::lose_progress(std::size_t i) {
-  if (config.serve.batch_identical && !followers.empty()) {
-    for (const std::size_t f : followers[i]) {
-      QueryRecord& fr = records[f];
-      fr.batch_follower = false;
-      fr.lost_ps += fr.ride_ps;
-      fr.ride_ps = 0;
-      reroute(f);
-    }
-    followers[i].clear();
-  }
   QueryRecord& r = records[i];
   r.lost_ps += r.service_ps;
   r.lost_bytes += r.service_bytes;
@@ -944,7 +929,6 @@ void FleetSim::fill(FleetReport& report) {
   serve.completed = completed;
   serve.shed = shed;
   serve.failed = failed;
-  serve.batched = batched;
   serve.makespan_sec = util::sec_from_ps(last_completion);
 
   util::SimTime busy_ps = 0;
@@ -1090,9 +1074,7 @@ void FleetSim::fill(FleetReport& report) {
 
   // p99 transients around each scaling event, from the completion
   // record (post-hoc: the event windows are known only at the end).
-  const double window = config.elastic.transient_window_sec > 0.0
-                            ? config.elastic.transient_window_sec
-                            : 2.0 * config.elastic.check_interval_sec;
+  const double window = 2.0 * config.elastic.check_interval_sec;
   report.scaling_events = scaling_events;
   for (ScalingEvent& ev : report.scaling_events) {
     std::vector<double> before, after;

@@ -95,18 +95,12 @@ struct ElasticConfig {
   double scale_down_depth = 1.0;
   /// Decisions suppressed for this many intervals after a scaling event.
   std::uint32_t cooldown_intervals = 2;
-  /// Half-width of the p99 transient window around each scaling event;
-  /// 0 derives 2 * check_interval_sec.
-  double transient_window_sec = 0.0;
 };
 
 struct FleetConfig {
   std::uint32_t replicas = 1;
   RouterKind router = RouterKind::kRandom;
-  /// Random-router stream seed (routing only — records never depend on
-  /// the draws beyond which replica served).
-  std::uint64_t router_seed = 0x5eedf1ee7ULL;
-  /// Per-replica scheduling: policy, quantum, waiting cap, batching.
+  /// Per-replica scheduling: policy, quantum, waiting cap.
   ServeConfig serve;
   std::vector<TenantQuota> quotas;
   /// Drop arrivals that cannot meet their SLO even on the least-backlog
@@ -144,7 +138,7 @@ struct FleetRequest {
 
 struct ReplicaStats {
   std::uint32_t replica = 0;
-  std::uint32_t served = 0;  ///< completions here (followers included)
+  std::uint32_t served = 0;  ///< completions here
   std::uint32_t quanta = 0;
   double busy_sec = 0.0;
   std::uint64_t link_bytes = 0;
@@ -187,8 +181,8 @@ struct ScalingEvent {
   std::uint32_t routable_after = 0;
   /// Observed mean waiting depth per routable replica at the decision.
   double depth_per_replica = 0.0;
-  /// p99 latency of completions inside the window before/after the
-  /// event — the transient the controller is judged on.
+  /// p99 latency of completions within two check intervals before/after
+  /// the event — the transient the controller is judged on.
   std::uint32_t completions_before = 0;
   std::uint32_t completions_after = 0;
   double p99_before_us = 0.0;

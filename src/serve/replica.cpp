@@ -182,31 +182,6 @@ void ReplicaSim::dispatch() {
     r.first_service = fleet.sim.now();
     if (fleet.telemetry != nullptr) fleet.note_queued(i);
   }
-  if (config.batch_identical) {
-    // Identical waiting queries (same profile => same class shape and
-    // source) ride this replay: one execution answers them all. They
-    // leave the ready queue and complete with the batch. Only queries
-    // that have not started can ride — a preempted leader sitting in
-    // the ready queue (next_step > 0) has consumed stack time and may
-    // carry followers of its own; absorbing it would orphan them and
-    // double-count its spent quanta.
-    for (auto it = ready.begin(); it != ready.end();) {
-      if (fleet.next_step[*it] == 0 &&
-          fleet.records[*it].profile_index == r.profile_index &&
-          !fleet.records[*it].batch_follower) {
-        fleet.records[*it].batch_follower = true;
-        if (fleet.records[*it].first_service == 0) {
-          fleet.records[*it].first_service = fleet.sim.now();
-          if (fleet.telemetry != nullptr) fleet.note_queued(*it);
-        }
-        backlog_ps -= fleet.remaining_ps(*it);
-        fleet.followers[i].push_back(*it);
-        it = ready.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
   const std::size_t remaining = p.step_ps.size() - fleet.next_step[i];
   const std::size_t quantum =
       config.policy == SchedulingPolicy::kFifo
@@ -250,13 +225,6 @@ void ReplicaSim::dispatch() {
   fleet.next_step[i] += quantum;
   r.service_ps += duration;
   r.service_bytes += bytes;
-  if (config.batch_identical) {
-    // Followers ride every quantum of their leader's replay (stretched
-    // duration included): that time is ride, not queue.
-    for (const std::size_t f : fleet.followers[i]) {
-      fleet.records[f].ride_ps += duration;
-    }
-  }
   busy_ps += duration;
   quantum_end_ = fleet.sim.now() + duration;
   link_bytes += bytes;
@@ -285,17 +253,6 @@ void ReplicaSim::quantum_done() {
     }
     ++served;
     fleet.complete_query(i);
-    if (fleet.config.serve.batch_identical) {
-      // Followers completed by the shared replay: no stack time of
-      // their own (service_ps stays 0), bytes fetched once by the
-      // leader's quanta.
-      for (const std::size_t f : fleet.followers[i]) {
-        ++served;
-        fleet.complete_query(f);
-        ++fleet.batched;
-      }
-      fleet.followers[i].clear();
-    }
   } else if (redirect_query_ == i) {
     // Live migration: the in-flight tenant query yields here and resumes
     // on the target (next_step preserved) instead of requeueing locally.

@@ -14,8 +14,8 @@
 ///
 ///   `FleetSim` — per *serve* state: the simulator, the query stream and
 ///   its profiles, per-query replay progress (`next_step` lives here so a
-///   live-migrated query resumes on the target mid-serve), batching
-///   follower lists, completion accounting, closed-loop client chains,
+///   live-migrated query resumes on the target mid-serve), completion
+///   accounting, closed-loop client chains,
 ///   query-lifecycle telemetry, and the fleet policies over the replicas —
 ///   routing, admission, live migration, fault recovery and the elastic
 ///   controller. Replicas call into it directly.
@@ -49,8 +49,8 @@ inline constexpr std::size_t kNoQuery = std::numeric_limits<std::size_t>::max();
 struct FleetSim;
 
 /// One stack's slice of the queueing simulation. All scheduling-policy
-/// decisions (quantum size, SLO priority, batching absorption) happen
-/// here, against this replica's ready queue only.
+/// decisions (quantum size, SLO priority) happen here, against this
+/// replica's ready queue only.
 struct ReplicaSim {
   FleetSim& fleet;
   std::uint32_t index = 0;
@@ -60,7 +60,7 @@ struct ReplicaSim {
   util::SimTime busy_ps = 0;
   std::uint64_t link_bytes = 0;
   std::uint32_t quanta = 0;
-  std::uint32_t served = 0;  ///< completions on this replica (+followers)
+  std::uint32_t served = 0;  ///< completions on this replica
   std::uint32_t throttled_quanta = 0;
   /// Crashed (fault layer): a dead replica accepts no placements and
   /// dispatches nothing until the fleet revives it.
@@ -195,8 +195,6 @@ struct FleetSim {
   /// Per-query replay progress. Migration moves the query, not the
   /// counter — a partially-served query resumes exactly where it left.
   std::vector<std::size_t> next_step;
-  /// batch_identical: queries riding the active replay, per leader.
-  std::vector<std::vector<std::size_t>> followers;
   /// Per-profile suffix sums: remaining_after[p][k] = sum of step_ps[k..].
   /// O(1) remaining-demand estimates for routing / SLO shedding.
   std::vector<std::vector<util::SimTime>> remaining_after;
@@ -208,7 +206,6 @@ struct FleetSim {
   std::uint32_t admitted = 0;
   std::uint32_t completed = 0;
   std::uint32_t shed = 0;
-  std::uint32_t batched = 0;
   /// Queries whose crash-retry budget ran out (active fault plan only).
   std::uint32_t failed = 0;
   /// Closed loop: per-client query chains and issue cursors.
@@ -390,7 +387,7 @@ struct FleetSim {
   /// Marks query i failed (crash-retry budget exhausted): record flag,
   /// telemetry flow end, closed-loop reissue, quota release.
   void fail_query(std::size_t i);
-  /// Finalizes query i's record (completion, queue/ride split, SLO),
+  /// Finalizes query i's record (completion, queue time, SLO),
   /// feeds the streaming estimators and the health monitor, reissues the
   /// closed-loop client, releases the quota slot, and retires a drained
   /// replica that just ran dry.
@@ -400,7 +397,7 @@ struct FleetSim {
   void note_completion(std::size_t i);
   void note_failed(std::size_t i);
   /// Queue-wait span [arrival, first_service] on the lifecycle track;
-  /// fired when query i first reaches a stack (leader or batch rider).
+  /// fired when query i first reaches a stack.
   void note_queued(std::size_t i);
   /// Samples the fleet-wide depth channel (telemetry on).
   void sample_depth();
@@ -443,10 +440,9 @@ struct FleetSim {
   /// when nothing is left to kill.
   std::uint32_t crash_victim(std::uint32_t want) const;
   void crash(const fault::FaultEvent& e);
-  /// Discards query i's completed supersteps (crash recovery): any
-  /// followers riding its replay re-enter individually, its accumulated
-  /// stack time and bytes move to the lost-work ledger, and the replay
-  /// restarts from superstep 0.
+  /// Discards query i's completed supersteps (crash recovery): its
+  /// accumulated stack time and bytes move to the lost-work ledger, and
+  /// the replay restarts from superstep 0.
   void lose_progress(std::size_t i);
   /// Places an already-admitted query back onto the fleet (crash
   /// recovery): routes like an arrival but bypasses the admission gates

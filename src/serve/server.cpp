@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <functional>
-#include <iterator>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -66,39 +65,8 @@ std::vector<SoakWindow> soak_windows(const ServeReport& report,
   return out;
 }
 
-QueryServer::QueryServer(core::SystemConfig config, unsigned jobs,
-                         std::size_t profile_cache_capacity)
-    : config_(std::move(config)),
-      jobs_(jobs),
-      runner_(config_, jobs),
-      profile_cache_capacity_(profile_cache_capacity) {}
-
-bool QueryServer::cache_has(const ProfileKey& key) {
-  return profile_cache_.count(key) != 0;
-}
-
-const QueryProfile& QueryServer::cache_at(const ProfileKey& key) {
-  CacheEntry& entry = profile_cache_.at(key);
-  entry.last_use = ++cache_clock_;
-  return entry.profile;
-}
-
-void QueryServer::cache_put(const ProfileKey& key, QueryProfile profile) {
-  ++profiles_computed_;
-  profile_cache_.insert_or_assign(
-      key, CacheEntry{std::move(profile), ++cache_clock_});
-}
-
-void QueryServer::cache_evict_to_capacity() {
-  if (profile_cache_capacity_ == 0) return;
-  while (profile_cache_.size() > profile_cache_capacity_) {
-    auto victim = profile_cache_.begin();
-    for (auto it = std::next(victim); it != profile_cache_.end(); ++it) {
-      if (it->second.last_use < victim->second.last_use) victim = it;
-    }
-    profile_cache_.erase(victim);
-  }
-}
+QueryServer::QueryServer(core::SystemConfig config, unsigned jobs)
+    : config_(std::move(config)), jobs_(jobs), runner_(config_, jobs) {}
 
 const device::ThermalParams& QueryServer::stack_thermal(
     core::BackendKind backend) const noexcept {
@@ -192,7 +160,7 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
   std::vector<std::size_t> single_todo;
   std::vector<std::size_t> cluster_todo;
   for (std::size_t k = 0; k < slots.size(); ++k) {
-    if (cache_has(slots[k].cache_key) ||
+    if (profile_cache_.count(slots[k].cache_key) != 0 ||
         !scheduled.insert(slots[k].cache_key).second) {
       continue;
     }
@@ -224,8 +192,10 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
   }
   std::vector<QueryProfile> fanned = runner_.map_tasks(tasks);
   for (std::size_t t = 0; t < fanned.size(); ++t) {
-    cache_put(slots[single_todo[t]].cache_key, std::move(fanned[t]));
+    profile_cache_.emplace(slots[single_todo[t]].cache_key,
+                           std::move(fanned[t]));
   }
+  profiles_computed_ += fanned.size();
 
   // Shard-spanning profiles route through ClusterRuntime (which fans its
   // own per-shard replays) over one partition per shard layout; exchange
@@ -246,8 +216,7 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
         partitions.try_emplace({cls.shards, cls.strategy});
     if (fresh) {
       part->second = partition::make_partition(
-          graph, creq.strategy, creq.num_shards, creq.partition_seed,
-          creq.reorder);
+          graph, creq.strategy, creq.num_shards, /*seed=*/0, creq.reorder);
     }
     const core::ClusterReport cr = cluster.run(graph, part->second, creq);
 
@@ -270,12 +239,14 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
       p.step_ps[j] += cr.exchange_phase_ps[j];
     }
     p.step_bytes = cr.superstep_fetched_bytes;
-    cache_put(slots[k].cache_key, std::move(p));
+    profile_cache_.emplace(slots[k].cache_key, std::move(p));
+    ++profiles_computed_;
   }
 
   out.profiles.reserve(slots.size());
   for (const Slot& slot : slots) {
-    QueryProfile& p = out.profiles.emplace_back(cache_at(slot.cache_key));
+    QueryProfile& p =
+        out.profiles.emplace_back(profile_cache_.at(slot.cache_key));
     // A cached profile is shared by every slot with its key: by serves
     // with other mixes (the key ignores slo/weight) and, for source-free
     // classes, by every source. Bind it to this slot.
@@ -283,9 +254,6 @@ ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
     p.source = slot.source;
     p.report.source = slot.source;
   }
-  // This serve holds copies of everything it needs; trim the cache for
-  // the next one.
-  cache_evict_to_capacity();
   for (QueryProfile& p : out.profiles) {
     p.service_ps = 0;
     p.service_bytes = 0;

@@ -10,11 +10,11 @@
 /// points:
 ///
 ///  1. Every distinct (query class, source) gets a profile from an
-///     idle-stack run through the core contention seam
-///     (ExternalGraphRuntime::run_profiled, or core::ClusterRuntime for
-///     shard-spanning queries), yielding its per-superstep durations and
-///     fetched bytes. Latency tolerance *within* a query — the paper's
-///     outstanding-request argument — is captured there. Each distinct
+///     idle-stack run (ExternalGraphRuntime::make_trace + run_trace, or
+///     core::ClusterRuntime for shard-spanning queries), yielding its
+///     per-superstep durations and fetched bytes. Latency tolerance
+///     *within* a query — the paper's outstanding-request argument — is
+///     captured there. Each distinct
 ///     computation runs once: a source-free class (core::uses_source is
 ///     false: CC, PageRank scan) replays once for all of its sources, and
 ///     the shard-spanning classes of one shard layout share one partition.
@@ -77,14 +77,6 @@ struct ServeConfig {
   /// Supersteps served per scheduling turn under the preemptive policies
   /// (round-robin, SLO priority). FIFO ignores it.
   std::uint32_t quantum_supersteps = 4;
-  /// Batch identical queries into one replay: when the stack picks up a
-  /// query, every *waiting* query with the same (class shape, source) —
-  /// i.e. the same profile — rides along, and the whole batch completes
-  /// when the single shared replay does. Real serving traffic is full of
-  /// repeated queries (trending sources), so one execution can answer
-  /// many of them; followers consume no stack time and no link bytes.
-  /// Off by default: the unbatched schedule is the per-query baseline.
-  bool batch_identical = false;
 };
 
 struct ServeRequest {
@@ -125,11 +117,7 @@ struct QueryRecord {
   util::SimTime first_service = 0;
   util::SimTime completion = 0;
   util::SimTime service_ps = 0;  // time actually holding the shared stack
-  /// Time spent riding a batch leader's replay (batch_identical only):
-  /// the follower holds no stack time of its own, but quanta served on
-  /// its behalf are not queueing either.
-  util::SimTime ride_ps = 0;
-  util::SimTime queue_ps = 0;  // completion - arrival - service_ps - ride_ps
+  util::SimTime queue_ps = 0;  // completion - arrival - service_ps - lost_ps
   std::uint64_t service_bytes = 0;
   util::SimTime slo = 0;
   /// Replica that served (or is serving) this query. 0 for a single-stack
@@ -137,10 +125,6 @@ struct QueryRecord {
   std::uint32_t replica = 0;
   bool shed = false;
   bool slo_violated = false;
-  /// True when this query rode another query's replay (batch_identical):
-  /// it completed with the batch but held the stack for no time of its
-  /// own, and its bytes were fetched once, by the batch leader.
-  bool batch_follower = false;
   /// Crash recovery (active fault plan only). `retries` counts how many
   /// times this query re-entered the queue after its replica crashed
   /// mid-flight; lost_ps / lost_bytes hold the discarded progress of
@@ -169,8 +153,6 @@ struct ServeReport {
   /// admitted queries whose crash-retry budget ran out. The terminal
   /// dispositions partition: completed + shed + failed == offered.
   std::uint32_t failed = 0;
-  /// Completions that were batch followers (batch_identical only).
-  std::uint32_t batched = 0;
 
   /// Simulated time from t=0 to the last completion.
   double makespan_sec = 0.0;
@@ -194,11 +176,11 @@ struct ServeReport {
   /// number a dashboard trusting the streaming estimators should watch.
   double p2_max_rel_error = 0.0;
 
-  /// Time-in-queue vs time-in-service vs time-riding-a-batch totals over
-  /// completed queries; the three sum to total sojourn exactly.
+  /// Time-in-queue vs time-in-service totals over completed queries. Per
+  /// completed query, queue + service + lost stack time (lost_ps) equals
+  /// its sojourn exactly.
   double time_in_queue_sec = 0.0;
   double time_in_service_sec = 0.0;
-  double time_riding_sec = 0.0;
   /// Shared-stack busy time / makespan.
   double utilization = 0.0;
 
@@ -268,11 +250,7 @@ class QueryServer {
  public:
   /// `jobs` bounds the profiling fan-out (ExperimentRunner semantics:
   /// 0 = hardware concurrency, 1 = serial; results identical either way).
-  /// `profile_cache_capacity` bounds the cross-serve profile cache to that
-  /// many entries, evicted least-recently-used (0 = unbounded). Eviction
-  /// only costs re-profiling on a later serve — results are unaffected.
-  explicit QueryServer(core::SystemConfig config, unsigned jobs = 0,
-                       std::size_t profile_cache_capacity = 0);
+  explicit QueryServer(core::SystemConfig config, unsigned jobs = 0);
 
   /// Runs the workload to completion on one shared stack: the serve() of
   /// a FleetRequest with one replica, the random router, and
@@ -322,9 +300,8 @@ class QueryServer {
     return profile_cache_.size();
   }
   /// Idle-stack profile runs performed over this server's lifetime: one
-  /// per distinct cache key, so a source-free class costs one run however
-  /// many sources its queries draw. A capacity-bounded cache re-profiles
-  /// evicted keys; an unbounded one computes each key once per graph.
+  /// per distinct cache key and graph, so a source-free class costs one
+  /// run however many sources its queries draw.
   std::uint64_t profiles_computed() const noexcept {
     return profiles_computed_;
   }
@@ -341,17 +318,6 @@ class QueryServer {
                  int /*algorithm*/, std::uint32_t /*shards*/,
                  int /*strategy*/, graph::VertexId /*source*/>;
 
-  struct CacheEntry {
-    QueryProfile profile;
-    /// LRU stamp: the serve-scoped access clock at last touch.
-    std::uint64_t last_use = 0;
-  };
-
-  bool cache_has(const ProfileKey& key);
-  const QueryProfile& cache_at(const ProfileKey& key);
-  void cache_put(const ProfileKey& key, QueryProfile profile);
-  void cache_evict_to_capacity();
-
   core::SystemConfig config_;
   unsigned jobs_;
   /// Distinct (class, source) profiles fan out here.
@@ -361,12 +327,8 @@ class QueryServer {
   /// them. Invalidated whenever the served graph's id() changes (not its
   /// address: a different graph built at the same address has a new id;
   /// a copy keeps the id and the profiles). A content-equal graph built
-  /// separately re-profiles, with identical results. Bounded to
-  /// profile_cache_capacity_ entries with LRU eviction (0 = unbounded) so
-  /// a long-lived multi-tenant server cannot grow without limit.
-  std::map<ProfileKey, CacheEntry> profile_cache_;
-  std::size_t profile_cache_capacity_ = 0;
-  std::uint64_t cache_clock_ = 0;
+  /// separately re-profiles, with identical results.
+  std::map<ProfileKey, QueryProfile> profile_cache_;
   std::uint64_t profiles_computed_ = 0;
   std::uint64_t cached_graph_id_ = 0;
   obs::Telemetry* telemetry_ = nullptr;

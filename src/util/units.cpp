@@ -37,6 +37,17 @@ SimTime checked_ps_from_sec(double sec, std::string_view what) {
   return ps_from_sec(sec);
 }
 
+double checked_rate(double rate, std::string_view what) {
+  if (!(rate > 0.0) || !std::isfinite(rate)) {
+    char got[48];
+    std::snprintf(got, sizeof(got), "%g", rate);
+    throw std::invalid_argument(std::string(what) +
+                                " must be a positive, finite rate (got " +
+                                got + ")");
+  }
+  return rate;
+}
+
 std::string format_bytes(double bytes) {
   static constexpr const char* kSuffix[] = {"B", "kB", "MB", "GB", "TB"};
   int unit = 0;

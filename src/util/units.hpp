@@ -37,6 +37,12 @@ constexpr SimTime ps_from_sec(double sec) noexcept {
 SimTime checked_ps_from_us(double us, std::string_view what);
 /// The same check for ps_from_sec.
 SimTime checked_ps_from_sec(double sec, std::string_view what);
+/// A device rate (a bandwidth in MB/s, an IOPS figure) that durations are
+/// derived from: returns `rate` when it is positive and finite, otherwise
+/// throws std::invalid_argument naming `what`. Zero, negative and NaN
+/// rates make those durations undefined casts; an infinite one makes
+/// them zero.
+double checked_rate(double rate, std::string_view what);
 
 constexpr double ns_from_ps(SimTime ps) noexcept {
   return static_cast<double>(ps) / static_cast<double>(kPsPerNs);

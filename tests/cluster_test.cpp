@@ -199,15 +199,6 @@ TEST(ClusterRuntime, AsymmetricExchangeAccountsEveryByte) {
   }
 }
 
-TEST(ClusterRuntime, RejectsMismatchedShardConfigs) {
-  const graph::CsrGraph g = test_graph();
-  core::ClusterRuntime cluster(core::table3_system());
-  core::ClusterRequest creq;
-  creq.num_shards = 3;
-  creq.shard_configs.resize(2, core::table3_system());
-  EXPECT_THROW(cluster.run(g, creq), std::invalid_argument);
-}
-
 // A caller-built partition (the serving layer builds one per shard layout
 // and reuses it across profiles) must give exactly the report the
 // partition-building overload does.
@@ -262,30 +253,6 @@ TEST(ClusterRuntime, PrebuiltPartitionMustMatchRequestAndGraph) {
       cluster.run(g, partition::make_partition(other, creq.strategy, 2),
                   creq),
       std::invalid_argument);
-}
-
-TEST(ClusterRuntime, PerShardConfigOverridesApply) {
-  const graph::CsrGraph g = test_graph();
-  core::ClusterRuntime cluster(core::table3_system());
-
-  core::ClusterRequest creq;
-  creq.run.algorithm = core::Algorithm::kBfs;
-  creq.run.backend = core::BackendKind::kCxl;
-  creq.run.source_seed = kSeed;
-  creq.num_shards = 2;
-  const core::ClusterReport uniform = cluster.run(g, creq);
-
-  // Identical per-shard configs must not change anything...
-  creq.shard_configs.assign(2, core::table3_system());
-  const core::ClusterReport same = cluster.run(g, creq);
-  EXPECT_EQ(uniform.runtime_sec, same.runtime_sec);
-
-  // ...while a slower CXL device on shard 1 must show up in the makespan.
-  creq.shard_configs[1].cxl.added_latency = util::ps_from_us(3.0);
-  const core::ClusterReport skewed = cluster.run(g, creq);
-  EXPECT_GT(skewed.runtime_sec, uniform.runtime_sec);
-  EXPECT_GT(skewed.shard_compute_imbalance,
-            uniform.shard_compute_imbalance);
 }
 
 // The point of the asymmetric model: partitioners with different cut

@@ -1,15 +1,17 @@
 /// \file device_state_test.cpp
-/// State-dependent device-model tests: thermal throttling, flash
-/// endurance, queue-depth-dependent throughput, and the contract that
-/// every model defaults OFF and leaves the baseline timing bit-identical.
+/// State-dependent device-model tests: thermal throttling and the
+/// contract that the model defaults OFF and leaves the baseline timing
+/// bit-identical; device constructors reject bad rates and state models.
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <stdexcept>
 
 #include "closure_sim.hpp"
 #include "device/cxl_device.hpp"
+#include "device/host_dram.hpp"
 #include "device/pcie.hpp"
 #include "device/state_model.hpp"
 #include "device/storage.hpp"
@@ -52,20 +54,6 @@ SimTime serial_read_makespan(const StorageDriveParams& p, int requests,
     if (--remaining > 0) drive.submit(0, bytes, sim.make_callback(next));
   };
   drive.submit(0, bytes, sim.make_callback(next));
-  sim.run();
-  return last;
-}
-
-SimTime batch_write_makespan(const StorageDriveParams& p, int requests,
-                             std::uint32_t bytes) {
-  ClosureSim sim;
-  PcieLink link(sim, pcie_x16(PcieGen::kGen4));
-  StorageDrive drive(sim, link, p);
-  SimTime last = 0;
-  for (int i = 0; i < requests; ++i) {
-    drive.submit_write(0, bytes,
-                       sim.make_callback([&] { last = sim.now(); }));
-  }
   sim.run();
   return last;
 }
@@ -185,98 +173,6 @@ TEST(Thermal, EnabledButColdIsBitIdenticalToDisabled) {
             serial_read_makespan(on, 50, 2048));
 }
 
-// ----------------------------------------------------------- endurance ----
-
-TEST(Endurance, WearFactorStartsAtOneAndIsCapped) {
-  EnduranceParams p;
-  p.enabled = true;
-  p.wear_per_gb = 1.0;
-  p.latency_slope = 0.05;
-  p.max_factor = 4.0;
-
-  WearState w;
-  EXPECT_DOUBLE_EQ(w.latency_factor(p), 1.0);  // fresh device
-  w.charge(p, 1'000'000'000);                  // 1 GB -> 1 wear unit
-  EXPECT_DOUBLE_EQ(w.wear_units(), 1.0);
-  EXPECT_DOUBLE_EQ(w.latency_factor(p), 1.05);
-  w.charge(p, 1'000'000'000'000);  // 1 TB: far past the cap
-  EXPECT_DOUBLE_EQ(w.latency_factor(p), 4.0);
-}
-
-TEST(Endurance, WearSlowsProgramsOverTime) {
-  const StorageDriveParams fresh = xlfdd_drive_params();
-  StorageDriveParams worn = fresh;
-  worn.endurance.enabled = true;
-  // Aggressive aging so a short test run spans a visible latency shift:
-  // one wear unit per megabyte programmed, +10% program latency per unit.
-  worn.endurance.wear_per_gb = 1'000.0;
-  worn.endurance.latency_slope = 0.1;
-  worn.endurance.max_factor = 8.0;
-
-  const int writes = 300;
-  const SimTime fresh_span = batch_write_makespan(fresh, writes, 2048);
-  const SimTime worn_span = batch_write_makespan(worn, writes, 2048);
-  EXPECT_GT(worn_span, fresh_span);
-
-  ClosureSim sim;
-  PcieLink link(sim, pcie_x16(PcieGen::kGen4));
-  StorageDrive drive(sim, link, worn);
-  for (int i = 0; i < writes; ++i) {
-    drive.submit_write(0, 2048, sim.make_callback([] {}));
-  }
-  sim.run();
-  EXPECT_GT(drive.wear_units(), 0.0);
-  EXPECT_DOUBLE_EQ(drive.stats().wear_units, drive.wear_units());
-  EXPECT_EQ(drive.stats().written_bytes, 300u * 2048u);
-}
-
-// ------------------------------------------------------------ qd curve ----
-
-TEST(QdCurve, ScaleInterpolatesAndClamps) {
-  QdCurveParams p;
-  p.enabled = true;  // empty points -> default curve
-  EXPECT_DOUBLE_EQ(qd_scale(p, 0), 0.25);  // 0 treated as QD 1
-  EXPECT_DOUBLE_EQ(qd_scale(p, 1), 0.25);
-  EXPECT_DOUBLE_EQ(qd_scale(p, 4), 0.55);
-  EXPECT_DOUBLE_EQ(qd_scale(p, 10), 0.7);  // midway between 4 and 16
-  EXPECT_DOUBLE_EQ(qd_scale(p, 64), 1.0);
-  EXPECT_DOUBLE_EQ(qd_scale(p, 4096), 0.92);  // clamped past the end
-
-  p.points = {{2.0, 0.5}, {8.0, 1.0}};
-  EXPECT_DOUBLE_EQ(qd_scale(p, 1), 0.5);
-  EXPECT_DOUBLE_EQ(qd_scale(p, 5), 0.75);
-  EXPECT_DOUBLE_EQ(qd_scale(p, 100), 1.0);
-}
-
-TEST(QdCurve, ShallowQueueUnderutilizesController) {
-  // With the curve enabled, QD-1 closed-loop traffic only reaches 25% of
-  // the nominal IOPS (default curve), so the serial makespan grows; deep
-  // open-loop traffic keeps near-nominal throughput.
-  StorageDriveParams flat = xlfdd_drive_params();
-  // Slow the controller so the service interval (which the curve scales)
-  // dominates over the fixed media access latency.
-  flat.iops = 50'000.0;
-  StorageDriveParams curved = flat;
-  curved.qd_curve.enabled = true;
-
-  const int requests = 100;
-  const SimTime flat_serial = serial_read_makespan(flat, requests, 2048);
-  const SimTime curved_serial =
-      serial_read_makespan(curved, requests, 2048);
-  EXPECT_GT(curved_serial, flat_serial);
-
-  const SimTime flat_batch = batch_read_makespan(flat, 400, 2048);
-  const SimTime curved_batch = batch_read_makespan(curved, 400, 2048);
-  // Deep queues sit on the saturated part of the curve: the penalty is
-  // far smaller than the 4x serial one.
-  const double serial_ratio = static_cast<double>(curved_serial) /
-                              static_cast<double>(flat_serial);
-  const double batch_ratio = static_cast<double>(curved_batch) /
-                             static_cast<double>(flat_batch);
-  EXPECT_GT(serial_ratio, 1.5);
-  EXPECT_LT(batch_ratio, serial_ratio);
-}
-
 // ------------------------------------------------------------- cxl -------
 
 TEST(CxlThermal, DeratesChannelUnderSustainedLoad) {
@@ -324,20 +220,6 @@ TEST(Validate, RejectsBadParamsOnlyWhenEnabled) {
   t.throttle_factor = 0.5;
   t.hysteresis = 1.5;
   EXPECT_THROW(validate(t), std::invalid_argument);
-
-  EnduranceParams e;
-  e.max_factor = 0.5;
-  EXPECT_NO_THROW(validate(e));
-  e.enabled = true;
-  EXPECT_THROW(validate(e), std::invalid_argument);
-
-  QdCurveParams q;
-  q.points = {{4.0, 0.5}, {2.0, 1.0}};  // unsorted
-  EXPECT_NO_THROW(validate(q));
-  q.enabled = true;
-  EXPECT_THROW(validate(q), std::invalid_argument);
-  q.points = {{1.0, 0.0}};  // non-positive scale
-  EXPECT_THROW(validate(q), std::invalid_argument);
 }
 
 TEST(Validate, DriveConstructorValidatesStateModels) {
@@ -352,6 +234,26 @@ TEST(Validate, DriveConstructorValidatesStateModels) {
   cp.thermal.enabled = true;
   cp.thermal.hysteresis = 0.0;
   EXPECT_THROW(CxlDevice(sim, cp), std::invalid_argument);
+
+  // Every rate a duration is derived from must be positive and finite,
+  // and is checked before the first cast.
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    for (double StorageDriveParams::*rate :
+         {&StorageDriveParams::iops, &StorageDriveParams::write_iops,
+          &StorageDriveParams::drive_link_mbps}) {
+      StorageDriveParams sp = xlfdd_drive_params();
+      sp.*rate = bad;
+      EXPECT_THROW(StorageDrive(sim, link, sp), std::invalid_argument)
+          << bad;
+    }
+    HostDramParams hp;
+    hp.channel_bandwidth_mbps = bad;
+    EXPECT_THROW(HostDram(sim, hp, "dram"), std::invalid_argument) << bad;
+    CxlDeviceParams xp;
+    xp.channel_bandwidth_mbps = bad;
+    EXPECT_THROW(CxlDevice(sim, xp), std::invalid_argument) << bad;
+  }
 }
 
 }  // namespace

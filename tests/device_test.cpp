@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -203,8 +204,14 @@ TEST(Pcie, BusyTimeSumsBothHalves) {
 
 TEST(Pcie, RejectsBadParameters) {
   Simulator sim;
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    PcieLinkParams lp;
+    lp.bandwidth_mbps = bad;
+    EXPECT_THROW(PcieLink(sim, lp), std::invalid_argument) << bad;
+  }
   PcieLinkParams lp;
-  lp.bandwidth_mbps = 0;
+  lp.n_max = 0;
   EXPECT_THROW(PcieLink(sim, lp), std::invalid_argument);
 }
 
@@ -407,10 +414,6 @@ TEST(CxlPool, TagSaturationGolden) {
     p.device_tags = 2 + static_cast<std::uint32_t>(rng.next_below(7));
     p.added_latency = grid * rng.next_below(5);  // 0..1 us
     p.socket_hop = grid * rng.next_below(2);
-    p.io_faults.enabled = trial % 2 == 1;
-    p.io_faults.error_rate = 0.3;
-    p.io_faults.seed = trial;
-    p.io_faults.retry_base = grid;
     ClosureSim sim;
     CxlMemoryPool pool(sim, p, 2, 4096);
 
@@ -456,7 +459,7 @@ TEST(CxlPool, TagSaturationGolden) {
     if (peak == p.device_tags) ++saturated;
   }
   EXPECT_GE(saturated, 16);
-  EXPECT_EQ(fold, 0x899ca60f3cff9588ULL);
+  EXPECT_EQ(fold, 0xa6588a39bba4dab7ULL);
 }
 
 TEST(CxlPool, TagFreeRecordsAreInvisible) {
@@ -465,8 +468,8 @@ TEST(CxlPool, TagFreeRecordsAreInvisible) {
   // trial alternates bursts that fill the device tags with trickles that
   // drain them, so one run switches between recorded and scheduled frees.
   // Port shapes include port_ingress < port_egress, where every free is
-  // scheduled unless the socket hop covers the gap; writes, I/O faults and
-  // the socket hop vary per trial. Completions fold (time, request id,
+  // scheduled unless the socket hop covers the gap; writes and the socket
+  // hop vary per trial. Completions fold (time, request id,
   // tags held) in completion order, ties included; the pin was taken on
   // the device code from before frees were recorded.
   std::uint64_t fold = 0xcbf29ce484222325ULL;
@@ -488,10 +491,6 @@ TEST(CxlPool, TagFreeRecordsAreInvisible) {
     p.port_ingress = ports[trial % 4][0];
     p.port_egress = ports[trial % 4][1];
     p.socket_hop = trial / 4 % 2 == 1 ? grid : 0;
-    p.io_faults.enabled = trial / 8 % 2 == 1;
-    p.io_faults.error_rate = 0.3;
-    p.io_faults.seed = trial;
-    p.io_faults.retry_base = grid;
     ClosureSim sim;
     CxlMemoryPool pool(sim, p, 2, 4096);
 
@@ -538,7 +537,7 @@ TEST(CxlPool, TagFreeRecordsAreInvisible) {
     if (peak == p.device_tags) ++saturated;
   }
   EXPECT_GE(saturated, 16);
-  EXPECT_EQ(fold, 0x7b998bdd71e04bc4ULL);
+  EXPECT_EQ(fold, 0xbcd97a07ef26da63ULL);
 }
 
 TEST(CxlPool, AddedLatencyReachesEveryDevice) {

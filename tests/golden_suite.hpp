@@ -118,20 +118,18 @@ CXLGRAPH_GOLDEN_FOLD(serve::QueryProfile, class_index, source, shards,
                      report, cluster_runtime_sec, exchange_bytes, step_ps,
                      step_bytes, service_ps, service_bytes)
 CXLGRAPH_GOLDEN_FOLD(serve::QueryRecord, id, class_index, profile_index,
-                     arrival, first_service, completion, service_ps, ride_ps,
+                     arrival, first_service, completion, service_ps,
                      queue_ps, service_bytes, slo, replica, shed,
-                     slo_violated, batch_follower, retries, lost_ps,
-                     lost_bytes, failed)
+                     slo_violated, retries, lost_ps, lost_bytes, failed)
 CXLGRAPH_GOLDEN_FOLD(serve::ServeReport, backend, access_method, policy,
                      process, offered, admitted, completed, shed, failed,
-                     batched, makespan_sec, completed_qps, goodput_qps,
+                     makespan_sec, completed_qps, goodput_qps,
                      slo_violation_rate, latency_us, queue_us, service_us,
                      streaming_p50_us, streaming_p95_us, streaming_p99_us,
                      p2_max_rel_error, time_in_queue_sec,
-                     time_in_service_sec, time_riding_sec, utilization,
-                     link_bytes, query_bytes, query_retries, lost_bytes,
-                     lost_work_sec, throttled_quanta, stack_peak_heat,
-                     queries, profiles)
+                     time_in_service_sec, utilization, link_bytes,
+                     query_bytes, query_retries, lost_bytes, lost_work_sec,
+                     throttled_quanta, stack_peak_heat, queries, profiles)
 CXLGRAPH_GOLDEN_FOLD(serve::ReplicaStats, replica, served, quanta, busy_sec,
                      link_bytes, throttled_quanta, peak_heat, joined_sec,
                      retired, retired_sec, utilization, crashes, down_sec)
@@ -351,11 +349,11 @@ inline constexpr GoldenCase kGoldens[] = {
     {"bfs-writeback/cxl",        0x9d187b371abdf1daULL},
     {"sssp-delta/cxl",           0x4a6cc96f658d3131ULL},
     {"cluster-bfs-x2/cxl",       0x27d210fc67124d92ULL},
-    {"serve-mix/cxl",            0xa625a96c76daf41bULL},
-    {"serve-soak-throttled/cxl", 0x8fc41bd8bd288bd2ULL},
-    {"fleet-serve/cxl",          0x6064190218e5705fULL},
-    {"fleet-faults/cxl",         0x96df14db2e0a4ce4ULL},
-    {"fleet-elastic/cxl",        0x3200549809038d6eULL},
+    {"serve-mix/cxl",            0xb2f0e904e3d33885ULL},
+    {"serve-soak-throttled/cxl", 0xe1a4e5a223bbfd4aULL},
+    {"fleet-serve/cxl",          0x5fcbe05e20a74005ULL},
+    {"fleet-faults/cxl",         0xaead1cf8c903257aULL},
+    {"fleet-elastic/cxl",        0xc29cfe4cd602e4f6ULL},
     {"probe-chase/cxl",          0x9c956c65fc373004ULL},
     {"probe-cpu/cxl",            0x5d108de029133492ULL},
 };

@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
@@ -12,6 +13,7 @@
 #include "graph/generate.hpp"
 #include "graph/io.hpp"
 #include "golden_suite.hpp"
+#include "mutate.hpp"
 #include "util/rng.hpp"
 
 namespace cxlgraph::graph {
@@ -480,6 +482,44 @@ TEST(Io, BinaryRejectsCorruptStructure) {
   const std::size_t offsets_start = 4 + 4 + 8 + 8 + 1;
   bytes[offsets_start + 8] = '\x7f';  // offsets[1] becomes huge
   expect_load_error(bytes, "corrupt structure");
+}
+
+TEST(Io, BinarySeededMutationsThrowOrRoundTrip) {
+  // Every mutated file either throws std::runtime_error or loads a graph
+  // that saves and reloads to equal bytes.
+  GeneratorOptions opts;
+  opts.seed = 7;
+  std::vector<std::string> seeds = {serialized_graph()};
+  for (const std::uint32_t max_weight : {1u, 9u}) {
+    opts.max_weight = max_weight;
+    std::stringstream buffer;
+    save_binary(generate_uniform(32, 4.0, opts), buffer);
+    seeds.push_back(buffer.str());
+  }
+  util::Xoshiro256 rng(2025);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::stringstream in(
+        mutation::mutate_some(seeds[trial % seeds.size()], rng));
+    std::stringstream saved;
+    try {
+      save_binary(load_binary(in), saved);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "trial " << trial << " threw " << e.what();
+      continue;
+    }
+    std::stringstream reloaded(saved.str());
+    std::stringstream resaved;
+    save_binary(load_binary(reloaded), resaved);
+    EXPECT_EQ(resaved.str(), saved.str()) << "trial " << trial;
+    ++accepted;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(Io, EdgeListLoadsEveryEdge) {

@@ -344,7 +344,7 @@ TEST(QueryServer, ShardSpanningQueriesRouteThroughCluster) {
   }
 }
 
-// ------------------------------------------- batching identical queries ----
+// ---------------------------------------------------- identical queries ----
 
 /// A saturating stream of *identical* queries (one class, one source).
 serve::ServeRequest identical_request(double offered_qps,
@@ -362,121 +362,32 @@ serve::ServeRequest identical_request(double offered_qps,
   return req;
 }
 
-TEST(QueryServer, BatchingIdenticalQueriesImprovesMakespan) {
-  const graph::CsrGraph g = test_graph();
-  serve::QueryServer server(core::table3_system());
-  serve::ServeRequest req = identical_request(1.0e6, 24);
+// -------------------------------------------------------- profile cache ----
 
-  const serve::ServeReport solo = server.serve(g, req);
-  req.config.batch_identical = true;
-  const serve::ServeReport batched = server.serve(g, req);
-
-  EXPECT_EQ(batched.completed, solo.completed);
-  EXPECT_GT(batched.batched, 0u);
-  EXPECT_EQ(solo.batched, 0u);
-  // One replay answers a whole backlog of identical queries.
-  EXPECT_LT(batched.makespan_sec, solo.makespan_sec);
-  EXPECT_LT(batched.latency_us.p99, solo.latency_us.p99);
-  // Followers hold the stack for no time of their own and their bytes are
-  // fetched once — conservation must still balance.
-  EXPECT_TRUE(batched.conservation_ok());
-  EXPECT_LT(batched.link_bytes, solo.link_bytes);
-}
-
-TEST(QueryServer, BatchingNeverBatchesDistinctProfiles) {
-  const graph::CsrGraph g = test_graph();
-  serve::QueryServer server(core::table3_system());
-  serve::ServeRequest req = mixed_request(1.0e5, 24);
-  req.config.batch_identical = true;
-  const serve::ServeReport r = server.serve(g, req);
-  EXPECT_TRUE(r.conservation_ok());
-  for (const serve::QueryRecord& rec : r.queries) {
-    if (!rec.batch_follower || rec.shed) continue;
-    // A follower's completion must match some non-follower of the same
-    // profile (its batch leader).
-    bool found_leader = false;
-    for (const serve::QueryRecord& other : r.queries) {
-      if (!other.batch_follower && !other.shed &&
-          other.profile_index == rec.profile_index &&
-          other.completion == rec.completion) {
-        found_leader = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(found_leader) << "follower " << rec.id << " has no leader";
-    EXPECT_EQ(rec.service_ps, 0u);
-    EXPECT_EQ(rec.service_bytes, 0u);
-  }
-}
-
-TEST(QueryServer, BatchingUnderPreemptionCompletesEveryAdmittedQuery) {
-  // Regression: a preempted batch leader re-queued mid-flight must not be
-  // absorbed as another query's follower (that would orphan its own
-  // followers and leave them incomplete forever).
-  const graph::CsrGraph g = test_graph();
-  serve::QueryServer server(core::table3_system());
-  serve::ServeRequest req = identical_request(2.0e5, 32);
-  req.config.batch_identical = true;
-  for (const serve::SchedulingPolicy policy : serve::all_policies()) {
-    req.config.policy = policy;
-    req.config.quantum_supersteps = 1;  // maximal preemption churn
-    const serve::ServeReport r = server.serve(g, req);
-    EXPECT_EQ(r.completed, r.admitted) << serve::to_string(policy);
-    EXPECT_TRUE(r.conservation_ok()) << serve::to_string(policy);
-    for (const serve::QueryRecord& rec : r.queries) {
-      if (!rec.shed) {
-        EXPECT_GT(rec.completion, 0u) << serve::to_string(policy)
-                                      << " query " << rec.id;
-      }
-    }
-  }
-}
-
-TEST(QueryServer, BatchingIsDeterministic) {
-  const graph::CsrGraph g = test_graph();
-  serve::ServeRequest req = identical_request(5.0e5, 32);
-  req.config.batch_identical = true;
-  req.config.policy = serve::SchedulingPolicy::kSloPriority;
-  serve::QueryServer a(core::table3_system());
-  serve::QueryServer b(core::table3_system());
-  EXPECT_EQ(a.serve(g, req), b.serve(g, req));
-}
-
-// ------------------------------------------------ profile-cache eviction ----
-
-TEST(QueryServer, ProfileCacheEvictionBoundsMemoryNotResults) {
+TEST(QueryServer, ProfileCacheComputesEachComputationOnce) {
   const graph::CsrGraph g = test_graph();
   serve::ServeRequest req = mixed_request(1.0e5, 32);
   req.workload.source_pool = 6;  // several distinct profiles
 
-  serve::QueryServer unbounded(core::table3_system());
-  serve::QueryServer bounded(core::table3_system(), /*jobs=*/0,
-                             /*profile_cache_capacity=*/2);
-  const serve::ServeReport a = unbounded.serve(g, req);
-  const serve::ServeReport b = bounded.serve(g, req);
-  // Eviction is a memory policy, not a semantic one.
-  EXPECT_EQ(a, b);
-  EXPECT_GT(unbounded.profile_cache_size(), 2u);
-  EXPECT_LE(bounded.profile_cache_size(), 2u);
-
-  // A repeat serve hits the unbounded cache fully but must re-profile the
-  // evicted shapes on the bounded server — same results either way.
-  const std::uint64_t before = bounded.profiles_computed();
-  const serve::ServeReport a2 = unbounded.serve(g, req);
-  const serve::ServeReport b2 = bounded.serve(g, req);
-  EXPECT_EQ(a2, b2);
-  // The unbounded cache computes each distinct computation once: one
-  // replay per BFS source, one PageRank scan for all of its sources (the
-  // scan never reads the source). That is fewer runs than slots.
+  serve::QueryServer server(core::table3_system());
+  const serve::ServeReport a = server.serve(g, req);
+  // The cache computes each distinct computation once: one replay per BFS
+  // source, one PageRank scan for all of its sources (the scan never
+  // reads the source). That is fewer runs than slots.
   std::set<graph::VertexId> bfs_sources;
   for (const serve::QueryProfile& p : a.profiles) {
     if (req.workload.mix[p.class_index].algorithm == core::Algorithm::kBfs) {
       bfs_sources.insert(p.source);
     }
   }
-  EXPECT_EQ(unbounded.profiles_computed(), bfs_sources.size() + 1);
-  EXPECT_LT(unbounded.profiles_computed(), a.profiles.size());
-  EXPECT_GT(bounded.profiles_computed(), before);
+  EXPECT_EQ(server.profiles_computed(), bfs_sources.size() + 1);
+  EXPECT_LT(server.profiles_computed(), a.profiles.size());
+  EXPECT_EQ(server.profile_cache_size(), server.profiles_computed());
+
+  // A repeat serve hits the cache fully: same results, nothing computed.
+  const std::uint64_t before = server.profiles_computed();
+  EXPECT_EQ(server.serve(g, req), a);
+  EXPECT_EQ(server.profiles_computed(), before);
 }
 
 // The cache follows the graph's identity, not its address: a copy reuses
@@ -713,54 +624,35 @@ TEST(QueryServer, StreamingP2StaysFiniteBelowFiveCompletions) {
   }
 }
 
-// ------------------------------------------- follower time accounting ----
+// ------------------------------------------------- sojourn accounting ----
 
-TEST(QueryServer, FollowerRideTimeSplitsSojournExactly) {
-  // Regression: a batch follower's queue_ps used to absorb its leader's
-  // service time (completion - arrival - 0), overstating queueing. The
-  // quanta a follower spends riding the shared replay are ride time, and
-  // sojourn must split exactly into queue + service + ride.
+TEST(QueryServer, SojournSplitsExactlyIntoQueueAndService) {
+  // Without faults no stack time is lost, so every completed query's
+  // sojourn splits exactly into queue + service, per query and in the
+  // report's totals. A saturating stream keeps both terms nonzero.
   const graph::CsrGraph g = test_graph();
   serve::QueryServer server(core::table3_system());
-  serve::ServeRequest req = identical_request(1.0e6, 24);
-  req.config.batch_identical = true;
-  const serve::ServeReport r = server.serve(g, req);
-  ASSERT_GT(r.batched, 0u);
+  const serve::ServeReport r = server.serve(g, identical_request(1.0e6, 24));
+  ASSERT_GT(r.completed, 0u);
 
   util::SimTime sojourn_total = 0;
   util::SimTime split_total = 0;
   for (const serve::QueryRecord& rec : r.queries) {
     if (rec.shed) continue;
     const util::SimTime sojourn = rec.completion - rec.arrival;
-    EXPECT_EQ(rec.queue_ps + rec.service_ps + rec.ride_ps, sojourn)
-        << "query " << rec.id;
-    if (rec.batch_follower) {
-      EXPECT_EQ(rec.service_ps, 0u);
-      EXPECT_GT(rec.ride_ps, 0u) << "follower " << rec.id
-                                 << " rode for free";
-      // The fixed invariant: its wait is strictly less than its sojourn.
-      EXPECT_LT(rec.queue_ps, sojourn);
-    } else {
-      EXPECT_EQ(rec.ride_ps, 0u) << "non-follower " << rec.id;
-    }
+    EXPECT_EQ(rec.lost_ps, 0u) << "query " << rec.id;
+    EXPECT_GT(rec.service_ps, 0u) << "query " << rec.id;
+    EXPECT_EQ(rec.queue_ps + rec.service_ps, sojourn) << "query " << rec.id;
     sojourn_total += sojourn;
-    split_total += rec.queue_ps + rec.service_ps + rec.ride_ps;
+    split_total += rec.queue_ps + rec.service_ps;
   }
   EXPECT_EQ(split_total, sojourn_total);
   // The report-level totals carry the same split.
-  const double total_sec = r.time_in_queue_sec + r.time_in_service_sec +
-                           r.time_riding_sec;
+  const double total_sec = r.time_in_queue_sec + r.time_in_service_sec;
   EXPECT_NEAR(total_sec, util::sec_from_ps(sojourn_total),
               1e-9 * std::max(1.0, total_sec));
-  EXPECT_GT(r.time_riding_sec, 0.0);
-
-  // Without batching nothing rides.
-  req.config.batch_identical = false;
-  const serve::ServeReport plain = server.serve(g, req);
-  EXPECT_EQ(plain.time_riding_sec, 0.0);
-  for (const serve::QueryRecord& rec : plain.queries) {
-    EXPECT_EQ(rec.ride_ps, 0u);
-  }
+  EXPECT_GT(r.time_in_queue_sec, 0.0);
+  EXPECT_GT(r.time_in_service_sec, 0.0);
 }
 
 // ----------------------------------------------- utilization sanity ----

@@ -15,7 +15,6 @@ namespace {
 
 using device::TieredMemory;
 using device::TieredMemoryParams;
-using device::TierPlacement;
 
 struct Fixture {
   sim::ClosureSim sim;
@@ -30,7 +29,6 @@ struct Fixture {
 TEST(Tiered, RangeSplitRoutesByAddress) {
   Fixture f;
   TieredMemoryParams p;
-  p.placement = TierPlacement::kRangeSplit;
   p.fast_bytes = 1 << 20;
   TieredMemory tiered(f.dram, f.cxl, p);
   EXPECT_TRUE(tiered.is_fast(0));
@@ -44,45 +42,6 @@ TEST(Tiered, RangeSplitRoutesByAddress) {
   EXPECT_EQ(tiered.slow_requests(), 1u);
   EXPECT_EQ(f.dram.stats().requests, 1u);
   EXPECT_EQ(f.cxl.stats().requests, 1u);
-}
-
-TEST(Tiered, InterleaveAlternatesPages) {
-  Fixture f;
-  TieredMemoryParams p;
-  p.placement = TierPlacement::kInterleave;
-  p.interleave_bytes = 4096;
-  p.fast_pages_per_cycle = 1;
-  p.cycle_pages = 2;
-  TieredMemory tiered(f.dram, f.cxl, p);
-  EXPECT_TRUE(tiered.is_fast(0));
-  EXPECT_FALSE(tiered.is_fast(4096));
-  EXPECT_TRUE(tiered.is_fast(8192));
-}
-
-TEST(Tiered, InterleaveRatioRespected) {
-  Fixture f;
-  TieredMemoryParams p;
-  p.placement = TierPlacement::kInterleave;
-  p.interleave_bytes = 4096;
-  p.fast_pages_per_cycle = 1;
-  p.cycle_pages = 4;  // 25% fast
-  TieredMemory tiered(f.dram, f.cxl, p);
-  int fast = 0;
-  for (std::uint64_t page = 0; page < 1000; ++page) {
-    fast += tiered.is_fast(page * 4096) ? 1 : 0;
-  }
-  EXPECT_EQ(fast, 250);
-}
-
-TEST(Tiered, RejectsBadInterleaveParams) {
-  Fixture f;
-  TieredMemoryParams p;
-  p.placement = TierPlacement::kInterleave;
-  p.cycle_pages = 0;
-  EXPECT_THROW(TieredMemory(f.dram, f.cxl, p), std::invalid_argument);
-  p.cycle_pages = 2;
-  p.fast_pages_per_cycle = 3;
-  EXPECT_THROW(TieredMemory(f.dram, f.cxl, p), std::invalid_argument);
 }
 
 TEST(Tiered, WritesRouteLikeReads) {
