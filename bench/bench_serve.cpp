@@ -34,10 +34,11 @@
 /// identical at --jobs 1 and --jobs 4. Any failed check exits 1.
 ///
 /// --soak replaces the sweep with a sustained-load soak: one long FIFO
-/// serve at a fixed load factor with the stack's thermal-throttling model
-/// enabled (budget derived from a cold calibration run), reporting p99
-/// over equal makespan windows. It fails (exit 1) unless the hot run
-/// throttles and its last window's p99 ends strictly above its first's.
+/// serve at a fixed load factor with the serving stack's thermal model
+/// on (ServeConfig::thermal, budget derived from a cold calibration run
+/// on the same server), reporting p99 over equal makespan windows. It
+/// fails (exit 1) unless the hot run throttles and its last window's p99
+/// ends strictly above its first's.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -208,14 +209,16 @@ struct Cell {
   double load;
 };
 
-/// Sustained-load soak with the stack thermal model on. The thermal budget
-/// is calibrated from a cold (model-off) run of the same workload so the
-/// soak throttles at any graph scale: the heat rate is the cold run's
-/// link-byte rate, cooling absorbs half of it, and the budget is a small
-/// fraction of the total heat the run deposits. The hot stack is another
-/// system configuration, so it gets its own server.
+/// Sustained-load soak with the serving stack's thermal model on
+/// (ServeConfig::thermal), on whichever backend serves. The thermal
+/// budget is calibrated from a cold (model-off) run of the same workload
+/// so the soak throttles at any graph scale: the heat rate is the cold
+/// run's link-byte rate, cooling absorbs half of it, and the budget is a
+/// small fraction of the total heat the run deposits. The hot serve is
+/// the same request with the model on, on the same server, so it reuses
+/// the cold serve's profiles.
 void run_soak(serve::QueryServer& server, const graph::CsrGraph& g,
-              serve::FleetRequest req, double capacity_qps, unsigned jobs,
+              serve::FleetRequest req, double capacity_qps,
               double load_factor, std::size_t windows, bool csv,
               obs::Telemetry* telemetry, Gate& gate) {
   req.fleet.serve.policy = serve::SchedulingPolicy::kFifo;
@@ -226,8 +229,7 @@ void run_soak(serve::QueryServer& server, const graph::CsrGraph& g,
     throw std::runtime_error("soak: cold run completed no queries");
   }
 
-  core::SystemConfig hot_config = server.config();
-  device::ThermalParams thermal;
+  device::ThermalParams& thermal = req.fleet.serve.thermal;
   thermal.enabled = true;
   const double total_heat_mb =
       static_cast<double>(cold.link_bytes) / 1.0e6;
@@ -236,15 +238,13 @@ void run_soak(serve::QueryServer& server, const graph::CsrGraph& g,
   thermal.throttle_threshold = std::max(total_heat_mb * 0.05, 1e-6);
   thermal.hysteresis = 0.9;
   thermal.throttle_factor = 0.5;
-  hot_config.cxl.thermal = thermal;
-  hot_config.storage_thermal = thermal;
 
   // Only the hot run is traced: its throttle episodes and latency drift
   // are what the soak timeline is for.
-  serve::QueryServer hot_server(std::move(hot_config), jobs);
-  hot_server.set_telemetry(telemetry);
+  server.set_telemetry(telemetry);
   const serve::ServeReport hot =
-      serve_checked(hot_server, g, req, "soak hot", gate).serve;
+      serve_checked(server, g, req, "soak hot", gate).serve;
+  server.set_telemetry(nullptr);
 
   const std::vector<serve::SoakWindow> cold_windows =
       serve::soak_windows(cold, windows);
@@ -305,14 +305,8 @@ std::vector<double> parse_positive(const std::string& option,
                                    const std::string& value) {
   std::vector<double> parsed;
   for (const std::string& item : util::split_csv(value)) {
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(item, &used);
-    } catch (const std::logic_error&) {
-      // Not a number, or out of double range: reported below.
-    }
-    if (used != item.size() || !(v > 0.0) || !std::isfinite(v)) {
+    const double v = util::parse_double(item, "--" + option);
+    if (!(v > 0.0) || !std::isfinite(v)) {
       throw std::invalid_argument("--" + option + ": bad value '" + item +
                                   "'");
     }
@@ -466,7 +460,7 @@ int run_serve(int argc, char** argv) {
     if (!(soak_load > 0.0) || !std::isfinite(soak_load)) {
       throw std::invalid_argument("--soak-load must be a finite value > 0");
     }
-    run_soak(server, g, base, capacity_qps, jobs, soak_load,
+    run_soak(server, g, base, capacity_qps, soak_load,
              cli.get_uint("soak-windows", 1), csv, telemetry.get(), gate);
     return finish("soak");
   }

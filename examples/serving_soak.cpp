@@ -130,8 +130,9 @@ int main(int argc, char** argv) {
     sustained.workload.offered_qps = capacity_qps * 0.8;
     const serve::ServeReport cold = server.serve(g, sustained);
 
-    core::SystemConfig hot_cfg = core::table3_system();
-    device::ThermalParams thermal;
+    // The same request with the stack's thermal model on, on the same
+    // server: the hot serve reuses the cold serve's profiles.
+    device::ThermalParams& thermal = sustained.config.thermal;
     thermal.enabled = true;
     const double heat_mb = static_cast<double>(cold.link_bytes) / 1.0e6;
     thermal.heat_per_mb = 1.0;
@@ -139,10 +140,7 @@ int main(int argc, char** argv) {
     thermal.throttle_threshold = heat_mb * 0.05;
     thermal.hysteresis = 0.9;
     thermal.throttle_factor = 0.5;
-    hot_cfg.cxl.thermal = thermal;
-    serve::QueryServer hot_server(std::move(hot_cfg),
-                                  static_cast<unsigned>(jobs));
-    const serve::ServeReport hot = hot_server.serve(g, sustained);
+    const serve::ServeReport hot = server.serve(g, sustained);
 
     util::TablePrinter soak({"Window", "Completed", "Cold p99 [ms]",
                              "Hot p99 [ms]"});

@@ -129,20 +129,18 @@ RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
       break;
     }
     case BackendKind::kXlfdd: {
-      device::StorageDriveParams sp = device::xlfdd_drive_params();
-      sp.thermal = cfg.storage_thermal;
       s.storage_array = std::make_unique<device::StorageArray>(
-          s.sim, *s.link, sp, cfg.xlfdd_drives, device::kXlfddStripeBytes);
+          s.sim, *s.link, device::xlfdd_drive_params(), cfg.xlfdd_drives,
+          device::kXlfddStripeBytes);
       s.backend = std::make_unique<access::StoragePathBackend>(
           *s.storage_array, "storage:xlfdd-x" +
                                 std::to_string(cfg.xlfdd_drives));
       break;
     }
     case BackendKind::kBamNvme: {
-      device::StorageDriveParams sp = device::nvme_drive_params();
-      sp.thermal = cfg.storage_thermal;
       s.storage_array = std::make_unique<device::StorageArray>(
-          s.sim, *s.link, sp, cfg.nvme_drives, device::kNvmeStripeBytes);
+          s.sim, *s.link, device::nvme_drive_params(), cfg.nvme_drives,
+          device::kNvmeStripeBytes);
       const std::uint32_t line =
           std::get<access::BamParams>(s.method_spec).line_bytes;
       if (line < s.storage_array->drive_params().min_alignment ||
@@ -185,9 +183,8 @@ RunStack build_stack(const SystemConfig& cfg, const RunRequest& req,
 }
 
 /// Attaches the passive observation set for one run_trace: a simulator
-/// tap with link-busy (per direction), outstanding-reads, and device
-/// heat probes, plus the device state-model transition taps. Everything
-/// reads; nothing schedules.
+/// tap with link-busy (per direction) and outstanding-reads probes.
+/// Everything reads; nothing schedules.
 std::unique_ptr<obs::SimRunObserver> attach_run_observer(
     obs::Telemetry& telemetry, RunStack& stack) {
   auto observer = std::make_unique<obs::SimRunObserver>(telemetry, "sim");
@@ -213,37 +210,6 @@ std::unique_ptr<obs::SimRunObserver> attach_run_observer(
       [link] { return static_cast<double>(link->tags_in_use()); },
       obs::TimeSeriesSampler::Reduce::kMax);
 
-  auto* pool =
-      dynamic_cast<device::CxlMemoryPool*>(stack.memory_device.get());
-  if (pool == nullptr) {
-    pool = dynamic_cast<device::CxlMemoryPool*>(stack.slow_tier.get());
-  }
-  if (pool != nullptr) {
-    pool->set_telemetry(&telemetry);
-    observer->add_probe(
-        "heat",
-        [pool] {
-          double h = 0.0;
-          for (unsigned i = 0; i < pool->num_devices(); ++i) {
-            h = std::max(h, pool->device(i).heat());
-          }
-          return h;
-        },
-        obs::TimeSeriesSampler::Reduce::kMax);
-  }
-  if (stack.storage_array != nullptr) {
-    stack.storage_array->set_telemetry(&telemetry);
-    observer->add_probe(
-        "heat",
-        [array = stack.storage_array.get()] {
-          double h = 0.0;
-          for (unsigned i = 0; i < array->num_drives(); ++i) {
-            h = std::max(h, array->drive(i).heat());
-          }
-          return h;
-        },
-        obs::TimeSeriesSampler::Reduce::kMax);
-  }
   stack.sim.set_observer(observer.get());
   return observer;
 }

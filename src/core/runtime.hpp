@@ -194,9 +194,9 @@ class ExternalGraphRuntime {
   const SystemConfig& config() const noexcept { return config_; }
 
   /// Attaches a telemetry sink (nullptr detaches). When enabled, each
-  /// run_trace records per-superstep spans, a live simulator tap with
-  /// link/heat/outstanding probes, and device state-model transitions —
-  /// all passively: results stay bit-identical to the detached path.
+  /// run_trace records per-superstep spans and a live simulator tap with
+  /// link and outstanding-read probes — all passively: results stay
+  /// bit-identical to the detached path.
   /// Only for runtimes driven from one thread (the CLI / bench path);
   /// sweep fan-out should leave its per-task runtimes untapped.
   void set_telemetry(obs::Telemetry* telemetry) noexcept {

@@ -83,12 +83,6 @@ struct SystemConfig {
   /// prefix holds the hottest sublists).
   double tier_fast_fraction = 0.25;
 
-  /// Storage thermal throttling (CXLSSDEval-shaped; state_model.hpp),
-  /// applied on top of the XLFDD/NVMe presets by build_stack. The CXL
-  /// pool's thermal model lives in `cxl.thermal`. Default OFF so the
-  /// default path stays bit-identical to the time-invariant baseline.
-  device::ThermalParams storage_thermal;
-
   /// Sec. 5 ("future GPUs may implement the CXL interface"): when true,
   /// CXL runs bypass the CPU translation hop — the link's per-direction
   /// fixed overheads shrink by `direct_cxl_saving` and the socket hop

@@ -9,13 +9,11 @@ CxlDevice::CxlDevice(Simulator& sim, const CxlDeviceParams& params,
                      std::string name)
     : sim_(sim),
       params_(params),
-      ps_per_byte_(util::ps_per_byte(
-          util::checked_rate(params.channel_bandwidth_mbps,
-                             "CxlDevice: channel_bandwidth_mbps"))) {
+      ps_per_byte_(util::checked_ps_per_byte(
+          params.channel_bandwidth_mbps, "CxlDevice: channel_bandwidth_mbps")) {
   if (params.flit_bytes == 0 || params.device_tags == 0) {
     throw std::invalid_argument("CxlDevice: bad parameters");
   }
-  validate(params.thermal);
   ingress_covers_egress_ =
       params.socket_hop + params.port_ingress >= params.port_egress;
   listener_ = sim_.add_listener(this, &CxlDevice::on_event);
@@ -49,21 +47,8 @@ void CxlDevice::admit_flit(std::uint32_t parent_slot) {
 
   // Single-channel DRAM: serialize the flit, then the access latency.
   const SimTime slot_start = std::max(channel_busy_until_, arrival);
-  auto transfer = static_cast<SimTime>(
+  const auto transfer = static_cast<SimTime>(
       static_cast<double>(params_.flit_bytes) * ps_per_byte_ + 0.5);
-  if (params_.thermal.enabled) {
-    // Sustained channel traffic heats the card; while throttled the
-    // channel serializes flits at throttle_factor of its rated bandwidth.
-    const double mult =
-        thermal_.charge(params_.thermal, arrival, params_.flit_bytes);
-    if (mult > 1.0) {
-      transfer =
-          static_cast<SimTime>(static_cast<double>(transfer) * mult + 0.5);
-    }
-    if (state_trace_.bound()) {
-      state_trace_.on_thermal(arrival, thermal_.throttled());
-    }
-  }
   channel_busy_until_ = slot_start + transfer;
   const SimTime dram_ready = channel_busy_until_ + params_.dram_latency;
 

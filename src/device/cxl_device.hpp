@@ -23,8 +23,6 @@
 #include <vector>
 
 #include "device/device.hpp"
-#include "device/state_model.hpp"
-#include "obs/telemetry.hpp"
 #include "util/slot_pool.hpp"
 #include "util/units.hpp"
 
@@ -52,10 +50,6 @@ struct CxlDeviceParams {
   /// write access there will be ... cache coherency" overheads). Models
   /// the snoop/ownership round the host must run before committing.
   SimTime write_coherency_overhead = util::ps_from_ns(100);
-  /// Thermal throttling of the onboard channel (CXLSSDEval-shaped; see
-  /// state_model.hpp). Defaults OFF, keeping the default path
-  /// bit-identical to the time-invariant baseline.
-  ThermalParams thermal;
 };
 
 class CxlDevice final : public MemoryDevice {
@@ -78,20 +72,6 @@ class CxlDevice final : public MemoryDevice {
       --held;
     }
     return held;
-  }
-
-  /// Thermal observables (0 / false while params().thermal is off).
-  double heat() const noexcept { return thermal_.heat(); }
-  double peak_heat() const noexcept { return thermal_.peak_heat(); }
-  bool throttled() const noexcept { return thermal_.throttled(); }
-  std::uint64_t throttled_flits() const noexcept {
-    return thermal_.throttled_ops();
-  }
-
-  /// Passive telemetry tap for thermal transitions (nullptr detaches);
-  /// the track is named after this device under the "device" process.
-  void set_telemetry(obs::Telemetry* telemetry) {
-    state_trace_.bind(telemetry, "device", caps_.name);
   }
 
  private:
@@ -157,8 +137,6 @@ class CxlDevice final : public MemoryDevice {
   SimTime channel_busy_until_ = 0;
   /// Latency-bridge FIFO ordering: pops are monotone in time.
   SimTime last_pop_time_ = 0;
-  ThermalState thermal_;
-  obs::StateModelTrace state_trace_;
 };
 
 /// Address-interleaved pool of CXL devices (NUMA page interleaving in the
@@ -181,11 +159,6 @@ class CxlMemoryPool final : public MemoryDevice {
   }
   CxlDevice& device(unsigned i) { return *devices_[i]; }
   const CxlDevice& device(unsigned i) const { return *devices_[i]; }
-
-  /// Binds every member device's state-model tap.
-  void set_telemetry(obs::Telemetry* telemetry) {
-    for (auto& d : devices_) d->set_telemetry(telemetry);
-  }
 
  private:
   std::vector<std::unique_ptr<CxlDevice>> devices_;

@@ -8,9 +8,8 @@ HostDram::HostDram(Simulator& sim, const HostDramParams& params,
                    std::string name)
     : sim_(sim),
       params_(params),
-      ps_per_byte_(util::ps_per_byte(
-          util::checked_rate(params.channel_bandwidth_mbps,
-                             "HostDram: channel_bandwidth_mbps"))) {
+      ps_per_byte_(util::checked_ps_per_byte(
+          params.channel_bandwidth_mbps, "HostDram: channel_bandwidth_mbps")) {
   caps_.name = std::move(name);
   caps_.min_alignment = 1;
   caps_.max_transfer = 128;  // GPU cache-line granularity over the link

@@ -26,8 +26,8 @@ PcieLinkParams pcie_x16(PcieGen gen) {
 PcieLink::PcieLink(Simulator& sim, const PcieLinkParams& params)
     : sim_(sim),
       params_(params),
-      ps_per_byte_(util::ps_per_byte(util::checked_rate(
-          params.bandwidth_mbps, "PcieLink: bandwidth_mbps"))) {
+      ps_per_byte_(util::checked_ps_per_byte(params.bandwidth_mbps,
+                                             "PcieLink: bandwidth_mbps")) {
   if (params.n_max == 0) {
     throw std::invalid_argument("PcieLink: bad parameters");
   }

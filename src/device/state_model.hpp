@@ -1,16 +1,17 @@
 #pragma once
 /// \file state_model.hpp
-/// State-dependent device service, shaped after the CXLSSDEval evaluation
-/// suite's thermal-throttling measurements on real CXL-SSD hardware
+/// Thermal throttling of a serving stack, shaped after the CXLSSDEval
+/// evaluation suite's measurements on real CXL-SSD hardware
 /// (plot_thermal_throttling.py): heat accumulates with every byte moved
-/// and dissipates linearly over time; past a thermal budget the device
+/// and dissipates linearly over time; past a thermal budget the stack
 /// derates sustained bandwidth until it has cooled below a hysteresis
 /// point.
 ///
-/// The model defaults OFF. With it off the device models compute service
-/// times through exactly the baseline (time-invariant) integer
-/// expressions, so the simcore identity goldens keep pinning the default
-/// path bit-for-bit.
+/// The device models themselves serve at time-invariant rates, as the
+/// paper's prototypes do. The serving layer applies this model once per
+/// quantum (serve::ServeConfig::thermal, charged by serve::ReplicaSim on
+/// the bytes the quantum moves), so an idle-stack profile never depends
+/// on it. The model defaults OFF.
 
 #include <cstdint>
 
@@ -21,18 +22,18 @@ namespace cxlgraph::device {
 /// Sustained-bandwidth derating with a heat/cool accumulator.
 struct ThermalParams {
   bool enabled = false;
-  /// Heat units added per decimal megabyte moved through the device.
+  /// Heat units added per decimal megabyte moved through the stack.
   double heat_per_mb = 1.0;
   /// Heat units dissipated per simulated second (linear cooling).
   double cool_per_sec = 2'850.0;
-  /// Heat level at which the device enters the throttled state (the
+  /// Heat level at which the stack enters the throttled state (the
   /// thermal budget). Default: ~0.25 s of a 5,700 MB/s channel.
   double throttle_threshold = 1'400.0;
-  /// The device leaves the throttled state once heat falls below
+  /// The stack leaves the throttled state once heat falls below
   /// throttle_threshold * hysteresis (0 < hysteresis <= 1).
   double hysteresis = 0.7;
-  /// Bandwidth multiplier while throttled (0 < factor <= 1): service and
-  /// serialization times are divided by this.
+  /// Bandwidth multiplier while throttled (0 < factor <= 1): service
+  /// times are divided by this.
   double throttle_factor = 0.4;
 };
 
@@ -64,21 +65,18 @@ class ThermalState {
       throttled_ = false;
     }
     if (!throttled_) return 1.0;
-    ++throttled_ops_;
     return 1.0 / params.throttle_factor;
   }
 
   double heat() const noexcept { return heat_; }
   double peak_heat() const noexcept { return peak_heat_; }
   bool throttled() const noexcept { return throttled_; }
-  std::uint64_t throttled_ops() const noexcept { return throttled_ops_; }
 
  private:
   double heat_ = 0.0;
   double peak_heat_ = 0.0;
   util::SimTime last_update_ = 0;
   bool throttled_ = false;
-  std::uint64_t throttled_ops_ = 0;
 };
 
 }  // namespace cxlgraph::device

@@ -6,32 +6,20 @@
 
 namespace cxlgraph::device {
 
-namespace {
-
-/// The pipelined controller's service interval at `iops` requests per
-/// second.
-SimTime interval_ps(double iops) {
-  return static_cast<SimTime>(
-      static_cast<double>(util::kPsPerSec) / iops + 0.5);
-}
-
-}  // namespace
-
 StorageDrive::StorageDrive(Simulator& sim, PcieLink& link,
                            const StorageDriveParams& params)
     : sim_(sim),
       link_(link),
       params_(params),
       service_interval_(
-          interval_ps(util::checked_rate(params.iops, "StorageDrive: iops"))),
-      write_interval_(interval_ps(
-          util::checked_rate(params.write_iops, "StorageDrive: write_iops"))),
-      ps_per_byte_drive_link_(util::ps_per_byte(util::checked_rate(
-          params.drive_link_mbps, "StorageDrive: drive_link_mbps"))) {
+          util::checked_interval_ps(params.iops, "StorageDrive: iops")),
+      write_interval_(util::checked_interval_ps(params.write_iops,
+                                                "StorageDrive: write_iops")),
+      ps_per_byte_drive_link_(util::checked_ps_per_byte(
+          params.drive_link_mbps, "StorageDrive: drive_link_mbps")) {
   if (params.queue_depth == 0 || params.max_transfer == 0) {
     throw std::invalid_argument("StorageDrive: bad parameters");
   }
-  validate(params.thermal);
   listener_ = sim_.add_listener(this, &StorageDrive::on_event);
 }
 
@@ -106,41 +94,18 @@ void StorageDrive::finish(std::uint32_t slot) {
   sim_.dispatch(done);
 }
 
-/// Service-time stretch from the thermal model for a transfer of `bytes`
-/// observed at `now`. Only called with the model on, so the default path
-/// never touches floating point beyond the baseline math.
-double StorageDrive::service_stretch(SimTime now, std::uint32_t bytes) {
-  const double stretch = thermal_.charge(params_.thermal, now, bytes);
-  if (stretch > 1.0) ++stats_.throttled_requests;
-  stats_.peak_heat = thermal_.peak_heat();
-  if (state_trace_.bound()) {
-    state_trace_.on_thermal(now, thermal_.throttled());
-  }
-  return stretch;
-}
-
 void StorageDrive::start(std::uint32_t slot) {
-  Pending& p = pool_[slot];
+  const Pending& p = pool_[slot];
   const SimTime submit_time = sim_.now();
 
-  SimTime interval = service_interval_;
-  auto transfer = static_cast<SimTime>(
+  const auto transfer = static_cast<SimTime>(
       static_cast<double>(p.bytes) * ps_per_byte_drive_link_ + 0.5);
-  if (params_.thermal.enabled) {
-    const double stretch = service_stretch(submit_time, p.bytes);
-    if (stretch != 1.0) {
-      interval = static_cast<SimTime>(
-          static_cast<double>(interval) * stretch + 0.5);
-      transfer = static_cast<SimTime>(
-          static_cast<double>(transfer) * stretch + 0.5);
-    }
-  }
 
   // Controller pipeline: one request per service interval (IOPS cap).
   const SimTime service_start =
       std::max(controller_busy_until_,
                submit_time + params_.submission_overhead);
-  controller_busy_until_ = service_start + interval;
+  controller_busy_until_ = service_start + service_interval_;
   const SimTime media_ready = controller_busy_until_ + params_.access_latency;
 
   // Per-drive link hop, then the shared GPU link delivers the data.
@@ -166,19 +131,10 @@ void StorageDrive::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
       drive->finish(slot);
       break;
     case kPayloadUp: {
-      SimTime interval = drive->write_interval_;
-      if (drive->params_.thermal.enabled) {
-        const double stretch = drive->service_stretch(
-            drive->sim_.now(), drive->pool_[slot].bytes);
-        if (stretch != 1.0) {
-          interval = static_cast<SimTime>(
-              static_cast<double>(interval) * stretch + 0.5);
-        }
-      }
       const SimTime service_start =
           std::max(drive->controller_busy_until_,
                    drive->sim_.now() + drive->params_.submission_overhead);
-      drive->controller_busy_until_ = service_start + interval;
+      drive->controller_busy_until_ = service_start + drive->write_interval_;
       const SimTime programmed =
           drive->controller_busy_until_ + drive->params_.program_latency;
       drive->sim_.schedule_at(programmed, drive->listener_, kProgrammed,
@@ -265,13 +221,6 @@ void StorageArray::submit_write(std::uint64_t addr, std::uint32_t bytes,
   submit_split(addr, bytes, done,
                [](StorageDrive& drive, std::uint64_t a, std::uint32_t n,
                   DoneFn d) { drive.submit_write(a, n, d); });
-}
-
-void StorageArray::set_telemetry(obs::Telemetry* telemetry) {
-  for (std::size_t i = 0; i < drives_.size(); ++i) {
-    drives_[i]->set_telemetry(telemetry,
-                              params_.name + "[" + std::to_string(i) + "]");
-  }
 }
 
 }  // namespace cxlgraph::device

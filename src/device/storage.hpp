@@ -18,8 +18,6 @@
 #include <vector>
 
 #include "device/pcie.hpp"
-#include "device/state_model.hpp"
-#include "obs/telemetry.hpp"
 #include "util/slot_pool.hpp"
 #include "util/units.hpp"
 
@@ -49,11 +47,6 @@ struct StorageDriveParams {
   /// below read IOPS (garbage collection, page programming).
   double write_iops = 0.3e6;
   SimTime program_latency = util::ps_from_us(75.0);
-
-  /// Thermal throttling (CXLSSDEval-shaped; see state_model.hpp).
-  /// Default OFF: the default keeps the drive time-invariant and the
-  /// service-time arithmetic bit-identical to the baseline.
-  ThermalParams thermal;
 };
 
 struct StorageDriveStats {
@@ -61,9 +54,6 @@ struct StorageDriveStats {
   std::uint64_t bytes = 0;
   std::uint64_t written_bytes = 0;  // write-path share of `bytes`
   std::uint64_t peak_outstanding = 0;
-  /// Thermal-model observations (zero while the model is off).
-  std::uint64_t throttled_requests = 0;
-  double peak_heat = 0.0;
 };
 
 /// A single drive. Data is delivered through the shared GPU link.
@@ -82,16 +72,6 @@ class StorageDrive {
   const StorageDriveParams& params() const noexcept { return params_; }
   const StorageDriveStats& stats() const noexcept { return stats_; }
   std::uint32_t outstanding() const noexcept { return outstanding_; }
-
-  /// Thermal observables (fixed at 0 / false while the model is off).
-  double heat() const noexcept { return thermal_.heat(); }
-  bool throttled() const noexcept { return thermal_.throttled(); }
-
-  /// Passive telemetry tap for thermal transitions (nullptr detaches).
-  /// `thread` names this drive's trace track under the "device" process.
-  void set_telemetry(obs::Telemetry* telemetry, const std::string& thread) {
-    state_trace_.bind(telemetry, "device", thread);
-  }
 
  private:
   /// Pooled per-request state; events carry the slot index.
@@ -114,7 +94,6 @@ class StorageDrive {
   void start(std::uint32_t slot);
   void start_write(std::uint32_t slot);
   void finish(std::uint32_t slot);
-  double service_stretch(SimTime now, std::uint32_t bytes);
 
   Simulator& sim_;
   PcieLink& link_;
@@ -131,8 +110,6 @@ class StorageDrive {
   util::SlotPool<Pending> pool_;
   std::deque<std::uint32_t> waiting_;
   StorageDriveStats stats_;
-  ThermalState thermal_;
-  obs::StateModelTrace state_trace_;
 };
 
 /// A striped array of identical drives (16 XLFDDs / 4 NVMe SSDs in the
@@ -152,9 +129,6 @@ class StorageArray {
   }
   const StorageDrive& drive(unsigned i) const noexcept { return *drives_[i]; }
   const StorageDriveParams& drive_params() const noexcept { return params_; }
-
-  /// Binds every member drive's state-model tap (tracks "name[i]").
-  void set_telemetry(obs::Telemetry* telemetry);
   double total_iops() const noexcept {
     return params_.iops * static_cast<double>(drives_.size());
   }

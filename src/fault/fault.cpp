@@ -32,19 +32,6 @@ std::uint64_t hash3(std::uint64_t seed, std::uint64_t tag,
   throw std::invalid_argument("fault spec: " + what);
 }
 
-double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    if (used != value.size()) fail("trailing characters in " + key + "=" + value);
-    return parsed;
-  } catch (const std::invalid_argument&) {
-    fail("malformed number in " + key + "=" + value);
-  } catch (const std::out_of_range&) {
-    fail("out-of-range number in " + key + "=" + value);
-  }
-}
-
 /// A 32-bit count field: a whole base-10 integer that fits it.
 std::uint32_t parse_count(const std::string& key, const std::string& value) {
   return static_cast<std::uint32_t>(
@@ -101,37 +88,40 @@ FaultSpec parse_fault_spec(const std::string& spec) {
     if (eq == std::string::npos) fail("expected key=value, got \"" + item + "\"");
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
+    const auto number = [&key, &value] {
+      return util::parse_double(value, "fault spec: " + key);
+    };
     if (key == "seed") {
       out.seed = util::parse_uint(value, "fault spec: seed", 0,
                                   std::numeric_limits<std::uint64_t>::max());
     } else if (key == "horizon-ms") {
-      out.horizon_sec = parse_double(key, value) * 1e-3;
+      out.horizon_sec = number() * 1e-3;
     } else if (key == "crashes") {
       out.crashes = parse_count(key, value);
     } else if (key == "restart-ms") {
-      out.restart_sec = parse_double(key, value) * 1e-3;
+      out.restart_sec = number() * 1e-3;
     } else if (key == "provision-ms") {
-      out.provision_sec = parse_double(key, value) * 1e-3;
+      out.provision_sec = number() * 1e-3;
     } else if (key == "io-bursts") {
       out.io_bursts = parse_count(key, value);
     } else if (key == "io-burst-ms") {
-      out.io_burst_sec = parse_double(key, value) * 1e-3;
+      out.io_burst_sec = number() * 1e-3;
     } else if (key == "io-rate") {
-      out.io_error_rate = parse_double(key, value);
+      out.io_error_rate = number();
     } else if (key == "io-retry-us") {
-      out.io_retry_us = parse_double(key, value);
+      out.io_retry_us = number();
     } else if (key == "io-max-retries") {
       out.io_max_retries = parse_count(key, value);
     } else if (key == "link-flaps") {
       out.link_flaps = parse_count(key, value);
     } else if (key == "flap-ms") {
-      out.flap_sec = parse_double(key, value) * 1e-3;
+      out.flap_sec = number() * 1e-3;
     } else if (key == "flap-derate") {
-      out.flap_derate = parse_double(key, value);
+      out.flap_derate = number();
     } else if (key == "query-retries") {
       out.max_query_retries = parse_count(key, value);
     } else if (key == "backoff-us") {
-      out.retry_backoff_us = parse_double(key, value);
+      out.retry_backoff_us = number();
     } else {
       fail("unknown key \"" + key +
            "\" (valid: seed, horizon-ms, crashes, restart-ms, provision-ms, "

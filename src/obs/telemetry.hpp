@@ -84,16 +84,17 @@ class Telemetry {
   TimeSeriesSampler sampler_;
 };
 
-/// Folds a device's thermal state into trace events: instants on
+/// Folds a serving stack's thermal state into trace events: instants on
 /// throttle enter/exit plus one complete span per throttle episode.
-/// Device models own one of these by value; unbound (the default) every
-/// hook is a single pointer check — and the hooks only sit on code paths
-/// already gated behind the thermal model's `enabled` flag.
+/// Each serve::ReplicaSim owns one by value (its "replica<k>-heat"
+/// track); unbound (the default) every hook is a single pointer check —
+/// and the hooks only sit on code paths already gated behind the thermal
+/// model's `enabled` flag.
 class StateModelTrace {
  public:
   StateModelTrace() = default;
 
-  /// Binds to a telemetry sink, naming this device's trace track.
+  /// Binds to a telemetry sink, naming this stack's trace track.
   void bind(Telemetry* telemetry, const std::string& process,
             const std::string& thread);
   bool bound() const noexcept { return telemetry_ != nullptr; }

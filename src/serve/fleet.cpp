@@ -12,6 +12,7 @@
 #include "device/pcie.hpp"
 #include "obs/metrics.hpp"
 #include "serve/replica.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 
 namespace cxlgraph::serve {
@@ -94,7 +95,65 @@ void summarize_serve(ServeReport& report, const FleetSim& sim,
   }
 }
 
+/// `value` split at every `sep`, empty parts kept.
+std::vector<std::string> split_on(const std::string& value, char sep) {
+  std::vector<std::string> parts;
+  std::string::size_type start = 0;
+  while (true) {
+    const std::string::size_type end = value.find(sep, start);
+    if (end == std::string::npos) {
+      parts.push_back(value.substr(start));
+      return parts;
+    }
+    parts.push_back(value.substr(start, end - start));
+    start = end + 1;
+  }
+}
+
+/// One 32-bit field of a list option's entry, e.g. a --quota cap.
+std::uint32_t parse_field(const std::string& text, const std::string& what) {
+  return static_cast<std::uint32_t>(util::parse_uint(
+      text, what, 0, std::numeric_limits<std::uint32_t>::max()));
+}
+
 }  // namespace
+
+std::vector<MigrationPlan> parse_migrations(const std::string& spec) {
+  std::vector<MigrationPlan> plans;
+  if (spec.empty()) return plans;
+  for (const std::string& item : util::split_csv(spec)) {
+    const std::vector<std::string> parts = split_on(item, ':');
+    if (parts.size() != 4) {
+      throw std::invalid_argument(
+          "bad --migrate entry '" + item +
+          "' (expected at_ms:class:from:to, e.g. 2.5:0:0:1)");
+    }
+    MigrationPlan plan;
+    plan.at_sec = util::parse_double(parts[0], "--migrate time") * 1e-3;
+    plan.class_index = parse_field(parts[1], "--migrate class");
+    plan.from = parse_field(parts[2], "--migrate source replica");
+    plan.to = parse_field(parts[3], "--migrate target replica");
+    plans.push_back(plan);
+  }
+  return plans;
+}
+
+std::vector<TenantQuota> parse_quotas(const std::string& spec) {
+  std::vector<TenantQuota> quotas;
+  if (spec.empty()) return quotas;
+  for (const std::string& item : util::split_csv(spec)) {
+    const std::vector<std::string> parts = split_on(item, ':');
+    if (parts.size() != 2) {
+      throw std::invalid_argument("bad --quota entry '" + item +
+                                  "' (expected class:max, e.g. 0:2)");
+    }
+    TenantQuota quota;
+    quota.class_index = parse_field(parts[0], "--quota class");
+    quota.max_in_flight = parse_field(parts[1], "--quota cap");
+    quotas.push_back(quota);
+  }
+  return quotas;
+}
 
 // ---------------------------------------------------------------------------
 // FleetSim: setup, run, and the query lifecycle
@@ -104,14 +163,12 @@ FleetSim::FleetSim(const FleetConfig& config_in, const WorkloadSpec& spec_in,
                    const std::vector<Query>& queries_in,
                    const std::vector<QueryProfile>& profiles_in,
                    std::vector<QueryRecord>& records_in,
-                   const device::ThermalParams& thermal_in,
                    std::size_t num_classes)
     : config(config_in),
       spec(spec_in),
       queries(queries_in),
       profiles(profiles_in),
       records(records_in),
-      thermal(thermal_in),
       listener(sim.add_listener(this, &FleetSim::on_event)),
       next_step(queries_in.size(), 0),
       router_rng(kRouterSeed),
@@ -1145,6 +1202,7 @@ void FleetConfig::validate(std::size_t num_classes) const {
     }
     util::checked_ps_from_sec(m.at_sec, "migration time");
   }
+  device::validate(serve.thermal);
   if (elastic.enabled) {
     const ElasticConfig& e = elastic;
     check_cap(e.max_replicas, "elastic max_replicas");
@@ -1230,11 +1288,8 @@ FleetReport QueryServer::serve(const graph::CsrGraph& graph,
     r.slo = workload.queries[i].slo;
   }
 
-  const device::ThermalParams& thermal = stack_thermal(request.base.backend);
-  device::validate(thermal);
-
   FleetSim sim(request.fleet, spec, workload.queries, workload.profiles,
-               serve.queries, thermal, num_classes);
+               serve.queries, num_classes);
   sim.copy_mbps = device::pcie_x16(config_.gpu_link_gen).bandwidth_mbps;
   sim.attach_telemetry(telemetry_);
   sim.run();

@@ -83,6 +83,19 @@ struct MigrationPlan {
   std::uint32_t to = 0;
 };
 
+/// Parses the --migrate grammar: comma-separated "at_ms:class:from:to"
+/// entries, the time a decimal number of milliseconds read whole
+/// (util::parse_double), the rest whole base-10 integers that fit 32
+/// bits. Empty text is no migration. Throws std::invalid_argument on a
+/// malformed entry; whether the plans fit the fleet and workload is
+/// FleetConfig::validate's to check.
+std::vector<MigrationPlan> parse_migrations(const std::string& spec);
+
+/// Parses the --quota grammar: comma-separated "class:max_in_flight"
+/// entries of whole base-10 integers that fit 32 bits, with the same
+/// contract as parse_migrations.
+std::vector<TenantQuota> parse_quotas(const std::string& spec);
+
 struct ElasticConfig {
   bool enabled = false;
   std::uint32_t min_replicas = 1;
@@ -100,7 +113,8 @@ struct ElasticConfig {
 struct FleetConfig {
   std::uint32_t replicas = 1;
   RouterKind router = RouterKind::kRandom;
-  /// Per-replica scheduling: policy, quantum, waiting cap.
+  /// Per-replica scheduling: policy, quantum, waiting cap, and the
+  /// stack thermal model each replica heats independently.
   ServeConfig serve;
   std::vector<TenantQuota> quotas;
   /// Drop arrivals that cannot meet their SLO even on the least-backlog
@@ -124,7 +138,8 @@ struct FleetConfig {
   /// infinite time), out-of-range quota classes, `replicas` or
   /// `elastic.max_replicas` above kMaxReplicas, inconsistent elastic
   /// bounds or a check interval that is not a positive finite duration,
-  /// or an invalid fault spec.
+  /// malformed thermal parameters (serve.thermal, when enabled), or an
+  /// invalid fault spec.
   void validate(std::size_t num_classes) const;
 };
 

@@ -197,11 +197,11 @@ void ReplicaSim::dispatch() {
     bytes += p.step_bytes[k];
   }
   backlog_ps -= duration;  // profiled demand now in service
-  if (fleet.thermal.enabled) {
+  if (config.thermal.enabled) {
     // Quantum bytes heat the stack; once the accumulator crosses the
     // budget the whole quantum serves at the derated bandwidth. The
     // bytes themselves are unchanged — conservation still holds.
-    const double mult = heat.charge(fleet.thermal, fleet.sim.now(), bytes);
+    const double mult = heat.charge(config.thermal, fleet.sim.now(), bytes);
     if (mult > 1.0) {
       duration = static_cast<util::SimTime>(
           static_cast<double>(duration) * mult + 0.5);

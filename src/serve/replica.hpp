@@ -181,7 +181,6 @@ struct FleetSim {
   const std::vector<Query>& queries;
   const std::vector<QueryProfile>& profiles;
   std::vector<QueryRecord>& records;
-  const device::ThermalParams& thermal;
 
   sim::Simulator sim;
   /// The fleet's own listener: one opcode per event kind (see Op).
@@ -334,8 +333,7 @@ struct FleetSim {
   FleetSim(const FleetConfig& config_in, const WorkloadSpec& spec_in,
            const std::vector<Query>& queries_in,
            const std::vector<QueryProfile>& profiles_in,
-           std::vector<QueryRecord>& records_in,
-           const device::ThermalParams& thermal_in, std::size_t num_classes);
+           std::vector<QueryRecord>& records_in, std::size_t num_classes);
   // Replicas and the registered listener hold this object's address.
   FleetSim(const FleetSim&) = delete;
   FleetSim& operator=(const FleetSim&) = delete;

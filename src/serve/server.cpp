@@ -68,22 +68,6 @@ std::vector<SoakWindow> soak_windows(const ServeReport& report,
 QueryServer::QueryServer(core::SystemConfig config, unsigned jobs)
     : config_(std::move(config)), jobs_(jobs), runner_(config_, jobs) {}
 
-const device::ThermalParams& QueryServer::stack_thermal(
-    core::BackendKind backend) const noexcept {
-  static const device::ThermalParams kNoThermal{};
-  switch (backend) {
-    case core::BackendKind::kCxl:
-    case core::BackendKind::kTieredDramCxl:
-      return config_.cxl.thermal;
-    case core::BackendKind::kXlfdd:
-    case core::BackendKind::kBamNvme:
-    case core::BackendKind::kUvm:
-      return config_.storage_thermal;
-    default:
-      return kNoThermal;
-  }
-}
-
 ProfiledWorkload QueryServer::profile_workload(const graph::CsrGraph& graph,
                                                const core::RunRequest& base,
                                                const WorkloadSpec& workload) {

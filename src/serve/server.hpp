@@ -54,6 +54,7 @@
 #include "core/cluster_runtime.hpp"
 #include "core/experiment_runner.hpp"
 #include "core/runtime.hpp"
+#include "device/state_model.hpp"
 #include "serve/workload.hpp"
 #include "util/stats.hpp"
 
@@ -77,6 +78,13 @@ struct ServeConfig {
   /// Supersteps served per scheduling turn under the preemptive policies
   /// (round-robin, SLO priority). FIFO ignores it.
   std::uint32_t quantum_supersteps = 4;
+  /// The serving stack's thermal model (state_model.hpp), the one place
+  /// throttling is applied: each quantum's bytes heat its replica's
+  /// accumulator, and a throttled quantum's duration is divided by
+  /// throttle_factor. It applies to whatever backend serves; idle-stack
+  /// profiles never depend on it, so hot and cold serves of one server
+  /// share its profile cache. Default OFF.
+  device::ThermalParams thermal;
 };
 
 struct ServeRequest {
@@ -201,10 +209,9 @@ struct ServeReport {
     return link_bytes == query_bytes + lost_bytes;
   }
 
-  /// Stack thermal model (SystemConfig cxl.thermal / storage_thermal,
-  /// resolved by backend): quanta served while the shared stack was
-  /// throttled, and the heat accumulator's high-water mark. Both stay 0
-  /// with the model off.
+  /// Stack thermal model (ServeConfig::thermal): quanta served while the
+  /// shared stack was throttled, and the heat accumulator's high-water
+  /// mark. Both stay 0 with the model off.
   std::uint32_t throttled_quanta = 0;
   double stack_peak_heat = 0.0;
 
@@ -274,12 +281,6 @@ class QueryServer {
   ProfiledWorkload profile_workload(const graph::CsrGraph& graph,
                                     const core::RunRequest& base,
                                     const WorkloadSpec& workload);
-
-  /// The shared stack's thermal model, resolved by backend: CXL-backed
-  /// stacks heat the CXL channel, storage-backed stacks the drives; host
-  /// DRAM has no throttle model (a disabled default keeps it cold).
-  const device::ThermalParams& stack_thermal(
-      core::BackendKind backend) const noexcept;
 
   const core::SystemConfig& config() const noexcept { return config_; }
 

@@ -66,7 +66,16 @@ std::string CliParser::get(const std::string& name) const {
 }
 
 std::int64_t CliParser::get_int(const std::string& name) const {
-  return std::stoll(require(name).value);
+  const std::string& text = require(name).value;
+  std::int64_t parsed = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+  if (error != std::errc() || stop != end) {
+    throw std::invalid_argument("--" + name +
+                                " must be a 64-bit integer (got '" + text +
+                                "')");
+  }
+  return parsed;
 }
 
 std::uint32_t CliParser::get_uint(const std::string& name, std::uint32_t min,
@@ -76,7 +85,7 @@ std::uint32_t CliParser::get_uint(const std::string& name, std::uint32_t min,
 }
 
 double CliParser::get_double(const std::string& name) const {
-  return std::stod(require(name).value);
+  return parse_double(require(name).value, "--" + name);
 }
 
 bool CliParser::get_bool(const std::string& name) const {
@@ -93,6 +102,22 @@ std::uint64_t parse_uint(const std::string& text, const std::string& what,
     throw std::invalid_argument(what + " must be an integer in [" +
                                 std::to_string(min) + ", " +
                                 std::to_string(max) + "] (got '" + text +
+                                "')");
+  }
+  return parsed;
+}
+
+double parse_double(const std::string& text, const std::string& what) {
+  double parsed = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+  if (error == std::errc::result_out_of_range) {
+    throw std::invalid_argument(what +
+                                " is outside the range of double (got '" +
+                                text + "')");
+  }
+  if (error != std::errc() || stop != end) {
+    throw std::invalid_argument(what + " must be a number (got '" + text +
                                 "')");
   }
   return parsed;

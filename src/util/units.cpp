@@ -8,13 +8,14 @@ namespace cxlgraph::util {
 
 namespace {
 
+/// 2^64 ps, exactly representable: the first value SimTime cannot hold.
+constexpr double kSimTimeLimit = 18446744073709551616.0;
+
 /// Throws unless `value` (in `unit`, `ps_per_unit` picoseconds each) is
 /// a duration the unchecked conversion maps with a defined result:
 /// non-negative, not NaN, and below 2^64 ps once rounded.
 void check_duration(double value, double ps_per_unit, const char* unit,
                     std::string_view what) {
-  // 2^64 ps, exactly representable: the first value SimTime cannot hold.
-  constexpr double kSimTimeLimit = 18446744073709551616.0;
   const double ps = value * ps_per_unit + 0.5;
   if (!(value >= 0.0) || !(ps < kSimTimeLimit)) {
     char got[48];
@@ -23,6 +24,22 @@ void check_duration(double value, double ps_per_unit, const char* unit,
         std::string(what) + " must be a finite, non-negative duration in " +
         unit + " that fits in 64-bit picoseconds (got " + got + ")");
   }
+}
+
+/// Throws std::invalid_argument: `rate` is not positive and finite, or
+/// a duration derived from it does not fit in SimTime.
+[[noreturn]] void reject_rate(double rate, std::string_view what) {
+  char got[48];
+  std::snprintf(got, sizeof(got), "%g", rate);
+  throw std::invalid_argument(
+      std::string(what) +
+      " must be a positive, finite rate whose durations fit in 64-bit "
+      "picoseconds (got " +
+      got + ")");
+}
+
+bool positive_finite(double rate) {
+  return rate > 0.0 && std::isfinite(rate);
 }
 
 }  // namespace
@@ -37,15 +54,21 @@ SimTime checked_ps_from_sec(double sec, std::string_view what) {
   return ps_from_sec(sec);
 }
 
-double checked_rate(double rate, std::string_view what) {
-  if (!(rate > 0.0) || !std::isfinite(rate)) {
-    char got[48];
-    std::snprintf(got, sizeof(got), "%g", rate);
-    throw std::invalid_argument(std::string(what) +
-                                " must be a positive, finite rate (got " +
-                                got + ")");
+double checked_ps_per_byte(double mb_per_sec, std::string_view what) {
+  // The longest transfer a std::uint32_t byte count names.
+  constexpr double kMaxTransferBytes = 4294967295.0;
+  if (!positive_finite(mb_per_sec) ||
+      !(kMaxTransferBytes * ps_per_byte(mb_per_sec) + 0.5 < kSimTimeLimit)) {
+    reject_rate(mb_per_sec, what);
   }
-  return rate;
+  return ps_per_byte(mb_per_sec);
+}
+
+SimTime checked_interval_ps(double per_sec, std::string_view what) {
+  if (!positive_finite(per_sec)) reject_rate(per_sec, what);
+  const double ps = static_cast<double>(kPsPerSec) / per_sec + 0.5;
+  if (!(ps < kSimTimeLimit)) reject_rate(per_sec, what);
+  return static_cast<SimTime>(ps);
 }
 
 std::string format_bytes(double bytes) {

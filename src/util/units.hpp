@@ -37,12 +37,19 @@ constexpr SimTime ps_from_sec(double sec) noexcept {
 SimTime checked_ps_from_us(double us, std::string_view what);
 /// The same check for ps_from_sec.
 SimTime checked_ps_from_sec(double sec, std::string_view what);
-/// A device rate (a bandwidth in MB/s, an IOPS figure) that durations are
-/// derived from: returns `rate` when it is positive and finite, otherwise
-/// throws std::invalid_argument naming `what`. Zero, negative and NaN
-/// rates make those durations undefined casts; an infinite one makes
-/// them zero.
-double checked_rate(double rate, std::string_view what);
+/// ps_per_byte for a device bandwidth in MB/s that transfer durations
+/// are derived from: returns ps_per_byte(mb_per_sec) when the longest
+/// transfer a std::uint32_t byte count can name still rounds to a
+/// SimTime, (2^32 - 1) * ps_per_byte + 0.5 < 2^64 (about 2.3e-4 MB/s and
+/// up); otherwise throws std::invalid_argument naming `what`. Zero,
+/// negative, NaN and infinite bandwidths throw too: the first three make
+/// the durations undefined casts, the last makes them zero.
+double checked_ps_per_byte(double mb_per_sec, std::string_view what);
+/// The service interval of a device serving `per_sec` operations per
+/// second (an IOPS figure), kPsPerSec / per_sec rounded to picoseconds:
+/// throws std::invalid_argument naming `what` unless `per_sec` is
+/// positive, finite and the interval fits in SimTime.
+SimTime checked_interval_ps(double per_sec, std::string_view what);
 
 constexpr double ns_from_ps(SimTime ps) noexcept {
   return static_cast<double>(ps) / static_cast<double>(kPsPerNs);

@@ -24,8 +24,10 @@
 #include <vector>
 
 #include "graph/generate.hpp"
+#include "mutate.hpp"
 #include "serve/fleet.hpp"
 #include "serve/server.hpp"
+#include "util/rng.hpp"
 
 namespace cxlgraph {
 namespace {
@@ -408,11 +410,98 @@ TEST(FleetConfig, ValidateRejectsMalformedMigrationsDescriptively) {
   }
   fleet.elastic = serve::ElasticConfig{};
 
+  // So is the serving stack's thermal model, when it is on.
+  fleet.serve.thermal.hysteresis = 0.0;
+  EXPECT_NO_THROW(fleet.validate(2));
+  fleet.serve.thermal.enabled = true;
+  EXPECT_NE(message_of().find("Thermal"), std::string::npos);
+  fleet.serve.thermal.hysteresis = 0.9;
+  EXPECT_NO_THROW(fleet.validate(2));
+
   // The fault spec is validated through the same member.
   fleet.faults.crashes = 1;  // enabled with horizon == 0
   EXPECT_NE(message_of().find("fault"), std::string::npos);
   fleet.faults.horizon_sec = 0.01;
   EXPECT_NO_THROW(fleet.validate(2));
+}
+
+// The --migrate and --quota grammars under seeded mutation: every input
+// either throws std::invalid_argument from the parser, or parses into
+// entries FleetConfig::validate accepts or rejects with
+// std::invalid_argument — never another exception type.
+template <typename Entry, typename Parse, typename Install>
+void expect_mutations_throw_or_validate(const std::vector<std::string>& seeds,
+                                        Parse parse, Install install) {
+  util::Xoshiro256 rng(2026);
+  int parsed = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string spec =
+        mutation::mutate_some(seeds[trial % seeds.size()], rng);
+    try {
+      const std::vector<Entry> entries = parse(spec);
+      ++parsed;
+      serve::FleetConfig fleet;
+      fleet.replicas = 4;
+      install(fleet, entries);
+      try {
+        fleet.validate(/*num_classes=*/3);
+      } catch (const std::invalid_argument&) {
+      }
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "\"" << spec << "\" threw " << e.what();
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(FleetConfig, SeededMigrationMutationsThrowOrValidate) {
+  expect_mutations_throw_or_validate<serve::MigrationPlan>(
+      {"0.5:0:0:1", "2.5:1:2:3,0.25:2:3:0", "1e300:0:1:2,4:1:0:3"},
+      serve::parse_migrations,
+      [](serve::FleetConfig& fleet,
+         const std::vector<serve::MigrationPlan>& plans) {
+        fleet.migrations = plans;
+      });
+}
+
+TEST(FleetConfig, SeededQuotaMutationsThrowOrValidate) {
+  expect_mutations_throw_or_validate<serve::TenantQuota>(
+      {"0:2", "1:4,2:1", "0:1,1:3,2:4294967295"}, serve::parse_quotas,
+      [](serve::FleetConfig& fleet,
+         const std::vector<serve::TenantQuota>& quotas) {
+        fleet.quotas = quotas;
+      });
+}
+
+TEST(FleetConfig, ListGrammarsReadEveryFieldWhole) {
+  const std::vector<serve::MigrationPlan> plans =
+      serve::parse_migrations("2.5:0:1:2,0.25:2:3:0");
+  ASSERT_EQ(plans.size(), 2u);
+  EXPECT_DOUBLE_EQ(plans[0].at_sec, 2.5e-3);
+  EXPECT_EQ(plans[0].class_index, 0u);
+  EXPECT_EQ(plans[0].from, 1u);
+  EXPECT_EQ(plans[0].to, 2u);
+  EXPECT_DOUBLE_EQ(plans[1].at_sec, 0.25e-3);
+  EXPECT_TRUE(serve::parse_migrations("").empty());
+  for (const char* bad :
+       {"2.5abc:0:0:1", "1e999:0:0:1", ":0:0:1", "1:0:0", "1:0:0:1:2",
+        "1:-1:0:1", "1:0:0:4294967296"}) {
+    EXPECT_THROW(serve::parse_migrations(bad), std::invalid_argument) << bad;
+  }
+
+  const std::vector<serve::TenantQuota> quotas =
+      serve::parse_quotas("0:2,2:7");
+  ASSERT_EQ(quotas.size(), 2u);
+  EXPECT_EQ(quotas[1].class_index, 2u);
+  EXPECT_EQ(quotas[1].max_in_flight, 7u);
+  EXPECT_TRUE(serve::parse_quotas("").empty());
+  for (const char* bad : {"0:2x", "0", "0:1:2", "0:1,", "a:1"}) {
+    EXPECT_THROW(serve::parse_quotas(bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(FleetServer, RouterNamesRoundTripAndRejectUnknown) {

@@ -272,41 +272,37 @@ inline serve::FleetRequest smoke_fleet_elastic_request() {
 /// The sustained-load soak with the stack thermal model on: a cold
 /// (model-off) FIFO serve calibrates the thermal budget — the heat rate is
 /// the cold run's link-byte rate, cooling absorbs half of it, the budget
-/// is 5% of the total heat deposited — then the same workload runs hot.
-/// Both serves are deterministic, so the hot report checksums stably at
-/// any graph scale.
+/// is 5% of the total heat deposited — then the same request runs hot
+/// (ServeConfig::thermal) on the same server, reusing its profiles. Both
+/// serves are deterministic, so the hot report checksums stably at any
+/// graph scale. Only the hot serve is traced.
 inline serve::ServeReport run_throttled_soak(
     const graph::CsrGraph& g, obs::Telemetry* telemetry = nullptr) {
   serve::ServeRequest req = smoke_serve_request();
   req.config.policy = serve::SchedulingPolicy::kFifo;
-  serve::QueryServer cold(core::table3_system(), /*jobs=*/1);
+  serve::QueryServer server(core::table3_system(), /*jobs=*/1);
   // Probe serve: mean isolated service time sets the stack's capacity;
   // the soak itself offers 0.8x of it so queueing amplifies the
-  // throttled quanta into a rising tail (both serves share the cold
-  // server's profile cache).
-  const serve::ServeReport probe = cold.serve(g, req);
+  // throttled quanta into a rising tail.
+  const serve::ServeReport probe = server.serve(g, req);
   if (probe.completed == 0 || probe.service_us.mean <= 0.0) {
     throw std::runtime_error("soak: probe serve completed no queries");
   }
   req.workload.offered_qps = 0.8 * (1.0e6 / probe.service_us.mean);
-  const serve::ServeReport c = cold.serve(g, req);
+  const serve::ServeReport c = server.serve(g, req);
   if (c.completed == 0 || c.makespan_sec <= 0.0) {
     throw std::runtime_error("soak: cold serve completed no queries");
   }
   const double total_heat_mb = static_cast<double>(c.link_bytes) / 1.0e6;
-  device::ThermalParams thermal;
+  device::ThermalParams& thermal = req.config.thermal;
   thermal.enabled = true;
   thermal.heat_per_mb = 1.0;
   thermal.cool_per_sec = 0.5 * total_heat_mb / c.makespan_sec;
   thermal.throttle_threshold = std::max(total_heat_mb * 0.05, 1e-6);
   thermal.hysteresis = 0.9;
   thermal.throttle_factor = 0.5;
-  core::SystemConfig cfg = core::table3_system();
-  cfg.cxl.thermal = thermal;
-  cfg.storage_thermal = thermal;
-  serve::QueryServer hot(std::move(cfg), /*jobs=*/1);
-  hot.set_telemetry(telemetry);
-  return hot.serve(g, req);
+  server.set_telemetry(telemetry);
+  return server.serve(g, req);
 }
 
 /// Fig. 9's pointer chase through the local CXL device at +2 us.

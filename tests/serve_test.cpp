@@ -506,31 +506,33 @@ TEST(QueryServer, SharedProfilesMatchIndependentRunsAtTheirOwnSource) {
 
 TEST(QueryServer, SustainedLoadUnderThrottlingRaisesTailOverTime) {
   const graph::CsrGraph g = test_graph();
-  serve::QueryServer cold_server(core::table3_system());
+  serve::QueryServer server(core::table3_system());
 
   // Capacity probe, then a sustained open-loop run at 0.8x capacity.
   serve::ServeRequest probe = mixed_request(0.001, 8);
-  const serve::ServeReport idle = cold_server.serve(g, probe);
+  const serve::ServeReport idle = server.serve(g, probe);
   ASSERT_GT(idle.service_us.mean, 0.0);
   const double capacity_qps = 1.0e6 / idle.service_us.mean;
 
   serve::ServeRequest sustained = mixed_request(capacity_qps * 0.8, 48);
-  const serve::ServeReport cold = cold_server.serve(g, sustained);
+  const serve::ServeReport cold = server.serve(g, sustained);
   ASSERT_GT(cold.makespan_sec, 0.0);
   ASSERT_GT(cold.link_bytes, 0u);
 
   // Thermal budget calibrated from the cold run: cooling absorbs half of
   // the cold byte rate and the throttle trips after ~5% of the traffic.
-  core::SystemConfig hot_cfg = core::table3_system();
-  hot_cfg.cxl.thermal.enabled = true;
+  // The hot serve is the same request with the model on, on the same
+  // server.
+  serve::ServeRequest hot_req = sustained;
+  device::ThermalParams& thermal = hot_req.config.thermal;
+  thermal.enabled = true;
   const double heat_mb = static_cast<double>(cold.link_bytes) / 1.0e6;
-  hot_cfg.cxl.thermal.heat_per_mb = 1.0;
-  hot_cfg.cxl.thermal.cool_per_sec = 0.5 * heat_mb / cold.makespan_sec;
-  hot_cfg.cxl.thermal.throttle_threshold = heat_mb * 0.05;
-  hot_cfg.cxl.thermal.hysteresis = 0.9;
-  hot_cfg.cxl.thermal.throttle_factor = 0.5;
-  serve::QueryServer hot_server(std::move(hot_cfg));
-  const serve::ServeReport hot = hot_server.serve(g, sustained);
+  thermal.heat_per_mb = 1.0;
+  thermal.cool_per_sec = 0.5 * heat_mb / cold.makespan_sec;
+  thermal.throttle_threshold = heat_mb * 0.05;
+  thermal.hysteresis = 0.9;
+  thermal.throttle_factor = 0.5;
+  const serve::ServeReport hot = server.serve(g, hot_req);
 
   // The stack heats up and throttles; sustained-load p99 sits strictly
   // above the cold-start p99 and drifts upward across the run's windows.
@@ -544,13 +546,11 @@ TEST(QueryServer, SustainedLoadUnderThrottlingRaisesTailOverTime) {
   EXPECT_TRUE(hot.conservation_ok());
   EXPECT_EQ(hot.link_bytes, cold.link_bytes);
 
-  // With the model constructed but disabled, the serving layer reproduces
-  // the cold run record-for-record (the default path is untouched).
-  core::SystemConfig off_cfg = core::table3_system();
-  off_cfg.cxl.thermal = hot_server.config().cxl.thermal;
-  off_cfg.cxl.thermal.enabled = false;
-  serve::QueryServer off_server(std::move(off_cfg));
-  const serve::ServeReport off = off_server.serve(g, sustained);
+  // thermal.enabled = false on the request reproduces the cold serve
+  // record-for-record, whatever the other thermal parameters hold.
+  serve::ServeRequest off_req = hot_req;
+  off_req.config.thermal.enabled = false;
+  const serve::ServeReport off = server.serve(g, off_req);
   EXPECT_EQ(cold, off);
   EXPECT_EQ(off.throttled_quanta, 0u);
   EXPECT_EQ(off.stack_peak_heat, 0.0);
@@ -660,24 +660,32 @@ TEST(QueryServer, SojournSplitsExactlyIntoQueueAndService) {
 TEST(QueryServer, UtilizationNeverExceedsOneUnderThrottledSoak) {
   // One stack serialized over a makespan can be at most 100% busy, even
   // when thermal throttling stretches quanta and preemptive policies
-  // slice the schedule finely.
+  // slice the schedule finely. The model throttles whichever backend
+  // serves, host DRAM included.
   const graph::CsrGraph g = test_graph();
-  core::SystemConfig hot_cfg = core::table3_system();
-  hot_cfg.cxl.thermal.enabled = true;
-  hot_cfg.cxl.thermal.heat_per_mb = 1.0;
-  hot_cfg.cxl.thermal.cool_per_sec = 1.0;
-  hot_cfg.cxl.thermal.throttle_threshold = 0.5;
-  hot_cfg.cxl.thermal.hysteresis = 0.9;
-  hot_cfg.cxl.thermal.throttle_factor = 0.5;
-  for (const serve::SchedulingPolicy policy : serve::all_policies()) {
-    serve::QueryServer server(hot_cfg);
-    serve::ServeRequest req = mixed_request(1.0e5, 32);
-    req.config.policy = policy;
-    req.config.quantum_supersteps = 1;
-    const serve::ServeReport r = server.serve(g, req);
-    ASSERT_GT(r.makespan_sec, 0.0) << serve::to_string(policy);
-    EXPECT_GT(r.utilization, 0.0) << serve::to_string(policy);
-    EXPECT_LE(r.utilization, 1.0 + 1e-9) << serve::to_string(policy);
+  for (const core::BackendKind backend :
+       {core::BackendKind::kCxl, core::BackendKind::kHostDram}) {
+    serve::QueryServer server(core::table3_system());
+    for (const serve::SchedulingPolicy policy : serve::all_policies()) {
+      serve::ServeRequest req = mixed_request(1.0e5, 32);
+      req.base.backend = backend;
+      req.config.policy = policy;
+      req.config.quantum_supersteps = 1;
+      device::ThermalParams& thermal = req.config.thermal;
+      thermal.enabled = true;
+      thermal.heat_per_mb = 1.0;
+      thermal.cool_per_sec = 1.0;
+      thermal.throttle_threshold = 0.5;
+      thermal.hysteresis = 0.9;
+      thermal.throttle_factor = 0.5;
+      const serve::ServeReport r = server.serve(g, req);
+      const std::string label =
+          core::to_string(backend) + "/" + serve::to_string(policy);
+      ASSERT_GT(r.makespan_sec, 0.0) << label;
+      EXPECT_GT(r.throttled_quanta, 0u) << label;
+      EXPECT_GT(r.utilization, 0.0) << label;
+      EXPECT_LE(r.utilization, 1.0 + 1e-9) << label;
+    }
   }
 }
 

@@ -217,33 +217,5 @@ TEST(TelemetryIdentity, FleetRunIsRecordIdenticalWithTelemetryOn) {
   EXPECT_FALSE(telemetry.sampler().empty());
 }
 
-TEST(TelemetryIdentity, DeviceStateTracingLeavesThrottledRunIdentical) {
-  // Thermal throttling ON is where the device hooks actually fire; the
-  // state-model trace must observe the episodes without changing them.
-  const graph::CsrGraph g = test_graph();
-  core::SystemConfig cfg = core::table3_system();
-  cfg.cxl.thermal.enabled = true;
-  cfg.cxl.thermal.heat_per_mb = 1.0;
-  cfg.cxl.thermal.cool_per_sec = 0.1;
-  cfg.cxl.thermal.throttle_threshold = 0.05;
-  cfg.cxl.thermal.hysteresis = 0.9;
-  cfg.cxl.thermal.throttle_factor = 0.5;
-
-  core::RunRequest req;
-  req.algorithm = core::Algorithm::kBfs;
-  req.backend = core::BackendKind::kCxl;
-  req.source_seed = kSeed;
-
-  core::ExternalGraphRuntime off(cfg);
-  const core::RunReport baseline = off.run(g, req);
-
-  obs::Telemetry telemetry(obs::Telemetry::enabled_config());
-  core::ExternalGraphRuntime on(cfg);
-  on.set_telemetry(&telemetry);
-  const core::RunReport tapped = on.run(g, req);
-
-  EXPECT_EQ(baseline, tapped);
-}
-
 }  // namespace
 }  // namespace cxlgraph

@@ -352,6 +352,30 @@ TEST(Units, PsPerByteMatchesBandwidth) {
   EXPECT_NEAR(mbps_from(24'000'000'000ULL, kPsPerSec), 24'000.0, 1e-6);
 }
 
+TEST(Units, CheckedRatesMatchOrRejectDurationsThatDoNotFit) {
+  // Accepted rates give the unchecked arithmetic's values exactly.
+  for (const double mbps : {24'000.0, 5'700.0, 3'200.0, 1.0, 2.4e-4}) {
+    EXPECT_EQ(checked_ps_per_byte(mbps, "bw"), ps_per_byte(mbps)) << mbps;
+  }
+  for (const double iops : {1.0e6, 0.3e6, 2.5e6, 1.0, 1e-7}) {
+    EXPECT_EQ(checked_interval_ps(iops, "iops"),
+              static_cast<SimTime>(static_cast<double>(kPsPerSec) / iops +
+                                   0.5))
+        << iops;
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Past ~2.33e-4 MB/s a 2^32 - 1 byte transfer overflows 64-bit
+  // picoseconds; past ~5.4e-8 IOPS one interval does.
+  for (const double bad : {0.0, -1.0, std::nan(""), kInf, 2.3e-4, 1e-9}) {
+    EXPECT_THROW(checked_ps_per_byte(bad, "bw"), std::invalid_argument)
+        << bad;
+  }
+  for (const double bad : {0.0, -1.0, std::nan(""), kInf, 5e-8, 1e-9}) {
+    EXPECT_THROW(checked_interval_ps(bad, "iops"), std::invalid_argument)
+        << bad;
+  }
+}
+
 TEST(Units, FormatBytesPicksUnit) {
   EXPECT_EQ(format_bytes(std::uint64_t{512}), "512 B");
   EXPECT_EQ(format_bytes(std::uint64_t{4'190'000}), "4.19 MB");
@@ -464,6 +488,46 @@ TEST(Cli, UnsignedGetterRangeChecksInsteadOfWrapping) {
   const char* argv[] = {"prog", "--n=4294967295"};
   ASSERT_TRUE(top.parse(2, argv));
   EXPECT_EQ(top.get_uint("n"), 4294967295u);
+}
+
+TEST(Cli, NumbersAreReadWhole) {
+  EXPECT_DOUBLE_EQ(parse_double("1.5", "x"), 1.5);
+  EXPECT_DOUBLE_EQ(parse_double("-2e-3", "x"), -2e-3);
+  EXPECT_DOUBLE_EQ(parse_double("2000", "x"), 2000.0);
+  EXPECT_TRUE(std::isinf(parse_double("inf", "x")));
+  for (const char* bad :
+       {"", "1.5x", "42abc", "1e999", "-1e999", "x", " 1", "1 ", "1,5",
+        "0x10"}) {
+    try {
+      parse_double(bad, "--added-us");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--added-us"), std::string::npos)
+          << bad;
+    }
+  }
+
+  for (const char* bad : {"--added-us=1.5x", "--added-us=1e999",
+                          "--added-us=", "--added-us=nine"}) {
+    CliParser c;
+    c.add_option("added-us", "latency", "0");
+    const char* argv[] = {"prog", bad};
+    ASSERT_TRUE(c.parse(2, argv));
+    EXPECT_THROW(c.get_double("added-us"), std::invalid_argument) << bad;
+  }
+  for (const char* bad : {"--seed=42abc", "--seed=1e3", "--seed=4.0",
+                          "--seed=", "--seed=99999999999999999999"}) {
+    CliParser c;
+    c.add_option("seed", "seed", "42");
+    const char* argv[] = {"prog", bad};
+    ASSERT_TRUE(c.parse(2, argv));
+    EXPECT_THROW(c.get_int("seed"), std::invalid_argument) << bad;
+  }
+  CliParser c;
+  c.add_option("seed", "seed", "-7");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(c.parse(1, argv));
+  EXPECT_EQ(c.get_int("seed"), -7);
 }
 
 TEST(Cli, PositionalArgumentsCollected) {

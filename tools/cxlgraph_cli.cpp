@@ -37,7 +37,6 @@
 
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -321,66 +320,6 @@ int cmd_run(int argc, char** argv) {
   return save_telemetry(cli, telemetry.get());
 }
 
-std::vector<std::string> split_on(const std::string& value, char sep) {
-  std::vector<std::string> parts;
-  std::string::size_type start = 0;
-  while (start <= value.size()) {
-    const std::string::size_type end = value.find(sep, start);
-    if (end == std::string::npos) {
-      parts.push_back(value.substr(start));
-      break;
-    }
-    parts.push_back(value.substr(start, end - start));
-    start = end + 1;
-  }
-  return parts;
-}
-
-/// One 32-bit field of a list option's entry, e.g. a --quota cap.
-std::uint32_t parse_field(const std::string& text, const std::string& what) {
-  return static_cast<std::uint32_t>(util::parse_uint(
-      text, what, 0, std::numeric_limits<std::uint32_t>::max()));
-}
-
-/// "at_ms:class:from:to" (times in milliseconds), comma-separated.
-std::vector<serve::MigrationPlan> parse_migrations(const std::string& spec) {
-  std::vector<serve::MigrationPlan> plans;
-  if (spec.empty()) return plans;
-  for (const std::string& item : util::split_csv(spec)) {
-    const std::vector<std::string> parts = split_on(item, ':');
-    if (parts.size() != 4) {
-      throw std::invalid_argument(
-          "bad --migrate entry '" + item +
-          "' (expected at_ms:class:from:to, e.g. 2.5:0:0:1)");
-    }
-    serve::MigrationPlan plan;
-    plan.at_sec = std::stod(parts[0]) * 1e-3;
-    plan.class_index = parse_field(parts[1], "--migrate class");
-    plan.from = parse_field(parts[2], "--migrate source replica");
-    plan.to = parse_field(parts[3], "--migrate target replica");
-    plans.push_back(plan);
-  }
-  return plans;
-}
-
-/// "class:max_in_flight", comma-separated.
-std::vector<serve::TenantQuota> parse_quotas(const std::string& spec) {
-  std::vector<serve::TenantQuota> quotas;
-  if (spec.empty()) return quotas;
-  for (const std::string& item : util::split_csv(spec)) {
-    const std::vector<std::string> parts = split_on(item, ':');
-    if (parts.size() != 2) {
-      throw std::invalid_argument("bad --quota entry '" + item +
-                                  "' (expected class:max, e.g. 0:2)");
-    }
-    serve::TenantQuota quota;
-    quota.class_index = parse_field(parts[0], "--quota class");
-    quota.max_in_flight = parse_field(parts[1], "--quota cap");
-    quotas.push_back(quota);
-  }
-  return quotas;
-}
-
 int cmd_serve(int argc, char** argv) {
   util::CliParser cli;
   cli.add_option("graph", "binary CSR path (omit to generate)", "");
@@ -492,8 +431,8 @@ int cmd_serve(int argc, char** argv) {
   fleet.serve.quantum_supersteps = cli.get_uint("quantum", 1);
   fleet.replicas = cli.get_uint("replicas", 1);
   fleet.router = serve::router_from_name(cli.get("router"));
-  fleet.migrations = parse_migrations(cli.get("migrate"));
-  fleet.quotas = parse_quotas(cli.get("quota"));
+  fleet.migrations = serve::parse_migrations(cli.get("migrate"));
+  fleet.quotas = serve::parse_quotas(cli.get("quota"));
   fleet.slo_shedding = cli.get_bool("slo-shed");
   if (const std::uint32_t elastic_max = cli.get_uint("elastic-max");
       elastic_max > 0) {
