@@ -101,7 +101,7 @@ AccessTrace build_dobfs_trace(const graph::CsrGraph& graph,
     }
   }
   trace.reserve(result.bfs.frontiers.size(), top_down_chunks);
-  std::vector<graph::VertexId> scratch;
+  FrontierScratch scratch;
 
   // Track which vertices are still unvisited entering each level by
   // replaying depths.

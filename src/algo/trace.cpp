@@ -1,6 +1,9 @@
 #include "algo/trace.hpp"
 
 #include <algorithm>
+#include <utility>
+
+#include "util/radix_sort.hpp"
 
 namespace cxlgraph::algo {
 
@@ -29,17 +32,21 @@ bool commit_superstep(std::span<AccessTrace> traces) {
   return true;
 }
 
-// Frontiers from level-synchronous traversals are almost always already
-// vertex-ID sorted (status-bitmap scans emit them in order), so check
-// before paying for a sort; the scratch buffer is reused across steps
-// when a copy is unavoidable.
+// A GPU traversal materializes each frontier from a status bitmap, so it
+// reads the step's sublists in vertex-ID order (GAP's bitmap-to-queue
+// conversion, Beamer, Asanović and Patterson, arXiv:1508.03619). The CPU
+// traversals here emit discovery order instead; a radix sort restores ID
+// order in linear time, as the bitmap scan does.
 const std::vector<graph::VertexId>& sorted_frontier(
-    const std::vector<graph::VertexId>& raw,
-    std::vector<graph::VertexId>& scratch) {
+    const std::vector<graph::VertexId>& raw, FrontierScratch& scratch) {
   if (std::is_sorted(raw.begin(), raw.end())) return raw;
-  scratch.assign(raw.begin(), raw.end());
-  std::sort(scratch.begin(), scratch.end());
-  return scratch;
+  scratch.sorted.assign(raw.begin(), raw.end());
+  scratch.spare.resize(raw.size());
+  if (util::radix_sort(scratch.sorted, scratch.spare).data() !=
+      scratch.sorted.data()) {
+    std::swap(scratch.sorted, scratch.spare);
+  }
+  return scratch.sorted;
 }
 
 AccessTrace build_trace(
@@ -47,7 +54,7 @@ AccessTrace build_trace(
     const std::vector<std::vector<graph::VertexId>>& frontiers) {
   AccessTrace trace;
   trace.reserve(frontiers.size(), total_chunks(graph, frontiers));
-  std::vector<graph::VertexId> scratch;
+  FrontierScratch scratch;
   for (const auto& raw_frontier : frontiers) {
     // GPU level-synchronous traversals materialize the frontier by
     // scanning a per-vertex status bitmap, so a step's edge-sublist reads
@@ -75,7 +82,7 @@ AccessTrace build_writeback_trace(
   // Result region starts page-aligned after the edge list.
   const std::uint64_t region =
       (graph.edge_list_bytes() + 4095) / 4096 * 4096;
-  std::vector<graph::VertexId> scratch;
+  FrontierScratch scratch;
   for (const auto& raw_frontier : frontiers) {
     const auto& frontier = sorted_frontier(raw_frontier, scratch);
     for (const graph::VertexId v : frontier) {
@@ -96,7 +103,7 @@ AccessTrace build_trace_with_layout(
     const graph::EdgeListLayout& layout) {
   AccessTrace trace;
   trace.reserve(frontiers.size(), total_chunks(graph, frontiers));
-  std::vector<graph::VertexId> scratch;
+  FrontierScratch scratch;
   for (const auto& raw_frontier : frontiers) {
     const auto& frontier = sorted_frontier(raw_frontier, scratch);
     for (const graph::VertexId v : frontier) {

@@ -153,14 +153,21 @@ struct AccessTrace {
 /// superstep was kept. At one shard this is exactly commit_step().
 bool commit_superstep(std::span<AccessTrace> traces);
 
-/// Returns `raw` if it is already vertex-ID sorted (level-synchronous
-/// traversals emit frontiers in order, so this is the common case), else
-/// sorts a copy into `scratch` and returns that. Shared by every
-/// frontier-shaped trace builder so the ordering contract lives in one
-/// place.
+/// The buffers sorted_frontier sorts into, kept by a builder across its
+/// steps so a schedule of frontiers allocates only when one outgrows them.
+struct FrontierScratch {
+  std::vector<graph::VertexId> sorted;
+  std::vector<graph::VertexId> spare;
+};
+
+/// Returns `raw` if it is already vertex-ID sorted, else a sorted copy
+/// held in `scratch` (valid until its next use). The copy is sorted by
+/// util::radix_sort, a few linear passes over the bytes the IDs use. IDs
+/// are integers, so every sort gives the same order. Every frontier-shaped
+/// trace builder and the cluster's decompositions order through this, so
+/// the ordering contract lives in one place.
 const std::vector<graph::VertexId>& sorted_frontier(
-    const std::vector<graph::VertexId>& raw,
-    std::vector<graph::VertexId>& scratch);
+    const std::vector<graph::VertexId>& raw, FrontierScratch& scratch);
 
 /// Builds a trace from per-step frontiers: step k reads the sublist of every
 /// frontier vertex with nonzero degree, in ascending vertex-ID order,

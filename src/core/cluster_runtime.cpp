@@ -154,9 +154,10 @@ void decompose_frontiers(
   std::vector<std::uint64_t> next_stamp(n, 0);
   std::vector<std::uint64_t> sent(n, 0);
   std::uint64_t stamp = 0;
+  algo::FrontierScratch scratch;
   for (std::size_t k = 0; k < frontiers.size(); ++k) {
-    std::vector<VertexId> frontier = frontiers[k];
-    std::sort(frontier.begin(), frontier.end());
+    const std::vector<VertexId>& frontier =
+        algo::sorted_frontier(frontiers[k], scratch);
 
     const std::vector<std::vector<VertexId>> active_locals =
         scan_actives(part, frontier, traces);
@@ -201,10 +202,11 @@ void decompose_dobfs(const graph::CsrGraph& g,
   algo::DirectionDecider decider(g.num_edges(), n);
   std::vector<std::uint64_t> sent(n, 0);
   std::uint64_t stamp = 0;
+  algo::FrontierScratch scratch;
 
   for (std::size_t k = 0; k < bfs.frontiers.size(); ++k) {
-    std::vector<VertexId> frontier = bfs.frontiers[k];
-    std::sort(frontier.begin(), frontier.end());
+    const std::vector<VertexId>& frontier =
+        algo::sorted_frontier(bfs.frontiers[k], scratch);
 
     // The vote: every level consumes one decision, kept or not, so the
     // decider's hysteresis matches the single runtime's level for level.
@@ -304,9 +306,10 @@ void decompose_delta(const graph::CsrGraph& g,
 
   std::vector<std::uint64_t> sent(n, 0);
   std::uint64_t stamp = 0;
+  algo::FrontierScratch scratch;
   for (std::size_t p = 0; p < delta.phases.size(); ++p) {
-    std::vector<VertexId> scan = delta.phases[p];
-    std::sort(scan.begin(), scan.end());
+    const std::vector<VertexId>& scan =
+        algo::sorted_frontier(delta.phases[p], scratch);
 
     const std::vector<std::vector<VertexId>> active_locals =
         scan_actives(part, scan, traces);

@@ -70,6 +70,11 @@ void validate(const FaultSpec& spec) {
     }
     us(spec.io_retry_us, "io retry backoff");
     if (spec.io_max_retries == 0) fail("io retry budget must be >= 1");
+    // A quantum's k-th failed attempt waits k backoffs, so one that
+    // fails every retry waits io_retry_us * R(R + 1) / 2 in total.
+    const double r = static_cast<double>(spec.io_max_retries);
+    us(spec.io_retry_us * (r * (r + 1.0) / 2.0),
+       "io retry backoff times its R(R + 1) / 2 attempts");
   }
   if (spec.link_flaps > 0) {
     sec(spec.flap_sec, "link flap window");

@@ -156,11 +156,40 @@ CsrGraph generate_power_law(std::uint64_t num_vertices, double avg_degree,
   const auto num_edges = static_cast<std::uint64_t>(
       static_cast<double>(num_vertices) * avg_degree / 2.0);
 
+  // guide[j] is the search's answer (below) for the point
+  // j * total_weight / n, so a target whose bucket index rounds to j has
+  // its answer in [guide[j - 1], guide[j + 1]]. The bracket is checked
+  // before use, with the whole range as the fallback, and the search
+  // within a checked bracket returns the same index as over all of it.
+  const std::uint64_t buckets = num_vertices;
+  std::vector<std::uint64_t> guide(buckets + 1);
+  std::uint64_t at = 0;
+  for (std::uint64_t j = 0; j <= buckets; ++j) {
+    const double point = static_cast<double>(j) * total_weight /
+                         static_cast<double>(buckets);
+    while (at + 1 < num_vertices && cumulative[at + 1] <= point) ++at;
+    guide[j] = at;
+  }
+  const double buckets_per_weight =
+      static_cast<double>(buckets) / total_weight;
+
   auto sample_vertex = [&](Xoshiro256& rng) -> VertexId {
     const double target = rng.next_double() * total_weight;
-    // Binary search on the cumulative weights.
-    std::uint64_t lo = 0;
-    std::uint64_t hi = num_vertices;
+    // The last bucket also takes a target that rounds to the total (or
+    // is NaN): the check below sends those to the whole range.
+    const double scaled = target * buckets_per_weight;
+    const std::uint64_t j = scaled < static_cast<double>(buckets - 1)
+                                ? static_cast<std::uint64_t>(scaled)
+                                : buckets - 1;
+    std::uint64_t lo = guide[j == 0 ? 0 : j - 1];
+    std::uint64_t hi = guide[j + 1] + 1;
+    if (!(cumulative[lo] <= target &&
+          (hi == num_vertices || cumulative[hi] > target))) {
+      lo = 0;
+      hi = num_vertices;
+    }
+    // Binary search for the last cumulative weight <= target, with
+    // cumulative[lo] <= target and (hi == n or cumulative[hi] > target).
     while (lo + 1 < hi) {
       const std::uint64_t mid = lo + (hi - lo) / 2;
       if (cumulative[mid] <= target) {

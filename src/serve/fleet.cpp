@@ -679,8 +679,10 @@ util::SimTime FleetSim::fault_extra(std::uint32_t k, util::SimTime duration) {
            fault::FaultPlan::error_draw(faults.seed, k, io_draws++,
                                         rep.io_rate)) {
       ++attempt;
-      extra += util::ps_from_us(faults.io_retry_us *
-                                static_cast<double>(attempt));
+      extra = util::checked_add_ps(
+          extra,
+          util::ps_from_us(faults.io_retry_us * static_cast<double>(attempt)),
+          "io retry backoff");
     }
     if (attempt > 0) {
       io_retries_total += attempt;
@@ -688,13 +690,14 @@ util::SimTime FleetSim::fault_extra(std::uint32_t k, util::SimTime duration) {
     }
   }
   if (now < link_until && link_factor < 1.0) {
-    if (link_factor <= 0.0) {
-      // Outage: the quantum stalls until the link comes back.
-      extra += link_until - now;
-    } else {
-      extra += static_cast<util::SimTime>(
-          static_cast<double>(duration) * (1.0 / link_factor - 1.0) + 0.5);
-    }
+    // An outage stalls the quantum until the link comes back; a derate
+    // stretches it by the lost bandwidth.
+    const util::SimTime stall =
+        link_factor <= 0.0
+            ? link_until - now
+            : util::checked_stretch_ps(duration, 1.0 / link_factor - 1.0,
+                                       "link-derated quantum");
+    extra = util::checked_add_ps(extra, stall, "io retry and link delays");
   }
   return extra;
 }

@@ -203,8 +203,7 @@ void ReplicaSim::dispatch() {
     // bytes themselves are unchanged — conservation still holds.
     const double mult = heat.charge(config.thermal, fleet.sim.now(), bytes);
     if (mult > 1.0) {
-      duration = static_cast<util::SimTime>(
-          static_cast<double>(duration) * mult + 0.5);
+      duration = util::checked_stretch_ps(duration, mult, "throttled quantum");
       ++throttled_quanta;
     }
     if (heat_trace_.bound()) {
@@ -220,7 +219,9 @@ void ReplicaSim::dispatch() {
     // Transient I/O-error retries and link-degrade windows add wall time
     // to the quantum. Bytes are unchanged and the backlog estimate stays
     // profiled, matching the thermal convention above.
-    duration += fleet.fault_extra(index, duration);
+    duration = util::checked_add_ps(duration,
+                                    fleet.fault_extra(index, duration),
+                                    "quantum plus fault delays");
   }
   fleet.next_step[i] += quantum;
   r.service_ps += duration;

@@ -1,11 +1,12 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <utility>
+#include <span>
+
+#include "util/radix_sort.hpp"
 
 namespace cxlgraph::util {
 
@@ -20,45 +21,26 @@ std::uint64_t bucket_upper(std::size_t index) noexcept {
   return index == 0 ? 1 : (std::uint64_t{1} << index);
 }
 
-/// Sorts samples ascending: an LSD radix sort over each double's
+/// Sorts samples ascending: util::radix_sort over each double's
 /// order-preserving 64-bit key (sign bit flipped for positives, every bit
-/// for negatives), 8-bit digits, skipping any digit all keys share. For
-/// NaN-free input the result is std::sort's, except that -0.0 sorts before
-/// +0.0 where std::sort may leave them in either order.
+/// for negatives). For NaN-free input the result is std::sort's, except
+/// that -0.0 sorts before +0.0 where std::sort may leave them in either
+/// order.
 void sort_samples(std::vector<double>& samples) {
   const std::size_t n = samples.size();
   if (n < 2) return;
   constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
-  constexpr int kDigits = 8;
-  // Keys and the scatter target, ping-ponged; never read before written.
+  // Keys and the sort's spare buffer; never read before written.
   const auto buffer = std::make_unique_for_overwrite<std::uint64_t[]>(2 * n);
-  std::uint64_t* keys = buffer.get();
-  std::uint64_t* scratch = keys + n;
-  std::array<std::array<std::size_t, 256>, kDigits> counts{};
+  const std::span<std::uint64_t> keys(buffer.get(), n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto bits = std::bit_cast<std::uint64_t>(samples[i]);
-    const std::uint64_t key = (bits & kSign) != 0 ? ~bits : bits | kSign;
-    keys[i] = key;
-    for (int d = 0; d < kDigits; ++d) ++counts[d][(key >> (8 * d)) & 0xff];
+    keys[i] = (bits & kSign) != 0 ? ~bits : bits | kSign;
   }
-  for (int d = 0; d < kDigits; ++d) {
-    const int shift = 8 * d;
-    const std::array<std::size_t, 256>& count = counts[d];
-    if (count[(keys[0] >> shift) & 0xff] == n) continue;  // shared digit
-    std::array<std::uint64_t*, 256> next;  // each digit's next free slot
-    std::uint64_t* bucket = scratch;
-    for (std::size_t b = 0; b < 256; ++b) {
-      next[b] = bucket;
-      bucket += count[b];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t key = keys[i];
-      *next[(key >> shift) & 0xff]++ = key;
-    }
-    std::swap(keys, scratch);
-  }
+  const std::span<const std::uint64_t> sorted =
+      radix_sort(keys, {buffer.get() + n, n});
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t key = keys[i];
+    const std::uint64_t key = sorted[i];
     samples[i] = std::bit_cast<double>((key & kSign) != 0 ? key ^ kSign : ~key);
   }
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 
 namespace cxlgraph::util {
 
@@ -69,6 +70,24 @@ SimTime checked_interval_ps(double per_sec, std::string_view what) {
   const double ps = static_cast<double>(kPsPerSec) / per_sec + 0.5;
   if (!(ps < kSimTimeLimit)) reject_rate(per_sec, what);
   return static_cast<SimTime>(ps);
+}
+
+SimTime checked_stretch_ps(SimTime ps, double factor, std::string_view what) {
+  const double stretched = static_cast<double>(ps) * factor + 0.5;
+  if (!(stretched >= 0.0 && stretched < kSimTimeLimit)) {
+    char got[48];
+    std::snprintf(got, sizeof(got), "%g", factor);
+    throw std::overflow_error(std::string(what) + ": " + std::to_string(ps) +
+                              " ps x " + got +
+                              " overflows 64-bit picoseconds");
+  }
+  return static_cast<SimTime>(stretched);
+}
+
+void throw_add_overflow(SimTime a, SimTime b, std::string_view what) {
+  throw std::overflow_error(std::string(what) + ": " + std::to_string(a) +
+                            " ps + " + std::to_string(b) +
+                            " ps overflows 64-bit picoseconds");
 }
 
 std::string format_bytes(double bytes) {

@@ -7,6 +7,7 @@
 /// sub-byte resolution while a 64-bit counter still covers ~213 days.
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -50,6 +51,25 @@ double checked_ps_per_byte(double mb_per_sec, std::string_view what);
 /// throws std::invalid_argument naming `what` unless `per_sec` is
 /// positive, finite and the interval fits in SimTime.
 SimTime checked_interval_ps(double per_sec, std::string_view what);
+
+/// `ps` stretched by `factor`, rounded to picoseconds as the serving
+/// layer stretches a throttled or derated quantum: identical to
+/// static_cast<SimTime>(ps * factor + 0.5) whenever that is defined, but
+/// throws std::overflow_error naming `what` unless ps * factor + 0.5 lies
+/// in [0, 2^64).
+SimTime checked_stretch_ps(SimTime ps, double factor, std::string_view what);
+/// Throws the std::overflow_error checked_add_ps reports for a + b.
+[[noreturn]] void throw_add_overflow(SimTime a, SimTime b,
+                                     std::string_view what);
+/// a + b, throwing std::overflow_error naming `what` when the sum would
+/// wrap past 2^64 ps. Inline: every faulted quantum's delays add through
+/// it.
+inline SimTime checked_add_ps(SimTime a, SimTime b, std::string_view what) {
+  if (b > std::numeric_limits<SimTime>::max() - a) {
+    throw_add_overflow(a, b, what);
+  }
+  return a + b;
+}
 
 constexpr double ns_from_ps(SimTime ps) noexcept {
   return static_cast<double>(ps) / static_cast<double>(kPsPerNs);

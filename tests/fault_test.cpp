@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "golden_suite.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generate.hpp"
 #include "mutate.hpp"
@@ -243,6 +244,18 @@ TEST(FaultSpec, RejectsABackoffWhoseRetryProductOverflows) {
                std::invalid_argument);
   EXPECT_NO_THROW(
       fault::parse_fault_spec("backoff-us=0,query-retries=4294967295"));
+}
+
+// A quantum whose k-th I/O attempt fails waits k backoffs, so one that
+// fails all R retries waits io_retry_us * R(R + 1) / 2: that total must
+// fit, not only one backoff.
+TEST(FaultSpec, RejectsAnIoBackoffWhoseRetryTotalOverflows) {
+  // 1e13 us is 1e19 ps, below 2^64 ps; three times that is not.
+  const std::string burst =
+      "horizon-ms=10,io-bursts=1,io-burst-ms=1,io-retry-us=1e13,";
+  EXPECT_NO_THROW(fault::parse_fault_spec(burst + "io-max-retries=1"));
+  EXPECT_THROW(fault::parse_fault_spec(burst + "io-max-retries=2"),
+               std::invalid_argument);
 }
 
 TEST(FaultSpec, CountsAreCheckedIntegersSeedsKeepAllBits) {
@@ -621,6 +634,24 @@ TEST(FleetFaults, FaultDelaysPastTheLastPicosecondAreRejected) {
   req.fleet.faults.flap_sec = 18'446'744'073.7e-3;
   req.fleet.faults.flap_derate = 0.5;
   EXPECT_THROW(fleet.serve(g, req), std::overflow_error);
+}
+
+// A derated link stretches each quantum by 1 / derate - 1. Any derate in
+// (0, 1] passes validation, and a tiny one stretches a quantum past
+// 2^64 ps: the serve must throw, not cast.
+TEST(FleetFaults, LinkDeratedQuantumPastTheLastPicosecondThrows) {
+  const graph::CsrGraph g = golden::smoke_graph();
+  serve::QueryServer fleet(core::table4_system());
+  serve::FleetRequest req = golden::smoke_fleet_faults_request();
+  req.fleet.faults.flap_derate = 1e-300;
+  try {
+    fleet.serve(g, req);
+    FAIL() << "a quantum stretched past the last picosecond was served";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("link-derated quantum"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FleetFaults, InvalidSpecsRejectedThroughFleetValidate) {

@@ -556,6 +556,29 @@ TEST(QueryServer, SustainedLoadUnderThrottlingRaisesTailOverTime) {
   EXPECT_EQ(off.stack_peak_heat, 0.0);
 }
 
+// A throttled quantum serves at throttle_factor of the bandwidth, so its
+// duration is divided by the factor. Any factor in (0, 1] passes
+// validation, and a tiny one stretches the golden smoke request's first
+// throttled quantum past 2^64 ps: the serve must throw, not cast.
+TEST(QueryServer, ThrottledQuantumPastTheLastPicosecondThrows) {
+  const graph::CsrGraph g = golden::smoke_graph();
+  serve::ServeRequest req = golden::smoke_serve_request();
+  req.config.thermal.enabled = true;
+  req.config.thermal.throttle_threshold = 1e-9;
+  req.config.thermal.throttle_factor = 1e-300;
+  serve::QueryServer server(core::table4_system());
+  try {
+    server.serve(g, req);
+    FAIL() << "a quantum stretched past the last picosecond was served";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("throttled quantum"),
+              std::string::npos)
+        << e.what();
+  }
+  req.config.thermal.throttle_factor = 0.5;
+  EXPECT_GT(server.serve(g, req).throttled_quanta, 0u);
+}
+
 TEST(QueryServer, SoakWindowsCountOnlyCompletedQueries) {
   // Without retries the smoke fault plan fails a query outright. A failed
   // record has no completion (0): it must stay out of every window rather

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "algo/bfs.hpp"
 #include "algo/trace.hpp"
 #include "graph/builder.hpp"
 #include "graph/generate.hpp"
+#include "util/rng.hpp"
 
 namespace cxlgraph::algo {
 namespace {
@@ -25,6 +30,61 @@ TEST(TraceOrdering, StepsAreVertexIdSorted) {
       EXPECT_LE(reads[i - 1].byte_offset, reads[i].byte_offset);
     }
   }
+}
+
+// The radix sort must order every frontier as std::sort does: the
+// smallest sizes, about two dozen IDs, sizes around the 256-bucket digit,
+// IDs that use one, two, five and all eight bytes, in sorted, reversed
+// and shuffled order. One scratch serves every case, as one serves a
+// builder's steps.
+TEST(Trace, SortedFrontierMatchesStdSort) {
+  util::Xoshiro256 rng(7);
+  FrontierScratch scratch;
+  const VertexId near_top = ~VertexId{0} - 1000;
+  for (const std::size_t size : {0, 1, 2, 23, 24, 255, 256, 257, 10'000}) {
+    for (const VertexId below : {VertexId{1} << 8, VertexId{1} << 16,
+                                 VertexId{1} << 40, VertexId{0}}) {
+      std::vector<VertexId> ids(size);
+      for (VertexId& id : ids) {
+        // below == 0 draws IDs within 1,000 of 2^64 - 1.
+        id = below == 0 ? near_top + rng.next_below(1001)
+                        : rng.next_below(below);
+      }
+      std::vector<VertexId> expected = ids;
+      std::sort(expected.begin(), expected.end());
+      std::vector<VertexId> reversed = expected;
+      std::reverse(reversed.begin(), reversed.end());
+      for (const std::vector<VertexId>* input : {&expected, &reversed, &ids}) {
+        SCOPED_TRACE("size " + std::to_string(size) + " below " +
+                     std::to_string(below) + " input " +
+                     (input == &ids ? "shuffled"
+                                    : input == &expected ? "sorted"
+                                                         : "reversed"));
+        EXPECT_EQ(sorted_frontier(*input, scratch), expected);
+      }
+    }
+  }
+}
+
+// Sorting is the builders' only use of frontier order, so shuffled
+// frontiers must build the presorted trace exactly.
+TEST(Trace, ShuffledFrontiersBuildThePresortedTrace) {
+  const CsrGraph g = graph::generate_uniform(1 << 12, 8.0, {});
+  const auto discovered = bfs(g, pick_source(g, 1)).frontiers;
+  auto presorted = discovered;
+  auto shuffled = discovered;
+  util::Xoshiro256 rng(3);
+  for (std::size_t k = 0; k < discovered.size(); ++k) {
+    std::sort(presorted[k].begin(), presorted[k].end());
+    std::vector<VertexId>& f = shuffled[k];
+    for (std::size_t i = f.size(); i > 1; --i) {
+      std::swap(f[i - 1], f[rng.next_below(i)]);
+    }
+  }
+  EXPECT_EQ(build_trace(g, shuffled), build_trace(g, presorted));
+  EXPECT_EQ(build_trace(g, discovered), build_trace(g, presorted));
+  EXPECT_EQ(build_writeback_trace(g, shuffled),
+            build_writeback_trace(g, presorted));
 }
 
 TEST(TraceChunking, HubSublistsSplitAtChunkLimit) {

@@ -345,6 +345,31 @@ TEST(Units, CheckedConversionMatchesOrRejects) {
   }
 }
 
+// The serving layer stretches quanta and sums their delays through these:
+// a result that fits is the unchecked arithmetic's, anything else throws.
+TEST(Units, CheckedStretchAndAddMatchOrThrow) {
+  for (const double factor : {0.0, 0.5, 1.0, 2.5, 1e6}) {
+    for (const SimTime ps : {SimTime{0}, SimTime{1}, SimTime{123'456'789}}) {
+      EXPECT_EQ(checked_stretch_ps(ps, factor, "q"),
+                static_cast<SimTime>(static_cast<double>(ps) * factor + 0.5))
+          << ps << " x " << factor;
+    }
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {1e300, kInf, std::nan(""), -1.0}) {
+    EXPECT_THROW(checked_stretch_ps(1'000, bad, "q"), std::overflow_error)
+        << bad;
+  }
+  // 2^63 ps doubled reaches 2^64 ps, the first value that does not fit.
+  EXPECT_THROW(checked_stretch_ps(SimTime{1} << 63, 2.0, "q"),
+               std::overflow_error);
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  EXPECT_EQ(checked_add_ps(kMax - 1, 1, "sum"), kMax);
+  EXPECT_EQ(checked_add_ps(0, 0, "sum"), SimTime{0});
+  EXPECT_THROW(checked_add_ps(kMax, 1, "sum"), std::overflow_error);
+  EXPECT_THROW(checked_add_ps(1, kMax, "sum"), std::overflow_error);
+}
+
 TEST(Units, PsPerByteMatchesBandwidth) {
   // 24,000 MB/s -> 1 byte every ~41.67 ps.
   EXPECT_NEAR(ps_per_byte(24'000.0), 41.6667, 0.001);
