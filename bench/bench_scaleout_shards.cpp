@@ -96,18 +96,11 @@ int main(int argc, char** argv) {
                "and exit");
   cli.add_flag("csv", "emit CSV instead of an aligned table");
   cli.add_flag("verbose", "log per-run progress to stderr");
-  cli.add_option("trace-out",
-                 "write the sweep's final run as a Chrome trace-event "
-                 "JSON timeline here",
-                 "");
-  cli.add_option("metrics-out", "write a metrics snapshot JSON here", "");
+  obs::add_telemetry_options(cli,
+                             "write the sweep's final run as a Chrome "
+                             "trace-event JSON timeline here");
   if (!cli.parse(argc, argv)) return 0;
-
-  std::unique_ptr<obs::Telemetry> telemetry;
-  if (!cli.get("trace-out").empty() || !cli.get("metrics-out").empty()) {
-    telemetry =
-        std::make_unique<obs::Telemetry>(obs::Telemetry::enabled_config());
-  }
+  const std::unique_ptr<obs::Telemetry> telemetry = obs::make_telemetry(cli);
 
   core::ExperimentOptions options;
   options.scale = cli.get_uint("scale", 0, graph::kMaxScale);
@@ -247,19 +240,5 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     std::cout << "\n";
   }
-  if (telemetry != nullptr) {
-    const std::string trace_path = cli.get("trace-out");
-    if (!trace_path.empty() && !telemetry->save_trace(trace_path)) {
-      std::cerr << "error: cannot write trace to " << trace_path << "\n";
-      return 1;
-    }
-    const std::string metrics_path = cli.get("metrics-out");
-    if (!metrics_path.empty() &&
-        !telemetry->save_metrics(metrics_path)) {
-      std::cerr << "error: cannot write metrics to " << metrics_path
-                << "\n";
-      return 1;
-    }
-  }
-  return 0;
+  return obs::save_telemetry(cli, telemetry.get(), std::cerr);
 }

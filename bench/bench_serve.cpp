@@ -364,34 +364,12 @@ int run_serve(int argc, char** argv) {
                  "6");
   cli.add_flag("csv", "emit CSV instead of an aligned table");
   cli.add_flag("verbose", "log per-run progress to stderr");
-  cli.add_option("trace-out",
-                 "write a Chrome trace-event JSON timeline of the sweep's "
-                 "last serve (soak: the hot run) here",
-                 "");
-  cli.add_option("metrics-out", "write a metrics snapshot JSON here", "");
+  obs::add_telemetry_options(cli,
+                             "write a Chrome trace-event JSON timeline of "
+                             "the sweep's last serve (soak: the hot run) "
+                             "here");
   if (!cli.parse(argc, argv)) return 0;
-
-  std::unique_ptr<obs::Telemetry> telemetry;
-  if (!cli.get("trace-out").empty() || !cli.get("metrics-out").empty()) {
-    telemetry =
-        std::make_unique<obs::Telemetry>(obs::Telemetry::enabled_config());
-  }
-  const auto save_telemetry = [&cli, &telemetry]() {
-    if (telemetry == nullptr) return 0;
-    const std::string trace_path = cli.get("trace-out");
-    if (!trace_path.empty() && !telemetry->save_trace(trace_path)) {
-      std::cerr << "error: cannot write trace to " << trace_path << "\n";
-      return 1;
-    }
-    const std::string metrics_path = cli.get("metrics-out");
-    if (!metrics_path.empty() &&
-        !telemetry->save_metrics(metrics_path)) {
-      std::cerr << "error: cannot write metrics to " << metrics_path
-                << "\n";
-      return 1;
-    }
-    return 0;
-  };
+  const std::unique_ptr<obs::Telemetry> telemetry = obs::make_telemetry(cli);
 
   const bool smoke = cli.get_bool("smoke");
   const bool soak = cli.get_bool("soak");
@@ -446,13 +424,13 @@ int run_serve(int argc, char** argv) {
   serve::QueryServer server(core::table3_system(), jobs);
   const double capacity_qps = probe_capacity_qps(server, g, base);
   Gate gate;
-  const auto finish = [&gate, &save_telemetry](const char* mode) {
+  const auto finish = [&gate, &cli, &telemetry](const char* mode) {
     if (gate.failures > 0) {
       std::cerr << "bench_serve: " << gate.failures << " check(s) failed\n";
       return 1;
     }
     if (mode != nullptr) std::cerr << "bench_serve " << mode << " OK\n";
-    return save_telemetry();
+    return obs::save_telemetry(cli, telemetry.get(), std::cerr);
   };
 
   if (soak) {

@@ -116,9 +116,8 @@ struct AccessTrace {
     }
   }
 
-  /// Raw arena pushes for the open step (deserialization, writes); unlike
-  /// add_sublist they leave the totals to the caller.
-  void add_read(const SublistRef& read) { read_arena.push_back(read); }
+  /// Raw arena push of a write for the open step; unlike add_sublist it
+  /// leaves the totals to the caller.
   void add_write(const WriteRef& write) { write_arena.push_back(write); }
 
   /// True when reads or writes were added since the last committed step.

@@ -126,7 +126,7 @@ void decompose_pagerank(const partition::Partition& part,
                             shard.graph.sublist_bytes(l));
     }
   }
-  if (!algo::commit_superstep(traces)) return;
+  if (!algo::commit_superstep(traces) || P == 1) return;
   ExchangePhase phase(P);
   for (std::uint32_t s = 0; s < P; ++s) {
     const partition::ShardGraph& shard = part.shards[s];
@@ -353,39 +353,33 @@ namespace {
 /// composed makespan charges them (superstep k, then exchange phase k).
 void record_cluster_telemetry(obs::Telemetry& telemetry,
                               const ClusterReport& report) {
-  if (telemetry.tracing()) {
-    obs::SpanTracer& tracer = telemetry.tracer();
-    const std::uint16_t compute_track =
-        tracer.track("cluster", "supersteps");
-    const std::uint16_t exchange_track = tracer.track("cluster", "exchange");
-    const std::uint32_t n_step = tracer.intern("superstep");
-    const std::uint32_t n_exchange = tracer.intern("exchange");
-    const std::uint32_t k_bytes = tracer.intern("bytes");
-    SimTime at = 0;
-    for (std::size_t k = 0; k < report.superstep_compute_ps.size(); ++k) {
-      tracer.complete(compute_track, n_step, at,
-                      report.superstep_compute_ps[k], k_bytes,
-                      k < report.superstep_fetched_bytes.size()
-                          ? report.superstep_fetched_bytes[k]
-                          : 0);
-      at += report.superstep_compute_ps[k];
-      if (k < report.exchange_phase_ps.size()) {
-        tracer.complete(exchange_track, n_exchange, at,
-                        report.exchange_phase_ps[k]);
-        at += report.exchange_phase_ps[k];
-      }
+  obs::SpanTracer& tracer = telemetry.tracer();
+  const std::uint16_t compute_track = tracer.track("cluster", "supersteps");
+  const std::uint16_t exchange_track = tracer.track("cluster", "exchange");
+  const std::uint32_t n_step = tracer.intern("superstep");
+  const std::uint32_t n_exchange = tracer.intern("exchange");
+  const std::uint32_t k_bytes = tracer.intern("bytes");
+  SimTime at = 0;
+  for (std::size_t k = 0; k < report.superstep_compute_ps.size(); ++k) {
+    tracer.complete(compute_track, n_step, at, report.superstep_compute_ps[k],
+                    k_bytes,
+                    k < report.superstep_fetched_bytes.size()
+                        ? report.superstep_fetched_bytes[k]
+                        : 0);
+    at += report.superstep_compute_ps[k];
+    if (k < report.exchange_phase_ps.size()) {
+      tracer.complete(exchange_track, n_exchange, at,
+                      report.exchange_phase_ps[k]);
+      at += report.exchange_phase_ps[k];
     }
   }
-  if (telemetry.metering()) {
-    obs::MetricsRegistry& metrics = telemetry.metrics();
-    metrics.counter("cluster", "supersteps").add(report.supersteps);
-    metrics.counter("cluster", "exchange_bytes").add(report.exchange_bytes);
-    metrics.counter("cluster", "exchange_messages")
-        .add(report.exchange_messages);
-    metrics.gauge("cluster", "ingress_skew").set(report.exchange_ingress_skew);
-    metrics.gauge("cluster", "compute_imbalance")
-        .set(report.shard_compute_imbalance);
-  }
+  obs::MetricsRegistry& metrics = telemetry.metrics();
+  metrics.counter("cluster", "supersteps").add(report.supersteps);
+  metrics.counter("cluster", "exchange_bytes").add(report.exchange_bytes);
+  metrics.counter("cluster", "exchange_messages").add(report.exchange_messages);
+  metrics.gauge("cluster", "ingress_skew").set(report.exchange_ingress_skew);
+  metrics.gauge("cluster", "compute_imbalance")
+      .set(report.shard_compute_imbalance);
 }
 
 }  // namespace
@@ -505,18 +499,6 @@ ClusterReport ClusterRuntime::run(const graph::CsrGraph& graph,
     }
   }
 
-  if (P == 1) {
-    // Single shard: no barriers beyond the engine's own, no exchange. The
-    // report reproduces ExternalGraphRuntime::run bit-for-bit.
-    report.superstep_compute_ps = results.front().step_durations;
-    report.runtime_sec = report.shard_reports.front().runtime_sec;
-    report.compute_sec = report.runtime_sec;
-    if (telemetry_ != nullptr && telemetry_->enabled()) {
-      record_cluster_telemetry(*telemetry_, report);
-    }
-    return report;
-  }
-
   SimTime compute_ps = 0;
   report.superstep_compute_ps.reserve(report.supersteps);
   for (std::size_t k = 0; k < report.supersteps; ++k) {
@@ -570,7 +552,7 @@ ClusterReport ClusterRuntime::run(const graph::CsrGraph& graph,
         static_cast<double>(report.exchange_bytes);
   }
   report.runtime_sec = report.compute_sec + report.exchange_sec;
-  if (telemetry_ != nullptr && telemetry_->enabled()) {
+  if (telemetry_ != nullptr) {
     record_cluster_telemetry(*telemetry_, report);
   }
   return report;

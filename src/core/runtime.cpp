@@ -219,31 +219,24 @@ std::unique_ptr<obs::SimRunObserver> attach_run_observer(
 /// starts are exact) plus the run-level metric aggregates.
 void record_run_telemetry(obs::Telemetry& telemetry,
                           const TraceRunResult& result) {
-  if (telemetry.tracing()) {
-    obs::SpanTracer& tracer = telemetry.tracer();
-    const std::uint16_t track =
-        tracer.track("runtime", result.report.access_method);
-    const std::uint32_t name = tracer.intern("superstep");
-    const std::uint32_t key = tracer.intern("bytes");
-    util::SimTime at = 0;
-    for (std::size_t i = 0; i < result.step_durations.size(); ++i) {
-      tracer.complete(track, name, at, result.step_durations[i], key,
-                      result.step_fetched_bytes[i]);
-      at += result.step_durations[i];
-    }
+  obs::SpanTracer& tracer = telemetry.tracer();
+  const std::uint16_t track =
+      tracer.track("runtime", result.report.access_method);
+  const std::uint32_t name = tracer.intern("superstep");
+  const std::uint32_t key = tracer.intern("bytes");
+  util::SimTime at = 0;
+  for (std::size_t i = 0; i < result.step_durations.size(); ++i) {
+    tracer.complete(track, name, at, result.step_durations[i], key,
+                    result.step_fetched_bytes[i]);
+    at += result.step_durations[i];
   }
-  if (telemetry.metering()) {
-    obs::MetricsRegistry& metrics = telemetry.metrics();
-    metrics.counter("runtime", "supersteps")
-        .add(result.step_durations.size());
-    metrics.counter("runtime", "fetched_bytes")
-        .add(result.report.fetched_bytes);
-    metrics.counter("runtime", "transactions")
-        .add(result.report.transactions);
-    util::Log2Histogram& steps = metrics.histogram("runtime", "step_ns");
-    for (const util::SimTime d : result.step_durations) {
-      steps.add(d / util::kPsPerNs);
-    }
+  obs::MetricsRegistry& metrics = telemetry.metrics();
+  metrics.counter("runtime", "supersteps").add(result.step_durations.size());
+  metrics.counter("runtime", "fetched_bytes").add(result.report.fetched_bytes);
+  metrics.counter("runtime", "transactions").add(result.report.transactions);
+  util::Log2Histogram& steps = metrics.histogram("runtime", "step_ns");
+  for (const util::SimTime d : result.step_durations) {
+    steps.add(d / util::kPsPerNs);
   }
 }
 
@@ -346,7 +339,7 @@ TraceRunResult ExternalGraphRuntime::replay(
   gpusim::TraversalEngine engine(stack.sim, *stack.method, *stack.backend,
                                  config_.gpu);
   std::unique_ptr<obs::SimRunObserver> observer;
-  if (telemetry_ != nullptr && telemetry_->enabled()) {
+  if (telemetry_ != nullptr) {
     observer = attach_run_observer(*telemetry_, stack);
   }
   if (held != nullptr &&
@@ -395,7 +388,7 @@ TraceRunResult ExternalGraphRuntime::replay(
     result.step_fetched_bytes.push_back(step.fetched_bytes);
   }
   result.events = stack.sim.events_processed();
-  if (telemetry_ != nullptr && telemetry_->enabled()) {
+  if (telemetry_ != nullptr) {
     record_run_telemetry(*telemetry_, result);
   }
   return result;

@@ -193,7 +193,7 @@ class ExternalGraphRuntime {
 
   const SystemConfig& config() const noexcept { return config_; }
 
-  /// Attaches a telemetry sink (nullptr detaches). When enabled, each
+  /// Attaches a telemetry sink (nullptr detaches). While attached, each
   /// run_trace records per-superstep spans and a live simulator tap with
   /// link and outstanding-read probes — all passively: results stay
   /// bit-identical to the detached path.

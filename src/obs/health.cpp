@@ -29,6 +29,11 @@ const char* to_string(IncidentSeverity severity) noexcept {
 
 namespace {
 
+/// Consecutive strictly-rising depth samples that open a trend incident.
+constexpr std::uint32_t kTrendRun = 4;
+/// Violation fraction of a full window above which an incident opens.
+constexpr double kSloRate = 0.5;
+
 IncidentSeverity base_severity(IncidentKind kind) noexcept {
   switch (kind) {
     case IncidentKind::kSaturation: return IncidentSeverity::kWarning;
@@ -94,21 +99,22 @@ void HealthMonitor::raise(std::int64_t& slot, bool active, IncidentKind kind,
 }
 
 HealthMonitor::DepthVerdict HealthMonitor::observe_depth(
-    util::SimTime now, double depth_per_replica) {
+    util::SimTime now, double depth_per_replica, double depth_high,
+    double depth_low) {
   // The verdict reproduces the elastic controller's original threshold
   // comparisons exactly (strict >, strict <) so consuming it is
   // decision-identical to the private check it replaces.
   DepthVerdict verdict = DepthVerdict::kNominal;
-  if (depth_per_replica > config_.depth_high) {
+  if (depth_per_replica > depth_high) {
     verdict = DepthVerdict::kOverloaded;
-  } else if (depth_per_replica < config_.depth_low) {
+  } else if (depth_per_replica < depth_low) {
     verdict = DepthVerdict::kUnderloaded;
   }
   raise(open_saturation_, verdict == DepthVerdict::kOverloaded,
-        IncidentKind::kSaturation, kFleet, now, config_.depth_high,
+        IncidentKind::kSaturation, kFleet, now, depth_high,
         depth_per_replica);
   raise(open_underload_, verdict == DepthVerdict::kUnderloaded,
-        IncidentKind::kUnderload, kFleet, now, config_.depth_low,
+        IncidentKind::kUnderload, kFleet, now, depth_low,
         depth_per_replica);
 
   // Trend detector: a run of strictly-rising samples flags a ramp
@@ -120,9 +126,8 @@ HealthMonitor::DepthVerdict HealthMonitor::observe_depth(
   }
   prev_depth_ = depth_per_replica;
   have_prev_depth_ = true;
-  raise(open_trend_, rising_run_ >= config_.trend_run,
-        IncidentKind::kQueueTrend, kFleet, now,
-        static_cast<double>(config_.trend_run), depth_per_replica);
+  raise(open_trend_, rising_run_ >= kTrendRun, IncidentKind::kQueueTrend,
+        kFleet, now, static_cast<double>(kTrendRun), depth_per_replica);
   return verdict;
 }
 
@@ -133,26 +138,19 @@ void HealthMonitor::observe_throttle(util::SimTime now, std::uint32_t replica,
 }
 
 void HealthMonitor::observe_completion(util::SimTime now, bool slo_violated) {
-  if (config_.slo_window == 0) return;
-  if (slo_ring_.size() != config_.slo_window) {
-    slo_ring_.assign(config_.slo_window, false);
-    slo_pos_ = 0;
-    slo_violations_ = 0;
-    slo_window_full_ = false;
-  }
   if (slo_ring_[slo_pos_]) --slo_violations_;
   slo_ring_[slo_pos_] = slo_violated;
   if (slo_violated) ++slo_violations_;
-  if (++slo_pos_ == config_.slo_window) {
+  if (++slo_pos_ == kSloWindow) {
     slo_pos_ = 0;
     slo_window_full_ = true;
   }
   if (!slo_window_full_) return;
 
   const double rate = static_cast<double>(slo_violations_) /
-                      static_cast<double>(config_.slo_window);
-  raise(open_slo_, rate > config_.slo_rate, IncidentKind::kSloViolations,
-        kFleet, now, config_.slo_rate, rate);
+                      static_cast<double>(kSloWindow);
+  raise(open_slo_, rate > kSloRate, IncidentKind::kSloViolations, kFleet,
+        now, kSloRate, rate);
 }
 
 std::int64_t HealthMonitor::observe_crash(util::SimTime now,

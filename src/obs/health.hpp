@@ -9,10 +9,11 @@
 ///    scale-up threshold (the same comparison the elastic controller
 ///    acts on, so its decisions can consume the verdict bit-for-bit);
 ///  - *underload*: depth below the scale-down threshold;
-///  - *queue trend*: N consecutive strictly-rising depth observations —
+///  - *queue trend*: 4 consecutive strictly-rising depth observations —
 ///    an early-warning ramp signal that fires before saturation does;
 ///  - *throttle*: thermal-throttle onset/exit per replica;
-///  - *slo violations*: violation rate over a sliding completion window.
+///  - *slo violations*: a violation rate above one half over the last 16
+///    completions.
 ///
 /// The monitor is pure bookkeeping — it never schedules events, reads
 /// clocks, or mutates simulation state — so feeding it is identity-safe
@@ -21,6 +22,7 @@
 /// observed peak), the threshold crossed, and evidence (peak / last
 /// value / observation count).
 
+#include <array>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -62,31 +64,23 @@ struct Incident {
   friend bool operator==(const Incident&, const Incident&) = default;
 };
 
-struct HealthConfig {
-  double depth_high = 8.0;  ///< saturation: per-replica waiting depth >
-  double depth_low = 1.0;   ///< underload: per-replica waiting depth <
-  std::uint32_t trend_run = 4;    ///< consecutive rising depth samples
-  std::uint32_t slo_window = 16;  ///< completions per violation window
-  double slo_rate = 0.5;          ///< violation fraction that opens
-};
-
 class HealthMonitor {
  public:
-  /// What a depth observation means under the configured thresholds;
-  /// the elastic controller keys its grow/shrink decision off this.
+  /// What a depth observation means against the elastic controller's
+  /// thresholds; the controller keys its grow/shrink decision off this.
   enum class DepthVerdict : std::uint8_t {
     kNominal,
     kOverloaded,
     kUnderloaded,
   };
 
-  HealthMonitor() = default;
-  explicit HealthMonitor(const HealthConfig& config) : config_(config) {}
-
   /// Feeds one per-replica mean waiting-depth sample (the elastic
-  /// controller's decision variable) and returns its verdict. Opens,
-  /// extends, or closes the saturation / underload / trend incidents.
-  DepthVerdict observe_depth(util::SimTime now, double depth_per_replica);
+  /// controller's decision variable) and returns its verdict against the
+  /// controller's scale-up (`depth_high`) and scale-down (`depth_low`)
+  /// thresholds. Opens, extends, or closes the saturation / underload /
+  /// trend incidents.
+  DepthVerdict observe_depth(util::SimTime now, double depth_per_replica,
+                             double depth_high, double depth_low);
 
   /// Feeds a thermal-throttle state change for one replica.
   void observe_throttle(util::SimTime now, std::uint32_t replica,
@@ -123,7 +117,6 @@ class HealthMonitor {
   const std::vector<Incident>& incidents() const noexcept {
     return incidents_;
   }
-  const HealthConfig& config() const noexcept { return config_; }
 
  private:
   /// `replica` of a fleet-wide incident (subject "fleet").
@@ -139,7 +132,6 @@ class HealthMonitor {
   static std::int64_t& slot_of(std::vector<std::int64_t>& table,
                                std::uint32_t replica);
 
-  HealthConfig config_;
   std::vector<Incident> incidents_;
 
   // Index of the open incident per fleet-scoped kind, -1 when none.
@@ -156,7 +148,9 @@ class HealthMonitor {
   bool have_prev_depth_ = false;
   std::uint32_t rising_run_ = 0;
 
-  std::vector<bool> slo_ring_;
+  /// Completions per SLO-violation window.
+  static constexpr std::size_t kSloWindow = 16;
+  std::array<bool, kSloWindow> slo_ring_{};
   std::size_t slo_pos_ = 0;
   std::uint32_t slo_violations_ = 0;
   bool slo_window_full_ = false;

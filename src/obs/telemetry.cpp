@@ -2,6 +2,8 @@
 
 #include <fstream>
 
+#include "util/cli.hpp"
+
 namespace cxlgraph::obs {
 
 bool Telemetry::save_trace(const std::string& path) const {
@@ -18,25 +20,46 @@ bool Telemetry::save_metrics(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
+void add_telemetry_options(util::CliParser& cli,
+                           const std::string& trace_help) {
+  cli.add_option("trace-out", trace_help, "");
+  cli.add_option("metrics-out", "write a metrics snapshot JSON here", "");
+}
+
+std::unique_ptr<Telemetry> make_telemetry(const util::CliParser& cli) {
+  if (cli.get("trace-out").empty() && cli.get("metrics-out").empty()) {
+    return nullptr;
+  }
+  return std::make_unique<Telemetry>();
+}
+
+int save_telemetry(const util::CliParser& cli, const Telemetry* telemetry,
+                   std::ostream& err) {
+  if (telemetry == nullptr) return 0;
+  const std::string trace_path = cli.get("trace-out");
+  if (!trace_path.empty() && !telemetry->save_trace(trace_path)) {
+    err << "error: cannot write trace to " << trace_path << "\n";
+    return 1;
+  }
+  const std::string metrics_path = cli.get("metrics-out");
+  if (!metrics_path.empty() && !telemetry->save_metrics(metrics_path)) {
+    err << "error: cannot write metrics to " << metrics_path << "\n";
+    return 1;
+  }
+  return 0;
+}
+
 void StateModelTrace::bind(Telemetry* telemetry, const std::string& process,
                            const std::string& thread) {
   telemetry_ = telemetry;
-  if (telemetry_ == nullptr || !telemetry_->enabled()) {
-    telemetry_ = nullptr;
-    return;
-  }
-  tracing_ = telemetry_->tracing();
-  if (tracing_) {
-    SpanTracer& tracer = telemetry_->tracer();
-    track_ = tracer.track(process, thread);
-    n_enter_ = tracer.intern("throttle-enter");
-    n_exit_ = tracer.intern("throttle-exit");
-    n_episode_ = tracer.intern("throttled");
-  }
-  if (telemetry_->metering()) {
-    episodes_ =
-        &telemetry_->metrics().counter(process, thread + "/throttle_episodes");
-  }
+  if (telemetry_ == nullptr) return;
+  SpanTracer& tracer = telemetry_->tracer();
+  track_ = tracer.track(process, thread);
+  n_enter_ = tracer.intern("throttle-enter");
+  n_exit_ = tracer.intern("throttle-exit");
+  n_episode_ = tracer.intern("throttled");
+  episodes_ =
+      &telemetry_->metrics().counter(process, thread + "/throttle_episodes");
 }
 
 void StateModelTrace::on_thermal(util::SimTime now, bool throttled) {
@@ -44,34 +67,27 @@ void StateModelTrace::on_thermal(util::SimTime now, bool throttled) {
   throttled_ = throttled;
   if (throttled) {
     since_ = now;
-    if (tracing_) telemetry_->tracer().instant(track_, n_enter_, now);
+    telemetry_->tracer().instant(track_, n_enter_, now);
     return;
   }
-  if (tracing_) {
-    telemetry_->tracer().instant(track_, n_exit_, now);
-    telemetry_->tracer().complete(track_, n_episode_, since_, now - since_);
-  }
-  if (episodes_ != nullptr) episodes_->add();
+  telemetry_->tracer().instant(track_, n_exit_, now);
+  telemetry_->tracer().complete(track_, n_episode_, since_, now - since_);
+  episodes_->add();
 }
 
 SimRunObserver::SimRunObserver(Telemetry& telemetry,
                                const std::string& component)
-    : telemetry_(telemetry), component_(component) {
-  if (telemetry_.metering()) {
-    event_counter_ = &telemetry_.metrics().counter(component_, "events");
-  }
-  sampling_ = telemetry_.sampling();
-  if (sampling_) {
-    quantum_ = telemetry_.sampler().quantum();
-    rate_channel_ = telemetry_.sampler().channel(
-        component_ + "/events_per_quantum", TimeSeriesSampler::Reduce::kSum);
-  }
-}
+    : telemetry_(telemetry),
+      component_(component),
+      event_counter_(telemetry.metrics().counter(component, "events")),
+      rate_channel_(telemetry.sampler().channel(
+          component + "/events_per_quantum",
+          TimeSeriesSampler::Reduce::kSum)),
+      quantum_(telemetry.sampler().quantum()) {}
 
 void SimRunObserver::add_probe(const std::string& name,
                                std::function<double()> probe,
                                TimeSeriesSampler::Reduce reduce) {
-  if (!sampling_) return;
   const std::uint32_t ch =
       telemetry_.sampler().channel(component_ + "/" + name, reduce);
   probes_.push_back(Probe{ch, std::move(probe)});
@@ -79,9 +95,7 @@ void SimRunObserver::add_probe(const std::string& name,
 
 void SimRunObserver::on_event(util::SimTime now, std::uint16_t /*listener*/,
                               std::uint16_t /*opcode*/) {
-  ++events_seen_;
-  if (event_counter_ != nullptr) event_counter_->add();
-  if (!sampling_) return;
+  event_counter_.add();
 
   const std::uint64_t bucket = now / quantum_;
   if (bucket_open_ && bucket == bucket_) {

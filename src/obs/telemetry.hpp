@@ -1,23 +1,21 @@
 #pragma once
 /// \file telemetry.hpp
-/// The one object a run threads through every layer: configuration,
-/// metrics registry, span tracer, and time-series sampler behind a
-/// single `Telemetry*`.
+/// The one object a run threads through every layer: metrics registry,
+/// span tracer, and time-series sampler behind a single `Telemetry*`.
 ///
 /// The contract, in priority order:
-///   1. OFF by default, and the disabled path is one null/flag check at
-///      each hook site — no registry lookups, no allocation.
+///   1. A sink that exists records all three subsystems; a null
+///      `Telemetry*` is the only way to turn it off, and that path is one
+///      null check at each hook site — no registry lookups, no allocation.
 ///   2. Observation never perturbs simulation: every hook only *reads*
-///      simulator/device state and appends to obs-owned buffers. With
-///      telemetry ON, every simulated result is bit-identical to OFF
-///      (pinned by telemetry_identity_test and the CI goldens).
+///      simulator/device state and appends to obs-owned buffers. With a
+///      sink attached, every simulated result is bit-identical to the
+///      detached run (pinned by telemetry_identity_test and the goldens).
 ///   3. Export is deterministic: same run, same bytes out.
-///
-/// Components honor the sub-toggles through tracing() / metering() /
-/// sampling(), so a trace-only run skips metric updates entirely.
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -28,36 +26,14 @@
 #include "sim/simulator.hpp"
 #include "util/units.hpp"
 
-namespace cxlgraph::obs {
+namespace cxlgraph::util {
+class CliParser;
+}
 
-struct TelemetryConfig {
-  bool enabled = false;  ///< master switch; OFF pins the default path
-  bool trace = true;     ///< span tracer (--trace-out)
-  bool metrics = true;   ///< counters/gauges/histograms (--metrics-out)
-  bool sample = true;    ///< windowed time-series channels
-  /// Sampling bucket width in simulated time.
-  util::SimTime sample_quantum = util::kPsPerUs * 50;
-};
+namespace cxlgraph::obs {
 
 class Telemetry {
  public:
-  Telemetry() : Telemetry(TelemetryConfig{}) {}
-  explicit Telemetry(const TelemetryConfig& cfg)
-      : cfg_(cfg), sampler_(cfg.sample_quantum) {}
-
-  /// Convenience: a fully-enabled instance (CLI --trace-out path).
-  static TelemetryConfig enabled_config() {
-    TelemetryConfig cfg;
-    cfg.enabled = true;
-    return cfg;
-  }
-
-  const TelemetryConfig& config() const noexcept { return cfg_; }
-  bool enabled() const noexcept { return cfg_.enabled; }
-  bool tracing() const noexcept { return cfg_.enabled && cfg_.trace; }
-  bool metering() const noexcept { return cfg_.enabled && cfg_.metrics; }
-  bool sampling() const noexcept { return cfg_.enabled && cfg_.sample; }
-
   MetricsRegistry& metrics() noexcept { return metrics_; }
   const MetricsRegistry& metrics() const noexcept { return metrics_; }
   SpanTracer& tracer() noexcept { return tracer_; }
@@ -78,18 +54,32 @@ class Telemetry {
   bool save_metrics(const std::string& path) const;
 
  private:
-  TelemetryConfig cfg_;
   MetricsRegistry metrics_;
   SpanTracer tracer_;
   TimeSeriesSampler sampler_;
 };
 
+/// The `--trace-out` / `--metrics-out` pair the CLI and the benches
+/// share. Registers both options; `trace_help` says what the trace holds.
+void add_telemetry_options(util::CliParser& cli,
+                           const std::string& trace_help);
+
+/// A sink when the parsed `cli` names either output, null otherwise:
+/// nothing is recorded that is not written out.
+std::unique_ptr<Telemetry> make_telemetry(const util::CliParser& cli);
+
+/// Writes each output `cli` names from `telemetry` (nothing when null).
+/// Returns 1 after naming the path on `err` when a file cannot be
+/// written, 0 otherwise.
+int save_telemetry(const util::CliParser& cli, const Telemetry* telemetry,
+                   std::ostream& err);
+
 /// Folds a serving stack's thermal state into trace events: instants on
 /// throttle enter/exit plus one complete span per throttle episode.
 /// Each serve::ReplicaSim owns one by value (its "replica<k>-heat"
-/// track); unbound (the default) every hook is a single pointer check —
-/// and the hooks only sit on code paths already gated behind the thermal
-/// model's `enabled` flag.
+/// track); unbound (the default) it records nothing, and the hook only
+/// sits on a code path already gated behind the thermal model's
+/// `enabled` flag.
 class StateModelTrace {
  public:
   StateModelTrace() = default;
@@ -99,17 +89,17 @@ class StateModelTrace {
             const std::string& thread);
   bool bound() const noexcept { return telemetry_ != nullptr; }
 
-  /// Reports the thermal state observed after a charge at `now`.
+  /// Reports the thermal state observed after a charge at `now`; call
+  /// only when bound().
   void on_thermal(util::SimTime now, bool throttled);
 
  private:
   Telemetry* telemetry_ = nullptr;
-  bool tracing_ = false;
   std::uint16_t track_ = 0;
   std::uint32_t n_enter_ = 0;
   std::uint32_t n_exit_ = 0;
   std::uint32_t n_episode_ = 0;
-  Counter* episodes_ = nullptr;  ///< null when metrics are off
+  Counter* episodes_ = nullptr;
   bool throttled_ = false;
   util::SimTime since_ = 0;
 };
@@ -138,19 +128,15 @@ class SimRunObserver final : public sim::EventObserver {
   /// run drains).
   void finish();
 
-  std::uint64_t events_seen() const noexcept { return events_seen_; }
-
  private:
   Telemetry& telemetry_;
   std::string component_;
-  Counter* event_counter_ = nullptr;  ///< null when metrics are off
+  Counter& event_counter_;
   std::uint32_t rate_channel_ = 0;
-  bool sampling_ = false;
   util::SimTime quantum_ = 1;
   std::uint64_t bucket_ = 0;
   bool bucket_open_ = false;
   std::uint64_t bucket_events_ = 0;
-  std::uint64_t events_seen_ = 0;
 
   struct Probe {
     std::uint32_t channel;

@@ -23,17 +23,6 @@ namespace {
 /// draws through nothing but which replica served.
 constexpr std::uint64_t kRouterSeed = 0x5eedf1ee7ULL;
 
-/// Detector thresholds mirror the elastic config so the monitor's depth
-/// verdict is the exact comparison the controller used to make inline.
-obs::HealthConfig health_config(const ElasticConfig& elastic) {
-  obs::HealthConfig h;
-  if (elastic.enabled) {
-    h.depth_high = elastic.scale_up_depth;
-    h.depth_low = elastic.scale_down_depth;
-  }
-  return h;
-}
-
 /// Report aggregation over the finished simulation: exact + P²
 /// percentiles, queue/service time split, query-byte conservation
 /// side, goodput and SLO accounting. `busy_ps` is the summed stack busy
@@ -177,9 +166,7 @@ FleetSim::FleetSim(const FleetConfig& config_in, const WorkloadSpec& spec_in,
       plan(config_in.faults, config_in.replicas),
       interval_ps(config_in.elastic.enabled
                       ? util::ps_from_sec(config_in.elastic.check_interval_sec)
-                      : 0),
-      depth_series(std::max<util::SimTime>(1, interval_ps / 8)),
-      monitor(health_config(config_in.elastic)) {
+                      : 0) {
   remaining_after.resize(profiles.size());
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     const std::vector<util::SimTime>& steps = profiles[p].step_ps;
@@ -194,54 +181,39 @@ FleetSim::FleetSim(const FleetConfig& config_in, const WorkloadSpec& spec_in,
   }
   for (std::uint32_t k = 0; k < config.replicas; ++k) add_replica();
   peak_replicas = config.replicas;
-  if (config.elastic.enabled) {
-    ch_waiting = depth_series.channel("fleet/waiting",
-                                      obs::TimeSeriesSampler::Reduce::kLast);
-  }
 }
 
 void FleetSim::attach_telemetry(obs::Telemetry* sink) {
-  if (sink == nullptr || !sink->enabled()) return;
+  if (sink == nullptr) return;
   telemetry = sink;
-  if (sink->tracing()) {
-    tracing = true;
-    obs::SpanTracer& tr = sink->tracer();
-    track_lifecycle = tr.track("serve", "lifecycle");
-    n_admit = tr.intern("admit");
-    n_shed = tr.intern("shed");
-    n_complete = tr.intern("complete");
-    n_failed = tr.intern("failed");
-    n_queued = tr.intern("queued");
-    k_query = tr.intern("query");
-    n_flow = tr.intern("query");
-  }
-  if (sink->metering()) {
-    obs::MetricsRegistry& m = sink->metrics();
-    c_admitted = &m.counter("serve", "admitted");
-    c_shed = &m.counter("serve", "shed");
-    c_completed = &m.counter("serve", "completed");
-    c_failed = &m.counter("serve", "failed");
-    h_latency_ns = &m.histogram("serve", "latency_ns");
-  }
-  if (sink->sampling()) {
-    sampling = true;
-    ch_depth = sink->sampler().channel("serve/queue_depth",
-                                       obs::TimeSeriesSampler::Reduce::kMax);
-  }
+  obs::SpanTracer& tr = sink->tracer();
+  track_lifecycle = tr.track("serve", "lifecycle");
+  n_admit = tr.intern("admit");
+  n_shed = tr.intern("shed");
+  n_complete = tr.intern("complete");
+  n_failed = tr.intern("failed");
+  n_queued = tr.intern("queued");
+  k_query = tr.intern("query");
+  n_flow = tr.intern("query");
+  obs::MetricsRegistry& m = sink->metrics();
+  c_admitted = &m.counter("serve", "admitted");
+  c_shed = &m.counter("serve", "shed");
+  c_completed = &m.counter("serve", "completed");
+  c_failed = &m.counter("serve", "failed");
+  h_latency_ns = &m.histogram("serve", "latency_ns");
+  ch_depth = sink->sampler().channel("serve/queue_depth",
+                                     obs::TimeSeriesSampler::Reduce::kMax);
   for (ReplicaSim& r : replicas) r.attach_telemetry();
-  if (tracing) {
-    obs::SpanTracer& tr = sink->tracer();
-    track_control = tr.track("fleet", "control");
-    n_migrate = tr.intern("migrate");
-    n_copy_landed = tr.intern("copy-landed");
-    n_scale_up = tr.intern("scale-up");
-    n_scale_down = tr.intern("scale-down");
-    n_crash = tr.intern("crash");
-    n_restart = tr.intern("restart");
-    n_replace = tr.intern("replace");
-    k_class = tr.intern("class");
-    k_replica = tr.intern("replica");
-  }
+  track_control = tr.track("fleet", "control");
+  n_migrate = tr.intern("migrate");
+  n_copy_landed = tr.intern("copy-landed");
+  n_scale_up = tr.intern("scale-up");
+  n_scale_down = tr.intern("scale-down");
+  n_crash = tr.intern("crash");
+  n_restart = tr.intern("restart");
+  n_replace = tr.intern("replace");
+  k_class = tr.intern("class");
+  k_replica = tr.intern("replica");
 }
 
 void FleetSim::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
@@ -440,56 +412,44 @@ void FleetSim::complete_query(std::size_t i) {
 
 void FleetSim::note_admission(std::size_t i, bool was_shed) {
   const QueryRecord& r = records[i];
-  if (tracing) {
-    telemetry->tracer().instant(track_lifecycle, was_shed ? n_shed : n_admit,
-                                sim.now(), k_query, r.id);
-    // Every admitted query opens a causal flow; its quanta and migration
-    // hops add steps and completion finishes it. Shed queries never
-    // start one, so every 's' in an export has a matching 'f'.
-    if (!was_shed) {
-      telemetry->tracer().flow_start(track_lifecycle, n_flow, sim.now(), r.id);
-    }
-  }
-  if (c_admitted != nullptr) (was_shed ? c_shed : c_admitted)->add(1);
-  if (sampling && !was_shed) sample_depth();
+  telemetry->tracer().instant(track_lifecycle, was_shed ? n_shed : n_admit,
+                              sim.now(), k_query, r.id);
+  (was_shed ? c_shed : c_admitted)->add(1);
+  if (was_shed) return;
+  // Every admitted query opens a causal flow; its quanta and migration
+  // hops add steps and completion finishes it. Shed queries never start
+  // one, so every 's' in an export has a matching 'f'.
+  telemetry->tracer().flow_start(track_lifecycle, n_flow, sim.now(), r.id);
+  sample_depth();
 }
 
 void FleetSim::note_completion(std::size_t i) {
   const QueryRecord& r = records[i];
-  if (tracing) {
-    telemetry->tracer().instant(track_lifecycle, n_complete, sim.now(),
-                                k_query, r.id);
-    telemetry->tracer().flow_end(track_lifecycle, n_flow, sim.now(), r.id);
-  }
-  if (c_completed != nullptr) {
-    c_completed->add(1);
-    h_latency_ns->add((r.completion - r.arrival) / util::kPsPerNs);
-  }
+  telemetry->tracer().instant(track_lifecycle, n_complete, sim.now(), k_query,
+                              r.id);
+  telemetry->tracer().flow_end(track_lifecycle, n_flow, sim.now(), r.id);
+  c_completed->add(1);
+  h_latency_ns->add((r.completion - r.arrival) / util::kPsPerNs);
 }
 
 void FleetSim::note_failed(std::size_t i) {
   const QueryRecord& r = records[i];
-  if (tracing) {
-    telemetry->tracer().instant(track_lifecycle, n_failed, sim.now(),
-                                k_query, r.id);
-    // The admission opened a flow; failure terminates it so every 's'
-    // still has a matching 'f' in the export.
-    telemetry->tracer().flow_end(track_lifecycle, n_flow, sim.now(), r.id);
-  }
-  if (c_failed != nullptr) c_failed->add(1);
+  telemetry->tracer().instant(track_lifecycle, n_failed, sim.now(), k_query,
+                              r.id);
+  // The admission opened a flow; failure terminates it so every 's'
+  // still has a matching 'f' in the export.
+  telemetry->tracer().flow_end(track_lifecycle, n_flow, sim.now(), r.id);
+  c_failed->add(1);
 }
 
 void FleetSim::note_queued(std::size_t i) {
-  if (!tracing) return;
   const QueryRecord& r = records[i];
   telemetry->tracer().complete(track_lifecycle, n_queued, r.arrival,
                                r.first_service - r.arrival, k_query, r.id);
 }
 
 void FleetSim::sample_depth() {
-  if (sampling) {
-    telemetry->sampler().record(ch_depth, sim.now(), total_depth());
-  }
+  telemetry->sampler().record(ch_depth, sim.now(), total_depth());
 }
 
 // ---------------------------------------------------------------------------
@@ -545,8 +505,8 @@ std::uint64_t FleetSim::total_waiting() const {
 
 void FleetSim::record_depth() {
   if (!config.elastic.enabled) return;
-  depth_series.record(ch_waiting, sim.now(),
-                      static_cast<double>(total_waiting()));
+  depth_sum += total_waiting();
+  ++depth_samples;
 }
 
 std::uint32_t FleetSim::route(std::size_t i) {
@@ -889,20 +849,12 @@ void FleetSim::elastic_tick() {
   if (all_resolved()) return;  // workload drained: stop the chain
   const ElasticConfig& e = config.elastic;
 
-  // Mean waiting depth observed since the last decision (every bucket
-  // the series gained), falling back to the instantaneous depth.
-  const std::vector<obs::TimeSeriesSampler::Bucket>& buckets =
-      depth_series.series(ch_waiting);
-  double sum = 0.0;
-  std::uint64_t count = 0;
-  for (std::size_t b = depth_cursor; b < buckets.size(); ++b) {
-    sum += buckets[b].sum;
-    count += buckets[b].count;
-  }
-  depth_cursor = buckets.size();
-  const double observed =
-      count > 0 ? sum / static_cast<double>(count)
-                : static_cast<double>(total_waiting());
+  // Mean waiting depth over every sample since the last decision; the
+  // record_depth above makes the count at least 1.
+  const double observed = static_cast<double>(depth_sum) /
+                          static_cast<double>(depth_samples);
+  depth_sum = 0;
+  depth_samples = 0;
 
   const std::uint32_t active = active_count();
   const double per = observed / static_cast<double>(std::max(1u, active));
@@ -913,7 +865,8 @@ void FleetSim::elastic_tick() {
   // sample (incidents track load even while cooldown gags the
   // controller); only the action is gated here.
   const obs::HealthMonitor::DepthVerdict verdict =
-      monitor.observe_depth(sim.now(), per);
+      monitor.observe_depth(sim.now(), per, e.scale_up_depth,
+                            e.scale_down_depth);
   if (cooldown > 0) {
     --cooldown;
   } else if (verdict == obs::HealthMonitor::DepthVerdict::kOverloaded &&
@@ -974,7 +927,7 @@ void FleetSim::record_scaling(bool added, std::uint32_t replica, double per,
 
 void FleetSim::control_instant(std::uint32_t name, std::uint32_t key,
                                std::uint64_t value) {
-  if (tracing) {
+  if (telemetry != nullptr) {
     telemetry->tracer().instant(track_control, name, sim.now(), key, value);
   }
 }
@@ -1063,7 +1016,7 @@ void FleetSim::fill(FleetReport& report) {
   // closed incidents as spans, still-open ones as instants — so the
   // viewer shows outages against the replica timelines and the sink
   // provably captured them.
-  if (tracing) {
+  if (telemetry != nullptr) {
     obs::SpanTracer& tr = telemetry->tracer();
     const std::uint16_t track_health = tr.track("fleet", "health");
     const std::uint32_t k_incident = tr.intern("incident");
@@ -1080,7 +1033,7 @@ void FleetSim::fill(FleetReport& report) {
 
   // Scoped metrics: per-replica and per-tenant counters under labeled
   // keys (unlabeled exports stay byte-identical without them).
-  if (telemetry != nullptr && telemetry->metering()) {
+  if (telemetry != nullptr) {
     obs::MetricsRegistry& m = telemetry->metrics();
     std::vector<std::uint32_t> handoffs(replicas.size(), 0);
     for (const MigrationState& state : migrations) {

@@ -25,14 +25,15 @@
 ///     queries resume on the target — mid-serve, replay progress intact.
 ///     Migration bytes are accounted separately from serve link bytes,
 ///     so conservation_ok() still checks query bytes exactly.
-///   * Elastic controller — observes the fleet's waiting-depth series
-///     (an obs::TimeSeriesSampler) on a fixed interval and grows or
-///     drains the fleet between min/max replicas; every scaling event
-///     reports the p99 latency transient around it. The threshold check
-///     itself lives in an obs::HealthMonitor: the controller acts on the
-///     monitor's depth verdict (bit-identical decisions), every scaling
-///     event links the incident that triggered it, and the run's full
-///     incident log rides the report (exportable via write_incident_log).
+///   * Elastic controller — on a fixed interval, takes the exact mean of
+///     every fleet-wide waiting-depth sample since its previous decision
+///     and grows or drains the fleet between min/max replicas; every
+///     scaling event reports the p99 latency transient around it. The
+///     threshold check itself lives in an obs::HealthMonitor, fed this
+///     config's thresholds: the controller acts on the monitor's depth
+///     verdict, every scaling event links the incident that triggered
+///     it, and the run's full incident log rides the report (exportable
+///     via write_incident_log).
 ///
 /// A single-stack serve (QueryServer::serve(graph, ServeRequest)) is this
 /// engine with replicas=1 and the random router, so the two agree by

@@ -20,45 +20,32 @@ void ReplicaSim::attach_telemetry() {
   obs::Telemetry* sink = fleet.telemetry;
   if (sink == nullptr) return;
   const std::string name = "replica" + std::to_string(index);
-  if (sink->tracing()) {
-    replica_tracing_ = true;
-    track_ = sink->tracer().track("serve", name);
-    n_quantum_ = sink->tracer().intern("quantum");
-  }
-  if (sink->sampling()) {
-    replica_sampling_ = true;
-    ch_bytes_ = sink->sampler().channel(
-        "serve/" + name + "/quantum_bytes",
-        obs::TimeSeriesSampler::Reduce::kSum);
-    ch_depth_ = sink->sampler().channel(
-        "serve/" + name + "/depth", obs::TimeSeriesSampler::Reduce::kMax);
-  }
+  track_ = sink->tracer().track("serve", name);
+  n_quantum_ = sink->tracer().intern("quantum");
+  ch_bytes_ = sink->sampler().channel("serve/" + name + "/quantum_bytes",
+                                      obs::TimeSeriesSampler::Reduce::kSum);
+  ch_depth_ = sink->sampler().channel("serve/" + name + "/depth",
+                                      obs::TimeSeriesSampler::Reduce::kMax);
   heat_trace_.bind(sink, "serve", name + "-heat");
 }
 
 void ReplicaSim::note_quantum(std::size_t i, util::SimTime duration,
                               std::uint64_t bytes) {
-  if (replica_tracing_) {
-    fleet.telemetry->tracer().complete(track_, n_quantum_, fleet.sim.now(),
-                                       duration, fleet.k_query,
-                                       fleet.records[i].id);
-    // Chain this quantum into the query's flow on the replica's track —
-    // the step lands at quantum start, so it always precedes the 'f'
-    // the completion will add.
-    fleet.telemetry->tracer().flow_step(track_, fleet.n_flow, fleet.sim.now(),
-                                        fleet.records[i].id);
-  }
-  if (replica_sampling_) {
-    fleet.telemetry->sampler().record(ch_bytes_, fleet.sim.now(),
-                                      static_cast<double>(bytes));
-    fleet.sample_depth();
-  }
+  fleet.telemetry->tracer().complete(track_, n_quantum_, fleet.sim.now(),
+                                     duration, fleet.k_query,
+                                     fleet.records[i].id);
+  // Chain this quantum into the query's flow on the replica's track — the
+  // step lands at quantum start, so it always precedes the 'f' the
+  // completion will add.
+  fleet.telemetry->tracer().flow_step(track_, fleet.n_flow, fleet.sim.now(),
+                                      fleet.records[i].id);
+  fleet.telemetry->sampler().record(ch_bytes_, fleet.sim.now(),
+                                    static_cast<double>(bytes));
+  fleet.sample_depth();
 }
 
 void ReplicaSim::sample_replica_depth() {
-  if (replica_sampling_) {
-    fleet.telemetry->sampler().record(ch_depth_, fleet.sim.now(), depth());
-  }
+  fleet.telemetry->sampler().record(ch_depth_, fleet.sim.now(), depth());
 }
 
 void ReplicaSim::place(std::size_t i) {
@@ -81,10 +68,8 @@ void ReplicaSim::resume(std::size_t i) {
   place(i);
   if (fleet.telemetry != nullptr) {
     // Migration resume: the query's flow continues on this replica.
-    if (replica_tracing_) {
-      fleet.telemetry->tracer().flow_step(track_, fleet.n_flow,
-                                          fleet.sim.now(), fleet.records[i].id);
-    }
+    fleet.telemetry->tracer().flow_step(track_, fleet.n_flow, fleet.sim.now(),
+                                        fleet.records[i].id);
     sample_replica_depth();
   }
   dispatch();
@@ -105,12 +90,9 @@ std::vector<std::size_t> ReplicaSim::extract_waiting(
   if (fleet.telemetry != nullptr && !moved.empty()) {
     // Migration drain: each moved query's flow steps through the source
     // replica one last time before resuming on the target.
-    if (replica_tracing_) {
-      for (const std::size_t i : moved) {
-        fleet.telemetry->tracer().flow_step(track_, fleet.n_flow,
-                                            fleet.sim.now(),
-                                            fleet.records[i].id);
-      }
+    for (const std::size_t i : moved) {
+      fleet.telemetry->tracer().flow_step(track_, fleet.n_flow,
+                                          fleet.sim.now(), fleet.records[i].id);
     }
     sample_replica_depth();
   }

@@ -166,8 +166,6 @@ struct ReplicaSim {
   std::uint32_t n_quantum_ = 0;
   std::uint32_t ch_bytes_ = 0;    ///< link bytes charged per quantum
   std::uint32_t ch_depth_ = 0;    ///< this replica's ready + active depth
-  bool replica_tracing_ = false;
-  bool replica_sampling_ = false;
   bool throttle_state_ = false;   ///< last state fed to the health monitor
   obs::StateModelTrace heat_trace_;
 };
@@ -272,12 +270,11 @@ struct FleetSim {
 
   /// Controller period; 0 with the controller off.
   util::SimTime interval_ps = 0;
-  /// The controller's own depth series (not the telemetry sampler — the
-  /// controller must work untapped), fed on every arrival, completion,
-  /// and tick.
-  obs::TimeSeriesSampler depth_series;
-  std::uint32_t ch_waiting = 0;
-  std::size_t depth_cursor = 0;
+  /// Fleet-wide waiting depth summed over the samples taken since the
+  /// last tick (every arrival, completion, and the tick itself), and
+  /// their count; each tick decides on their exact mean and resets both.
+  std::uint64_t depth_sum = 0;
+  std::uint64_t depth_samples = 0;
   std::uint32_t cooldown = 0;
   std::vector<ScalingEvent> scaling_events;
   std::uint32_t peak_replicas = 0;
@@ -286,13 +283,11 @@ struct FleetSim {
   /// (the incident log is part of the report).
   obs::HealthMonitor monitor;
 
-  // -- Telemetry (null/false when detached — the default path) ------------
+  // -- Telemetry (null when detached — the default path) ------------------
   // Every hook only appends to obs-owned buffers, so the schedule and
   // every record stay bit-identical to the untapped run.
 
   obs::Telemetry* telemetry = nullptr;
-  bool tracing = false;
-  bool sampling = false;
   std::uint16_t track_lifecycle = 0;  ///< ("serve","lifecycle"): instants
   std::uint32_t n_admit = 0, n_shed = 0, n_complete = 0, k_query = 0;
   std::uint32_t n_failed = 0;
@@ -350,7 +345,7 @@ struct FleetSim {
     sim.schedule_after(delay, listener, op, a, b);
   }
 
-  /// Binds the sink (nullptr or disabled: stays untapped): the lifecycle
+  /// Binds the sink (nullptr: stays untapped): the lifecycle
   /// track, counters and depth channel, every replica's telemetry, and
   /// the ("fleet","control") timeline.
   void attach_telemetry(obs::Telemetry* sink);
@@ -397,7 +392,7 @@ struct FleetSim {
   /// Queue-wait span [arrival, first_service] on the lifecycle track;
   /// fired when query i first reaches a stack.
   void note_queued(std::size_t i);
-  /// Samples the fleet-wide depth channel (telemetry on).
+  /// Samples the fleet-wide depth channel (sink attached).
   void sample_depth();
 
   // -- Replicas and routing -----------------------------------------------
@@ -464,7 +459,7 @@ struct FleetSim {
   /// Records a scaling action (grow, shrink, crash replacement) at now.
   void record_scaling(bool added, std::uint32_t replica, double per,
                       std::int64_t incident);
-  /// A ("fleet","control") timeline instant at now, when tracing.
+  /// A ("fleet","control") timeline instant at now, with a sink attached.
   void control_instant(std::uint32_t name, std::uint32_t key,
                        std::uint64_t value);
 };

@@ -284,7 +284,7 @@ class QueryServer {
 
   const core::SystemConfig& config() const noexcept { return config_; }
 
-  /// Attaches a telemetry sink (nullptr detaches). When enabled, the
+  /// Attaches a telemetry sink (nullptr detaches). While attached, the
   /// queueing simulation records the query lifecycle (admit / shed /
   /// complete, causal flows) on ("serve","lifecycle"), each replica's
   /// quanta on ("serve","replica<k>") with its byte, depth and heat

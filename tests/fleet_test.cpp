@@ -26,6 +26,7 @@
 #include "graph/generate.hpp"
 #include "mutate.hpp"
 #include "serve/fleet.hpp"
+#include "serve/replica.hpp"
 #include "serve/server.hpp"
 #include "util/rng.hpp"
 
@@ -276,6 +277,64 @@ TEST(FleetServer, ElasticControllerScalesUpUnderBacklog) {
     }
     EXPECT_LE(s.utilization, 1.0 + 1e-9);
   }
+}
+
+/// Scripted depth for a hand-driven FleetSim: opcode 0 sets replica 0's
+/// waiting depth to `a` and samples it as an arrival would; opcode 1
+/// resolves the one query, which ends the elastic tick chain.
+struct DepthScript {
+  serve::FleetSim& fleet;
+
+  static void on_event(void* self, std::uint16_t opcode, std::uint32_t a,
+                       std::uint32_t /*b*/) {
+    serve::FleetSim& f = static_cast<DepthScript*>(self)->fleet;
+    if (opcode == 1) {
+      f.completed = 1;
+      return;
+    }
+    f.replicas[0].ready.assign(a, 0);
+    f.record_depth();
+  }
+};
+
+// Each elastic decision reads the exact mean of every depth sample since
+// the previous tick, including samples taken just after that tick.
+TEST(FleetSim, ElasticTickAveragesEverySampleSinceThePreviousTick) {
+  serve::FleetConfig config;
+  config.elastic.enabled = true;
+  config.elastic.min_replicas = 1;
+  config.elastic.max_replicas = 2;
+  config.elastic.check_interval_sec = 1e-6;
+  config.elastic.scale_up_depth = 8.0;
+  const serve::WorkloadSpec spec;
+  const std::vector<serve::Query> queries(1);
+  serve::QueryProfile profile;
+  profile.step_ps = {1};
+  profile.step_bytes = {1};
+  const std::vector<serve::QueryProfile> profiles = {profile};
+  std::vector<serve::QueryRecord> records(1);
+  serve::FleetSim fleet(config, spec, queries, profiles, records,
+                        /*num_classes=*/1);
+  DepthScript script{fleet};
+  const std::uint16_t lane =
+      fleet.sim.add_listener(&script, &DepthScript::on_event);
+
+  // Tick 1 sees depth 0. Within the first eighth of the next interval the
+  // depth spikes to 40, and it is 0 again well before tick 2, whose own
+  // sample is 0 too: tick 2 decides on (40 + 0 + 0) / 3.
+  const util::SimTime tick = fleet.interval_ps;
+  fleet.schedule_at(tick, serve::FleetSim::kElasticTick);
+  fleet.sim.schedule_at(tick + tick / 16, lane, 0, 40);
+  fleet.sim.schedule_at(tick + tick / 2, lane, 0, 0);
+  fleet.sim.schedule_at(2 * tick + tick / 2, lane, 1);
+  fleet.sim.run();
+
+  ASSERT_EQ(fleet.scaling_events.size(), 1u);
+  const serve::ScalingEvent& grow = fleet.scaling_events[0];
+  EXPECT_TRUE(grow.added);
+  EXPECT_EQ(grow.at_sec, util::sec_from_ps(2 * tick));
+  EXPECT_EQ(grow.depth_per_replica, 40.0 / 3.0);
+  EXPECT_EQ(fleet.replicas.size(), 2u);
 }
 
 // A drained replica leaves the routing set at the drain decision: under

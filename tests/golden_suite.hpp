@@ -349,7 +349,7 @@ inline constexpr GoldenCase kGoldens[] = {
     {"serve-soak-throttled/cxl", 0xe1a4e5a223bbfd4aULL},
     {"fleet-serve/cxl",          0x5fcbe05e20a74005ULL},
     {"fleet-faults/cxl",         0xaead1cf8c903257aULL},
-    {"fleet-elastic/cxl",        0xc29cfe4cd602e4f6ULL},
+    {"fleet-elastic/cxl",        0x96f45f6082531a90ULL},
     {"probe-chase/cxl",          0x9c956c65fc373004ULL},
     {"probe-cpu/cxl",            0x5d108de029133492ULL},
 };

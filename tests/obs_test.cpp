@@ -10,7 +10,11 @@
 ///    WindowSeries::fold reproduces the soak-window arithmetic.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -25,6 +29,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_check.hpp"
 #include "serve/fleet.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 
 namespace cxlgraph {
@@ -387,26 +392,27 @@ TEST(WindowSeries, FoldDropsAndCountsSamplesPastHorizon) {
 // ------------------------------------------------------------- health ----
 
 TEST(HealthMonitor, SaturationOpensEscalatesAndCloses) {
-  obs::HealthConfig cfg;
-  cfg.depth_high = 8.0;
-  cfg.depth_low = 1.0;
-  obs::HealthMonitor mon(cfg);
+  obs::HealthMonitor mon;
   using Verdict = obs::HealthMonitor::DepthVerdict;
+  const auto observe = [&mon](util::SimTime now, double depth) {
+    return mon.observe_depth(now, depth, /*depth_high=*/8.0,
+                             /*depth_low=*/1.0);
+  };
 
-  EXPECT_EQ(mon.observe_depth(100, 4.0), Verdict::kNominal);
+  EXPECT_EQ(observe(100, 4.0), Verdict::kNominal);
   EXPECT_EQ(mon.open_incident(obs::IncidentKind::kSaturation), -1);
-  EXPECT_EQ(mon.observe_depth(200, 9.0), Verdict::kOverloaded);
+  EXPECT_EQ(observe(200, 9.0), Verdict::kOverloaded);
   const std::int64_t id = mon.open_incident(obs::IncidentKind::kSaturation);
   ASSERT_GE(id, 0);
   // Threshold comparisons are strict, mirroring the elastic controller:
   // exactly depth_high is nominal and closes the incident.
-  EXPECT_EQ(mon.observe_depth(300, 8.0), Verdict::kNominal);
+  EXPECT_EQ(observe(300, 8.0), Verdict::kNominal);
   EXPECT_EQ(mon.open_incident(obs::IncidentKind::kSaturation), -1);
 
   // Reopen and push past 1.5x the threshold: severity escalates.
-  EXPECT_EQ(mon.observe_depth(400, 10.0), Verdict::kOverloaded);
-  EXPECT_EQ(mon.observe_depth(500, 13.0), Verdict::kOverloaded);
-  EXPECT_EQ(mon.observe_depth(600, 0.5), Verdict::kUnderloaded);
+  EXPECT_EQ(observe(400, 10.0), Verdict::kOverloaded);
+  EXPECT_EQ(observe(500, 13.0), Verdict::kOverloaded);
+  EXPECT_EQ(observe(600, 0.5), Verdict::kUnderloaded);
 
   const auto& incidents = mon.incidents();
   ASSERT_EQ(incidents.size(), 3u);  // saturation, saturation, underload
@@ -430,22 +436,24 @@ TEST(HealthMonitor, SaturationOpensEscalatesAndCloses) {
 }
 
 TEST(HealthMonitor, QueueTrendFiresOnConsecutiveRisingSamples) {
-  obs::HealthConfig cfg;
-  cfg.depth_high = 100.0;  // keep saturation out of the way
-  cfg.depth_low = 0.0;
-  cfg.trend_run = 3;
-  obs::HealthMonitor mon(cfg);
-  mon.observe_depth(0, 2.0);
-  mon.observe_depth(10, 3.0);  // run = 1
-  mon.observe_depth(20, 4.0);  // run = 2
+  obs::HealthMonitor mon;
+  const auto observe = [&mon](util::SimTime now, double depth) {
+    // Thresholds out of the way of saturation and underload.
+    mon.observe_depth(now, depth, /*depth_high=*/100.0, /*depth_low=*/0.0);
+  };
+  observe(0, 2.0);
+  observe(10, 3.0);  // run = 1
+  observe(20, 4.0);  // run = 2
+  observe(30, 5.0);  // run = 3
   EXPECT_EQ(mon.open_incident(obs::IncidentKind::kQueueTrend), -1);
-  mon.observe_depth(30, 5.0);  // run = 3 -> opens
+  observe(40, 6.0);  // run = 4 -> opens
   EXPECT_GE(mon.open_incident(obs::IncidentKind::kQueueTrend), 0);
-  mon.observe_depth(40, 5.0);  // not strictly rising -> closes
+  observe(50, 6.0);  // not strictly rising -> closes
   EXPECT_EQ(mon.open_incident(obs::IncidentKind::kQueueTrend), -1);
   ASSERT_EQ(mon.incidents().size(), 1u);
-  EXPECT_EQ(mon.incidents()[0].opened_ps, 30u);
-  EXPECT_EQ(mon.incidents()[0].closed_ps, 40u);
+  EXPECT_EQ(mon.incidents()[0].opened_ps, 40u);
+  EXPECT_EQ(mon.incidents()[0].closed_ps, 50u);
+  EXPECT_EQ(mon.incidents()[0].threshold, 4.0);
 }
 
 TEST(HealthMonitor, ThrottleIncidentsArePerReplica) {
@@ -516,33 +524,31 @@ TEST(HealthMonitor, FaultObserversOpenAndCloseIncidents) {
 }
 
 TEST(HealthMonitor, SloViolationRateNeedsAFullWindow) {
-  obs::HealthConfig cfg;
-  cfg.slo_window = 4;
-  cfg.slo_rate = 0.5;
-  obs::HealthMonitor mon(cfg);
-  // Three violations in the first three completions: the window is not
-  // full yet, so no incident.
-  mon.observe_completion(10, true);
-  mon.observe_completion(20, true);
-  mon.observe_completion(30, true);
+  obs::HealthMonitor mon;
+  // Fifteen violations in the first fifteen completions: the 16-slot
+  // window is not full yet, so no incident.
+  util::SimTime now = 0;
+  for (int i = 0; i < 15; ++i) mon.observe_completion(now += 10, true);
   EXPECT_EQ(mon.open_incident(obs::IncidentKind::kSloViolations), -1);
-  mon.observe_completion(40, false);  // window full: rate 0.75 > 0.5
+  mon.observe_completion(now += 10, false);  // full: rate 15/16 > 0.5
   EXPECT_GE(mon.open_incident(obs::IncidentKind::kSloViolations), 0);
-  // Clean completions evict the violations; at rate 0.5 (not > 0.5)
-  // the incident closes.
-  mon.observe_completion(50, false);
+  EXPECT_EQ(mon.incidents()[0].opened_ps, now);
+  // Each clean completion evicts one violation: at 9/16 the incident
+  // stays open, at 8/16 (not > 0.5) it closes.
+  for (int i = 0; i < 6; ++i) mon.observe_completion(now += 10, false);
+  EXPECT_GE(mon.open_incident(obs::IncidentKind::kSloViolations), 0);
+  mon.observe_completion(now += 10, false);
   EXPECT_EQ(mon.open_incident(obs::IncidentKind::kSloViolations), -1);
   ASSERT_EQ(mon.incidents().size(), 1u);
-  EXPECT_EQ(mon.incidents()[0].opened_ps, 40u);
-  EXPECT_EQ(mon.incidents()[0].closed_ps, 50u);
+  EXPECT_EQ(mon.incidents()[0].opened_ps, 160u);
+  EXPECT_EQ(mon.incidents()[0].closed_ps, 230u);
+  EXPECT_EQ(mon.incidents()[0].threshold, 0.5);
 }
 
 TEST(HealthMonitor, IncidentLogRoundTripsThroughJson) {
-  obs::HealthConfig cfg;
-  cfg.depth_high = 8.0;
-  obs::HealthMonitor mon(cfg);
-  mon.observe_depth(1'000'000, 9.5);
-  mon.observe_depth(2'000'000, 2.0);
+  obs::HealthMonitor mon;
+  mon.observe_depth(1'000'000, 9.5, /*depth_high=*/8.0, /*depth_low=*/1.0);
+  mon.observe_depth(2'000'000, 2.0, /*depth_high=*/8.0, /*depth_low=*/1.0);
   mon.observe_throttle(3'000'000, 1, true);
   // The fleet's incident log writes each incident with
   // obs::write_incident_json.
@@ -572,27 +578,83 @@ TEST(HealthMonitor, IncidentLogRoundTripsThroughJson) {
 
 // ---------------------------------------------------------- telemetry ----
 
-TEST(Telemetry, DisabledByDefaultAndTogglesGateSubsystems) {
-  obs::Telemetry off;
-  EXPECT_FALSE(off.enabled());
-  EXPECT_FALSE(off.tracing());
-
-  obs::TelemetryConfig cfg = obs::Telemetry::enabled_config();
-  cfg.metrics = false;
-  obs::Telemetry trace_only(cfg);
-  EXPECT_TRUE(trace_only.tracing());
-  EXPECT_FALSE(trace_only.metering());
-  EXPECT_TRUE(trace_only.sampling());
-}
-
 TEST(Telemetry, EmptyTraceStillValidates) {
-  obs::Telemetry telemetry(obs::Telemetry::enabled_config());
+  obs::Telemetry telemetry;
   std::ostringstream os;
   telemetry.write_trace_json(os);
   const obs::TraceCheckResult check =
       obs::check_trace(obs::parse_json(os.str()));
   EXPECT_TRUE(check.ok) << check.error;
   EXPECT_EQ(check.spans, 0u);
+}
+
+/// The parsed command line of a product that offers the two outputs.
+util::CliParser outputs_cli(const std::vector<std::string>& args) {
+  util::CliParser cli;
+  obs::add_telemetry_options(cli, "trace");
+  std::vector<const char*> argv = {"prog"};
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  EXPECT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  return cli;
+}
+
+bool file_exists(const std::string& path) {
+  return static_cast<bool>(std::ifstream(path));
+}
+
+TEST(Telemetry, OutputsOpenOnlyWhenAPathIsNamed) {
+  EXPECT_EQ(obs::make_telemetry(outputs_cli({})), nullptr);
+  std::ostringstream quiet;
+  EXPECT_EQ(obs::save_telemetry(outputs_cli({}), nullptr, quiet), 0);
+  EXPECT_TRUE(quiet.str().empty());
+
+  const std::string dir = ::testing::TempDir();
+  for (const auto& [trace, metrics] :
+       {std::pair{true, false}, std::pair{false, true},
+        std::pair{true, true}}) {
+    const std::string stem = dir + "/obs_outputs_" +
+                             std::to_string(trace) + std::to_string(metrics);
+    const std::string trace_path = stem + "_trace.json";
+    const std::string metrics_path = stem + "_metrics.json";
+    std::remove(trace_path.c_str());
+    std::remove(metrics_path.c_str());
+    std::vector<std::string> args;
+    if (trace) args.insert(args.end(), {"--trace-out", trace_path});
+    if (metrics) args.insert(args.end(), {"--metrics-out", metrics_path});
+    const util::CliParser cli = outputs_cli(args);
+
+    const std::unique_ptr<obs::Telemetry> telemetry = obs::make_telemetry(cli);
+    ASSERT_NE(telemetry, nullptr);
+    obs::SpanTracer& tracer = telemetry->tracer();
+    tracer.complete(tracer.track("test", "lane"), tracer.intern("span"), 0,
+                    10);
+    telemetry->metrics().counter("test", "spans").add(1);
+    std::ostringstream err;
+    EXPECT_EQ(obs::save_telemetry(cli, telemetry.get(), err), 0);
+    EXPECT_TRUE(err.str().empty()) << err.str();
+
+    EXPECT_EQ(file_exists(trace_path), trace);
+    EXPECT_EQ(file_exists(metrics_path), metrics);
+    if (trace) {
+      std::ifstream in(trace_path);
+      const std::string text((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+      const obs::TraceCheckResult check =
+          obs::check_trace(obs::parse_json(text));
+      EXPECT_TRUE(check.ok) << check.error;
+      EXPECT_EQ(check.spans, 1u);
+    }
+    std::remove(trace_path.c_str());
+    std::remove(metrics_path.c_str());
+  }
+
+  const std::string unwritable = dir + "/obs_outputs_missing_dir/t.json";
+  const util::CliParser cli = outputs_cli({"--trace-out", unwritable});
+  const std::unique_ptr<obs::Telemetry> telemetry = obs::make_telemetry(cli);
+  ASSERT_NE(telemetry, nullptr);
+  std::ostringstream err;
+  EXPECT_NE(obs::save_telemetry(cli, telemetry.get(), err), 0);
+  EXPECT_NE(err.str().find(unwritable), std::string::npos) << err.str();
 }
 
 }  // namespace

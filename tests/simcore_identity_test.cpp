@@ -89,7 +89,7 @@ TEST(SimCoreIdentity, SuiteIsIdenticalWithTelemetryOn) {
   // sink tapping every layer leaves every checksum where it was. The
   // sink must have captured spans and metrics, so a silently detached
   // hook cannot pass vacuously.
-  obs::Telemetry telemetry(obs::Telemetry::enabled_config());
+  obs::Telemetry telemetry;
   EXPECT_EQ(golden::compute_checksums(smoke_graph(), &telemetry),
             smoke_checksums());
   EXPECT_FALSE(telemetry.tracer().empty());

@@ -45,7 +45,7 @@ TEST(TelemetryIdentity, RuntimeRunIsBitIdenticalWithTelemetryOn) {
     core::ExternalGraphRuntime off(core::table3_system());
     const core::RunReport baseline = off.run(g, req);
 
-    obs::Telemetry telemetry(obs::Telemetry::enabled_config());
+    obs::Telemetry telemetry;
     core::ExternalGraphRuntime on(core::table3_system());
     on.set_telemetry(&telemetry);
     const core::RunReport tapped = on.run(g, req);
@@ -70,7 +70,7 @@ TEST(TelemetryIdentity, ClusterRunIsBitIdenticalWithTelemetryOn) {
   core::ClusterRuntime off(core::table3_system());
   const core::ClusterReport baseline = off.run(g, req);
 
-  obs::Telemetry telemetry(obs::Telemetry::enabled_config());
+  obs::Telemetry telemetry;
   core::ClusterRuntime on(core::table3_system());
   on.set_telemetry(&telemetry);
   const core::ClusterReport tapped = on.run(g, req);
@@ -100,7 +100,7 @@ TEST(TelemetryIdentity, ServeRunIsRecordIdenticalWithTelemetryOn) {
   serve::QueryServer off(core::table3_system());
   const serve::ServeReport baseline = off.serve(g, req);
 
-  obs::Telemetry telemetry(obs::Telemetry::enabled_config());
+  obs::Telemetry telemetry;
   serve::QueryServer on(core::table3_system());
   on.set_telemetry(&telemetry);
   const serve::ServeReport tapped = on.serve(g, req);
@@ -118,7 +118,7 @@ TEST(TelemetryIdentity, ServeRunIsRecordIdenticalWithTelemetryOn) {
   fleet_req.base = req.base;
   fleet_req.workload = req.workload;
   fleet_req.fleet.serve = req.config;
-  obs::Telemetry fleet_telemetry(obs::Telemetry::enabled_config());
+  obs::Telemetry fleet_telemetry;
   serve::FleetServer fleet(core::table3_system());
   fleet.set_telemetry(&fleet_telemetry);
   fleet.serve(g, fleet_req);
@@ -176,7 +176,7 @@ TEST(TelemetryIdentity, FleetRunIsRecordIdenticalWithTelemetryOn) {
   serve::FleetServer off(core::table3_system());
   const serve::FleetReport baseline = off.serve(g, req);
 
-  obs::Telemetry telemetry(obs::Telemetry::enabled_config());
+  obs::Telemetry telemetry;
   serve::FleetServer on(core::table3_system());
   on.set_telemetry(&telemetry);
   const serve::FleetReport tapped = on.serve(g, req);

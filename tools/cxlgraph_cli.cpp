@@ -64,39 +64,9 @@ int usage() {
   return 2;
 }
 
-/// Telemetry plumbing shared by `run` and `serve`: both outputs default
-/// empty (telemetry fully off — the bit-identical fast path); naming
-/// either file enables the sink for the whole run.
-void add_telemetry_options(util::CliParser& cli) {
-  cli.add_option("trace-out",
-                 "write a Chrome trace-event JSON timeline here "
-                 "(load in Perfetto)",
-                 "");
-  cli.add_option("metrics-out", "write a metrics snapshot JSON here", "");
-}
-
-std::unique_ptr<obs::Telemetry> make_telemetry(const util::CliParser& cli) {
-  if (cli.get("trace-out").empty() && cli.get("metrics-out").empty()) {
-    return nullptr;
-  }
-  return std::make_unique<obs::Telemetry>(obs::Telemetry::enabled_config());
-}
-
-int save_telemetry(const util::CliParser& cli,
-                   const obs::Telemetry* telemetry) {
-  if (telemetry == nullptr) return 0;
-  const std::string trace_path = cli.get("trace-out");
-  if (!trace_path.empty() && !telemetry->save_trace(trace_path)) {
-    std::cerr << "error: cannot write trace to " << trace_path << "\n";
-    return 1;
-  }
-  const std::string metrics_path = cli.get("metrics-out");
-  if (!metrics_path.empty() && !telemetry->save_metrics(metrics_path)) {
-    std::cerr << "error: cannot write metrics to " << metrics_path << "\n";
-    return 1;
-  }
-  return 0;
-}
+/// `--trace-out` help shared by `run` and `serve`.
+constexpr const char* kTraceHelp =
+    "write a Chrome trace-event JSON timeline here (load in Perfetto)";
 
 graph::VertexOrder order_from(const std::string& name) {
   for (const auto order :
@@ -215,9 +185,9 @@ int cmd_run(int argc, char** argv) {
   cli.add_option("jobs", "worker threads for per-shard replays", "0");
   cli.add_flag("gen3", "use the Gen3 (Table-4) system preset");
   cli.add_flag("direct-cxl", "model a direct GPU-CXL path (Sec. 5)");
-  add_telemetry_options(cli);
+  obs::add_telemetry_options(cli, kTraceHelp);
   if (!cli.parse(argc, argv)) return 0;
-  const std::unique_ptr<obs::Telemetry> telemetry = make_telemetry(cli);
+  const std::unique_ptr<obs::Telemetry> telemetry = obs::make_telemetry(cli);
 
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   graph::CsrGraph g =
@@ -294,7 +264,7 @@ int cmd_run(int argc, char** argv) {
     table.add_row({"slowest shard compute",
                    util::fmt(r.max_shard_compute_sec * 1e3, 3) + " ms"});
     table.print(std::cout);
-    return save_telemetry(cli, telemetry.get());
+    return obs::save_telemetry(cli, telemetry.get(), std::cerr);
   }
 
   runtime.set_telemetry(telemetry.get());
@@ -317,7 +287,7 @@ int cmd_run(int argc, char** argv) {
   table.add_row({"latency under load",
                  util::fmt(r.observed_read_latency_us, 2) + " us"});
   table.print(std::cout);
-  return save_telemetry(cli, telemetry.get());
+  return obs::save_telemetry(cli, telemetry.get(), std::cerr);
 }
 
 int cmd_serve(int argc, char** argv) {
@@ -376,9 +346,9 @@ int cmd_serve(int argc, char** argv) {
   cli.add_flag("closed-loop",
                "closed-loop clients instead of open-loop Poisson");
   cli.add_flag("gen3", "use the Gen3 (Table-4) system preset");
-  add_telemetry_options(cli);
+  obs::add_telemetry_options(cli, kTraceHelp);
   if (!cli.parse(argc, argv)) return 0;
-  const std::unique_ptr<obs::Telemetry> telemetry = make_telemetry(cli);
+  const std::unique_ptr<obs::Telemetry> telemetry = obs::make_telemetry(cli);
 
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const graph::CsrGraph g =
@@ -540,7 +510,7 @@ int cmd_serve(int argc, char** argv) {
     std::cout << "incident log written to " << cli.get("incidents-out")
               << "\n";
   }
-  return save_telemetry(cli, telemetry.get());
+  return obs::save_telemetry(cli, telemetry.get(), std::cerr);
 }
 
 }  // namespace
