@@ -324,18 +324,18 @@ TablePrinter fig9_latency() {
   ExternalGraphRuntime rt(cfg);
 
   // Mean plus per-hop tails: the chase records every hop, so the report
-  // quotes p50/p95/p99 (util::summarize_percentiles) alongside the
-  // average the paper's bars show.
+  // quotes p50/p95/p99 (util::percentile) alongside the average the
+  // paper's bars show.
   TablePrinter table({"External memory", "Added latency [us]",
                       "Observed latency [us]", "p50 [us]", "p95 [us]",
                       "p99 [us]"});
   const auto add_row = [&table](const std::string& name,
                                 const std::string& added,
                                 const gpusim::PointerChaseResult& r) {
-    const util::PercentileSummary s =
-        util::summarize_percentiles(r.hop_us);
-    table.add_row({name, added, fmt(r.mean_us, 2), fmt(s.p50, 2),
-                   fmt(s.p95, 2), fmt(s.p99, 2)});
+    table.add_row({name, added, fmt(r.mean_us, 2),
+                   fmt(util::percentile(r.hop_us, 50.0), 2),
+                   fmt(util::percentile(r.hop_us, 95.0), 2),
+                   fmt(util::percentile(r.hop_us, 99.0), 2)});
   };
 
   // DRAM 0 sits on the far socket; DRAM 1 on the GPU's socket. Both go

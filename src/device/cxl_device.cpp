@@ -42,7 +42,7 @@ void CxlDevice::read(std::uint64_t addr, std::uint32_t bytes, ReadyFn ready) {
   ingress_flits_ += flit_count;
 }
 
-void CxlDevice::admit_flit(std::uint32_t parent_slot) {
+SimTime CxlDevice::admit_flit() {
   const SimTime arrival = sim_.now();  // latency-bridge timestamp
 
   // Single-channel DRAM: serialize the flit, then the access latency.
@@ -54,11 +54,53 @@ void CxlDevice::admit_flit(std::uint32_t parent_slot) {
 
   // Latency bridge (Appendix A): data pops when now >= stamp + added
   // latency, strictly in order (the FPGA's CXL interface is in-order).
-  const SimTime pop_time = std::max(
+  last_pop_time_ = std::max(
       {dram_ready, arrival + params_.added_latency, last_pop_time_});
-  last_pop_time_ = pop_time;
+  return last_pop_time_;
+}
 
-  sim_.schedule_at(pop_time, listener_, kPop, parent_slot);
+void CxlDevice::pop_flit(std::uint32_t parent) {
+  // The FPGA's outstanding-request budget spans the whole device
+  // residency, so the tag is released only once the flit has also
+  // crossed the egress port.
+  //
+  // When no flit can be waiting by then, the free is recorded at the
+  // (time, seq) its kTagFree would take instead of scheduled. Exact: a
+  // kIngress that runs before the free was scheduled before this kPop,
+  // because it runs at least socket_hop + port_ingress >= port_egress
+  // after its read(), and a read() at this very time but after this kPop
+  // pushes a later seq than the free would have. So every flit that can
+  // arrive first is counted in ingress_flits_, and flits_in_flight_ +
+  // ingress_flits_ <= device_tags admits them all: with waiting_flits_
+  // empty, none waits, and the elided kTagFree would only have
+  // decremented flits_in_flight_. Every other push keeps its relative
+  // (time, seq) order, and the decrement lands where the event would have
+  // run: at the first kIngress after it, or in flits_in_flight(). A free
+  // past the last picosecond is scheduled, so schedule_after still
+  // rejects it.
+  SimTime free_time = 0;
+  if (ingress_covers_egress_ && waiting_flits_.empty() &&
+      flits_in_flight_ + ingress_flits_ <= params_.device_tags &&
+      !__builtin_add_overflow(sim_.now(), params_.port_egress, &free_time)) {
+    recorded_frees_.push_back(TagFree{free_time, sim_.next_seq()});
+  } else {
+    sim_.schedule_after(params_.port_egress, listener_, kTagFree);
+  }
+  ParentRead& read = parents_[parent];
+  if (--read.flits_remaining > 0) return;
+  // The last flit fixes the request's ready time: egress, then the hop
+  // back across the socket. Pops run in time order and every request
+  // adds this same lead, so announcements come in ready order, also
+  // across a pool's devices (they share parameters).
+  SimTime ready_time = 0;
+  if (__builtin_add_overflow(sim_.now(),
+                             params_.port_egress + params_.socket_hop,
+                             &ready_time)) {
+    throw std::overflow_error("CxlDevice: ready time overflows SimTime");
+  }
+  const ReadyFn ready = read.ready;
+  parents_.release(parent);
+  ready.announce(ready_time);
 }
 
 void CxlDevice::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
@@ -74,53 +116,38 @@ void CxlDevice::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
         dev->recorded_frees_.pop_front();
         --dev->flits_in_flight_;
       }
+      // Admitted flits of this read that pop on the same picosecond share
+      // one kPop carrying their count. Exact: their separate kPops would
+      // be pushed back to back, (t, s), (t, s + 1), ..., so they would
+      // run back to back with no event between them, and one kPop that
+      // does their work in order makes the same pushes in the same order.
+      // Pop times never fall, so equal ones are adjacent.
+      std::uint32_t pops = 0;
+      SimTime pop_time = 0;
       for (std::uint32_t i = 0; i < flit_count; ++i) {
         if (dev->flits_in_flight_ < dev->params_.device_tags) {
           ++dev->flits_in_flight_;
-          dev->admit_flit(parent);
+          const SimTime t = dev->admit_flit();
+          if (pops > 0 && t != pop_time) {
+            dev->sim_.schedule_at(pop_time, dev->listener_, kPop, parent,
+                                  pops);
+            pops = 0;
+          }
+          pop_time = t;
+          ++pops;
         } else {
           dev->waiting_flits_.push_back(parent);
         }
+      }
+      if (pops > 0) {
+        dev->sim_.schedule_at(pop_time, dev->listener_, kPop, parent, pops);
       }
       break;
     }
     case kPop: {
       const auto parent = static_cast<std::uint32_t>(a);
-      // The FPGA's outstanding-request budget spans the whole device
-      // residency, so the tag is released only once the flit has also
-      // crossed the egress port.
-      //
-      // When no flit can be waiting by then, the free is recorded at the
-      // (time, seq) its kTagFree would take instead of scheduled. Exact:
-      // a kIngress that runs before the free was scheduled before this
-      // kPop, because it runs at least socket_hop + port_ingress >=
-      // port_egress after its read(), and a read() at this very time but
-      // after this kPop pushes a later seq than the free would have. So
-      // every flit that can arrive first is counted in ingress_flits_,
-      // and flits_in_flight_ + ingress_flits_ <= device_tags admits them
-      // all: with waiting_flits_ empty, none waits, and the elided
-      // kTagFree would only have decremented flits_in_flight_. Every
-      // other push keeps its relative (time, seq) order, and the
-      // decrement lands where the event would have run: at the first
-      // kIngress after it, or in flits_in_flight(). A free past the last
-      // picosecond is scheduled, so schedule_after still rejects it.
-      SimTime free_time = 0;
-      if (dev->ingress_covers_egress_ && dev->waiting_flits_.empty() &&
-          dev->flits_in_flight_ + dev->ingress_flits_ <=
-              dev->params_.device_tags &&
-          !__builtin_add_overflow(dev->sim_.now(), dev->params_.port_egress,
-                                  &free_time)) {
-        dev->recorded_frees_.push_back(
-            TagFree{free_time, dev->sim_.next_seq()});
-      } else {
-        dev->sim_.schedule_after(dev->params_.port_egress, dev->listener_,
-                                 kTagFree);
-      }
-      if (--dev->parents_[parent].flits_remaining == 0) {
-        dev->sim_.schedule_after(
-            dev->params_.port_egress + dev->params_.socket_hop,
-            dev->parents_[parent].ready);
-        dev->parents_.release(parent);
+      for (std::uint32_t flits = b; flits > 0; --flits) {
+        dev->pop_flit(parent);
       }
       break;
     }
@@ -128,7 +155,8 @@ void CxlDevice::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
       if (!dev->waiting_flits_.empty()) {
         const std::uint32_t next = dev->waiting_flits_.front();
         dev->waiting_flits_.pop_front();
-        dev->admit_flit(next);
+        dev->sim_.schedule_at(dev->admit_flit(), dev->listener_, kPop, next,
+                              1);
       } else {
         --dev->flits_in_flight_;
       }

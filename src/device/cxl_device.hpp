@@ -60,6 +60,7 @@ class CxlDevice final : public MemoryDevice {
   void read(std::uint64_t addr, std::uint32_t bytes, ReadyFn ready) override;
   void write(std::uint64_t addr, std::uint32_t bytes,
              ReadyFn ready) override;
+  bool announces_in_ready_order() const noexcept override { return true; }
   const DeviceCaps& caps() const noexcept override { return caps_; }
   const DeviceStats& stats() const noexcept override { return stats_; }
 
@@ -91,7 +92,7 @@ class CxlDevice final : public MemoryDevice {
 
   enum Op : std::uint16_t {
     kIngress,        ///< request crossed the port; flits contend for tags
-    kPop,            ///< latency bridge released a flit
+    kPop,            ///< latency bridge released b flits of one read
     kTagFree,        ///< flit crossed egress; its device tag frees
     kWriteCoherent,  ///< coherency round done; write enters the pipeline
   };
@@ -106,7 +107,12 @@ class CxlDevice final : public MemoryDevice {
   static void on_event(void* self, std::uint16_t opcode, std::uint32_t a,
                        std::uint32_t b);
 
-  void admit_flit(std::uint32_t parent_slot);
+  /// Takes a flit of the read being admitted now through the channel and
+  /// the latency bridge; returns the time it pops.
+  SimTime admit_flit();
+  /// One popped flit of `parent`: frees its tag after egress, and the
+  /// read's last flit announces the read's ready time.
+  void pop_flit(std::uint32_t parent);
   /// True once the elided kTagFree of `f` would have run: it was due
   /// earlier, or now and pushed no later than the dispatching event.
   bool retired(const TagFree& f) const noexcept {
@@ -150,6 +156,9 @@ class CxlMemoryPool final : public MemoryDevice {
   void read(std::uint64_t addr, std::uint32_t bytes, ReadyFn ready) override;
   void write(std::uint64_t addr, std::uint32_t bytes,
              ReadyFn ready) override;
+  /// Member devices share parameters, so every announcement adds the same
+  /// lead to the time of a kPop, and kPops run in time order.
+  bool announces_in_ready_order() const noexcept override { return true; }
   const DeviceCaps& caps() const noexcept override { return caps_; }
   /// Aggregated over member devices (recomputed on each call).
   const DeviceStats& stats() const noexcept override;

@@ -25,9 +25,9 @@ void HostDram::read(std::uint64_t addr, std::uint32_t bytes, ReadyFn ready) {
   const auto transfer =
       static_cast<SimTime>(static_cast<double>(bytes) * ps_per_byte_ + 0.5);
   channel_busy_until_ = slot_start + transfer;
-  const SimTime ready_time =
-      channel_busy_until_ + params_.access_latency + params_.socket_hop;
-  sim_.schedule_at(ready_time, std::move(ready));
+  // channel_busy_until_ never falls, so announcements come in ready order.
+  ready.announce(channel_busy_until_ + params_.access_latency +
+                 params_.socket_hop);
 }
 
 void HostDram::write(std::uint64_t addr, std::uint32_t bytes,
@@ -35,7 +35,7 @@ void HostDram::write(std::uint64_t addr, std::uint32_t bytes,
   // DRAM writes share the channel with reads and post at the same access
   // latency (the memory controller's write buffers hide the precharge
   // details at this level of abstraction).
-  read(addr, bytes, std::move(ready));
+  read(addr, bytes, ready);
 }
 
 }  // namespace cxlgraph::device

@@ -31,6 +31,7 @@ class HostDram final : public MemoryDevice {
   void read(std::uint64_t addr, std::uint32_t bytes, ReadyFn ready) override;
   void write(std::uint64_t addr, std::uint32_t bytes,
              ReadyFn ready) override;
+  bool announces_in_ready_order() const noexcept override { return true; }
   const DeviceCaps& caps() const noexcept override { return caps_; }
   const DeviceStats& stats() const noexcept override { return stats_; }
 

@@ -31,6 +31,9 @@ PcieLink::PcieLink(Simulator& sim, const PcieLinkParams& params)
   if (params.n_max == 0) {
     throw std::invalid_argument("PcieLink: bad parameters");
   }
+  const auto shortest_return = static_cast<SimTime>(ps_per_byte_ + 0.5);
+  return_covers_request_ = params.response_overhead + shortest_return >
+                           params.request_overhead;
   listener_ = sim_.add_listener(this, &PcieLink::on_event);
 }
 
@@ -50,6 +53,7 @@ void PcieLink::memory_read(MemoryDevice& device, std::uint64_t addr,
 void PcieLink::memory_write(MemoryDevice& device, std::uint64_t addr,
                             std::uint32_t bytes, DoneFn done) {
   stats_.tags_in_use.add(static_cast<double>(tags_in_use_));
+  ++writes_in_flight_;
   const std::uint32_t slot = pool_.acquire(
       PendingRead{&device, addr, bytes, /*is_write=*/true, done, 0});
   if (tags_in_use_ >= params_.n_max) {
@@ -98,10 +102,12 @@ void PcieLink::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
   switch (opcode) {
     case kReadAtDevice:
       p.device->read(p.addr, p.bytes,
-                     sim::Callback{link->listener_, kReadReady, slot});
+                     ReadyFn{link, {link->listener_, kReadReady, slot}});
       break;
     case kReadReady: {
-      const SimTime arrival = link->serialize_return(p.bytes);
+      --link->held_returns_;
+      const SimTime arrival =
+          link->serialize_return(p.bytes, link->sim_.now());
       link->sim_.schedule_at(arrival + link->params_.response_overhead,
                              link->listener_, kReadDelivered, slot);
       break;
@@ -118,13 +124,14 @@ void PcieLink::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
     }
     case kWriteAtDevice:
       p.device->write(p.addr, p.bytes,
-                      sim::Callback{link->listener_, kWriteAccepted, slot});
+                      ReadyFn{link, {link->listener_, kWriteAccepted, slot}});
       break;
     case kWriteAccepted:
       link->sim_.schedule_after(link->params_.response_overhead,
                                 link->listener_, kWriteDelivered, slot);
       break;
     case kWriteDelivered: {
+      --link->writes_in_flight_;
       link->stats_.bytes_written += p.bytes;
       link->release_tag_and_admit();
       const DoneFn done = p.done;
@@ -142,7 +149,67 @@ void PcieLink::on_event(void* self, std::uint16_t opcode, std::uint32_t a,
   }
 }
 
+// A read's return is serialized when its device announces the ready time,
+// and its kReadDelivered pushed then, instead of both waiting for a
+// kReadReady at the ready time. That drops one event per read and leaves
+// every simulated value as it was, for these reasons.
+//
+// Order. The return half is FIFO. Through kReadReady it took returns in
+// event order: by ready time, then by push order, which is announcement
+// order. Taken at the announcement, they go in announcement order. The
+// two orders agree when announcements come in non-decreasing ready time,
+// which is what announces_in_ready_order() promises: a CXL pool's kPops
+// run in time order and all add one lead, and a HostDram's ready time
+// grows with every call because its channel is serialized. A return
+// starts at max(busy, ready time), as it did at the event, so every
+// arrival is unchanged. That needs every return before it serialized
+// already, so none may be held (held_returns_), and no storage delivery,
+// serialized at its call, may come in between (carries_storage_). A
+// return that breaks the promise throws std::logic_error; so would two
+// ordered devices behind one link whose announcements interleave out of
+// order (every stack the runtime builds has one device per link).
+//
+// Position. kReadDelivered lands at the same time D as before, but is
+// pushed at the announcement rather than at the old kReadReady. So it can
+// only pass events at D pushed from the announcement up to that kReadReady,
+// each with a delay of at least D minus the ready time: the response hop
+// plus one return transfer. None of the link's or the engine's events has
+// such a delay: the
+// request hop is shorter (return_covers_request_; the link holds every
+// return otherwise), the engine's per-transaction hops are tens of ns
+// (its step launch is pushed on a drained queue), and other deliveries
+// never share D, because the return half hands each transfer its own
+// arrival. Device events can (a kPop; a kIngress behind a long
+// socket hop); they touch only device state and push at other
+// picoseconds. A memory write's hops and acks can, too, so the link holds
+// returns while a write is in flight. A write or storage transfer started
+// while a return taken at its announcement is still ahead of its ready
+// time falls outside this argument; the traversal engine never starts
+// one then, because a step's write phase begins on a drained queue.
+void PcieLink::ready_at(SimTime time, const sim::Callback& cb) {
+  const std::uint32_t slot = cb.a;
+  if (cb.opcode != kReadReady) {
+    sim_.schedule_at(time, cb);  // a write's ack
+    return;
+  }
+  const PendingRead& p = pool_[slot];
+  if (!return_covers_request_ || carries_storage_ || writes_in_flight_ > 0 ||
+      held_returns_ > 0 || !p.device->announces_in_ready_order()) {
+    ++held_returns_;
+    sim_.schedule_at(time, cb);
+    return;
+  }
+  if (time < sim_.now() || time < last_return_ready_) {
+    throw std::logic_error("PcieLink: device '" + p.device->caps().name +
+                           "' announced a read out of ready order");
+  }
+  const SimTime arrival = serialize_return(p.bytes, time);
+  sim_.schedule_at(arrival + params_.response_overhead, listener_,
+                   kReadDelivered, slot);
+}
+
 void PcieLink::upstream_transfer(std::uint32_t bytes, DoneFn done) {
+  carries_storage_ = true;
   const SimTime arrival = serialize_upstream(bytes);
   stats_.bytes_written += bytes;
   sim_.schedule_at(arrival, done);
@@ -157,8 +224,9 @@ SimTime PcieLink::serialize_upstream(std::uint32_t bytes) {
   return upstream_busy_until_;
 }
 
-SimTime PcieLink::serialize_return(std::uint32_t bytes) {
-  const SimTime start = std::max(return_busy_until_, sim_.now());
+SimTime PcieLink::serialize_return(std::uint32_t bytes, SimTime ready) {
+  last_return_ready_ = ready;
+  const SimTime start = std::max(return_busy_until_, ready);
   const auto transfer =
       static_cast<SimTime>(static_cast<double>(bytes) * ps_per_byte_ + 0.5);
   return_busy_until_ = start + transfer;
@@ -168,7 +236,8 @@ SimTime PcieLink::serialize_return(std::uint32_t bytes) {
 
 void PcieLink::storage_deliver(std::uint32_t bytes, DoneFn done) {
   ++stats_.storage_deliveries;
-  const SimTime arrival = serialize_return(bytes);
+  carries_storage_ = true;
+  const SimTime arrival = serialize_return(bytes, sim_.now());
   const std::uint32_t slot = pool_.acquire(
       PendingRead{nullptr, 0, bytes, /*is_write=*/false, done, 0});
   sim_.schedule_at(arrival + params_.response_overhead, listener_,

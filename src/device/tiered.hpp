@@ -25,6 +25,10 @@ struct TieredMemoryParams {
 /// Routes reads/writes to `fast` or `slow` by address. Requests are
 /// assumed not to straddle the placement boundary (sublist chunks are
 /// <=2 kB and boundaries are page-aligned; straddlers route by start).
+/// The tiers announce with different leads (host DRAM at read(), its
+/// access latency ahead; a CXL device at its last pop, egress ahead), so
+/// a later DRAM announcement can be ready first: the composite makes no
+/// ready-order promise.
 class TieredMemory final : public MemoryDevice {
  public:
   TieredMemory(MemoryDevice& fast, MemoryDevice& slow,

@@ -7,11 +7,12 @@ namespace cxlgraph::gpusim {
 namespace {
 
 /// The CPU side of the probe as a listener. A read crosses the CPU hop
-/// (kAtDevice, payload = address), the device model (kDeviceDone) and the
-/// return hop (kReturned). Before the flood, one isolated read measures
+/// (kAtDevice, payload = address), the device model (kDeviceDone, pushed
+/// at the ready time the device announces) and the return hop
+/// (kReturned). Before the flood, one isolated read measures
 /// the unqueued latency; during it, each return issues more reads until
 /// the flood window closes.
-struct Probe {
+struct Probe final : device::ReadySink {
   enum Op : std::uint16_t { kAtDevice, kDeviceDone, kReturned };
 
   Probe(sim::Simulator& sim, device::CxlDevice& dev,
@@ -28,8 +29,9 @@ struct Probe {
     auto* probe = static_cast<Probe*>(self);
     switch (opcode) {
       case kAtDevice:
-        probe->dev.read(a | std::uint64_t{b} << 32, probe->params.read_bytes,
-                        sim::Callback{probe->listener, kDeviceDone});
+        probe->dev.read(
+            a | std::uint64_t{b} << 32, probe->params.read_bytes,
+            device::ReadyFn{probe, {probe->listener, kDeviceDone}});
         break;
       case kDeviceDone:
         probe->sim.schedule_after(probe->params.cpu_overhead,
@@ -46,6 +48,10 @@ struct Probe {
         probe->issue_more();
         break;
     }
+  }
+
+  void ready_at(sim::SimTime time, const sim::Callback& cb) override {
+    sim.schedule_at(time, cb);
   }
 
   void issue(std::uint64_t addr) {

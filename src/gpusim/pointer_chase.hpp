@@ -25,8 +25,8 @@ struct PointerChaseParams {
 
 /// Result of one chase: mean_us is the average per-hop latency in
 /// microseconds; hop_us holds one sample per hop (issue to warp-resume),
-/// so a latency report can quote tails (p50/p95/p99 via
-/// util::summarize_percentiles) instead of one average.
+/// so a latency report can quote tails (p50/p95/p99 via util::percentile)
+/// instead of one average.
 struct PointerChaseResult {
   double mean_us = 0.0;
   std::vector<double> hop_us;

@@ -19,7 +19,7 @@ std::uint32_t TimeSeriesSampler::channel(const std::string& name,
 void TimeSeriesSampler::record(std::uint32_t ch, util::SimTime t,
                                double value) {
   Channel& c = channels_[ch];
-  const std::uint64_t index = t / quantum_;
+  const std::uint64_t index = t / kQuantum;
   if (c.buckets.empty() || c.buckets.back().index != index) {
     c.buckets.push_back(Bucket{index, value, value, value, value, 1});
     return;

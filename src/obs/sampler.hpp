@@ -6,7 +6,7 @@
 ///
 /// `TimeSeriesSampler` — fixed-quantum channels. A channel is a named
 /// series (e.g. "serve/queue_depth"); record(t, v) folds the sample
-/// into the bucket t/quantum, keeping last/min/max/sum/count per
+/// into the bucket t/kQuantum, keeping last/min/max/sum/count per
 /// bucket. Buckets are stored sparsely in recording order, so a probe
 /// that fires on every simulator event costs one compare + a few
 /// stores, and silent stretches cost nothing. Channels export as
@@ -34,10 +34,8 @@ class TimeSeriesSampler {
   /// (rates: bytes, events), or the bucket max (high-water marks).
   enum class Reduce { kLast, kSum, kMax };
 
-  explicit TimeSeriesSampler(util::SimTime quantum = util::kPsPerUs * 50)
-      : quantum_(quantum == 0 ? 1 : quantum) {}
-
-  util::SimTime quantum() const noexcept { return quantum_; }
+  /// Bucket width: one counter-track point per 50 us of simulated time.
+  static constexpr util::SimTime kQuantum = util::kPsPerUs * 50;
 
   /// Returns the channel id for `name`, creating it on first use.
   std::uint32_t channel(const std::string& name,
@@ -46,7 +44,7 @@ class TimeSeriesSampler {
   void record(std::uint32_t ch, util::SimTime t, double value);
 
   struct Bucket {
-    std::uint64_t index = 0;  ///< bucket start = index * quantum
+    std::uint64_t index = 0;  ///< bucket start = index * kQuantum
     double last = 0.0;
     double min = 0.0;
     double max = 0.0;
@@ -79,7 +77,6 @@ class TimeSeriesSampler {
     std::vector<Bucket> buckets;
   };
 
-  util::SimTime quantum_;
   std::vector<Channel> channels_;
   std::unordered_map<std::string, std::uint32_t> by_name_;
 };

@@ -82,8 +82,7 @@ SimRunObserver::SimRunObserver(Telemetry& telemetry,
       event_counter_(telemetry.metrics().counter(component, "events")),
       rate_channel_(telemetry.sampler().channel(
           component + "/events_per_quantum",
-          TimeSeriesSampler::Reduce::kSum)),
-      quantum_(telemetry.sampler().quantum()) {}
+          TimeSeriesSampler::Reduce::kSum)) {}
 
 void SimRunObserver::add_probe(const std::string& name,
                                std::function<double()> probe,
@@ -97,7 +96,7 @@ void SimRunObserver::on_event(util::SimTime now, std::uint16_t /*listener*/,
                               std::uint16_t /*opcode*/) {
   event_counter_.add();
 
-  const std::uint64_t bucket = now / quantum_;
+  const std::uint64_t bucket = now / TimeSeriesSampler::kQuantum;
   if (bucket_open_ && bucket == bucket_) {
     ++bucket_events_;
     return;
@@ -105,7 +104,8 @@ void SimRunObserver::on_event(util::SimTime now, std::uint16_t /*listener*/,
   // Bucket boundary: close out the previous bucket's event count, then
   // read every probe once at the boundary event's timestamp.
   if (bucket_open_) {
-    telemetry_.sampler().record(rate_channel_, bucket_ * quantum_,
+    telemetry_.sampler().record(rate_channel_,
+                                bucket_ * TimeSeriesSampler::kQuantum,
                                 static_cast<double>(bucket_events_));
   }
   bucket_ = bucket;
@@ -118,7 +118,8 @@ void SimRunObserver::on_event(util::SimTime now, std::uint16_t /*listener*/,
 
 void SimRunObserver::finish() {
   if (bucket_open_ && bucket_events_ > 0) {
-    telemetry_.sampler().record(rate_channel_, bucket_ * quantum_,
+    telemetry_.sampler().record(rate_channel_,
+                                bucket_ * TimeSeriesSampler::kQuantum,
                                 static_cast<double>(bucket_events_));
   }
   bucket_open_ = false;

@@ -133,7 +133,6 @@ class SimRunObserver final : public sim::EventObserver {
   std::string component_;
   Counter& event_counter_;
   std::uint32_t rate_channel_ = 0;
-  util::SimTime quantum_ = 1;
   std::uint64_t bucket_ = 0;
   bool bucket_open_ = false;
   std::uint64_t bucket_events_ = 0;

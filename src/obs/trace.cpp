@@ -145,7 +145,7 @@ void write_chrome_trace(std::ostream& os, const SpanTracer& tracer,
         sep();
         os << "{\"ph\":\"C\",\"pid\":" << counter_pid << ",\"tid\":0"
            << ",\"name\":\"" << json_escape(name) << "\",\"ts\":";
-        write_us(os, b.index * sampler->quantum());
+        write_us(os, b.index * TimeSeriesSampler::kQuantum);
         os << ",\"args\":{\"value\":" << json_number(b.reduced(reduce))
            << "}}";
       }

@@ -31,10 +31,10 @@ constexpr std::uint64_t kRouterSeed = 0x5eedf1ee7ULL;
 /// Expects report.makespan_sec and the counters already set.
 void summarize_serve(ServeReport& report, const FleetSim& sim,
                      util::SimTime busy_ps, double capacity_sec) {
-  std::vector<double> latency_us, queue_us, service_us;
-  latency_us.reserve(report.completed);
-  queue_us.reserve(report.completed);
-  service_us.reserve(report.completed);
+  std::vector<util::SimTime> latency_ps, queue_ps, service_ps;
+  latency_ps.reserve(report.completed);
+  queue_ps.reserve(report.completed);
+  service_ps.reserve(report.completed);
   std::uint32_t met_slo = 0;
   util::SimTime queue_total = 0, service_total = 0;
   util::SimTime lost_total = 0;
@@ -45,18 +45,18 @@ void summarize_serve(ServeReport& report, const FleetSim& sim,
     report.lost_bytes += r.lost_bytes;
     lost_total += r.lost_ps;
     if (r.shed || r.failed) continue;
-    latency_us.push_back(util::us_from_ps(r.completion - r.arrival));
-    queue_us.push_back(util::us_from_ps(r.queue_ps));
-    service_us.push_back(util::us_from_ps(r.service_ps));
+    latency_ps.push_back(r.completion - r.arrival);
+    queue_ps.push_back(r.queue_ps);
+    service_ps.push_back(r.service_ps);
     queue_total += r.queue_ps;
     service_total += r.service_ps;
     if (!r.slo_violated) ++met_slo;
     report.query_bytes += sim.profiles[r.profile_index].report.fetched_bytes;
   }
   report.lost_work_sec = util::sec_from_ps(lost_total);
-  report.latency_us = util::summarize_percentiles(std::move(latency_us));
-  report.queue_us = util::summarize_percentiles(std::move(queue_us));
-  report.service_us = util::summarize_percentiles(std::move(service_us));
+  report.latency_us = util::summarize_percentiles(std::move(latency_ps));
+  report.queue_us = util::summarize_percentiles(std::move(queue_ps));
+  report.service_us = util::summarize_percentiles(std::move(service_ps));
   report.streaming_p50_us = sim.stream_p50.estimate();
   report.streaming_p95_us = sim.stream_p95.estimate();
   report.streaming_p99_us = sim.stream_p99.estimate();

@@ -1,8 +1,9 @@
 #pragma once
 /// \file radix_sort.hpp
 /// The one sort of 64-bit integer keys behind the exact latency tails
-/// (util::summarize_percentiles, over order-preserving keys of doubles)
-/// and the trace builders' vertex-ID frontiers (algo::sorted_frontier).
+/// (util::summarize_percentiles over picoseconds, util::percentile over
+/// order-preserving keys of doubles) and the trace builders' vertex-ID
+/// frontiers (algo::sorted_frontier).
 
 #include <cstdint>
 #include <span>

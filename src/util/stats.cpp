@@ -45,16 +45,19 @@ void sort_samples(std::vector<double>& samples) {
   }
 }
 
-/// Linear-interpolated percentile over an already-sorted sample vector —
-/// the one rank convention percentile() and summarize_percentiles share.
-double percentile_sorted(const std::vector<double>& sorted, double pct) {
+/// Linear-interpolated percentile over already-sorted samples, each read
+/// as `value(sample)` — the one rank convention percentile() and
+/// summarize_percentiles share.
+template <class T, class Value>
+double percentile_sorted(std::span<const T> sorted, double pct,
+                         Value value) {
   if (sorted.empty()) return 0.0;
   const double rank = std::clamp(pct, 0.0, 100.0) / 100.0 *
                       static_cast<double>(sorted.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(rank);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return value(sorted[lo]) * (1.0 - frac) + value(sorted[hi]) * frac;
 }
 
 }  // namespace
@@ -91,22 +94,30 @@ double Log2Histogram::quantile(double q) const noexcept {
 
 double percentile(std::vector<double> samples, double pct) {
   sort_samples(samples);
-  return percentile_sorted(samples, pct);
+  return percentile_sorted(std::span<const double>(samples), pct,
+                           [](double x) { return x; });
 }
 
-PercentileSummary summarize_percentiles(std::vector<double> samples) {
+PercentileSummary summarize_percentiles(std::vector<SimTime> samples_ps) {
   PercentileSummary s;
-  if (samples.empty()) return s;
-  sort_samples(samples);
-  s.count = samples.size();
+  const std::size_t n = samples_ps.size();
+  if (n == 0) return s;
+  // us_from_ps never decreases, so converting the sorted picoseconds in
+  // order gives the sorted microseconds: every field below equals that of
+  // a comparison sort of the converted samples, bit for bit.
+  const auto spare = std::make_unique_for_overwrite<SimTime[]>(n);
+  const std::span<const SimTime> sorted =
+      radix_sort(samples_ps, {spare.get(), n});
+  s.count = n;
   double sum = 0.0;
-  for (const double x : samples) sum += x;
-  s.mean = sum / static_cast<double>(samples.size());
-  s.min = samples.front();
-  s.max = samples.back();
-  s.p50 = percentile_sorted(samples, 50.0);
-  s.p95 = percentile_sorted(samples, 95.0);
-  s.p99 = percentile_sorted(samples, 99.0);
+  for (const SimTime ps : sorted) sum += us_from_ps(ps);
+  s.mean = sum / static_cast<double>(n);
+  s.min = us_from_ps(sorted.front());
+  s.max = us_from_ps(sorted.back());
+  const auto us = [](SimTime ps) { return us_from_ps(ps); };
+  s.p50 = percentile_sorted(sorted, 50.0, us);
+  s.p95 = percentile_sorted(sorted, 95.0, us);
+  s.p99 = percentile_sorted(sorted, 99.0, us);
   return s;
 }
 

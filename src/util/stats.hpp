@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/units.hpp"
+
 namespace cxlgraph::util {
 
 /// Single-pass mean/min/max/sum accumulator (Welford's running mean).
@@ -64,9 +66,10 @@ class Log2Histogram {
 double percentile(std::vector<double> samples, double pct);
 
 /// Exact tail summary of a sample set: the numbers a latency report leads
-/// with. Computed by one radix sort of a copy (linear in the sample
-/// count); the mean is summed in sorted order, so every field equals that
-/// of a comparison sort bit for bit on NaN-free samples.
+/// with, in microseconds. Computed from picosecond samples by one radix
+/// sort (linear in the sample count); the mean is summed in sorted order,
+/// so every field equals that of a comparison sort of the samples
+/// converted to microseconds, bit for bit.
 struct PercentileSummary {
   std::uint64_t count = 0;
   double mean = 0.0;
@@ -78,7 +81,7 @@ struct PercentileSummary {
 
   friend bool operator==(const PercentileSummary&, const PercentileSummary&) = default;
 };
-PercentileSummary summarize_percentiles(std::vector<double> samples);
+PercentileSummary summarize_percentiles(std::vector<SimTime> samples_ps);
 
 /// Streaming single-quantile estimator (the P² algorithm, Jain & Chlamtac
 /// 1985): five markers, O(1) memory, no stored samples. Exact for the

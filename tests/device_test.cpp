@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "closure_sim.hpp"
+#include "ready_log.hpp"
 #include "device/cxl_device.hpp"
 #include "device/host_dram.hpp"
 #include "device/nvme.hpp"
@@ -219,6 +220,7 @@ TEST(Pcie, RejectsBadParameters) {
 
 TEST(HostDram, SocketHopAddsLatency) {
   ClosureSim sim;
+  ReadyLog ready(sim);
   HostDramParams local;
   HostDramParams remote;
   remote.socket_hop = ps_from_ns(100);
@@ -226,17 +228,27 @@ TEST(HostDram, SocketHopAddsLatency) {
   HostDram b(sim, remote, "remote");
   SimTime t_local = 0;
   SimTime t_remote = 0;
-  a.read(0, 128, sim.make_callback([&] { t_local = sim.now(); }));
-  b.read(0, 128, sim.make_callback([&] { t_remote = sim.now(); }));
+  a.read(0, 128, ready([&] { t_local = sim.now(); }));
+  b.read(0, 128, ready([&] { t_remote = sim.now(); }));
+  // HostDram fixes the ready time inside read(): channel slot + access
+  // latency + socket hop, the time its ready event used to run.
+  const auto slot = static_cast<SimTime>(
+      128 * util::ps_per_byte(local.channel_bandwidth_mbps) + 0.5);
+  EXPECT_EQ(ready.times,
+            (std::vector<SimTime>{slot + local.access_latency,
+                                  slot + local.access_latency +
+                                      ps_from_ns(100)}));
   sim.run();
   EXPECT_EQ(t_remote - t_local, ps_from_ns(100));
+  EXPECT_EQ(ready.times, (std::vector<SimTime>{t_local, t_remote}));
 }
 
 TEST(HostDram, StatsAccumulate) {
   ClosureSim sim;
+  ReadyLog ready(sim);
   HostDram dram(sim, HostDramParams{});
-  dram.read(0, 64, sim.make_callback([] {}));
-  dram.read(64, 64, sim.make_callback([] {}));
+  dram.read(0, 64, ready([] {}));
+  dram.read(64, 64, ready([] {}));
   sim.run();
   EXPECT_EQ(dram.stats().requests, 2u);
   EXPECT_EQ(dram.stats().bytes, 128u);
@@ -246,6 +258,7 @@ TEST(HostDram, StatsAccumulate) {
 
 TEST(Cxl, AddedLatencyDelaysCompletion) {
   ClosureSim sim;
+  ReadyLog ready(sim);
   CxlDeviceParams base;
   CxlDevice dev0(sim, base, "base");
   CxlDeviceParams delayed = base;
@@ -254,9 +267,10 @@ TEST(Cxl, AddedLatencyDelaysCompletion) {
 
   SimTime t0 = 0;
   SimTime t2 = 0;
-  dev0.read(0, 64, sim.make_callback([&] { t0 = sim.now(); }));
-  dev2.read(0, 64, sim.make_callback([&] { t2 = sim.now(); }));
+  dev0.read(0, 64, ready([&] { t0 = sim.now(); }));
+  dev2.read(0, 64, ready([&] { t2 = sim.now(); }));
   sim.run();
+  EXPECT_EQ(ready.times, (std::vector<SimTime>{t0, t2}));
   // The latency bridge releases at stamp + added latency, so the delta is
   // (almost exactly) the programmed 2 us.
   EXPECT_NEAR(util::us_from_ps(t2 - t0), 2.0, 0.2);
@@ -264,8 +278,9 @@ TEST(Cxl, AddedLatencyDelaysCompletion) {
 
 TEST(Cxl, LargeReadsSplitIntoFlits) {
   ClosureSim sim;
+  ReadyLog ready(sim);
   CxlDevice dev(sim, CxlDeviceParams{}, "dev");
-  dev.read(0, 128, sim.make_callback([] {}));
+  dev.read(0, 128, ready([] {}));
   sim.run();
   // One 128 B read = 2 flits worth of channel work; stats count the
   // original request.
@@ -275,6 +290,7 @@ TEST(Cxl, LargeReadsSplitIntoFlits) {
 
 TEST(Cxl, FlitTagBudgetRespected) {
   ClosureSim sim;
+  ReadyLog ready(sim);
   CxlDeviceParams p;
   p.device_tags = 8;
   p.added_latency = ps_from_us(1.0);
@@ -282,7 +298,7 @@ TEST(Cxl, FlitTagBudgetRespected) {
   int done = 0;
   std::uint32_t peak = 0;
   for (int i = 0; i < 100; ++i) {
-    dev.read(static_cast<std::uint64_t>(i) * 128, 128, sim.make_callback([&] {
+    dev.read(static_cast<std::uint64_t>(i) * 128, 128, ready([&] {
       ++done;
       peak = std::max(peak, dev.flits_in_flight());
     }));
@@ -294,28 +310,35 @@ TEST(Cxl, FlitTagBudgetRespected) {
   // every tag has been released.
   EXPECT_EQ(peak, p.device_tags);
   EXPECT_EQ(dev.flits_in_flight(), 0u);
+  // Every read is announced once, in ready order, egress after its last
+  // pop.
+  ASSERT_EQ(ready.times.size(), 100u);
+  EXPECT_TRUE(std::is_sorted(ready.times.begin(), ready.times.end()));
 }
 
 TEST(Cxl, InOrderBridgeMonotonePops) {
   // With in-order release, a long-latency flit delays later short ones;
   // completions must be monotone in issue order for same-size reads.
   ClosureSim sim;
+  ReadyLog ready(sim);
   CxlDeviceParams p;
   p.added_latency = ps_from_us(1.0);
   CxlDevice dev(sim, p, "dev");
   std::vector<SimTime> completions;
   for (int i = 0; i < 32; ++i) {
-    dev.read(static_cast<std::uint64_t>(i) * 64, 64, sim.make_callback([&] { completions.push_back(sim.now()); }));
+    dev.read(static_cast<std::uint64_t>(i) * 64, 64, ready([&] { completions.push_back(sim.now()); }));
   }
   sim.run();
   ASSERT_EQ(completions.size(), 32u);
   for (std::size_t i = 1; i < completions.size(); ++i) {
     EXPECT_GE(completions[i], completions[i - 1]);
   }
+  EXPECT_EQ(ready.times, completions);
 }
 
 TEST(Cxl, ChannelBandwidthCapsThroughput) {
   ClosureSim sim;
+  ReadyLog ready(sim);
   CxlDeviceParams p;  // 5,700 MB/s single channel
   CxlDevice dev(sim, p, "dev");
   const int reads = 20'000;
@@ -323,7 +346,7 @@ TEST(Cxl, ChannelBandwidthCapsThroughput) {
   // Issue in waves bounded by tags; completions trigger nothing, so just
   // flood: the tag queue inside the device handles backpressure.
   for (int i = 0; i < reads; ++i) {
-    dev.read(static_cast<std::uint64_t>(i) * 64, 64, sim.make_callback([&] { last = sim.now(); }));
+    dev.read(static_cast<std::uint64_t>(i) * 64, 64, ready([&] { last = sim.now(); }));
   }
   sim.run();
   const double mbps =
@@ -336,13 +359,14 @@ TEST(Cxl, ThroughputDropsWithAddedLatency) {
   // Fig. 10's mechanism: tags * flit / latency once latency dominates.
   auto measure = [](double added_us) {
     ClosureSim sim;
+    ReadyLog ready(sim);
     CxlDeviceParams p;
     p.added_latency = ps_from_us(added_us);
     CxlDevice dev(sim, p, "dev");
     SimTime last = 0;
     const int reads = 20'000;
     for (int i = 0; i < reads; ++i) {
-      dev.read(static_cast<std::uint64_t>(i) * 64, 64, sim.make_callback([&] { last = sim.now(); }));
+      dev.read(static_cast<std::uint64_t>(i) * 64, 64, ready([&] { last = sim.now(); }));
     }
     sim.run();
     return util::mbps_from(static_cast<std::uint64_t>(reads) * 64, last);
@@ -360,9 +384,10 @@ TEST(Cxl, RejectsZeroByteRequests) {
   // Zero bytes split into no flits: no pop would ever complete the request,
   // leaking its parent slot (and, behind a link, the link's tag).
   ClosureSim sim;
+  ReadyLog ready(sim);
   CxlDevice dev(sim, CxlDeviceParams{}, "dev");
-  EXPECT_THROW(dev.read(0, 0, sim.make_callback([] {})), std::invalid_argument);
-  EXPECT_THROW(dev.write(0, 0, sim.make_callback([] {})),
+  EXPECT_THROW(dev.read(0, 0, ready([] {})), std::invalid_argument);
+  EXPECT_THROW(dev.write(0, 0, ready([] {})),
                std::invalid_argument);
   EXPECT_EQ(dev.stats().requests, 0u);
   // Through the GPU link the device sees the request one hop later.
@@ -371,12 +396,50 @@ TEST(Cxl, RejectsZeroByteRequests) {
   EXPECT_THROW(sim.run(), std::invalid_argument);
 }
 
+TEST(Cxl, FlitsPoppingTogetherShareOneEvent) {
+  // A 128 B read is two flits. Behind a 1 us latency bridge both pop on
+  // the same picosecond, so one kPop carries both: kIngress, one kPop and
+  // the ready closure run (four events with a kPop per flit). The tag
+  // frees are recorded, not scheduled, either way.
+  ClosureSim sim;
+  ReadyLog ready(sim);
+  CxlDeviceParams p;
+  p.added_latency = ps_from_us(1.0);
+  CxlDevice dev(sim, p, "dev");
+  dev.read(0, 128, ready());
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 3u);
+  // Ingress, the bridge, then egress.
+  EXPECT_EQ(ready.times, std::vector<SimTime>{p.port_ingress + ps_from_us(1.0) +
+                                              p.port_egress});
+  EXPECT_EQ(dev.flits_in_flight(), 0u);
+}
+
+TEST(Cxl, FlitsPoppingApartKeepTheirOwnEvents) {
+  // With no added latency the channel spaces the two flits one transfer
+  // apart, so each keeps its kPop: kIngress, two kPops and the ready
+  // closure, as before the merge.
+  ClosureSim sim;
+  ReadyLog ready(sim);
+  CxlDeviceParams p;
+  CxlDevice dev(sim, p, "dev");
+  dev.read(0, 128, ready());
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 4u);
+  const auto flit = static_cast<SimTime>(
+      p.flit_bytes * util::ps_per_byte(p.channel_bandwidth_mbps) + 0.5);
+  EXPECT_EQ(ready.times,
+            std::vector<SimTime>{p.port_ingress + 2 * flit + p.dram_latency +
+                                 p.port_egress});
+}
+
 TEST(CxlPool, InterleavesAcrossDevices) {
   ClosureSim sim;
+  ReadyLog ready(sim);
   CxlMemoryPool pool(sim, CxlDeviceParams{}, 4, 4096);
   // Touch one page per device.
   for (std::uint64_t p = 0; p < 4; ++p) {
-    pool.read(p * 4096, 64, sim.make_callback([] {}));
+    pool.read(p * 4096, 64, ready([] {}));
   }
   sim.run();
   for (unsigned i = 0; i < 4; ++i) {
@@ -386,9 +449,10 @@ TEST(CxlPool, InterleavesAcrossDevices) {
 
 TEST(CxlPool, AggregateStatsSumAcrossDevices) {
   ClosureSim sim;
+  ReadyLog ready(sim);
   CxlMemoryPool pool(sim, CxlDeviceParams{}, 3, 4096);
   for (int i = 0; i < 30; ++i) {
-    pool.read(static_cast<std::uint64_t>(i) * 4096, 64, sim.make_callback([] {}));
+    pool.read(static_cast<std::uint64_t>(i) * 4096, 64, ready([] {}));
   }
   sim.run();
   EXPECT_EQ(pool.stats().requests, 30u);
@@ -415,6 +479,7 @@ TEST(CxlPool, TagSaturationGolden) {
     p.added_latency = grid * rng.next_below(5);  // 0..1 us
     p.socket_hop = grid * rng.next_below(2);
     ClosureSim sim;
+    ReadyLog ready(sim);
     CxlMemoryPool pool(sim, p, 2, 4096);
 
     struct Request {
@@ -438,7 +503,7 @@ TEST(CxlPool, TagSaturationGolden) {
       sim.schedule_at(grid * rng.next_below(64), [&, burst] {
         for (const Request& r : burst) {
           const std::uint32_t id = next_id++;
-          const ReadyFn done = sim.make_callback([&, id] {
+          const ReadyFn done = ready([&, id] {
             mix(sim.now());
             mix(id);
             mix(held());
@@ -492,6 +557,7 @@ TEST(CxlPool, TagFreeRecordsAreInvisible) {
     p.port_egress = ports[trial % 4][1];
     p.socket_hop = trial / 4 % 2 == 1 ? grid : 0;
     ClosureSim sim;
+    ReadyLog ready(sim);
     CxlMemoryPool pool(sim, p, 2, 4096);
 
     std::uint32_t next_id = 0;
@@ -507,7 +573,7 @@ TEST(CxlPool, TagFreeRecordsAreInvisible) {
       const bool write = rng.next_below(5) == 0;
       sim.schedule_at(at, [&, addr, bytes, write] {
         const std::uint32_t id = next_id++;
-        const ReadyFn done = sim.make_callback([&, id] {
+        const ReadyFn done = ready([&, id] {
           mix(sim.now());
           mix(id);
           mix(held());

@@ -3,6 +3,9 @@
 #include "access/emogi.hpp"
 #include "access/xlfdd_direct.hpp"
 #include "algo/bfs.hpp"
+#include "closure_sim.hpp"
+#include "core/runtime.hpp"
+#include "device/cxl_device.hpp"
 #include "device/host_dram.hpp"
 #include "device/xlfdd.hpp"
 #include "gpusim/cpu_probe.hpp"
@@ -234,6 +237,168 @@ TEST(Engine, CachedReadsAndReadlessStepsReplayAsBefore) {
     }
     EXPECT_EQ(fold, 0x633c6823ca3f0511ULL);
   }
+}
+
+// --------------------------------------------------------- return path ----
+
+/// Forwards every request to `inner` and makes no ready-order promise, so
+/// a link in front of it holds every read's return for a kReadReady.
+class NoOrderPromise final : public device::MemoryDevice {
+ public:
+  explicit NoOrderPromise(device::MemoryDevice& inner) : inner_(inner) {}
+  void read(std::uint64_t addr, std::uint32_t bytes,
+            device::ReadyFn ready) override {
+    inner_.read(addr, bytes, ready);
+  }
+  void write(std::uint64_t addr, std::uint32_t bytes,
+             device::ReadyFn ready) override {
+    inner_.write(addr, bytes, ready);
+  }
+  const device::DeviceCaps& caps() const noexcept override {
+    return inner_.caps();
+  }
+  const device::DeviceStats& stats() const noexcept override {
+    return inner_.stats();
+  }
+
+ private:
+  device::MemoryDevice& inner_;
+};
+
+/// What one replay leaves: the engine's result, the link's counters and
+/// the simulator's event count.
+struct Replay {
+  EngineResult engine;
+  device::PcieLinkStats link;
+  std::uint64_t events = 0;
+};
+
+enum class Memory { kHostDram, kCxlPool };
+
+/// Replays `trace` on the Table-4 stack for `memory`, with the device
+/// itself or behind NoOrderPromise.
+Replay replay(const algo::AccessTrace& trace, Memory memory,
+              SimTime added_latency, bool promise) {
+  const core::SystemConfig cfg = core::table4_system();
+  sim::Simulator sim;
+  device::PcieLink link(sim, device::pcie_x16(cfg.gpu_link_gen));
+  std::unique_ptr<device::MemoryDevice> dev;
+  if (memory == Memory::kCxlPool) {
+    device::CxlDeviceParams cp = cfg.cxl;
+    cp.added_latency = added_latency;
+    dev = std::make_unique<device::CxlMemoryPool>(sim, cp, cfg.cxl_devices,
+                                                  cfg.cxl_interleave_bytes);
+  } else {
+    dev = std::make_unique<device::HostDram>(sim, cfg.dram_local);
+  }
+  NoOrderPromise held(*dev);
+  access::EmogiAccess method(cfg.emogi);
+  access::MemoryPathBackend backend(link, promise ? *dev : held);
+  TraversalEngine engine(sim, method, backend, cfg.gpu);
+  Replay r;
+  r.engine = engine.run(trace);
+  r.link = link.stats();
+  r.events = sim.events_processed();
+  return r;
+}
+
+void expect_same_stats(const util::OnlineStats& a, const util::OnlineStats& b,
+                       const char* what) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_EQ(a.mean(), b.mean()) << what;
+  EXPECT_EQ(a.min(), b.min()) << what;
+  EXPECT_EQ(a.max(), b.max()) << what;
+}
+
+/// Every simulated value of two replays, all but the event count.
+void expect_same_replay(const Replay& a, const Replay& b) {
+  EXPECT_EQ(a.engine.total_time, b.engine.total_time);
+  EXPECT_EQ(a.engine.fetched_bytes, b.engine.fetched_bytes);
+  EXPECT_EQ(a.engine.transactions, b.engine.transactions);
+  EXPECT_EQ(a.engine.written_bytes, b.engine.written_bytes);
+  EXPECT_EQ(a.engine.write_transactions, b.engine.write_transactions);
+  ASSERT_EQ(a.engine.steps.size(), b.engine.steps.size());
+  for (std::size_t s = 0; s < a.engine.steps.size(); ++s) {
+    EXPECT_EQ(a.engine.steps[s].duration, b.engine.steps[s].duration) << s;
+    EXPECT_EQ(a.engine.steps[s].fetched_bytes,
+              b.engine.steps[s].fetched_bytes)
+        << s;
+  }
+  EXPECT_EQ(a.link.memory_reads, b.link.memory_reads);
+  EXPECT_EQ(a.link.memory_writes, b.link.memory_writes);
+  EXPECT_EQ(a.link.bytes_delivered, b.link.bytes_delivered);
+  EXPECT_EQ(a.link.bytes_written, b.link.bytes_written);
+  EXPECT_EQ(a.link.return_busy_time, b.link.return_busy_time);
+  EXPECT_EQ(a.link.upstream_busy_time, b.link.upstream_busy_time);
+  expect_same_stats(a.link.memory_read_latency_us,
+                    b.link.memory_read_latency_us, "read latency");
+  expect_same_stats(a.link.tags_in_use, b.link.tags_in_use, "tags in use");
+}
+
+TEST(ReturnPath, TakenAtAnnouncementEqualsHeldReturns) {
+  // A device that announces in ready order lets the link serialize each
+  // read's return at the announcement; behind NoOrderPromise the same
+  // device's returns wait for kReadReady. The replays must agree in
+  // every simulated value, and the first must run one event fewer per
+  // read. Writes keep their ack event on both.
+  graph::GeneratorOptions opts;
+  opts.max_weight = 255;
+  const graph::CsrGraph g = graph::generate_uniform(4096, 16.0, opts);
+  const core::ExternalGraphRuntime rt(core::table4_system());
+  const graph::VertexId source = algo::pick_source(g, 1);
+  for (const core::Algorithm algorithm :
+       {core::Algorithm::kBfs, core::Algorithm::kSssp,
+        core::Algorithm::kBfsWriteback}) {
+    const algo::AccessTrace trace = rt.make_trace(g, algorithm, source);
+    for (const Memory memory : {Memory::kHostDram, Memory::kCxlPool}) {
+      for (const SimTime added : {SimTime{0}, ps_from_us(2.0)}) {
+        if (memory == Memory::kHostDram && added > 0) continue;
+        SCOPED_TRACE(core::to_string(algorithm) +
+                     (memory == Memory::kCxlPool ? " cxl +" : " dram +") +
+                     std::to_string(added));
+        const Replay at_once = replay(trace, memory, added, true);
+        const Replay held = replay(trace, memory, added, false);
+        expect_same_replay(at_once, held);
+        EXPECT_GT(at_once.engine.transactions, 0u);
+        EXPECT_EQ(held.events - at_once.events, at_once.engine.transactions);
+        if (algorithm == core::Algorithm::kBfsWriteback) {
+          EXPECT_GT(at_once.engine.write_transactions, 0u);
+        }
+      }
+    }
+  }
+}
+
+/// Promises ready order, then announces each read 1 us before the last.
+class BrokenPromise final : public device::MemoryDevice {
+ public:
+  explicit BrokenPromise(sim::Simulator& sim) : sim_(sim) {
+    caps_.name = "broken-promise";
+  }
+  void read(std::uint64_t, std::uint32_t, device::ReadyFn ready) override {
+    ready.announce(sim_.now() + lead_);
+    lead_ -= ps_from_us(1.0);
+  }
+  bool announces_in_ready_order() const noexcept override { return true; }
+  const device::DeviceCaps& caps() const noexcept override { return caps_; }
+  const device::DeviceStats& stats() const noexcept override {
+    return stats_;
+  }
+
+ private:
+  sim::Simulator& sim_;
+  SimTime lead_ = ps_from_us(10.0);
+  device::DeviceCaps caps_;
+  device::DeviceStats stats_;
+};
+
+TEST(ReturnPath, ReadAnnouncedOutOfOrderThrows) {
+  sim::ClosureSim sim;
+  device::PcieLink link(sim, device::pcie_x16(device::PcieGen::kGen4));
+  BrokenPromise dev(sim);
+  link.memory_read(dev, 0, 64, sim.make_callback([] {}));
+  link.memory_read(dev, 64, 64, sim.make_callback([] {}));
+  EXPECT_THROW(sim.run(), std::logic_error);
 }
 
 // ------------------------------------------------------- pointer chase ----

@@ -300,7 +300,8 @@ TEST(TraceCheck, RejectsMalformedEvents) {
 // ------------------------------------------------------------ sampler ----
 
 TEST(TimeSeriesSampler, BucketsFoldByDeclaredReduction) {
-  obs::TimeSeriesSampler sampler(/*quantum=*/100);
+  obs::TimeSeriesSampler sampler;
+  const util::SimTime q = obs::TimeSeriesSampler::kQuantum;
   const std::uint32_t last = sampler.channel("q/depth");
   const std::uint32_t sum =
       sampler.channel("q/bytes", obs::TimeSeriesSampler::Reduce::kSum);
@@ -308,12 +309,13 @@ TEST(TimeSeriesSampler, BucketsFoldByDeclaredReduction) {
       sampler.channel("q/peak", obs::TimeSeriesSampler::Reduce::kMax);
   EXPECT_EQ(sampler.channel("q/depth"), last);  // deduped by name
   for (const auto& [t, v] : std::vector<std::pair<util::SimTime, double>>{
-           {10, 3.0}, {50, 7.0}, {90, 5.0}, {250, 2.0}}) {
+           {q / 10, 3.0}, {q / 2, 7.0}, {q * 9 / 10, 5.0},
+           {q * 5 / 2, 2.0}}) {
     sampler.record(last, t, v);
     sampler.record(sum, t, v);
     sampler.record(max, t, v);
   }
-  // Bucket [0,100) folded three samples; bucket [200,300) one.
+  // Bucket [0, q) folded three samples; bucket [2q, 3q) one.
   ASSERT_EQ(sampler.series(last).size(), 2u);
   const auto& b0 = sampler.series(last)[0];
   EXPECT_EQ(b0.index, 0u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "closure_sim.hpp"
+#include "ready_log.hpp"
 #include "core/runtime.hpp"
 #include "device/cxl_device.hpp"
 #include "device/host_dram.hpp"
@@ -18,6 +19,7 @@ using device::TieredMemoryParams;
 
 struct Fixture {
   sim::ClosureSim sim;
+  device::ReadyLog ready{sim};
   device::HostDram dram;
   device::CxlDevice cxl;
 
@@ -35,8 +37,8 @@ TEST(Tiered, RangeSplitRoutesByAddress) {
   EXPECT_TRUE(tiered.is_fast((1 << 20) - 1));
   EXPECT_FALSE(tiered.is_fast(1 << 20));
 
-  tiered.read(1024, 64, f.sim.make_callback([] {}));
-  tiered.read(2 << 20, 64, f.sim.make_callback([] {}));
+  tiered.read(1024, 64, f.ready());
+  tiered.read(2 << 20, 64, f.ready());
   f.sim.run();
   EXPECT_EQ(tiered.fast_requests(), 1u);
   EXPECT_EQ(tiered.slow_requests(), 1u);
@@ -49,8 +51,8 @@ TEST(Tiered, WritesRouteLikeReads) {
   TieredMemoryParams p;
   p.fast_bytes = 4096;
   TieredMemory tiered(f.dram, f.cxl, p);
-  tiered.write(0, 64, f.sim.make_callback([] {}));
-  tiered.write(8192, 64, f.sim.make_callback([] {}));
+  tiered.write(0, 64, f.ready());
+  tiered.write(8192, 64, f.ready());
   f.sim.run();
   EXPECT_EQ(tiered.fast_requests(), 1u);
   EXPECT_EQ(tiered.slow_requests(), 1u);
@@ -62,7 +64,7 @@ TEST(Tiered, AggregateStatsSumBothTiers) {
   p.fast_bytes = 4096;
   TieredMemory tiered(f.dram, f.cxl, p);
   for (int i = 0; i < 10; ++i) {
-    tiered.read(static_cast<std::uint64_t>(i) * 1024, 64, f.sim.make_callback([] {}));
+    tiered.read(static_cast<std::uint64_t>(i) * 1024, 64, f.ready());
   }
   f.sim.run();
   EXPECT_EQ(tiered.stats().requests, 10u);

@@ -141,10 +141,14 @@ TEST(PercentileSummary, EmptyIsZero) {
 }
 
 TEST(PercentileSummary, KnownValues) {
-  // 1..100: linear-interpolated percentiles over the sorted samples.
+  // 1..100 us: linear-interpolated percentiles over the sorted samples.
   std::vector<double> v;
-  for (int i = 1; i <= 100; ++i) v.push_back(static_cast<double>(i));
-  const PercentileSummary s = summarize_percentiles(v);
+  std::vector<SimTime> ps;
+  for (int i = 1; i <= 100; ++i) {
+    v.push_back(static_cast<double>(i));
+    ps.push_back(static_cast<SimTime>(i) * kPsPerUs);
+  }
+  const PercentileSummary s = summarize_percentiles(ps);
   EXPECT_EQ(s.count, 100u);
   EXPECT_DOUBLE_EQ(s.mean, 50.5);
   EXPECT_DOUBLE_EQ(s.min, 1.0);
@@ -158,7 +162,7 @@ TEST(PercentileSummary, KnownValues) {
 }
 
 TEST(PercentileSummary, OrderInvariantAndMonotone) {
-  std::vector<double> v = {9, 1, 7, 3, 5, 8, 2, 6, 4, 0};
+  std::vector<SimTime> v = {9, 1, 7, 3, 5, 8, 2, 6, 4, 0};
   const PercentileSummary s = summarize_percentiles(v);
   EXPECT_LE(s.p50, s.p95);
   EXPECT_LE(s.p95, s.p99);
@@ -242,6 +246,58 @@ std::vector<double> radix_sample(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+/// Seeded picosecond samples: duplicates, 0 and the last picosecond,
+/// values sharing their high bytes (so the radix sort skips digits), and
+/// values past 2^53, where neighbours convert to one double.
+std::vector<SimTime> radix_ps_sample(std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<SimTime> v;
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (rng.next_below(5)) {
+      case 0:
+        v.push_back(rng.next_below(2) == 0
+                        ? 0
+                        : std::numeric_limits<SimTime>::max());
+        break;
+      case 1:
+        v.push_back(kPsPerMs + rng.next_below(4096));
+        break;
+      case 2:
+        v.push_back(v.empty() ? 7 : v[rng.next_below(v.size())]);
+        break;
+      case 3:
+        v.push_back((SimTime{1} << 60) + rng.next_below(1 << 12));
+        break;
+      default:
+        v.push_back(rng.next_below(kPsPerSec));
+        break;
+    }
+  }
+  return v;
+}
+
+TEST(PercentileSummary, PicosecondSummaryEqualsSortedMicrosecondsBitForBit) {
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{255},
+        std::size_t{256}, std::size_t{257}, std::size_t{100'000}}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const std::vector<SimTime> ps = radix_ps_sample(n, seed + n);
+      std::vector<double> us;
+      for (const SimTime x : ps) us.push_back(us_from_ps(x));
+      const PercentileSummary got = summarize_percentiles(ps);
+      const PercentileSummary want = reference_summary(us);
+      EXPECT_EQ(got.count, want.count);
+      const std::pair<double, double> fields[] = {
+          {got.mean, want.mean}, {got.min, want.min}, {got.max, want.max},
+          {got.p50, want.p50},   {got.p95, want.p95}, {got.p99, want.p99}};
+      for (std::size_t f = 0; f < std::size(fields); ++f) {
+        EXPECT_TRUE(same_bits(fields[f].first, fields[f].second))
+            << "field " << f << " of an n=" << n << " sample";
+      }
+    }
+  }
+}
+
 TEST(PercentileSummary, RadixSortEqualsComparisonSortBitForBit) {
   std::vector<std::vector<double>> cases;
   std::uint64_t seed = 1;
@@ -259,16 +315,6 @@ TEST(PercentileSummary, RadixSortEqualsComparisonSortBitForBit) {
   }
   cases.push_back(low_bytes);
   for (const std::vector<double>& v : cases) {
-    const PercentileSummary got = summarize_percentiles(v);
-    const PercentileSummary want = reference_summary(v);
-    EXPECT_EQ(got.count, want.count);
-    const std::pair<double, double> fields[] = {
-        {got.mean, want.mean}, {got.min, want.min}, {got.max, want.max},
-        {got.p50, want.p50},   {got.p95, want.p95}, {got.p99, want.p99}};
-    for (std::size_t f = 0; f < std::size(fields); ++f) {
-      EXPECT_TRUE(same_bits(fields[f].first, fields[f].second))
-          << "field " << f << " of an n=" << v.size() << " sample";
-    }
     if (v.empty()) continue;
     std::vector<double> sorted = v;
     std::sort(sorted.begin(), sorted.end());
@@ -302,10 +348,12 @@ TEST(StreamingQuantile, TracksExactPercentilesOnRandomStream) {
     p95.add(x);
     p99.add(x);
   }
-  const PercentileSummary exact = summarize_percentiles(samples);
-  EXPECT_NEAR(p50.estimate(), exact.p50, 0.05 * exact.p50 + 1.0);
-  EXPECT_NEAR(p95.estimate(), exact.p95, 0.05 * exact.p95 + 1.0);
-  EXPECT_NEAR(p99.estimate(), exact.p99, 0.05 * exact.p99 + 1.0);
+  const double exact50 = percentile(samples, 50.0);
+  const double exact95 = percentile(samples, 95.0);
+  const double exact99 = percentile(samples, 99.0);
+  EXPECT_NEAR(p50.estimate(), exact50, 0.05 * exact50 + 1.0);
+  EXPECT_NEAR(p95.estimate(), exact95, 0.05 * exact95 + 1.0);
+  EXPECT_NEAR(p99.estimate(), exact99, 0.05 * exact99 + 1.0);
   EXPECT_EQ(p99.count(), 20'000u);
 }
 

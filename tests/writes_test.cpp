@@ -8,6 +8,7 @@
 #include "access/xlfdd_direct.hpp"
 #include "algo/bfs.hpp"
 #include "closure_sim.hpp"
+#include "ready_log.hpp"
 #include "core/runtime.hpp"
 #include "device/cxl_device.hpp"
 #include "device/host_dram.hpp"
@@ -91,7 +92,7 @@ TEST(DeviceWrites, DefaultDeviceIsReadOnly) {
       caps_.name = "ro-dev";
     }
     void read(std::uint64_t, std::uint32_t, device::ReadyFn ready) override {
-      sim_.schedule_after(1, std::move(ready));
+      ready.announce(sim_.now() + 1);
     }
     const device::DeviceCaps& caps() const noexcept override {
       return caps_;
@@ -107,23 +108,28 @@ TEST(DeviceWrites, DefaultDeviceIsReadOnly) {
   };
   ClosureSim sim;
   ReadOnlyDevice dev(sim);
-  EXPECT_THROW(dev.write(0, 64, sim.make_callback([] {})), std::logic_error);
+  device::ReadyLog ready(sim);
+  EXPECT_THROW(dev.write(0, 64, ready()), std::logic_error);
 }
 
 TEST(DeviceWrites, CxlWriteSlowerThanReadByCoherency) {
   ClosureSim sim;
   device::CxlDeviceParams p;
   device::CxlDevice dev(sim, p, "dev");
+  device::ReadyLog ready(sim);
   SimTime read_done = 0;
   SimTime write_done = 0;
-  dev.read(0, 64, sim.make_callback([&] { read_done = sim.now(); }));
+  dev.read(0, 64, ready([&] { read_done = sim.now(); }));
   sim.run();
   const SimTime read_latency = read_done;
   ClosureSim sim2;
   device::CxlDevice dev2(sim2, p, "dev2");
-  dev2.write(0, 64, sim2.make_callback([&] { write_done = sim2.now(); }));
+  device::ReadyLog ready2(sim2);
+  dev2.write(0, 64, ready2([&] { write_done = sim2.now(); }));
   sim2.run();
   EXPECT_EQ(write_done - read_latency, p.write_coherency_overhead);
+  EXPECT_EQ(ready.times, std::vector<SimTime>{read_done});
+  EXPECT_EQ(ready2.times, std::vector<SimTime>{write_done});
 }
 
 TEST(DeviceWrites, StorageWriteDominatedByProgramLatency) {
